@@ -13,9 +13,12 @@ stored 1, which is how binary adjacency matrices travel.
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .schedule import TileSchedule
 
 
 class StreamFormatError(ValueError):
@@ -37,6 +40,9 @@ STREAM_MAGIC = b"PCOO"
 STREAM_VERSION = 1
 _HEADER_STRUCT = struct.Struct("<4sHHHHI")  # magic, version, T, H, K, cycle_count
 HEADER_BYTES = _HEADER_STRUCT.size
+_U16 = 0xFFFF
+_U32 = 0xFFFFFFFF
+_MAX_PACKET_BITS = 63  # codes are packed and unpacked in int64 arrays
 
 
 class StreamHeader(NamedTuple):
@@ -118,11 +124,19 @@ def make_header(tile_width: int, value_bits: int, pe_count: int,
         raise ValueError("pe_count must be positive")
     if cycle_count < 0:
         raise ValueError("cycle_count must be non-negative")
+    fields = (("tile width", tile_width, _U16), ("value bits", value_bits, _U16),
+              ("pe_count", pe_count, _U16), ("cycle_count", cycle_count, _U32))
+    for name, value, limit in fields:
+        if not 0 <= value <= limit:
+            raise ValueError(f"{name} {value} does not fit the stream header (max {limit})")
+    if packet_width(tile_width, value_bits) > _MAX_PACKET_BITS:
+        raise ValueError(f"packets wider than {_MAX_PACKET_BITS} bits are not supported")
     return StreamHeader(tile_width, value_bits, pe_count, cycle_count)
 
 
-def _serialize_columnar(sched, header: StreamHeader, prefix: bytes) -> bytes:
-    """Vectorized body encoder for schedules that expose flag/col/value arrays."""
+def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
+    """Header then a TileSchedule's packets cycle-major, each MSB-first in
+    ceil(width/8) bytes; the vectorized twin of encode_packet."""
     t, h = header.tile_width, header.value_bits
     cycles, k = sched.sor.shape
     if cycles != header.cycle_count:
@@ -149,36 +163,19 @@ def _serialize_columnar(sched, header: StreamHeader, prefix: bytes) -> bytes:
     nbytes = (packet_width(t, h) + 7) // 8
     shifts = 8 * np.arange(nbytes - 1, -1, -1, dtype=np.int64)
     body = ((codes[:, None] >> shifts) & 0xFF).astype(np.uint8)
+    prefix = _HEADER_STRUCT.pack(STREAM_MAGIC, header.version, t, h, k, cycles)
     return prefix + body.tobytes()
 
 
-def serialize_stream(schedule, header: StreamHeader) -> bytes:
-    """Header then packets cycle-major, each MSB-first in ceil(width/8) bytes.
+def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
+    """Inverse of serialize_stream: the header and a columnar TileSchedule.
 
-    Accepts a TileSchedule (anything with to_packets()) or a plain grid:
-    a sequence of cycles, each a sequence of pe_count packets.
+    Every cell is decoded at once (the vectorized twin of decode_packet).
+    Idle slots come back as pads and the row map as round-robin, since the
+    stream carries neither stall provenance nor row numbers.
     """
-    prefix = _HEADER_STRUCT.pack(STREAM_MAGIC, header.version,
-                                 header.tile_width, header.value_bits,
-                                 header.pe_count, header.cycle_count)
-    if hasattr(schedule, "sor"):
-        return _serialize_columnar(schedule, header, prefix)
-    packets = schedule.to_packets() if hasattr(schedule, "to_packets") else schedule
-    if len(packets) != header.cycle_count:
-        raise ValueError(f"header says {header.cycle_count} cycles, got {len(packets)}")
-    nbytes = (packet_width(header.tile_width, header.value_bits) + 7) // 8
-    out = bytearray(prefix)
-    for cycle in packets:
-        if len(cycle) != header.pe_count:
-            raise ValueError("schedule is not rectangular")
-        for p in cycle:
-            code = encode_packet(p, header.tile_width, header.value_bits)
-            out += code.to_bytes(nbytes, "big")
-    return bytes(out)
+    from .schedule import TileSchedule  # schedule imports this module
 
-
-def deserialize_stream(data: bytes) -> tuple[StreamHeader, list[list[PcooPacket]]]:
-    """Inverse of serialize_stream; returns the header and the packet grid."""
     if len(data) < HEADER_BYTES:
         raise StreamFormatError("truncated header")
     magic, version, t, h, k, cycles = _HEADER_STRUCT.unpack_from(data)
@@ -187,17 +184,39 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, list[list[PcooPacket]
     if version != STREAM_VERSION:
         raise StreamFormatError(f"unsupported stream version {version}")
     header = StreamHeader(t, h, k, cycles, version)
-    nbytes = (packet_width(t, h) + 7) // 8
+    try:
+        width = packet_width(t, h)
+    except ValueError as exc:
+        raise StreamFormatError(str(exc)) from exc
+    if width > _MAX_PACKET_BITS:
+        raise StreamFormatError(f"{width}-bit packets exceed {_MAX_PACKET_BITS} bits")
+    nbytes = (width + 7) // 8
     expect = HEADER_BYTES + cycles * k * nbytes
     if len(data) != expect:
         raise StreamFormatError(f"payload is {len(data)} bytes, expected {expect}")
-    grid = []
-    pos = HEADER_BYTES
-    for _ in range(cycles):
-        row = []
-        for _ in range(k):
-            code = int.from_bytes(data[pos:pos + nbytes], "big")
-            row.append(decode_packet(code, t, h))
-            pos += nbytes
-        grid.append(row)
-    return header, grid
+    cells = np.frombuffer(data, dtype=np.uint8, offset=HEADER_BYTES).reshape(-1, nbytes)
+    codes = np.zeros(len(cells), dtype=np.int64)
+    for i in range(nbytes):
+        codes <<= 8
+        codes |= cells[:, i]
+    wide = np.flatnonzero(codes >> width)
+    if wide.size:
+        cell = int(wide[0])
+        raise StreamFormatError(f"cell {cell} (cycle {cell // k}, PE {cell % k}) "
+                                f"has bits set above its {width}-bit packet")
+    shape = (cycles, k)
+
+    def field(shift, mask, dtype):
+        return ((codes >> shift) & mask).astype(dtype).reshape(shape)
+
+    tbits = log2_exact(t)
+    vld = field(h + tbits, 1, np.uint8)
+    if h == 0:
+        value = vld
+    else:
+        value = field(0, (1 << h) - 1, np.int64)
+        value -= (value >> (h - 1)) << h  # sign-extend the field
+    sched = TileSchedule.from_columns(field(h + tbits + 2, 1, np.uint8),
+                                      field(h + tbits + 1, 1, np.uint8),
+                                      vld, field(h, t - 1, np.int32), value)
+    return header, sched

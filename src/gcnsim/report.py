@@ -36,28 +36,8 @@ def ideal_cycles(work: int, pe_count: int) -> int:
     return -(-work // pe_count)
 
 
-def _sdmm_census(report: RunReport) -> dict:
-    """Sum the per-PE slot counters over the sparse steps."""
-    sdmm = [r for _, r in report.steps if r.mode == MODE_SDMM]
-    if not sdmm:
-        return {"compute_cycles": 0, "pe_count": 0}
-    k = sdmm[0].pe_count
-    sums = {"valid": [0] * k, "empty_row": [0] * k,
-            "collision": [0] * k, "imbalance": [0] * k}
-    cycles = 0
-    for r in sdmm:
-        cycles += r.compute_cycles
-        for name, key in (("compute", "valid"), ("empty_row", "empty_row"),
-                          ("collision", "collision"), ("imbalance", "imbalance")):
-            arr = getattr(r, name)
-            for p in range(k):
-                sums[key][p] += int(arr[p])
-    return {"compute_cycles": cycles, "pe_count": k, **sums}
-
-
 def report_document(report: RunReport, cfg: ArchConfig, label: str = "run",
                     verify: dict | None = None) -> dict:
-    census = _sdmm_census(report)
     doc = {
         "version": REPORT_VERSION,
         "label": label,
@@ -74,34 +54,36 @@ def report_document(report: RunReport, cfg: ArchConfig, label: str = "run",
             "total_cycles": report.total_cycles(),
         },
         "steps": report.as_dict()["steps"],
-        "sdmm": _ideal_block(census),
+        "sdmm": _ideal_block(report),
     }
     if verify is not None:
         doc["verify"] = dict(verify)
     return doc
 
 
-def _ideal_block(census: dict) -> dict:
-    if census["pe_count"] == 0:
+def _ideal_block(report: RunReport) -> dict:
+    """Ideal-latency comparison over the merged sparse (SDMM) steps."""
+    sdmm = RunReport([step for step in report.steps if step[1].mode == MODE_SDMM])
+    if not sdmm.steps:
         return {"compute_cycles": 0, "work": 0, "ideal_cycles": 0,
                 "efficiency": None, "slots": {}, "per_pe": {},
                 "worst_idle_fraction": 0.0, "idle_under_benchmark": True}
-    k = census["pe_count"]
-    cycles = census["compute_cycles"]
-    work = sum(census["valid"]) + sum(census["empty_row"])
-    ic = ideal_cycles(work, k)
-    idle_frac = [(census["collision"][p] + census["imbalance"][p]) / cycles
-                 if cycles else 0.0 for p in range(k)]
+    merged = sdmm.merged()
+    cycles = merged.compute_cycles
+    per_pe = {"valid": merged.compute.tolist(), "empty_row": merged.empty_row.tolist(),
+              "collision": merged.collision.tolist(), "imbalance": merged.imbalance.tolist()}
+    work = sum(per_pe["valid"]) + sum(per_pe["empty_row"])
+    ic = ideal_cycles(work, merged.pe_count)
+    idle_frac = [(stall + pad) / cycles if cycles else 0.0
+                 for stall, pad in zip(per_pe["collision"], per_pe["imbalance"])]
     worst = max(idle_frac)
     return {
         "compute_cycles": cycles,
         "work": work,
         "ideal_cycles": ic,
         "efficiency": ic / cycles if work else None,
-        "slots": {key: sum(census[key]) for key in
-                  ("valid", "empty_row", "collision", "imbalance")},
-        "per_pe": {key: census[key] for key in
-                   ("valid", "empty_row", "collision", "imbalance")},
+        "slots": {key: sum(counts) for key, counts in per_pe.items()},
+        "per_pe": per_pe,
         "idle_fraction": idle_frac,
         "worst_idle_fraction": worst,
         "idle_under_benchmark": worst < IDLE_BENCHMARK,

@@ -199,29 +199,12 @@ def _forward(model: ModelSpec, a: SparseMatrixCSR, x0, engine) -> DenseMatrix:
     return x
 
 
-def run_gcn(model: ModelSpec, a: SparseMatrixCSR, x0, cfg: ArchConfig
-            ) -> tuple[DenseMatrix, RunReport]:
-    if model.kind != KIND_GCN:
-        raise ValueError("run_gcn requires a GCN model")
-    report = RunReport()
-    logits = _forward(model, a, x0, _SimEngine(cfg, report))
-    return logits, report
-
-
-def run_graphsage(model: ModelSpec, a: SparseMatrixCSR, x0, cfg: ArchConfig
-                  ) -> tuple[DenseMatrix, RunReport]:
-    if model.kind != KIND_SAGE:
-        raise ValueError("run_graphsage requires a GraphSAGE model")
-    report = RunReport()
-    logits = _forward(model, a, x0, _SimEngine(cfg, report))
-    return logits, report
-
-
 def run_model(model: ModelSpec, a: SparseMatrixCSR, x0, cfg: ArchConfig
               ) -> tuple[DenseMatrix, RunReport]:
-    if model.kind == KIND_GCN:
-        return run_gcn(model, a, x0, cfg)
-    return run_graphsage(model, a, x0, cfg)
+    """Simulate a GCN or GraphSAGE model; the layer walk follows model.kind."""
+    report = RunReport()
+    logits = _forward(model, a, x0, _SimEngine(cfg, report))
+    return logits, report
 
 
 def run_oracle(model: ModelSpec, a: SparseMatrixCSR, x0) -> DenseMatrix:

@@ -7,8 +7,8 @@ and a collision-stalling pass that serializes same-bank fetches within each
 replica group.
 
 Schedules are stored columnar (one numpy array per packet field, shaped
-cycles x K) so million-packet tiles stay cheap; PcooPacket objects are only
-materialized at the serialization boundary.
+cycles x K) from row assignment through the .pcoo stream and back; no
+per-packet objects are built on any path.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .matrix import DenseMatrix, ShapeError, SparseMatrixCSR, int_max, int_min
-from .pcoo import PcooPacket, log2_exact
+from .pcoo import log2_exact
 
 # origin codes: who put each slot in the schedule
 ORIGIN_VALID = 0      # a stored nonzero
@@ -125,43 +125,26 @@ class TileSchedule:
 
     @classmethod
     def empty(cls, pe_count: int) -> "TileSchedule":
-        z = lambda dt: np.zeros((0, pe_count), dtype=dt)
-        return cls(z(np.uint8), z(np.uint8), z(np.uint8), z(np.int32), z(np.int64),
-                   z(np.uint8), pe_rows=[np.empty(0, dtype=np.int64) for _ in range(pe_count)])
-
-    def packet_at(self, cycle: int, pe: int) -> PcooPacket:
-        return PcooPacket(int(self.sor[cycle, pe]), int(self.eor[cycle, pe]),
-                          int(self.vld[cycle, pe]), int(self.col[cycle, pe]),
-                          int(self.value[cycle, pe]))
-
-    def to_packets(self) -> list[list[PcooPacket]]:
-        grid = []
-        for cyc in range(self.cycles):
-            grid.append([self.packet_at(cyc, p) for p in range(self.pe_count)])
-        return grid
+        return cls.from_columns(*[np.zeros((0, pe_count), dtype=np.uint8)] * 5)
 
     @classmethod
-    def from_packets(cls, grid: list[list[PcooPacket]], pe_count: int | None = None,
-                     **kw) -> "TileSchedule":
-        """Rebuild from a packet grid. Idle slots cannot tell a pad from a
-        stall after serialization, so they all come back as pads; the row
-        map defaults to the round-robin rule unless the caller supplies one."""
-        if pe_count is None:
-            pe_count = len(grid[0]) if grid else 1
-        if not grid:
-            return cls.empty(pe_count)
-        arr = np.array(grid, dtype=np.int64)  # cycles x K x 5
-        sor = arr[:, :, 0].astype(np.uint8)
-        eor = arr[:, :, 1].astype(np.uint8)
-        vld = arr[:, :, 2].astype(np.uint8)
+    def from_columns(cls, sor, eor, vld, col, value, **kw) -> "TileSchedule":
+        """Schedule from the five packet fields alone, as a stream carries them.
+
+        Idle slots cannot tell a pad from a stall, so they all come back as
+        pads; sor=eor=1 with vld=0 is an empty-row marker. The row map
+        defaults to the round-robin rule unless the caller supplies one.
+        """
+        sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
         origin = np.full(sor.shape, ORIGIN_PAD, dtype=np.uint8)
         origin[vld == 1] = ORIGIN_VALID
         origin[(vld == 0) & (sor == 1) & (eor == 1)] = ORIGIN_EMPTY_ROW
         if "pe_rows" not in kw:
-            kw["pe_rows"] = [p + pe_count * np.arange(int(c), dtype=np.int64)
+            k = sor.shape[1]
+            kw["pe_rows"] = [p + k * np.arange(int(c), dtype=np.int64)
                              for p, c in enumerate(sor.sum(axis=0))]
-        return cls(sor, eor, vld, arr[:, :, 3].astype(np.int32), arr[:, :, 4],
-                   origin, **kw)
+        return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
+                   np.asarray(value, dtype=np.int64), origin, **kw)
 
     def valid_count(self) -> int:
         return int(self.vld.sum())
@@ -277,7 +260,6 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     vld = np.zeros(shape, np.uint8)
     col = np.zeros(shape, np.int32)
     value = np.zeros(shape, np.int64)
-    origin = np.full(shape, ORIGIN_PAD, np.uint8)
 
     nnz = tile.nnz
     if nnz:
@@ -290,7 +272,6 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
         vld[slot, pe] = 1
         col[slot, pe] = tile.col_idx
         value[slot, pe] = tile.values
-        origin[slot, pe] = ORIGIN_VALID
 
     empties = np.flatnonzero(row_nnz == 0)
     if len(empties):
@@ -298,10 +279,7 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
         pe = pe_of_row[empties]
         sor[slot, pe] = 1
         eor[slot, pe] = 1
-        origin[slot, pe] = ORIGIN_EMPTY_ROW
-
-    pe_rows = [np.arange(p, m, pe_count, dtype=np.int64) for p in range(pe_count)]
-    return TileSchedule(sor, eor, vld, col, value, origin, pe_rows=pe_rows)
+    return TileSchedule.from_columns(sor, eor, vld, col, value)
 
 
 def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
@@ -387,7 +365,6 @@ def build_dmm_schedule(m_rows: int, t_eff: int, pe_count: int) -> TileSchedule:
     vld = np.zeros(shape, np.uint8)
     col = np.zeros(shape, np.int32)
     value = np.zeros(shape, np.int64)
-    origin = np.full(shape, ORIGIN_PAD, np.uint8)
     sweep = np.arange(t_eff, dtype=np.int32)
     for rep in range(reps):
         active = min(pe_count, m_rows - rep * pe_count)
@@ -397,9 +374,7 @@ def build_dmm_schedule(m_rows: int, t_eff: int, pe_count: int) -> TileSchedule:
         vld[s:s + t_eff, :active] = 1
         col[s:s + t_eff, :active] = sweep[:, None]
         value[s:s + t_eff, :active] = 1
-        origin[s:s + t_eff, :active] = ORIGIN_VALID
-    pe_rows = [np.arange(p, m_rows, pe_count, dtype=np.int64) for p in range(pe_count)]
-    return TileSchedule(sor, eor, vld, col, value, origin, pe_rows=pe_rows)
+    return TileSchedule.from_columns(sor, eor, vld, col, value)
 
 
 def check_schedule_values(sched: TileSchedule, value_bits: int) -> None:

@@ -51,43 +51,19 @@ class ArbitrationError(RuntimeError):
     """A granted cycle violates bank exclusivity: a scheduler bug, never silent."""
 
 
-@dataclass
-class DdmState:
-    """Dense data memory: r identical replicas, each g banks.
+def load_tile(w_tile: DenseMatrix, cfg: ArchConfig) -> tuple[np.ndarray, int]:
+    """The dense tile as the PEs read it, and the cycles to fill all replicas.
 
-    Bank b of a replica holds dense-tile rows {j : j mod g = b} at depth
-    j div g; each stored row is one lanes-wide vector.
+    Every replica holds the same rows, so one array serves them all; the
+    bank striping (row mod groups) only matters to arbitration, which
+    check_arbitration and the stall pass model on addresses alone. Cost is
+    element count times r.
     """
-
-    replicas: list
-    rows: int
-    cols: int
-    groups: int
-
-    def fetch(self, replica: int, row: int) -> np.ndarray:
-        return self.replicas[replica][row % self.groups][row // self.groups]
-
-    def flat(self, replica: int = 0) -> np.ndarray:
-        """The tile as one rows x cols grid, rebuilt from the banks."""
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for b, bank in enumerate(self.replicas[replica]):
-            idx = np.arange(b, self.rows, self.groups)
-            out[idx] = bank[:len(idx)]
-        return out
-
-
-def load_tile(w_tile: DenseMatrix, cfg: ArchConfig) -> tuple[DdmState, int]:
-    """Populate all replicas from a dense tile; cost is element count times r."""
     rows, cols = w_tile.rows, w_tile.cols
     if rows > cfg.tile_width or cols > cfg.lanes:
         raise ShapeError(f"dense tile {rows}x{cols} exceeds {cfg.tile_width}x{cfg.lanes}")
-    replicas = []
-    for _ in range(cfg.replicas):
-        banks = [w_tile.data[np.arange(b, rows, cfg.groups)].copy()
-                 for b in range(cfg.groups)]
-        replicas.append(banks)
     cycles = math.ceil(rows * cols * cfg.replicas / cfg.load_bw) if rows * cols else 0
-    return DdmState(replicas, rows, cols, cfg.groups), cycles
+    return np.asarray(w_tile.data, dtype=np.int64), cycles
 
 
 @dataclass
@@ -156,10 +132,10 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, dense_rows: int) -> 
             f"{int(c_sorted[at + 1])} share a bank in one replica group")
 
 
-def run_tile(sched: TileSchedule, ddm: DdmState, partials: np.ndarray,
+def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
              cfg: ArchConfig, x_dense: np.ndarray | None = None
              ) -> tuple[np.ndarray, ScheduleStats]:
-    """Execute one tile schedule against loaded dense data.
+    """Execute one tile schedule against a loaded dense tile w.
 
     partials is the OMMB view for this output block (all m rows); the
     returned array is partials plus every PE's emitted rows. x_dense, when
@@ -169,10 +145,9 @@ def run_tile(sched: TileSchedule, ddm: DdmState, partials: np.ndarray,
     if sched.pe_count != cfg.pe_count:
         raise ValueError("schedule and config disagree on PE count")
     partials = np.asarray(partials, dtype=np.int64)
-    if partials.ndim != 2 or partials.shape[1] != ddm.cols:
+    if partials.ndim != 2 or partials.shape[1] != w.shape[1]:
         raise ShapeError("partials block does not match dense tile lanes")
-    check_arbitration(sched, cfg, ddm.rows)
-    w_flats = [ddm.flat(r) for r in range(len(ddm.replicas))]
+    check_arbitration(sched, cfg, w.shape[0])
     out = partials.copy()
     for p in range(cfg.pe_count):
         rows = sched.pe_rows[p]
@@ -182,10 +157,9 @@ def run_tile(sched: TileSchedule, ddm: DdmState, partials: np.ndarray,
             raise ArbitrationError(f"PE {p}: row markers disagree with its row map")
         if n_seg == 0:
             continue
-        w_flat = w_flats[cfg.group_of(p)]
         seg = np.cumsum(sor_col) - 1
         vmask = sched.vld[:, p] == 1
-        contrib = np.zeros((n_seg, ddm.cols), dtype=np.int64)
+        contrib = np.zeros((n_seg, w.shape[1]), dtype=np.int64)
         if vmask.any():
             segv = seg[vmask]
             colv = sched.col[vmask, p]
@@ -193,7 +167,7 @@ def run_tile(sched: TileSchedule, ddm: DdmState, partials: np.ndarray,
                 mult = sched.value[vmask, p]
             else:
                 mult = x_dense[rows[segv], colv]
-            np.add.at(contrib, segv, mult[:, None] * w_flat[colv])
+            np.add.at(contrib, segv, mult[:, None] * w[colv])
         out[rows] += contrib
     return out, schedule_stats(sched)
 
@@ -306,14 +280,14 @@ def simulate_step(x, w: DenseMatrix, mode: str, cfg: ArchConfig
             else:
                 cached_sched = build_dmm_schedule(m, pair.dense.rows, cfg.pe_count)
             cached_offset = pair.col_offset
-        ddm, load_c = load_tile(pair.dense, cfg)
+        w_tile, load_c = load_tile(pair.dense, cfg)
         report.load_cycles += load_c
         block = y[:, pair.out_offset:pair.out_offset + pair.dense.cols]
         if mode == MODE_DMM:
             x_slice = x.data[:, pair.col_offset:pair.col_offset + pair.dense.rows]
         else:
             x_slice = None
-        new_block, stats = run_tile(cached_sched, ddm, block, cfg, x_dense=x_slice)
+        new_block, stats = run_tile(cached_sched, w_tile, block, cfg, x_dense=x_slice)
         y[:, pair.out_offset:pair.out_offset + pair.dense.cols] = new_block
         report.add_tile(stats, pair.col_offset, pair.out_offset)
     report.move_cycles += data_move(y, "ewm", cfg)

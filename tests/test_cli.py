@@ -43,10 +43,10 @@ def test_preprocess_streams_and_identity(workload, capsys):
     assert meta["config"]["pe_count"] == 4
     assert meta["streams"], "no streams written"
     for stream in meta["streams"]:
-        header, grid = deserialize_stream((out / stream["file"]).read_bytes())
+        header, sched = deserialize_stream((out / stream["file"]).read_bytes())
         assert header.pe_count == 4
         assert header.tile_width == 64
-        assert header.cycle_count == stream["cycles"] == len(grid)
+        assert header.cycle_count == stream["cycles"] == sched.cycles
         slots = (stream["valid"] + stream["empty_row"]
                  + stream["stall_idle"] + stream["pad_idle"])
         assert slots == stream["cycles"] * 4
@@ -153,6 +153,9 @@ def test_error_exit_categories(workload, tmp_path, capsys):
     assert main(["preprocess", str(workload / "w"), "--pe", "5",
                  "--replicas", "3", "--tile", "64",
                  "--out", str(tmp_path / "x")]) == EXIT_INVALID
+    # T = 65536 does not fit the u16 tile-width field of the stream header
+    assert main(["preprocess", str(workload / "w"), "--tile", "65536",
+                 "--out", str(tmp_path / "y")]) == EXIT_INVALID
     assert main(["gen", "--nodes", "10"]) == EXIT_INVALID  # no --out
     bad = tmp_path / "bad.json"
     bad.write_text('{"pe": 4, "mystery": 1}')

@@ -19,6 +19,20 @@ from gcnsim.pcoo import (
     serialize_stream,
     stream_bits,
 )
+from gcnsim.schedule import ORIGIN_EMPTY_ROW, ORIGIN_PAD, ORIGIN_VALID, TileSchedule
+
+FIELDS = ("sor", "eor", "vld", "col", "value")
+
+
+def grid_schedule(grid, k):
+    """Columnar schedule from a cycles x K grid of packets."""
+    arr = np.array(grid, dtype=np.int64).reshape(len(grid), k, 5)
+    return TileSchedule.from_columns(*np.moveaxis(arr, 2, 0))
+
+
+def assert_same_packets(got, want):
+    for name in FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def random_packet(rng, t, h):
@@ -107,22 +121,34 @@ def test_stream_bits_exact():
     assert stream_bits(0, 512, 16) == 0
 
 
+def test_make_header_rejects_fields_too_wide():
+    make_header(32768, 16, 65535, (1 << 32) - 1)  # the widest header that fits
+    with pytest.raises(ValueError):
+        make_header(65536, 0, 4, 1)        # T is a u16
+    with pytest.raises(ValueError):
+        make_header(8, 0, 65536, 1)        # K is a u16
+    with pytest.raises(ValueError):
+        make_header(8, 0, 4, 1 << 32)      # cycle count is a u32
+    with pytest.raises(ValueError):
+        make_header(8, 60, 4, 1)           # 66-bit packets overflow the int64 codes
+
+
 def test_serialize_empty():
     header = make_header(8, 0, 4, 0)
-    data = serialize_stream([], header)
+    data = serialize_stream(TileSchedule.empty(4), header)
     assert len(data) == HEADER_BYTES == 16
     assert data[:4] == b"PCOO"
-    back_header, grid = deserialize_stream(data)
+    back_header, back = deserialize_stream(data)
     assert back_header == header
-    assert grid == []
+    assert (back.cycles, back.pe_count) == (0, 4)
 
 
 def test_serialize_single_cycle_size():
-    grid = [[PcooPacket(1, 1, 1, 3, 1), IDLE_PACKET]]
-    data = serialize_stream(grid, make_header(8, 0, 2, 1))
+    sched = grid_schedule([[PcooPacket(1, 1, 1, 3, 1), IDLE_PACKET]], 2)
+    data = serialize_stream(sched, make_header(8, 0, 2, 1))
     assert len(data) == 18  # 16 header + 2 packets at 1 byte each
     _, back = deserialize_stream(data)
-    assert back == grid
+    assert_same_packets(back, sched)
 
 
 def test_serialize_roundtrip_random():
@@ -133,14 +159,52 @@ def test_serialize_roundtrip_random():
         k = int(rng.integers(1, 9))
         cycles = int(rng.integers(0, 12))
         grid = [[random_packet(rng, t, h) for _ in range(k)] for _ in range(cycles)]
-        data = serialize_stream(grid, make_header(t, h, k, cycles))
+        sched = grid_schedule(grid, k)
+        data = serialize_stream(sched, make_header(t, h, k, cycles))
         header, back = deserialize_stream(data)
         assert (header.tile_width, header.value_bits, header.pe_count) == (t, h, k)
-        assert back == grid
+        assert_same_packets(back, sched)
+
+
+def test_deserialize_matches_decode_packet_per_cell():
+    # the vectorized decoder against the single-packet spec, cell by cell
+    rng = np.random.default_rng(61)
+    origins = set()
+    for h in (0, 4, 16):
+        for _ in range(20):
+            t = int(2 ** rng.integers(2, 10))
+            k = int(rng.integers(1, 9))
+            cycles = int(rng.integers(1, 12))
+            grid = [[random_packet(rng, t, h) for _ in range(k)] for _ in range(cycles)]
+            data = serialize_stream(grid_schedule(grid, k), make_header(t, h, k, cycles))
+            _, back = deserialize_stream(data)
+            nbytes = (packet_width(t, h) + 7) // 8
+            for c in range(cycles):
+                for p in range(k):
+                    pos = HEADER_BYTES + (c * k + p) * nbytes
+                    want = decode_packet(int.from_bytes(data[pos:pos + nbytes], "big"), t, h)
+                    got = PcooPacket(*(int(getattr(back, f)[c, p]) for f in FIELDS))
+                    assert got == want, (t, h, c, p)
+                    expect_origin = (ORIGIN_VALID if want.vld else ORIGIN_EMPTY_ROW
+                                     if want == EMPTY_ROW_PACKET else ORIGIN_PAD)
+                    assert back.origin[c, p] == expect_origin
+                    origins.add(expect_origin)
+    assert origins == {ORIGIN_VALID, ORIGIN_EMPTY_ROW, ORIGIN_PAD}
+
+
+def test_deserialize_rejects_bits_above_packet():
+    # T=8, H=4: 10-bit packets in 2-byte cells, so each cell has 6 padding bits
+    sched = grid_schedule([[PcooPacket(1, 1, 1, 3, -2), EMPTY_ROW_PACKET]], 2)
+    data = bytearray(serialize_stream(sched, make_header(8, 4, 2, 1)))
+    assert_same_packets(deserialize_stream(bytes(data))[1], sched)
+    data[HEADER_BYTES + 2] |= 0x80  # top padding bit of the second cell
+    with pytest.raises(StreamFormatError):
+        deserialize_stream(bytes(data))
 
 
 def test_deserialize_errors():
-    good = serialize_stream([[IDLE_PACKET]], make_header(8, 0, 1, 1))
+    idle = grid_schedule([[IDLE_PACKET]], 1)
+    good = serialize_stream(idle, make_header(8, 0, 1, 1))
     with pytest.raises(StreamFormatError):
         deserialize_stream(b"NOPE" + good[4:])
     with pytest.raises(StreamFormatError):
@@ -151,7 +215,14 @@ def test_deserialize_errors():
     bad_version[4] = 9
     with pytest.raises(StreamFormatError):
         deserialize_stream(bytes(bad_version))
+    for offset, field in ((6, 12), (8, 60)):  # T not a power of two; 66-bit packets
+        bad_field = bytearray(good)
+        bad_field[offset:offset + 2] = field.to_bytes(2, "little")
+        with pytest.raises(StreamFormatError):
+            deserialize_stream(bytes(bad_field))
     with pytest.raises(ValueError):
-        serialize_stream([[IDLE_PACKET], [IDLE_PACKET]], make_header(8, 0, 1, 1))
+        serialize_stream(grid_schedule([[IDLE_PACKET], [IDLE_PACKET]], 1),
+                         make_header(8, 0, 1, 1))
     with pytest.raises(ValueError):
-        serialize_stream([[IDLE_PACKET, IDLE_PACKET]], make_header(8, 0, 1, 1))
+        serialize_stream(grid_schedule([[IDLE_PACKET, IDLE_PACKET]], 2),
+                         make_header(8, 0, 1, 1))

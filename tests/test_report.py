@@ -14,7 +14,7 @@ from gcnsim.report import (
     report_document,
     write_report,
 )
-from gcnsim.runtime import RunReport, make_gcn, run_gcn, verify_against_oracle
+from gcnsim.runtime import RunReport, make_gcn, run_model, verify_against_oracle
 from gcnsim.schedule import ArchConfig, config_for_tile
 from gcnsim.simulator import MODE_DMM, MODE_SDMM, simulate_step
 
@@ -105,7 +105,7 @@ def test_document_totals_and_verify_block():
     adj = SparseMatrixCSR.from_dense_raw((rng.random((6, 6)) < 0.4).astype(int), 4, 0)
     model = make_gcn([DenseMatrix(rng.integers(-8, 8, (4, 3)), 4, 3)])
     cfg = config_for_tile(2, 16)
-    logits, run = run_gcn(model, adj, x0, cfg)
+    logits, run = run_model(model, adj, x0, cfg)
     verify = verify_against_oracle(model, adj, x0, cfg)
     doc = report_document(run, cfg, label="tiny", verify=verify)
     assert doc["label"] == "tiny"
@@ -167,7 +167,7 @@ def test_render_mentions_the_numbers_people_look_for():
     adj = SparseMatrixCSR.from_dense_raw(np.eye(4, dtype=int), 4, 0)
     model = make_gcn([DenseMatrix(rng.integers(-8, 8, (3, 2)), 4, 3)])
     cfg = config_for_tile(2, 16)
-    _, run = run_gcn(model, adj, x0, cfg)
+    _, run = run_model(model, adj, x0, cfg)
     verify = verify_against_oracle(model, adj, x0, cfg)
     text = render_report(report_document(run, cfg, verify=verify))
     assert "exact_match=True" in text

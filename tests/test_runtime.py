@@ -26,8 +26,6 @@ from gcnsim.runtime import (
     make_graphsage,
     mean_adjacency,
     packet_bits_for,
-    run_gcn,
-    run_graphsage,
     run_model,
     run_oracle,
     verify_against_oracle,
@@ -83,7 +81,7 @@ def test_two_layer_gcn_path_graph_hand_trace():
     w1 = dense_raw([[1, 2], [-2, 1]])
     model = make_gcn([w0, w1])
     cfg = config_for_tile(pe_count=2, tile_width=16)
-    logits, report = run_gcn(model, a, x0, cfg)
+    logits, report = run_model(model, a, x0, cfg)
     # layer 0: XW=[[2,-12],[11,11],[5,36]] f6 -> <<9 at f15, aggregate over
     # the path, relu is a no-op; layer 1 lands at f15 after a 3-bit round.
     assert logits.frac_bits == 15
@@ -104,7 +102,7 @@ def test_identity_adjacency_reduces_to_dense_chain():
     w1 = dense_raw(rng.integers(-8, 8, (4, 2)))
     eye = normalize_adjacency(csr_raw(np.eye(5, dtype=np.int64), frac=0), "binary")
     cfg = config_for_tile(pe_count=2, tile_width=16)
-    logits, _ = run_gcn(make_gcn([w0, w1]), eye, x0, cfg)
+    logits, _ = run_model(make_gcn([w0, w1]), eye, x0, cfg)
 
     x = x0.to_dense()
     for i, w in enumerate([w0, w1]):
@@ -121,7 +119,7 @@ def test_zero_features_give_zero_logits():
     a = path3_adjacency()
     x0 = csr_raw(np.zeros((3, 2), dtype=np.int64))
     model = make_gcn([dense_raw([[2, -1], [3, 4]]), dense_raw([[1, 2], [-2, 1]])])
-    logits, _ = run_gcn(model, a, x0, config_for_tile(2, 16))
+    logits, _ = run_model(model, a, x0, config_for_tile(2, 16))
     assert x0.nnz == 0
     assert not logits.data.any()
 
@@ -135,7 +133,7 @@ def test_single_node_graphsage_self_loop():
     ws = dense_raw([[2, 1], [0, 3]])
     wn = dense_raw([[-1, 2], [4, 0]])
     model = make_graphsage([(ws, wn)])
-    logits, _ = run_graphsage(model, a, x0, config_for_tile(2, 16))
+    logits, _ = run_model(model, a, x0, config_for_tile(2, 16))
 
     self_part = DenseMatrix(x0.to_dense().data @ ws.data, 32, 6)
     xn16 = requantize16(DenseMatrix(x0.to_dense().data @ wn.data, 32, 6))
@@ -247,12 +245,6 @@ def test_model_spec_rejects_bad_shapes_and_kinds():
         ModelSpec(KIND_SAGE, [LayerSpec(w)])  # missing self block
     with pytest.raises(ShapeError):
         ModelSpec(KIND_SAGE, [LayerSpec(w, weight_self=dense_raw([[1], [2]]))])
-    with pytest.raises(ValueError):
-        run_gcn(make_graphsage([(w, w)]), path3_adjacency(),
-                csr_raw([[1, 0], [0, 1], [1, 1]]), config_for_tile(2, 16))
-    with pytest.raises(ValueError):
-        run_graphsage(make_gcn([w]), path3_adjacency(),
-                      csr_raw([[1, 0], [0, 1], [1, 1]]), config_for_tile(2, 16))
 
 
 def test_mean_adjacency_values_and_isolated_rows():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcnsim.matrix import ShapeError, SparseMatrixCSR, DenseMatrix
-from gcnsim.pcoo import PcooPacket
+from gcnsim.pcoo import deserialize_stream, make_header, serialize_stream
 from gcnsim.schedule import (
     ORIGIN_EMPTY_ROW,
     ORIGIN_PAD,
@@ -135,7 +135,8 @@ def test_assign_rows_matches_naive():
 
 
 def make_sched(grid):
-    return TileSchedule.from_packets([[PcooPacket(*p) for p in cyc] for cyc in grid])
+    """Schedule from a cycles x K grid of (sor, eor, vld, col, value) tuples."""
+    return TileSchedule.from_columns(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
 
 
 def test_stall_share_rule():
@@ -324,8 +325,11 @@ def test_schedule_packets_roundtrip():
     raw[rng.random(raw.shape) < 0.6] = 0
     tile = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
     sched = build_sdmm_schedule(tile, ArchConfig(pe_count=4, lanes=4, groups=4, value_bits=4))
-    back = TileSchedule.from_packets(sched.to_packets())
+    header = make_header(16, 4, 4, sched.cycles)
+    _, back = deserialize_stream(serialize_stream(sched, header))
     for name in ("sor", "eor", "vld", "col", "value"):
         assert np.array_equal(getattr(back, name), getattr(sched, name)), name
+    # the round-robin row map is rebuilt from the row markers alone
+    assert all(np.array_equal(a, b) for a, b in zip(back.pe_rows, sched.pe_rows))
     # idle provenance flattens to pad on the way back, by design
     assert (back.origin[sched.origin == ORIGIN_STALL] == ORIGIN_PAD).all()

@@ -25,7 +25,6 @@ from gcnsim.simulator import (
     MODE_SDMM,
     ArbitrationError,
     CycleReport,
-    DdmState,
     PeState,
     check_arbitration,
     data_move,
@@ -36,17 +35,24 @@ from gcnsim.simulator import (
 )
 
 
-def naive_run_tile(sched, ddm, partials, cfg, x_dense=None):
+def make_sched(grid):
+    """Schedule from a cycles x K grid of packets."""
+    return TileSchedule.from_columns(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
+
+
+def naive_run_tile(sched, w, partials, cfg, x_dense=None):
     """Packet-by-packet execution through pe_step: the column oracle."""
     seeds = np.array(partials, dtype=np.int64)
     out = seeds.copy()
-    zero_row = np.zeros(ddm.cols, dtype=np.int64)
+    lanes = w.shape[1]
+    zero_row = np.zeros(lanes, dtype=np.int64)
     for p in range(cfg.pe_count):
-        pe = PeState(np.zeros(ddm.cols, dtype=np.int64), 0, x_dense is None)
+        pe = PeState(np.zeros(lanes, dtype=np.int64), 0, x_dense is None)
         rows = sched.pe_rows[p]
         for cyc in range(sched.cycles):
-            pkt = sched.packet_at(cyc, p)
-            w_row = ddm.fetch(cfg.group_of(p), pkt.col) if pkt.vld else zero_row
+            pkt = PcooPacket(*(int(a[cyc, p]) for a in
+                               (sched.sor, sched.eor, sched.vld, sched.col, sched.value)))
+            w_row = w[pkt.col] if pkt.vld else zero_row
             if pkt.sor or pkt.vld or pkt.eor:
                 row = rows[pe.row_cursor]
             value = None
@@ -112,18 +118,12 @@ def test_pe_step_overflow_traps():
         pe_step(pe, pkt, big, np.zeros(1, np.int64))
 
 
-def test_load_tile_cycles_and_banks():
+def test_load_tile_cycles():
     cfg = ArchConfig(pe_count=4, lanes=4, groups=2, replicas=2, load_bw=8)
     w = DenseMatrix(np.arange(32).reshape(8, 4), 16, 0)
-    ddm, cycles = load_tile(w, cfg)
+    loaded, cycles = load_tile(w, cfg)
     assert cycles == 8  # 8*4*2 / 8
-    # bank b of each replica holds rows j = b (mod g) at depth j div g
-    for rep in range(2):
-        assert np.array_equal(ddm.replicas[rep][0], w.data[[0, 2, 4, 6]])
-        assert np.array_equal(ddm.replicas[rep][1], w.data[[1, 3, 5, 7]])
-    assert np.array_equal(ddm.flat(0), w.data)
-    assert np.array_equal(ddm.flat(1), w.data)
-    assert ddm.fetch(1, 5).tolist() == w.data[5].tolist()
+    assert np.array_equal(loaded, w.data)
 
 
 def test_load_tile_empty_and_too_big():
@@ -146,10 +146,10 @@ def test_data_move_cycles():
 
 def test_run_tile_all_idle():
     cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
-    sched = TileSchedule.from_packets([[IDLE_PACKET, IDLE_PACKET]])
-    ddm, _ = load_tile(DenseMatrix(np.ones((4, 2), np.int64), 4, 0), cfg)
+    sched = make_sched([[IDLE_PACKET, IDLE_PACKET]])
+    w_tile, _ = load_tile(DenseMatrix(np.ones((4, 2), np.int64), 4, 0), cfg)
     partials = np.arange(6).reshape(3, 2)
-    out, stats = run_tile(sched, ddm, partials, cfg)
+    out, stats = run_tile(sched, w_tile, partials, cfg)
     assert np.array_equal(out, partials)
     assert stats.totals()["valid"] == 0
 
@@ -160,10 +160,10 @@ def test_run_tile_matches_pe_step_walk():
         replicas = int(rng.choice([1, 2, 4]))
         cfg, tile, w = random_tile_setup(rng, k=4, replicas=replicas)
         sched = build_sdmm_schedule(tile, cfg)
-        ddm, _ = load_tile(w, cfg)
+        w_tile, _ = load_tile(w, cfg)
         partials = rng.integers(-50, 50, size=(tile.rows, w.cols))
-        fast, _ = run_tile(sched, ddm, partials, cfg)
-        slow = naive_run_tile(sched, ddm, partials, cfg)
+        fast, _ = run_tile(sched, w_tile, partials, cfg)
+        slow = naive_run_tile(sched, w_tile, partials, cfg)
         assert np.array_equal(fast, slow), trial
 
 
@@ -177,10 +177,10 @@ def test_run_tile_dense_mode_matches_pe_step_walk():
         x = rng.integers(-8, 8, size=(m, rows))
         w = DenseMatrix(rng.integers(-8, 8, size=(rows, 3)), 4, 3)
         sched = build_dmm_schedule(m, rows, k)
-        ddm, _ = load_tile(w, cfg)
+        w_tile, _ = load_tile(w, cfg)
         partials = np.zeros((m, 3), dtype=np.int64)
-        fast, _ = run_tile(sched, ddm, partials, cfg, x_dense=x)
-        slow = naive_run_tile(sched, ddm, partials, cfg, x_dense=x)
+        fast, _ = run_tile(sched, w_tile, partials, cfg, x_dense=x)
+        slow = naive_run_tile(sched, w_tile, partials, cfg, x_dense=x)
         assert np.array_equal(fast, slow)
 
 
@@ -189,31 +189,31 @@ def test_run_tile_equals_reference_single_tile():
     for _ in range(20):
         cfg, tile, w = random_tile_setup(rng)
         sched = build_sdmm_schedule(tile, cfg)
-        ddm, _ = load_tile(w, cfg)
-        out, _ = run_tile(sched, ddm, np.zeros((tile.rows, w.cols), np.int64), cfg)
+        w_tile, _ = load_tile(w, cfg)
+        out, _ = run_tile(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64), cfg)
         assert np.array_equal(out, sdmm_reference(tile, w).data)
 
 
 def test_arbitration_recheck_rejects_illegal():
     cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
     # addresses 1 and 5 share bank 1; a legal scheduler would have stalled one
-    bad = TileSchedule.from_packets(
+    bad = make_sched(
         [[PcooPacket(1, 1, 1, 1, 1), PcooPacket(1, 1, 1, 5, 1)]])
-    ddm, _ = load_tile(DenseMatrix(np.ones((8, 2), np.int64), 4, 0), cfg)
+    w_tile, _ = load_tile(DenseMatrix(np.ones((8, 2), np.int64), 4, 0), cfg)
     with pytest.raises(ArbitrationError):
-        run_tile(bad, ddm, np.zeros((2, 2), np.int64), cfg)
+        run_tile(bad, w_tile, np.zeros((2, 2), np.int64), cfg)
     # same addresses are a shared fetch, not a collision
-    ok = TileSchedule.from_packets(
+    ok = make_sched(
         [[PcooPacket(1, 1, 1, 5, 1), PcooPacket(1, 1, 1, 5, 1)]])
     check_arbitration(ok, cfg, 8)
 
 
 def test_run_tile_col_out_of_range():
     cfg = ArchConfig(pe_count=1, lanes=2, groups=4)
-    sched = TileSchedule.from_packets([[PcooPacket(1, 1, 1, 6, 1)]])
-    ddm, _ = load_tile(DenseMatrix(np.ones((4, 2), np.int64), 4, 0), cfg)
+    sched = make_sched([[PcooPacket(1, 1, 1, 6, 1)]])
+    w_tile, _ = load_tile(DenseMatrix(np.ones((4, 2), np.int64), 4, 0), cfg)
     with pytest.raises(ShapeError):
-        run_tile(sched, ddm, np.zeros((1, 2), np.int64), cfg)
+        run_tile(sched, w_tile, np.zeros((1, 2), np.int64), cfg)
 
 
 def test_simulate_step_spec_point():
