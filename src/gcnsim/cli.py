@@ -177,8 +177,7 @@ def cmd_preprocess(args) -> int:
     for kind, mat, h in operands:
         cfg_h = replace(cfg, value_bits=h)
         for i, tile in enumerate(tile_columns(mat, cfg.tile_width)):
-            sched = build_sdmm_schedule(tile, cfg_h,
-                                        col_offset=i * cfg.tile_width)
+            sched = build_sdmm_schedule(tile, cfg_h)
             name = f"{kind}{i:04d}.pcoo"
             hdr = make_header(cfg.tile_width, h, cfg.pe_count, sched.cycles)
             (out / name).write_bytes(serialize_stream(sched, hdr))
@@ -235,6 +234,8 @@ def cmd_sweep(args) -> int:
     out_path = Path(args.out) if args.out else None
     if out_path is None:
         raise ValueError("--out is required for this command")
+    if s["jobs"] < 1:
+        raise ValueError(f"--jobs must be >= 1, got {s['jobs']}")
     bundle = ingest_bundle_dir(args.bundle)
     grid = list(itertools.product(args.pe, args.replicas, args.tile))
     points = []
@@ -264,15 +265,9 @@ def cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
         writer.writeheader()
         fh.flush()
-        if s["jobs"] > 1:
-            with ThreadPoolExecutor(max_workers=s["jobs"]) as pool:
-                results = pool.map(run_point, points)
-                for row in results:
-                    writer.writerow(row)
-                    fh.flush()
-        else:
-            for point in points:
-                writer.writerow(run_point(point))
+        with ThreadPoolExecutor(max_workers=s["jobs"]) as pool:
+            for row in pool.map(run_point, points):
+                writer.writerow(row)
                 fh.flush()
     print(f"swept {len(points)} configs -> {out_path}")
     return EXIT_OK
@@ -297,7 +292,7 @@ def _common_parent() -> argparse.ArgumentParser:
     p.add_argument("--load-bw", dest="load_bw", type=int)
     p.add_argument("--move-bw", dest="move_bw", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, help="sweep worker threads (>= 1)")
     p.add_argument("--config", help="JSON file with the flags above")
     p.add_argument("--out", help="output file or directory")
     return p

@@ -7,7 +7,7 @@ bit-reproducible and usable as the oracle for the cycle simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,15 +106,6 @@ class DenseMatrix:
     def validate(self) -> None:
         check_fits(self.data, self.bits, "dense entry")
 
-    def to_real(self) -> np.ndarray:
-        return dequantize(self)
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "DenseMatrix":
-        return DenseMatrix(self.data[r0:r1, c0:c1].copy(), self.bits, self.frac_bits)
-
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.data.copy(), self.bits, self.frac_bits, self.sat_count)
-
 
 @dataclass
 class SparseMatrixCSR:
@@ -200,18 +191,6 @@ class SparseMatrixCSR:
         rr = np.repeat(np.arange(self.rows), self.row_nnz())
         raw[rr, self.col_idx] = self.values
         return DenseMatrix(raw, self.bits, self.frac_bits)
-
-    def to_real(self) -> np.ndarray:
-        return dequantize(self)
-
-    def col_slice(self, c0: int, c1: int) -> "SparseMatrixCSR":
-        """Columns [c0, c1) as a new CSR with the same row count; indices rebased."""
-        mask = (self.col_idx >= c0) & (self.col_idx < c1)
-        idx = np.flatnonzero(mask)
-        rr = np.repeat(np.arange(self.rows), self.row_nnz())[idx]
-        row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rr, minlength=self.rows))])
-        return SparseMatrixCSR(self.rows, c1 - c0, row_ptr, self.col_idx[idx] - c0,
-                               self.values[idx], self.bits, self.frac_bits)
 
 
 def quantize(values: np.ndarray, bits: int, frac_bits: int,

@@ -171,8 +171,9 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     """Inverse of serialize_stream: the header and a columnar TileSchedule.
 
     Every cell is decoded at once (the vectorized twin of decode_packet).
-    Idle slots come back as pads and the row map as round-robin, since the
-    stream carries neither stall provenance nor row numbers.
+    Idle slots come back as pads, since the stream carries no stall
+    provenance. Row numbers need no decoding: PE p's row markers stand for
+    rows p, p+K, p+2K, ... by the round-robin rule.
     """
     from .schedule import TileSchedule  # schedule imports this module
 

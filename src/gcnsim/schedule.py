@@ -1,25 +1,27 @@
-"""Tiling and scheduling: from matrix pairs to per-cycle PE packet grids.
+"""Tiling and scheduling: from a sparse operand to per-cycle PE packet grids.
 
-The pipeline is outer-product tiling (T-column slices of the sparse operand
-against T-row slices of the dense operand), round-robin row assignment with
-concatenation (row i feeds PE i mod K), zero-padding to a rectangular grid,
-and a collision-stalling pass that serializes same-bank fetches within each
-replica group.
+The pipeline is outer-product tiling (T-column slices of the sparse operand,
+each run against the matching T rows of the dense operand), round-robin row
+assignment with concatenation (row i feeds PE i mod K), zero-padding to a
+rectangular grid, and a collision-stalling pass that serializes same-bank
+fetches within each replica group. One schedule serves every output lane
+block of its column tile: the lane blocks only repeat it for accounting.
 
 Schedules are stored columnar (one numpy array per packet field, shaped
 cycles x K) from row assignment through the .pcoo stream and back; no
-per-packet objects are built on any path.
+per-packet objects are built on any path. The row map is the round-robin
+rule itself, so a schedule stores nothing but its packet columns and the
+origin of each slot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import DenseMatrix, ShapeError, SparseMatrixCSR, int_max, int_min
+from .matrix import ShapeError, SparseMatrixCSR, int_max, int_min
 from .pcoo import log2_exact
 
 # origin codes: who put each slot in the schedule
@@ -67,18 +69,8 @@ class ArchConfig:
         return self.lanes * self.groups
 
     @property
-    def bank_depth(self) -> int:
-        return self.tile_width // self.groups  # = lanes
-
-    @property
     def group_width(self) -> int:
         return self.pe_count // self.replicas
-
-    def group_of(self, pe: int) -> int:
-        return pe // self.group_width
-
-    def bank_of(self, col: int) -> int:
-        return col % self.groups
 
 
 def config_for_tile(pe_count: int, tile_width: int, lanes: int = 16, **kw) -> ArchConfig:
@@ -88,21 +80,14 @@ def config_for_tile(pe_count: int, tile_width: int, lanes: int = 16, **kw) -> Ar
     return ArchConfig(pe_count, lanes=lanes, groups=tile_width // lanes, **kw)
 
 
-class TilePair(NamedTuple):
-    """A T-column slice of the sparse operand with its T-row dense slice."""
-
-    sparse: SparseMatrixCSR
-    dense: DenseMatrix
-    col_offset: int  # global column of sparse tile / row of dense tile
-    out_offset: int  # global output column of the dense slice
-
-
 @dataclass
 class TileSchedule:
-    """Rectangular cycles x K packet grid plus bookkeeping.
+    """Rectangular cycles x K packet grid, one array per packet field.
 
-    pe_rows[p] lists the global row indices PE p owns, in emission order;
-    origin tags every slot with who created it (see ORIGIN_* codes).
+    origin tags every slot with who created it (see ORIGIN_* codes). There
+    is no row map: PE p owns rows p, p+K, p+2K, ... of the tile and emits
+    them in that order, one sor/eor pair per row. The same schedule runs
+    against every output lane block of its column tile.
     """
 
     sor: np.ndarray
@@ -111,9 +96,6 @@ class TileSchedule:
     col: np.ndarray
     value: np.ndarray
     origin: np.ndarray
-    pe_rows: list = field(default_factory=list)
-    col_offset: int = 0
-    out_offset: int = 0
 
     @property
     def cycles(self) -> int:
@@ -128,23 +110,18 @@ class TileSchedule:
         return cls.from_columns(*[np.zeros((0, pe_count), dtype=np.uint8)] * 5)
 
     @classmethod
-    def from_columns(cls, sor, eor, vld, col, value, **kw) -> "TileSchedule":
+    def from_columns(cls, sor, eor, vld, col, value) -> "TileSchedule":
         """Schedule from the five packet fields alone, as a stream carries them.
 
         Idle slots cannot tell a pad from a stall, so they all come back as
-        pads; sor=eor=1 with vld=0 is an empty-row marker. The row map
-        defaults to the round-robin rule unless the caller supplies one.
+        pads; sor=eor=1 with vld=0 is an empty-row marker.
         """
         sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
         origin = np.full(sor.shape, ORIGIN_PAD, dtype=np.uint8)
         origin[vld == 1] = ORIGIN_VALID
         origin[(vld == 0) & (sor == 1) & (eor == 1)] = ORIGIN_EMPTY_ROW
-        if "pe_rows" not in kw:
-            k = sor.shape[1]
-            kw["pe_rows"] = [p + k * np.arange(int(c), dtype=np.int64)
-                             for p, c in enumerate(sor.sum(axis=0))]
         return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
-                   np.asarray(value, dtype=np.int64), origin, **kw)
+                   np.asarray(value, dtype=np.int64), origin)
 
     def valid_count(self) -> int:
         return int(self.vld.sum())
@@ -186,8 +163,10 @@ def schedule_stats(sched: TileSchedule) -> ScheduleStats:
 def tile_columns(x: SparseMatrixCSR, tile_width: int) -> list[SparseMatrixCSR]:
     """All T-column slices of x in one stable pass over the nonzeros.
 
-    Equivalent to col_slice per tile but linear in nnz overall, which keeps
-    preprocessing linear when the operand spans many tiles.
+    Tile t holds columns [t*T, min((t+1)*T, cols)) rebased to start at 0;
+    the last tile is ragged, and an operand with no columns is one empty
+    tile. One pass for all tiles keeps preprocessing linear in nnz when the
+    operand spans many tiles.
     """
     ntiles = max(1, -(-x.cols // tile_width))
     if ntiles == 1:
@@ -205,25 +184,6 @@ def tile_columns(x: SparseMatrixCSR, tile_width: int) -> list[SparseMatrixCSR]:
                                      x.col_idx[idx] - t * tile_width,
                                      x.values[idx], x.bits, x.frac_bits))
     return tiles
-
-
-def tile_inputs(x: SparseMatrixCSR, w: DenseMatrix, tile_width: int,
-                lanes: int) -> list[TilePair]:
-    """Split X into T-column tiles and W into matching T-row, C-column tiles.
-
-    Pairs come back column-tile-major: all output tiles of column tile 0,
-    then column tile 1, and so on. Edge tiles are ragged.
-    """
-    if x.cols != w.rows:
-        raise ShapeError(f"X has {x.cols} columns but W has {w.rows} rows")
-    pairs = []
-    for ti, xt in enumerate(tile_columns(x, tile_width)):
-        c0 = ti * tile_width
-        c1 = min(c0 + tile_width, x.cols)
-        for o0 in range(0, max(w.cols, 1), lanes):
-            o1 = min(o0 + lanes, w.cols)
-            pairs.append(TilePair(xt, w.submatrix(c0, c1, o0, o1), c0, o0))
-    return pairs
 
 
 def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
@@ -341,9 +301,7 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     arr = np.array(out_cols, dtype=np.int64).transpose(1, 0, 2)  # cycles x K x 6
     return TileSchedule(arr[:, :, 0].astype(np.uint8), arr[:, :, 1].astype(np.uint8),
                         arr[:, :, 2].astype(np.uint8), arr[:, :, 3].astype(np.int32),
-                        arr[:, :, 4], arr[:, :, 5].astype(np.uint8),
-                        pe_rows=sched.pe_rows, col_offset=sched.col_offset,
-                        out_offset=sched.out_offset)
+                        arr[:, :, 4], arr[:, :, 5].astype(np.uint8))
 
 
 def build_dmm_schedule(m_rows: int, t_eff: int, pe_count: int) -> TileSchedule:
@@ -391,14 +349,10 @@ def check_schedule_values(sched: TileSchedule, value_bits: int) -> None:
             raise ValueError(f"operand values exceed the {value_bits}-bit packet field")
 
 
-def build_sdmm_schedule(tile: SparseMatrixCSR, cfg: ArchConfig,
-                        col_offset: int = 0, out_offset: int = 0) -> TileSchedule:
+def build_sdmm_schedule(tile: SparseMatrixCSR, cfg: ArchConfig) -> TileSchedule:
     """assign_rows then stall_collisions, with packet-width validation."""
     if tile.cols > cfg.tile_width:
         raise ShapeError(f"tile has {tile.cols} columns, max {cfg.tile_width}")
     pre = assign_rows(tile, cfg.pe_count)
     check_schedule_values(pre, cfg.value_bits)
-    out = stall_collisions(pre, cfg)
-    out.col_offset = col_offset
-    out.out_offset = out_offset
-    return out
+    return stall_collisions(pre, cfg)

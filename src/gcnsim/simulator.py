@@ -4,9 +4,16 @@ The model walks a schedule one PE column at a time. Within a column the
 packet semantics are sequential: sor seeds the accumulators from the saved
 partial of the PE's current output row, vld accumulates value * W[col] into
 all lanes, eor writes the accumulators back and advances to the PE's next
-row. Columns never interact except through the per-cycle arbitration check,
-so each column is executed as one vectorized segment-sum; the result is
-bit-identical to stepping packet by packet.
+row. PE p owns rows p, p+K, p+2K, ... (the round-robin rule), so the row
+map is never stored. Columns never interact except through the per-cycle
+arbitration check, so each column is executed as one vectorized
+segment-sum; the result is bit-identical to stepping packet by packet.
+
+A product runs one pass per column tile: one schedule, one arbitration
+check and one execution over every output column. The hardware still
+walks the output C lanes at a time, replaying the same schedule per lane
+block, so each lane block is an accounting pass that adds its load cycles
+and its slot census.
 
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
@@ -34,12 +41,11 @@ from .matrix import (
 from .schedule import (
     ArchConfig,
     ScheduleStats,
-    TilePair,
     TileSchedule,
     build_dmm_schedule,
     build_sdmm_schedule,
     schedule_stats,
-    tile_inputs,
+    tile_columns,
 )
 from .pcoo import PcooPacket
 
@@ -51,28 +57,26 @@ class ArbitrationError(RuntimeError):
     """A granted cycle violates bank exclusivity: a scheduler bug, never silent."""
 
 
-def load_tile(w_tile: DenseMatrix, cfg: ArchConfig) -> tuple[np.ndarray, int]:
-    """The dense tile as the PEs read it, and the cycles to fill all replicas.
+def load_tile(block: np.ndarray, cfg: ArchConfig) -> int:
+    """Cycles to fill every replica with one T x C lane block of the dense tile.
 
-    Every replica holds the same rows, so one array serves them all; the
-    bank striping (row mod groups) only matters to arbitration, which
+    Every replica holds the same rows, so the PEs read one array; the bank
+    striping (row mod groups) only matters to arbitration, which
     check_arbitration and the stall pass model on addresses alone. Cost is
     element count times r.
     """
-    rows, cols = w_tile.rows, w_tile.cols
+    rows, cols = block.shape
     if rows > cfg.tile_width or cols > cfg.lanes:
         raise ShapeError(f"dense tile {rows}x{cols} exceeds {cfg.tile_width}x{cfg.lanes}")
-    cycles = math.ceil(rows * cols * cfg.replicas / cfg.load_bw) if rows * cols else 0
-    return np.asarray(w_tile.data, dtype=np.int64), cycles
+    return math.ceil(rows * cols * cfg.replicas / cfg.load_bw) if rows * cols else 0
 
 
 @dataclass
 class PeState:
-    """One PE: lane accumulators, output-row cursor, and the mode bit."""
+    """One PE: lane accumulators and output-row cursor."""
 
     acc: np.ndarray
     row_cursor: int = 0
-    sparse_flag: bool = True
 
 
 def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
@@ -90,7 +94,7 @@ def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
     cursor = pe.row_cursor
     emitted = None
     if not (pkt.sor or pkt.eor or pkt.vld):
-        return PeState(acc, cursor, pe.sparse_flag), None
+        return PeState(acc, cursor), None
     if pkt.sor:
         acc = np.asarray(prev_tile_partial, dtype=np.int64).copy()
     if pkt.vld:
@@ -101,7 +105,7 @@ def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
             raise OverflowTrap(f"accumulator overflow emitting row {cursor}")
         emitted = acc.copy()
         cursor += 1
-    return PeState(acc, cursor, pe.sparse_flag), emitted
+    return PeState(acc, cursor), emitted
 
 
 def check_arbitration(sched: TileSchedule, cfg: ArchConfig, dense_rows: int) -> None:
@@ -135,12 +139,14 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, dense_rows: int) -> 
 def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
              cfg: ArchConfig, x_dense: np.ndarray | None = None
              ) -> tuple[np.ndarray, ScheduleStats]:
-    """Execute one tile schedule against a loaded dense tile w.
+    """Execute one tile schedule against a dense tile w (T rows, any lanes).
 
-    partials is the OMMB view for this output block (all m rows); the
-    returned array is partials plus every PE's emitted rows. x_dense, when
-    given, is the column-sliced dense left operand (dense mode): the
-    multiplicand comes from it instead of the packet payload.
+    partials is the OMMB view (all m rows, as many columns as w); the
+    returned array is partials plus every PE's emitted rows. PE p emits
+    rows range(p, m, K) in order, so its sor and eor counts must both equal
+    that row count. x_dense, when given, is the column-sliced dense left
+    operand (dense mode): the multiplicand comes from it instead of the
+    packet payload.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError("schedule and config disagree on PE count")
@@ -149,12 +155,13 @@ def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
         raise ShapeError("partials block does not match dense tile lanes")
     check_arbitration(sched, cfg, w.shape[0])
     out = partials.copy()
-    for p in range(cfg.pe_count):
-        rows = sched.pe_rows[p]
+    m, k = partials.shape[0], cfg.pe_count
+    for p in range(k):
+        rows = np.arange(p, m, k)
         sor_col = sched.sor[:, p].astype(bool)
         n_seg = int(sor_col.sum())
         if n_seg != len(rows) or int(sched.eor[:, p].sum()) != len(rows):
-            raise ArbitrationError(f"PE {p}: row markers disagree with its row map")
+            raise ArbitrationError(f"PE {p}: row markers disagree with its {len(rows)} rows")
         if n_seg == 0:
             continue
         seg = np.cumsum(sor_col) - 1
@@ -172,10 +179,8 @@ def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
     return out, schedule_stats(sched)
 
 
-def data_move(y: DenseMatrix | np.ndarray, destination: str, cfg: ArchConfig) -> int:
+def data_move(y: DenseMatrix | np.ndarray, cfg: ArchConfig) -> int:
     """Cycles to stream a result to its next home; OMMB keeps its copy."""
-    if destination not in ("ddm", "ewm"):
-        raise ValueError(f"unknown destination {destination!r}")
     data = y.data if isinstance(y, DenseMatrix) else np.asarray(y)
     return math.ceil(data.size / cfg.move_bw) if data.size else 0
 
@@ -252,8 +257,10 @@ def simulate_step(x, w: DenseMatrix, mode: str, cfg: ArchConfig
 
     SDMM streams a sparse left operand as packets; DMM sweeps every column
     with a shared address stream and pulls multiplicands from the dense left
-    operand. Output accumulates across column tiles through the OMMB and is
-    width-checked once at the end.
+    operand. Each column tile is scheduled, checked and executed once over
+    all output columns; its lane blocks add their load cycles and census
+    entries in order. Output accumulates across column tiles through the
+    OMMB and is width-checked once at the end.
     """
     if mode == MODE_SDMM:
         if not isinstance(x, SparseMatrixCSR):
@@ -268,38 +275,21 @@ def simulate_step(x, w: DenseMatrix, mode: str, cfg: ArchConfig
     m = x.rows
     y = np.zeros((m, w.cols), dtype=np.int64)
     report = CycleReport(cfg.pe_count, mode=mode)
-    cached_offset = None
-    cached_sched = None
-    pairs = (tile_inputs(x, w, cfg.tile_width, cfg.lanes) if mode == MODE_SDMM
-             else _dense_pairs(x, w, cfg))
-    for pair in pairs:
-        if pair.col_offset != cached_offset:
-            if mode == MODE_SDMM:
-                cached_sched = build_sdmm_schedule(pair.sparse, cfg,
-                                                   pair.col_offset, pair.out_offset)
-            else:
-                cached_sched = build_dmm_schedule(m, pair.dense.rows, cfg.pe_count)
-            cached_offset = pair.col_offset
-        w_tile, load_c = load_tile(pair.dense, cfg)
-        report.load_cycles += load_c
-        block = y[:, pair.out_offset:pair.out_offset + pair.dense.cols]
-        if mode == MODE_DMM:
-            x_slice = x.data[:, pair.col_offset:pair.col_offset + pair.dense.rows]
-        else:
+    x_tiles = tile_columns(x, cfg.tile_width) if mode == MODE_SDMM else None
+    for ti, c0 in enumerate(range(0, max(x.cols, 1), cfg.tile_width)):
+        c1 = min(c0 + cfg.tile_width, x.cols)
+        w_tile = w.data[c0:c1]
+        if mode == MODE_SDMM:
+            sched = build_sdmm_schedule(x_tiles[ti], cfg)
             x_slice = None
-        new_block, stats = run_tile(cached_sched, w_tile, block, cfg, x_dense=x_slice)
-        y[:, pair.out_offset:pair.out_offset + pair.dense.cols] = new_block
-        report.add_tile(stats, pair.col_offset, pair.out_offset)
-    report.move_cycles += data_move(y, "ewm", cfg)
+        else:
+            sched = build_dmm_schedule(m, c1 - c0, cfg.pe_count)
+            x_slice = x.data[:, c0:c1]
+        y, stats = run_tile(sched, w_tile, y, cfg, x_dense=x_slice)
+        for o0 in range(0, max(w.cols, 1), cfg.lanes):
+            report.load_cycles += load_tile(w_tile[:, o0:o0 + cfg.lanes], cfg)
+            report.add_tile(stats, c0, o0)
+    report.move_cycles += data_move(y, cfg)
     report.check_identity()
     check_fits(y, 32, "accumulator")
     return DenseMatrix(y, 32, x.frac_bits + w.frac_bits), report
-
-
-def _dense_pairs(x: DenseMatrix, w: DenseMatrix, cfg: ArchConfig):
-    """TilePair view of a dense left operand (structure only, no CSR build)."""
-    for c0 in range(0, max(x.cols, 1), cfg.tile_width):
-        c1 = min(c0 + cfg.tile_width, x.cols)
-        for o0 in range(0, max(w.cols, 1), cfg.lanes):
-            o1 = min(o0 + cfg.lanes, w.cols)
-            yield TilePair(None, w.submatrix(c0, c1, o0, o1), c0, o0)

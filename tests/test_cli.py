@@ -157,6 +157,9 @@ def test_error_exit_categories(workload, tmp_path, capsys):
     assert main(["preprocess", str(workload / "w"), "--tile", "65536",
                  "--out", str(tmp_path / "y")]) == EXIT_INVALID
     assert main(["gen", "--nodes", "10"]) == EXIT_INVALID  # no --out
+    assert main(["sweep", str(workload / "w"), "--jobs", "0",
+                 "--out", str(tmp_path / "z.csv")]) == EXIT_INVALID
+    assert not (tmp_path / "z.csv").exists()
     bad = tmp_path / "bad.json"
     bad.write_text('{"pe": 4, "mystery": 1}')
     assert main(["simulate", str(workload / "w"), "--config",

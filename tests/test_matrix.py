@@ -18,6 +18,7 @@ from gcnsim.matrix import (
     requantize16,
     sdmm_reference,
 )
+from gcnsim.schedule import tile_columns
 
 
 def brute_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -154,14 +155,32 @@ def test_csr_validate_rejects():
 
 
 def test_col_slice_matches_dense():
+    """tile_columns: each T-column slice validates and equals the dense slice."""
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x, raw = random_csr(rng, 15, 24, 0.3)
-        c0 = int(rng.integers(0, 20))
-        c1 = int(rng.integers(c0 + 1, 25))
-        sl = x.col_slice(c0, c1)
-        sl.validate()
-        assert np.array_equal(sl.to_dense().data, raw[:, c0:c1])
+        cols = int(rng.integers(1, 25))
+        x, raw = random_csr(rng, 15, cols, 0.3)
+        t = int(rng.integers(1, 30))
+        tiles = tile_columns(x, t)
+        starts = range(0, cols, t)
+        assert [tile.cols for tile in tiles] == [min(t, cols - c0) for c0 in starts]
+        for c0, tile in zip(starts, tiles):
+            tile.validate()
+            assert tile.rows == x.rows
+            assert np.array_equal(tile.to_dense().data, raw[:, c0:c0 + t])
+        assert sum(tile.nnz for tile in tiles) == x.nnz
+    # ragged last tile
+    x, raw = random_csr(rng, 7, 20, 0.5)
+    tiles = tile_columns(x, 8)
+    assert [tile.cols for tile in tiles] == [8, 8, 4]
+    assert np.array_equal(tiles[2].to_dense().data, raw[:, 16:])
+    # an operand no wider than one tile is that tile
+    (single,) = tile_columns(x, 32)
+    assert single is x
+    # an operand with no columns is one empty tile
+    (empty,) = tile_columns(SparseMatrixCSR(5, 0, np.zeros(6), [], [], 4, 0), 8)
+    empty.validate()
+    assert (empty.rows, empty.cols, empty.nnz) == (5, 0, 0)
 
 
 def test_sdmm_hand_traces():

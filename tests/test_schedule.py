@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gcnsim.matrix import ShapeError, SparseMatrixCSR, DenseMatrix
+from gcnsim.matrix import ShapeError, SparseMatrixCSR
 from gcnsim.pcoo import deserialize_stream, make_header, serialize_stream
 from gcnsim.schedule import (
     ORIGIN_EMPTY_ROW,
@@ -19,7 +19,6 @@ from gcnsim.schedule import (
     config_for_tile,
     schedule_stats,
     stall_collisions,
-    tile_inputs,
 )
 
 
@@ -71,10 +70,7 @@ def grants_legal(sched, cfg):
 def test_archconfig_invariants():
     cfg = ArchConfig(pe_count=8, lanes=16, replicas=2, groups=32)
     assert cfg.tile_width == 512
-    assert cfg.bank_depth == 16
     assert cfg.group_width == 4
-    assert cfg.group_of(3) == 0 and cfg.group_of(4) == 1
-    assert cfg.bank_of(33) == 1
     with pytest.raises(ValueError):
         ArchConfig(pe_count=8, replicas=3)
     with pytest.raises(ValueError):
@@ -97,7 +93,9 @@ def test_assign_rows_concatenation_example():
     assert sched.sor[:, 0].tolist() == [1, 0, 0, 1, 0]
     assert sched.eor[:, 0].tolist() == [0, 0, 1, 0, 1]
     assert sched.col[:, 0].tolist() == [0, 1, 2, 0, 3]
-    assert sched.pe_rows[0].tolist() == [0, 4]
+    # every PE owns two of the 8 rows (PE 0: rows 0 and 4), one sor/eor each
+    assert sched.sor.sum(axis=0).tolist() == [2, 2, 2, 2]
+    assert sched.eor.sum(axis=0).tolist() == [2, 2, 2, 2]
 
 
 def test_assign_rows_all_empty():
@@ -125,13 +123,12 @@ def test_assign_rows_matches_naive():
                          (sched.sor, sched.eor, sched.vld, sched.col, sched.value))
                    for cyc in range(sched.cycles)]
             assert got == oracle[p]
-        # conservation and round-robin row balance
+        # conservation, and one sor/eor pair per round-robin row of each PE
         stats = schedule_stats(sched)
         assert stats.totals()["valid"] == tile.nnz
-        rows_per_pe = [len(r) for r in sched.pe_rows]
-        assert max(rows_per_pe) - min(rows_per_pe) <= 1
-        assert int(sched.sor.sum()) == m
-        assert int(sched.eor.sum()) == m
+        rows_per_pe = [len(range(p, m, k)) for p in range(k)]
+        assert sched.sor.sum(axis=0).tolist() == rows_per_pe
+        assert sched.eor.sum(axis=0).tolist() == rows_per_pe
 
 
 def make_sched(grid):
@@ -250,7 +247,9 @@ def test_dmm_schedule_ragged_tail():
     assert sched.cycles == 16
     assert (sched.origin[8:, 1:] == ORIGIN_PAD).all()
     assert (sched.origin[8:, 0] == ORIGIN_VALID).all()
-    assert sched.pe_rows[0].tolist() == [0, 8]
+    # PE 0 owns rows 0 and 8, every other PE one row
+    assert sched.sor.sum(axis=0).tolist() == [2] + [1] * (k - 1)
+    assert sched.eor.sum(axis=0).tolist() == [2] + [1] * (k - 1)
 
 
 def test_dmm_schedule_never_stalls():
@@ -262,43 +261,6 @@ def test_dmm_schedule_never_stalls():
         assert schedule_stats(out).totals()["stall_idle"] == 0
         if m % k == 0:
             assert schedule_stats(out).totals()["pad_idle"] == 0
-
-
-def test_tile_inputs_shapes():
-    rng = np.random.default_rng(73)
-    x = SparseMatrixCSR.from_dense_raw(rng.integers(0, 2, size=(6, 8)), 4, 0)
-    w = DenseMatrix(rng.integers(-8, 8, size=(8, 4)), 4, 3)
-    pairs = tile_inputs(x, w, 8, 4)
-    assert len(pairs) == 1
-    assert pairs[0].sparse.cols == 8 and pairs[0].dense.rows == 8
-
-    x20 = SparseMatrixCSR.from_dense_raw(rng.integers(0, 2, size=(5, 20)), 4, 0)
-    w20 = DenseMatrix(rng.integers(-8, 8, size=(20, 4)), 4, 3)
-    pairs = tile_inputs(x20, w20, 8, 4)
-    assert [p.sparse.cols for p in pairs] == [8, 8, 4]
-    assert [p.col_offset for p in pairs] == [0, 8, 16]
-    assert sum(p.sparse.nnz for p in pairs) == x20.nnz
-    with pytest.raises(ShapeError):
-        tile_inputs(x20, w, 8, 4)
-
-
-def test_tile_inputs_wide_output():
-    # with multiple output tiles each column tile repeats; conservation holds
-    # per output tile, not over the raw pair list
-    rng = np.random.default_rng(79)
-    x = SparseMatrixCSR.from_dense_raw(rng.integers(0, 2, size=(7, 20)), 4, 0)
-    w = DenseMatrix(rng.integers(-8, 8, size=(20, 10)), 4, 3)
-    pairs = tile_inputs(x, w, 8, 4)
-    assert len(pairs) == 3 * 3
-    for out_off in (0, 4, 8):
-        sub = [p for p in pairs if p.out_offset == out_off]
-        assert sum(p.sparse.nnz for p in sub) == x.nnz
-    # the union of dense slices reconstructs W
-    rebuilt = np.zeros_like(w.data)
-    for p in pairs:
-        rebuilt[p.col_offset:p.col_offset + p.dense.rows,
-                p.out_offset:p.out_offset + p.dense.cols] = p.dense.data
-    assert np.array_equal(rebuilt, w.data)
 
 
 def test_check_schedule_values():
@@ -329,7 +291,9 @@ def test_schedule_packets_roundtrip():
     _, back = deserialize_stream(serialize_stream(sched, header))
     for name in ("sor", "eor", "vld", "col", "value"):
         assert np.array_equal(getattr(back, name), getattr(sched, name)), name
-    # the round-robin row map is rebuilt from the row markers alone
-    assert all(np.array_equal(a, b) for a, b in zip(back.pe_rows, sched.pe_rows))
+    # each PE's row markers count its round-robin rows of the 10-row tile
+    rows_per_pe = [len(range(p, 10, 4)) for p in range(4)]
+    assert back.sor.sum(axis=0).tolist() == rows_per_pe
+    assert back.eor.sum(axis=0).tolist() == rows_per_pe
     # idle provenance flattens to pad on the way back, by design
     assert (back.origin[sched.origin == ORIGIN_STALL] == ORIGIN_PAD).all()

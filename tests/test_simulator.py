@@ -19,6 +19,7 @@ from gcnsim.schedule import (
     build_dmm_schedule,
     build_sdmm_schedule,
     stall_collisions,
+    tile_columns,
 )
 from gcnsim.simulator import (
     MODE_DMM,
@@ -47,8 +48,8 @@ def naive_run_tile(sched, w, partials, cfg, x_dense=None):
     lanes = w.shape[1]
     zero_row = np.zeros(lanes, dtype=np.int64)
     for p in range(cfg.pe_count):
-        pe = PeState(np.zeros(lanes, dtype=np.int64), 0, x_dense is None)
-        rows = sched.pe_rows[p]
+        pe = PeState(np.zeros(lanes, dtype=np.int64), 0)
+        rows = range(p, len(seeds), cfg.pe_count)
         for cyc in range(sched.cycles):
             pkt = PcooPacket(*(int(a[cyc, p]) for a in
                                (sched.sor, sched.eor, sched.vld, sched.col, sched.value)))
@@ -120,38 +121,50 @@ def test_pe_step_overflow_traps():
 
 def test_load_tile_cycles():
     cfg = ArchConfig(pe_count=4, lanes=4, groups=2, replicas=2, load_bw=8)
-    w = DenseMatrix(np.arange(32).reshape(8, 4), 16, 0)
-    loaded, cycles = load_tile(w, cfg)
-    assert cycles == 8  # 8*4*2 / 8
-    assert np.array_equal(loaded, w.data)
+    assert load_tile(np.arange(32).reshape(8, 4), cfg) == 8  # 8*4*2 / 8
 
 
 def test_load_tile_empty_and_too_big():
     cfg = ArchConfig(pe_count=2, lanes=4, groups=2)
-    _, cycles = load_tile(DenseMatrix.zeros(0, 4, 16, 0), cfg)
-    assert cycles == 0
+    assert load_tile(np.zeros((0, 4), np.int64), cfg) == 0
     with pytest.raises(ShapeError):
-        load_tile(DenseMatrix.zeros(9, 4, 16, 0), cfg)  # 9 rows > T=8
+        load_tile(np.zeros((9, 4), np.int64), cfg)  # 9 rows > T=8
     with pytest.raises(ShapeError):
-        load_tile(DenseMatrix.zeros(8, 5, 16, 0), cfg)  # 5 cols > C=4
+        load_tile(np.zeros((8, 5), np.int64), cfg)  # 5 cols > C=4
 
 
 def test_data_move_cycles():
     cfg = ArchConfig(pe_count=4, move_bw=16)
-    assert data_move(DenseMatrix.zeros(2708, 16, 32, 0), "ewm", cfg) == 2708
-    assert data_move(DenseMatrix.zeros(0, 16, 32, 0), "ddm", cfg) == 0
-    with pytest.raises(ValueError):
-        data_move(DenseMatrix.zeros(1, 1, 32, 0), "omm", cfg)
+    assert data_move(DenseMatrix.zeros(2708, 16, 32, 0), cfg) == 2708
+    assert data_move(DenseMatrix.zeros(0, 16, 32, 0), cfg) == 0
 
 
 def test_run_tile_all_idle():
+    # idle slots and empty-row markers do no work: the 3 rows (PE 0 owns
+    # rows 0 and 2, PE 1 row 1) come back as their partials
     cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
-    sched = make_sched([[IDLE_PACKET, IDLE_PACKET]])
-    w_tile, _ = load_tile(DenseMatrix(np.ones((4, 2), np.int64), 4, 0), cfg)
+    sched = make_sched([[IDLE_PACKET, IDLE_PACKET],
+                        [EMPTY_ROW_PACKET, EMPTY_ROW_PACKET],
+                        [EMPTY_ROW_PACKET, IDLE_PACKET]])
     partials = np.arange(6).reshape(3, 2)
-    out, stats = run_tile(sched, w_tile, partials, cfg)
+    out, stats = run_tile(sched, np.ones((4, 2), np.int64), partials, cfg)
     assert np.array_equal(out, partials)
     assert stats.totals()["valid"] == 0
+
+
+def test_run_tile_rejects_row_markers_off_the_row_map():
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
+    w = np.ones((4, 2), np.int64)
+    # PE 1 opens its row but never closes it
+    sched = make_sched([[PcooPacket(1, 1, 1, 0, 1), PcooPacket(1, 0, 1, 1, 1)],
+                        [IDLE_PACKET, PcooPacket(0, 0, 1, 2, 1)]])
+    with pytest.raises(ArbitrationError, match="row markers"):
+        run_tile(sched, w, np.zeros((2, 2), np.int64), cfg)
+    # complete markers, but 3 rows give PE 0 a second row it never emits
+    sched = make_sched([[PcooPacket(1, 1, 1, 0, 1), PcooPacket(1, 1, 1, 1, 1)]])
+    run_tile(sched, w, np.zeros((2, 2), np.int64), cfg)
+    with pytest.raises(ArbitrationError, match="row markers"):
+        run_tile(sched, w, np.zeros((3, 2), np.int64), cfg)
 
 
 def test_run_tile_matches_pe_step_walk():
@@ -160,7 +173,7 @@ def test_run_tile_matches_pe_step_walk():
         replicas = int(rng.choice([1, 2, 4]))
         cfg, tile, w = random_tile_setup(rng, k=4, replicas=replicas)
         sched = build_sdmm_schedule(tile, cfg)
-        w_tile, _ = load_tile(w, cfg)
+        w_tile = w.data
         partials = rng.integers(-50, 50, size=(tile.rows, w.cols))
         fast, _ = run_tile(sched, w_tile, partials, cfg)
         slow = naive_run_tile(sched, w_tile, partials, cfg)
@@ -177,7 +190,7 @@ def test_run_tile_dense_mode_matches_pe_step_walk():
         x = rng.integers(-8, 8, size=(m, rows))
         w = DenseMatrix(rng.integers(-8, 8, size=(rows, 3)), 4, 3)
         sched = build_dmm_schedule(m, rows, k)
-        w_tile, _ = load_tile(w, cfg)
+        w_tile = w.data
         partials = np.zeros((m, 3), dtype=np.int64)
         fast, _ = run_tile(sched, w_tile, partials, cfg, x_dense=x)
         slow = naive_run_tile(sched, w_tile, partials, cfg, x_dense=x)
@@ -189,7 +202,7 @@ def test_run_tile_equals_reference_single_tile():
     for _ in range(20):
         cfg, tile, w = random_tile_setup(rng)
         sched = build_sdmm_schedule(tile, cfg)
-        w_tile, _ = load_tile(w, cfg)
+        w_tile = w.data
         out, _ = run_tile(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64), cfg)
         assert np.array_equal(out, sdmm_reference(tile, w).data)
 
@@ -199,7 +212,7 @@ def test_arbitration_recheck_rejects_illegal():
     # addresses 1 and 5 share bank 1; a legal scheduler would have stalled one
     bad = make_sched(
         [[PcooPacket(1, 1, 1, 1, 1), PcooPacket(1, 1, 1, 5, 1)]])
-    w_tile, _ = load_tile(DenseMatrix(np.ones((8, 2), np.int64), 4, 0), cfg)
+    w_tile = np.ones((8, 2), np.int64)
     with pytest.raises(ArbitrationError):
         run_tile(bad, w_tile, np.zeros((2, 2), np.int64), cfg)
     # same addresses are a shared fetch, not a collision
@@ -211,7 +224,7 @@ def test_arbitration_recheck_rejects_illegal():
 def test_run_tile_col_out_of_range():
     cfg = ArchConfig(pe_count=1, lanes=2, groups=4)
     sched = make_sched([[PcooPacket(1, 1, 1, 6, 1)]])
-    w_tile, _ = load_tile(DenseMatrix(np.ones((4, 2), np.int64), 4, 0), cfg)
+    w_tile = np.ones((4, 2), np.int64)
     with pytest.raises(ShapeError):
         run_tile(sched, w_tile, np.zeros((1, 2), np.int64), cfg)
 
@@ -285,6 +298,26 @@ def test_simulate_step_phase_arithmetic():
     assert report.total_cycles == report.load_cycles + report.compute_cycles \
         + report.move_cycles
     assert len(report.tiles) == 9
+    # each of the 3 lane blocks replays its column tile's one schedule
+    per_block = sum(build_sdmm_schedule(tile, cfg).cycles
+                    for tile in tile_columns(x, cfg.tile_width))
+    assert report.compute_cycles == 3 * per_block
+
+
+def test_simulate_step_dmm_many_tiles_ragged_lanes():
+    # 3 column tiles (8, 8, 5 wide) by 3 lane blocks (4, 4, 2 lanes)
+    rng = np.random.default_rng(139)
+    cfg = ArchConfig(pe_count=4, lanes=4, groups=2, value_bits=4, load_bw=8)
+    x = DenseMatrix(rng.integers(-8, 8, size=(11, 21)), 4, 3)
+    w = DenseMatrix(rng.integers(-8, 8, size=(21, 10)), 4, 3)
+    y, report = simulate_step(x, w, MODE_DMM, cfg)
+    assert np.array_equal(y.data, dmm_reference(x, w).data)
+    assert [(t["col_offset"], t["out_offset"]) for t in report.tiles] == \
+        [(c0, o0) for c0 in (0, 8, 16) for o0 in (0, 4, 8)]
+    per_block = sum(build_dmm_schedule(11, t, 4).cycles for t in (8, 8, 5))
+    assert report.compute_cycles == 3 * per_block
+    assert report.load_cycles == sum(-(-t * c // 8) for t in (8, 8, 5) for c in (4, 4, 2))
+    report.check_identity()
 
 
 def test_simulate_step_dmm_degenerate_counts():
