@@ -74,6 +74,11 @@ def load_config(path) -> dict:
     unknown = set(doc) - set(DEFAULTS)
     if unknown:
         raise FileFormatError(f"{path}: unknown config keys {sorted(unknown)}")
+    # type(), not isinstance(): a bool is an int subclass and is rejected too
+    bad = {k: v for k, v in doc.items() if type(v) is not int
+           and not (k == "value_bits" and v is None)}
+    if bad:
+        raise FileFormatError(f"{path}: config values must be integers, got {bad}")
     return doc
 
 
@@ -210,7 +215,8 @@ def _simulate_point(bundle, kind, adjacency_mode, args, settings):
     logits, run = run_model(model, a, bundle.features, cfg)
     verify = verify_against_oracle(model, a, bundle.features, cfg,
                                    sim=(logits, run))
-    return logits, report_document(run, cfg, label=args.bundle, verify=verify)
+    label = Path(args.bundle).resolve().name
+    return logits, report_document(run, cfg, label=label, verify=verify)
 
 
 def cmd_simulate(args) -> int:

@@ -60,11 +60,6 @@ class FixedPoint:
     def value(self) -> float:
         return self.raw * 2.0 ** -self.frac_bits
 
-    @classmethod
-    def from_real(cls, v: float, bits: int, frac_bits: int) -> "FixedPoint":
-        raw, _ = quantize_value(v, bits, frac_bits)
-        return cls(raw, bits, frac_bits)
-
 
 def quantize_value(v: float, bits: int, frac_bits: int) -> tuple[int, bool]:
     """Round v to the nearest representable multiple of 2^-frac_bits.
@@ -216,10 +211,8 @@ def quantize(values: np.ndarray, bits: int, frac_bits: int,
     return out
 
 
-def dequantize(m: DenseMatrix | SparseMatrixCSR) -> np.ndarray:
-    """Raw values back to reals; sparse inputs densify."""
-    if isinstance(m, SparseMatrixCSR):
-        m = m.to_dense()
+def dequantize(m: DenseMatrix) -> np.ndarray:
+    """Raw values back to reals."""
     return m.data.astype(np.float64) * 2.0 ** -m.frac_bits
 
 
@@ -293,7 +286,9 @@ def normalize_adjacency(a: SparseMatrixCSR, mode: str = "binary",
     r_all = np.concatenate([rr[off], np.arange(n)])
     c_all = np.concatenate([cc[off], np.arange(n)])
     deg = np.bincount(r_all, minlength=n).astype(np.float64)
-    vals = 1.0 / np.sqrt(deg[r_all] * deg[c_all])
-    grid = np.zeros((n, n))
-    grid[r_all, c_all] = vals
-    return quantize(grid, bits, frac_bits, sparse=True)
+    scaled = np.round(1.0 / np.sqrt(deg[r_all] * deg[c_all]) * (1 << frac_bits))
+    raw = np.clip(scaled, int_min(bits), int_max(bits)).astype(np.int64)
+    # (A + I) has no repeated position, so from_coo only sorts and drops zeros
+    out = SparseMatrixCSR.from_coo(n, n, r_all, c_all, raw, bits, frac_bits)
+    out.sat_count = int((raw != scaled).sum())
+    return out

@@ -217,19 +217,26 @@ def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
 
     The adjacency is idealized: binary edges stay 1.0 and the mean mode uses
     exact 1/degree, so the comparison charges all error to quantization.
+    Aggregation runs on a's CSR arrays, one bincount per output column.
     """
+    rows = np.repeat(np.arange(a.rows), a.row_nnz())
     if model.adjacency_mode == "mean":
-        deg = np.maximum(a.row_nnz(), 1).astype(np.float64)
-        a_real = (a.to_dense().data != 0) / deg[:, None]
+        weight = 1.0 / a.row_nnz()[rows]
     else:
-        a_real = dequantize(a) if a.frac_bits else (a.to_dense().data != 0).astype(float)
-    x = dequantize(x0) if not isinstance(x0, np.ndarray) else x0
+        weight = a.values * 2.0 ** -a.frac_bits if a.frac_bits else np.ones(a.nnz)
+
+    def aggregate(y: np.ndarray) -> np.ndarray:
+        out = np.empty((a.rows, y.shape[1]))
+        for j, column in enumerate(y.T):
+            out[:, j] = np.bincount(rows, column[a.col_idx] * weight, a.rows)
+        return out
+
+    x = x0.to_dense() if isinstance(x0, SparseMatrixCSR) else x0
+    x = dequantize(x) if isinstance(x, DenseMatrix) else x
     for layer in model.layers:
-        if model.kind == KIND_GCN:
-            y = a_real @ (x @ dequantize(layer.weight))
-        else:
-            y = x @ dequantize(layer.weight_self) \
-                + a_real @ (x @ dequantize(layer.weight))
+        y = aggregate(x @ dequantize(layer.weight))
+        if model.kind == KIND_SAGE:
+            y = x @ dequantize(layer.weight_self) + y
         if layer.activation == "relu":
             y = np.maximum(y, 0.0)
         x = y

@@ -9,9 +9,10 @@ block of its column tile: the lane blocks only repeat it for accounting.
 
 Schedules are stored columnar (one numpy array per packet field, shaped
 cycles x K) from row assignment through the .pcoo stream and back; no
-per-packet objects are built on any path. The row map is the round-robin
-rule itself, so a schedule stores nothing but its packet columns and the
-origin of each slot.
+per-packet objects are built on any path. A schedule is its five packet
+columns plus one stall count: the row map is the round-robin rule itself,
+and the stall pass adds the same number of idle slots to every PE column,
+so the slot census follows from the packet bits and that count.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ import numpy as np
 
 from .matrix import ShapeError, SparseMatrixCSR, int_max, int_min
 from .pcoo import log2_exact
-
-# origin codes: who put each slot in the schedule
-ORIGIN_VALID = 0      # a stored nonzero
-ORIGIN_EMPTY_ROW = 1  # empty-row marker (sor=eor=1, vld=0)
-ORIGIN_PAD = 2        # rectangularization fill (PE imbalance)
-ORIGIN_STALL = 3      # idle injected by the collision pass
-
-_IDLE_SLOT = (0, 0, 0, 0, 0, ORIGIN_STALL)
 
 PACKET_VALUE_WIDTHS = (0, 4, 16)
 
@@ -84,10 +77,12 @@ def config_for_tile(pe_count: int, tile_width: int, lanes: int = 16, **kw) -> Ar
 class TileSchedule:
     """Rectangular cycles x K packet grid, one array per packet field.
 
-    origin tags every slot with who created it (see ORIGIN_* codes). There
-    is no row map: PE p owns rows p, p+K, p+2K, ... of the tile and emits
-    them in that order, one sor/eor pair per row. The same schedule runs
-    against every output lane block of its column tile.
+    A slot is valid work (vld), an empty-row marker (sor=eor=1, vld=0) or
+    idle (no bit set). stall_cycles counts the idle slots the collision pass
+    added to every PE column; the other idle slots pad short PE columns.
+    There is no row map: PE p owns rows p, p+K, p+2K, ... of the tile and
+    emits them in that order, one sor/eor pair per row. The same schedule
+    runs against every output lane block of its column tile.
     """
 
     sor: np.ndarray
@@ -95,7 +90,7 @@ class TileSchedule:
     vld: np.ndarray
     col: np.ndarray
     value: np.ndarray
-    origin: np.ndarray
+    stall_cycles: int = 0
 
     @property
     def cycles(self) -> int:
@@ -113,15 +108,12 @@ class TileSchedule:
     def from_columns(cls, sor, eor, vld, col, value) -> "TileSchedule":
         """Schedule from the five packet fields alone, as a stream carries them.
 
-        Idle slots cannot tell a pad from a stall, so they all come back as
-        pads; sor=eor=1 with vld=0 is an empty-row marker.
+        Idle slots cannot tell a pad from a stall, so a schedule built here
+        has no stall cycles and counts every idle slot as a pad.
         """
         sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
-        origin = np.full(sor.shape, ORIGIN_PAD, dtype=np.uint8)
-        origin[vld == 1] = ORIGIN_VALID
-        origin[(vld == 0) & (sor == 1) & (eor == 1)] = ORIGIN_EMPTY_ROW
         return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
-                   np.asarray(value, dtype=np.int64), origin)
+                   np.asarray(value, dtype=np.int64))
 
     def valid_count(self) -> int:
         return int(self.vld.sum())
@@ -148,14 +140,19 @@ class ScheduleStats:
 
     def check_identity(self) -> None:
         per_pe = self.valid + self.empty_row + self.stall_idle + self.pad_idle
-        if not (per_pe == self.cycles).all():
-            raise AssertionError(f"slot census {per_pe.tolist()} != cycles {self.cycles}")
+        if not (per_pe == self.cycles).all() or (self.pad_idle < 0).any():
+            raise AssertionError(f"slot census {per_pe.tolist()} != cycles {self.cycles} "
+                                 f"or negative pads {self.pad_idle.tolist()}")
 
 
 def schedule_stats(sched: TileSchedule) -> ScheduleStats:
-    count = lambda code: np.count_nonzero(sched.origin == code, axis=0)
-    stats = ScheduleStats(count(ORIGIN_VALID), count(ORIGIN_EMPTY_ROW),
-                          count(ORIGIN_STALL), count(ORIGIN_PAD), sched.cycles)
+    """Slot census from the packet bits; stalls are sched.stall_cycles per PE."""
+    count = lambda mask: np.count_nonzero(mask, axis=0)
+    vld = sched.vld == 1
+    empty = count((sched.sor == 1) & (sched.eor == 1) & ~vld)
+    idle = count((sched.sor | sched.eor | sched.vld) == 0)
+    stats = ScheduleStats(count(vld), empty, np.full_like(idle, sched.stall_cycles),
+                          idle - sched.stall_cycles, sched.cycles)
     stats.check_identity()
     return stats
 
@@ -250,6 +247,11 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     is unclaimed; otherwise an idle slot is emitted and the packet retries.
     The scan order rotates by one PE per cycle so nobody is systematically
     favored. Groups that finish early are padded to the longest group.
+
+    Arbitration reads one address list per PE (col where vld, else -1) and
+    records each input slot's output cycle; each field then moves with one
+    scatter. A PE keeps its whole column, so every PE gains the same
+    cycles_out - cycles_in idle slots, which become stall_cycles.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError(f"schedule has {sched.pe_count} PEs, config {cfg.pe_count}")
@@ -257,51 +259,40 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     n_in = sched.cycles
     if n_in == 0:
         return sched
-    width = cfg.group_width
-    g = cfg.groups
-    cols_in = [
-        list(zip(sched.sor[:, p].tolist(), sched.eor[:, p].tolist(),
-                 sched.vld[:, p].tolist(), sched.col[:, p].tolist(),
-                 sched.value[:, p].tolist(), sched.origin[:, p].tolist()))
-        for p in range(k)
-    ]
-    out_cols: list[list] = [[] for _ in range(k)]
+    width, g = cfg.group_width, cfg.groups
+    addrs = np.where(sched.vld == 1, sched.col, -1).T.tolist()
+    at = [[] for _ in range(k)]  # output cycle of each input slot, per PE
     for base in range(0, k, width):
+        group_addrs = addrs[base:base + width]
+        group_at = at[base:base + width]
         ptrs = [0] * width
         pending = width
         cyc = 0
         while pending:
-            granted: set = set()
-            blocked: set = set()
+            owner: dict = {}  # bank -> the one address granted on it this cycle
             for off in range(width):
                 lp = (cyc + off) % width
-                pe = base + lp
                 i = ptrs[lp]
-                if i >= n_in:
-                    out_cols[pe].append(_IDLE_SLOT)
+                if i == n_in:
                     continue
-                pkt = cols_in[pe][i]
-                if pkt[2]:
-                    addr = pkt[3]
-                    if addr not in granted:
-                        bank = addr % g
-                        if bank in blocked:
-                            out_cols[pe].append(_IDLE_SLOT)
-                            continue
-                        granted.add(addr)
-                        blocked.add(bank)
-                out_cols[pe].append(pkt)
+                addr = group_addrs[lp][i]
+                if addr >= 0 and owner.setdefault(addr % g, addr) != addr:
+                    continue
+                group_at[lp].append(cyc)
                 ptrs[lp] = i + 1
                 if i + 1 == n_in:
                     pending -= 1
             cyc += 1
-    longest = max(len(c) for c in out_cols)
-    for c in out_cols:
-        c.extend([_IDLE_SLOT] * (longest - len(c)))
-    arr = np.array(out_cols, dtype=np.int64).transpose(1, 0, 2)  # cycles x K x 6
-    return TileSchedule(arr[:, :, 0].astype(np.uint8), arr[:, :, 1].astype(np.uint8),
-                        arr[:, :, 2].astype(np.uint8), arr[:, :, 3].astype(np.int32),
-                        arr[:, :, 4], arr[:, :, 5].astype(np.uint8))
+    rows = np.array(at, dtype=np.int64).T  # n_in x K
+    cycles = int(rows.max()) + 1
+
+    def place(a: np.ndarray) -> np.ndarray:
+        out = np.zeros((cycles, k), dtype=a.dtype)
+        out[rows, np.arange(k)] = a
+        return out
+
+    fields = (sched.sor, sched.eor, sched.vld, sched.col, sched.value)
+    return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
 
 
 def build_dmm_schedule(m_rows: int, t_eff: int, pe_count: int) -> TileSchedule:

@@ -137,6 +137,22 @@ def test_config_file_and_flag_precedence(workload, tmp_path, capsys):
                  "--pe", "2", "--hidden", "8", "--classes", "3",
                  "--out", str(out)]) == EXIT_OK
     assert read_report(out / "report.json")["config"]["pe_count"] == 2
+    cfg.write_text(json.dumps({"pe": 4, "tile": 64, "value_bits": None}))
+    assert main(["simulate", str(workload / "w"), "--config", str(cfg),
+                 "--hidden", "8", "--classes", "3"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_report_label_is_the_bundle_name(workload, tmp_path, monkeypatch, capsys):
+    # the same bundle reached through two relative paths writes the same report
+    flags = ["--pe", "2", "--tile", "64", "--hidden", "8", "--classes", "3"]
+    monkeypatch.chdir(workload)
+    assert main(["simulate", "w", *flags, "--out", str(tmp_path / "a")]) == EXIT_OK
+    monkeypatch.chdir(workload / "w")
+    assert main(["simulate", ".", *flags, "--out", str(tmp_path / "b")]) == EXIT_OK
+    a, b = (tmp_path / d / "report.json" for d in ("a", "b"))
+    assert read_report(a)["label"] == "w"
+    assert a.read_bytes() == b.read_bytes()
     capsys.readouterr()
 
 
@@ -164,6 +180,10 @@ def test_error_exit_categories(workload, tmp_path, capsys):
     bad.write_text('{"pe": 4, "mystery": 1}')
     assert main(["simulate", str(workload / "w"), "--config",
                  str(bad)]) == EXIT_DATA
+    for value in ('"4"', "true", "4.0", "[4]"):  # only plain integers are settings
+        bad.write_text(f'{{"pe": {value}}}')
+        assert main(["simulate", str(workload / "w"), "--config",
+                     str(bad)]) == EXIT_DATA
     bad.write_text("{broken")
     assert main(["simulate", str(workload / "w"), "--config",
                  str(bad)]) == EXIT_DATA

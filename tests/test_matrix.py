@@ -328,7 +328,7 @@ def test_normalize_adjacency_self_loop_only():
     a = SparseMatrixCSR.from_dense_raw(np.array([[1]]), 4, 0)
     s = normalize_adjacency(a, "sym_norm", bits=16, frac_bits=14)
     assert s.nnz == 1
-    assert dequantize(s)[0, 0] == 1.0
+    assert dequantize(s.to_dense())[0, 0] == 1.0
 
 
 def test_normalize_adjacency_sym_norm():
@@ -343,7 +343,14 @@ def test_normalize_adjacency_sym_norm():
     deg = dense.sum(axis=1)
     d = np.diag(1.0 / np.sqrt(deg))
     expect = d @ dense @ d
-    assert np.abs(dequantize(s) - expect).max() <= 2.0 ** -15
+    assert np.abs(dequantize(s.to_dense()) - expect).max() <= 2.0 ** -15
+    # at 4 bits the isolated node's self loop (1.0 -> raw 8) saturates to 7,
+    # exactly as quantizing the dense grid would
+    low = normalize_adjacency(a, "sym_norm", bits=4, frac_bits=3)
+    want = quantize(expect, 4, 3, sparse=True)
+    assert low.sat_count == want.sat_count == 1
+    for name in ("row_ptr", "col_idx", "values"):
+        assert np.array_equal(getattr(low, name), getattr(want, name)), name
     with pytest.raises(ValueError):
         normalize_adjacency(a, "laplacian")
     with pytest.raises(ShapeError):

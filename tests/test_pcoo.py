@@ -19,7 +19,7 @@ from gcnsim.pcoo import (
     serialize_stream,
     stream_bits,
 )
-from gcnsim.schedule import ORIGIN_EMPTY_ROW, ORIGIN_PAD, ORIGIN_VALID, TileSchedule
+from gcnsim.schedule import TileSchedule, schedule_stats
 
 FIELDS = ("sor", "eor", "vld", "col", "value")
 
@@ -168,8 +168,9 @@ def test_serialize_roundtrip_random():
 
 def test_deserialize_matches_decode_packet_per_cell():
     # the vectorized decoder against the single-packet spec, cell by cell
+    # and its slot census against the per-cell kinds (valid, empty-row, idle)
     rng = np.random.default_rng(61)
-    origins = set()
+    seen = set()
     for h in (0, 4, 16):
         for _ in range(20):
             t = int(2 ** rng.integers(2, 10))
@@ -179,17 +180,23 @@ def test_deserialize_matches_decode_packet_per_cell():
             data = serialize_stream(grid_schedule(grid, k), make_header(t, h, k, cycles))
             _, back = deserialize_stream(data)
             nbytes = (packet_width(t, h) + 7) // 8
+            kinds = np.zeros((3, k), dtype=np.int64)
             for c in range(cycles):
                 for p in range(k):
                     pos = HEADER_BYTES + (c * k + p) * nbytes
                     want = decode_packet(int.from_bytes(data[pos:pos + nbytes], "big"), t, h)
                     got = PcooPacket(*(int(getattr(back, f)[c, p]) for f in FIELDS))
                     assert got == want, (t, h, c, p)
-                    expect_origin = (ORIGIN_VALID if want.vld else ORIGIN_EMPTY_ROW
-                                     if want == EMPTY_ROW_PACKET else ORIGIN_PAD)
-                    assert back.origin[c, p] == expect_origin
-                    origins.add(expect_origin)
-    assert origins == {ORIGIN_VALID, ORIGIN_EMPTY_ROW, ORIGIN_PAD}
+                    assert want.vld or want in (EMPTY_ROW_PACKET, IDLE_PACKET)
+                    kind = 0 if want.vld else 1 if want == EMPTY_ROW_PACKET else 2
+                    kinds[kind, p] += 1
+                    seen.add(kind)
+            stats = schedule_stats(back)
+            assert back.stall_cycles == 0
+            assert np.array_equal(stats.stall_idle, np.zeros(k))
+            assert np.array_equal(np.stack([stats.valid, stats.empty_row, stats.pad_idle]),
+                                  kinds)
+    assert seen == {0, 1, 2}
 
 
 def test_deserialize_rejects_bits_above_packet():

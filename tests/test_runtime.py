@@ -1,7 +1,11 @@
 """Multi-layer runtime: hand traces, sim/oracle agreement, error vs real math."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from gcnsim.graphs import gen_powerlaw, random_weights
 
 from gcnsim.matrix import (
     DenseMatrix,
@@ -26,6 +30,7 @@ from gcnsim.runtime import (
     make_graphsage,
     mean_adjacency,
     packet_bits_for,
+    real_reference,
     run_model,
     run_oracle,
     verify_against_oracle,
@@ -293,3 +298,62 @@ def test_real_reference_zero_error_without_requantize_effects():
     assert res["exact_match"]
     assert res["max_abs_err"] == 0.0
     assert res["argmax_agreement"] == 1.0
+
+
+def test_real_reference_matches_dense_float_product():
+    # the CSR aggregation against the dense float product it replaces, on a
+    # graph with isolated nodes, for every adjacency mode and both x0 forms
+    bundle = gen_powerlaw(60, 2, 2.1, seed=9, n_features=6, feature_density=0.3)
+    adj = bundle.adjacency
+    assert (adj.row_nnz() == 0).any()
+    ws = random_weights([6, 5, 3], seed=4)
+    cases = [(make_gcn(ws, "binary"), normalize_adjacency(adj, "binary")),
+             (make_gcn(ws, "sym_norm"), normalize_adjacency(adj, "sym_norm")),
+             (make_graphsage(list(zip(ws, random_weights([6, 5, 3], seed=5)))),
+              mean_adjacency(adj))]
+    for model, a in cases:
+        dense = a.to_dense().data
+        if model.adjacency_mode == "mean":
+            a_real = (dense != 0) / np.maximum(a.row_nnz(), 1)[:, None]
+        elif a.frac_bits:
+            a_real = dequantize(a.to_dense())
+        else:
+            a_real = (dense != 0).astype(float)
+        x = dequantize(bundle.features.to_dense())
+        for layer in model.layers:
+            y = a_real @ (x @ dequantize(layer.weight))
+            if model.kind == KIND_SAGE:
+                y = x @ dequantize(layer.weight_self) + y
+            x = np.maximum(y, 0.0) if layer.activation == "relu" else y
+        for x0 in (bundle.features, bundle.features.to_dense()):
+            got = real_reference(model, a, x0)
+            assert got.shape == x.shape
+            assert np.abs(got - x).max() <= 1e-12
+
+
+def test_sparse_paths_peak_linear_in_nonzeros_at_200k_nodes():
+    # an n x n float grid here would need 320 GB; the budget is linear in
+    # nnz + nodes x features, with >= 2x headroom over the measured peaks
+    # (about 23 B per unit for sym_norm and 29-31 B for real_reference)
+    n, feats = 200_000, 16
+    bundle = gen_powerlaw(n, 4, 2.1, seed=5, n_features=feats, feature_density=0.1)
+    ws = random_weights([feats, 16, 4], seed=1)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    a, sym_peak = peak(lambda: normalize_adjacency(bundle.adjacency, "sym_norm"))
+    budget = 64 * (a.nnz + n * feats)
+    assert sym_peak <= budget, f"sym_norm peak {sym_peak} B over {budget} B"
+    _, gcn_peak = peak(lambda: real_reference(make_gcn(ws, "sym_norm"), a,
+                                              bundle.features))
+    assert gcn_peak <= budget, f"real_reference peak {gcn_peak} B over {budget} B"
+    sage = make_graphsage(list(zip(ws, random_weights([feats, 16, 4], seed=2))))
+    mean = mean_adjacency(bundle.adjacency)
+    _, sage_peak = peak(lambda: real_reference(sage, mean, bundle.features))
+    assert sage_peak <= budget, f"real_reference peak {sage_peak} B over {budget} B"

@@ -6,10 +6,6 @@ import pytest
 from gcnsim.matrix import ShapeError, SparseMatrixCSR
 from gcnsim.pcoo import deserialize_stream, make_header, serialize_stream
 from gcnsim.schedule import (
-    ORIGIN_EMPTY_ROW,
-    ORIGIN_PAD,
-    ORIGIN_STALL,
-    ORIGIN_VALID,
     ArchConfig,
     TileSchedule,
     assign_rows,
@@ -102,7 +98,7 @@ def test_assign_rows_all_empty():
     tile = SparseMatrixCSR.from_dense_raw(np.zeros((4, 8), dtype=np.int64), 4, 0)
     sched = assign_rows(tile, 4)
     assert sched.cycles == 1
-    assert (sched.origin == ORIGIN_EMPTY_ROW).all()
+    assert schedule_stats(sched).empty_row.tolist() == [1, 1, 1, 1]
     assert (sched.sor == 1).all() and (sched.eor == 1).all() and (sched.vld == 0).all()
 
 
@@ -153,7 +149,11 @@ def test_stall_block_rule():
     assert out.cycles == 2
     assert out.vld[0].tolist() == [1, 0]
     assert out.vld[1].tolist() == [0, 1]
-    assert (out.origin[out.vld == 0] == ORIGIN_STALL).all()
+    # the injected idle slots carry no bits and count as one stall per PE
+    assert (out.sor[out.vld == 0] == 0).all() and (out.eor[out.vld == 0] == 0).all()
+    assert out.stall_cycles == 1
+    stats = schedule_stats(out)
+    assert stats.stall_idle.tolist() == [1, 1] and stats.pad_idle.tolist() == [0, 0]
     assert grants_legal(out, cfg)
 
 
@@ -199,12 +199,16 @@ def test_stall_preserves_order_and_legality():
         assert stats.totals()["valid"] + stats.totals()["empty_row"] \
             + stats.totals()["stall_idle"] + stats.totals()["pad_idle"] \
             == post.cycles * k
-        # deleting the injected idles recovers each pre-stall column exactly
+        # every PE keeps its whole column, so each gains the same stall count
+        assert (stats.stall_idle == post.cycles - pre.cycles).all()
+        assert post.stall_cycles == post.cycles - pre.cycles
+        assert np.array_equal(stats.pad_idle, schedule_stats(pre).pad_idle)
+        # deleting the all-zero slots leaves each pre-stall column's packets
         for p in range(k):
-            keep = post.origin[:, p] != ORIGIN_STALL
-            for name in ("sor", "eor", "vld", "col", "value", "origin"):
-                got = getattr(post, name)[keep, p]
-                assert np.array_equal(got, getattr(pre, name)[:, p]), name
+            live = lambda s: (s.sor[:, p] | s.eor[:, p] | s.vld[:, p]) != 0
+            for name in ("sor", "eor", "vld", "col", "value"):
+                got = getattr(post, name)[live(post), p]
+                assert np.array_equal(got, getattr(pre, name)[live(pre), p]), name
 
 
 def test_stall_monotone_in_groups_and_replicas():
@@ -235,7 +239,7 @@ def test_dmm_schedule_balanced():
     sched = build_dmm_schedule(8, 8, 8)
     assert sched.cycles == 8
     assert (sched.vld == 1).all()
-    assert (sched.origin == ORIGIN_VALID).all()
+    assert schedule_stats(sched).valid.tolist() == [8] * 8
     assert sched.sor[0].tolist() == [1] * 8 and sched.sor[1:].sum() == 0
     assert sched.eor[-1].tolist() == [1] * 8
     assert (sched.col == np.arange(8)[:, None]).all()
@@ -245,8 +249,11 @@ def test_dmm_schedule_ragged_tail():
     k = 8
     sched = build_dmm_schedule(k + 1, 8, k)
     assert sched.cycles == 16
-    assert (sched.origin[8:, 1:] == ORIGIN_PAD).all()
-    assert (sched.origin[8:, 0] == ORIGIN_VALID).all()
+    assert ((sched.sor | sched.eor | sched.vld)[8:, 1:] == 0).all()
+    assert (sched.vld[8:, 0] == 1).all()
+    stats = schedule_stats(sched)
+    assert stats.pad_idle.tolist() == [0] + [8] * (k - 1)
+    assert stats.stall_idle.tolist() == [0] * k
     # PE 0 owns rows 0 and 8, every other PE one row
     assert sched.sor.sum(axis=0).tolist() == [2] + [1] * (k - 1)
     assert sched.eor.sum(axis=0).tolist() == [2] + [1] * (k - 1)
@@ -295,5 +302,21 @@ def test_schedule_packets_roundtrip():
     rows_per_pe = [len(range(p, 10, 4)) for p in range(4)]
     assert back.sor.sum(axis=0).tolist() == rows_per_pe
     assert back.eor.sum(axis=0).tolist() == rows_per_pe
-    # idle provenance flattens to pad on the way back, by design
-    assert (back.origin[sched.origin == ORIGIN_STALL] == ORIGIN_PAD).all()
+    # a stream cannot tell a stall from a pad: every idle slot reads back as a pad
+    assert sched.stall_cycles > 0 and back.stall_cycles == 0
+    before, after = schedule_stats(sched), schedule_stats(back)
+    assert np.array_equal(after.pad_idle, before.pad_idle + before.stall_idle)
+    assert np.array_equal(after.valid, before.valid)
+    assert np.array_equal(after.empty_row, before.empty_row)
+
+
+def test_schedule_stats_rejects_unclassifiable_slots():
+    # sor without eor or vld is neither work, an empty-row marker nor idle
+    sched = make_sched([[(1, 0, 0, 0, 0), (0, 0, 0, 0, 0)]])
+    with pytest.raises(AssertionError):
+        schedule_stats(sched)
+    # more stalls than idle slots: the census would need negative pads
+    busy = make_sched([[(1, 1, 1, 0, 1), (1, 1, 1, 1, 1)]])
+    busy.stall_cycles = 1
+    with pytest.raises(AssertionError):
+        schedule_stats(busy)
