@@ -94,16 +94,10 @@ def resolve_settings(args) -> dict:
     return merged
 
 
-def arch_from(settings, **overrides):
-    kw = {
-        "replicas": settings["replicas"],
-        "load_bw": settings["load_bw"],
-        "move_bw": settings["move_bw"],
-        "value_bits": settings["value_bits"] or 0,
-    }
-    kw.update(overrides)
-    return config_for_tile(settings["pe"], settings["tile"],
-                           settings["lanes"], **kw)
+def arch_from(settings):
+    return config_for_tile(settings["pe"], settings["tile"], settings["lanes"],
+                           replicas=settings["replicas"], load_bw=settings["load_bw"],
+                           move_bw=settings["move_bw"])
 
 
 def _require_out(args) -> Path:
@@ -172,7 +166,7 @@ def cmd_preprocess(args) -> int:
     s = resolve_settings(args)
     out = _require_out(args)
     bundle = ingest_bundle_dir(args.bundle)
-    cfg = arch_from(s, value_bits=0)
+    cfg = arch_from(s)
     feat_bits = s["value_bits"]
     if feat_bits is None:
         feat_bits = packet_bits_for(bundle.features)
@@ -208,6 +202,12 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _check_model_shape(args) -> None:
+    for flag in ("layers", "hidden", "classes"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+
+
 def _simulate_point(bundle, kind, adjacency_mode, args, settings):
     model, a = build_model(bundle, kind, adjacency_mode, args.hidden,
                            args.classes, args.layers, settings["seed"])
@@ -221,6 +221,7 @@ def _simulate_point(bundle, kind, adjacency_mode, args, settings):
 
 def cmd_simulate(args) -> int:
     s = resolve_settings(args)
+    _check_model_shape(args)
     bundle = ingest_bundle_dir(args.bundle)
     logits, doc = _simulate_point(bundle, args.model, args.adjacency, args, s)
     print(render_report(doc), end="")
@@ -242,6 +243,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--out is required for this command")
     if s["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {s['jobs']}")
+    _check_model_shape(args)
     bundle = ingest_bundle_dir(args.bundle)
     grid = list(itertools.product(args.pe, args.replicas, args.tile))
     points = []

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VALUE_WIDTHS = (4, 16, 32)
-
 
 class ShapeError(ValueError):
     """Operand dimensions do not chain."""
@@ -38,38 +36,6 @@ def check_fits(arr: np.ndarray, bits: int, what: str = "value") -> None:
         pos = np.argwhere(bad)[0]
         val = arr[tuple(pos)]
         raise OverflowTrap(f"{what} {val} at {tuple(int(p) for p in pos)} outside {bits}-bit range")
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """One signed fixed-point scalar: raw integer, width, and scale 2^-frac_bits."""
-
-    raw: int
-    bits: int
-    frac_bits: int
-
-    def __post_init__(self):
-        if self.bits not in VALUE_WIDTHS:
-            raise ValueError(f"unsupported width {self.bits}")
-        if not 0 <= self.frac_bits < self.bits:
-            raise ValueError(f"frac_bits {self.frac_bits} not in [0, {self.bits})")
-        if not int_min(self.bits) <= self.raw <= int_max(self.bits):
-            raise OverflowTrap(f"raw {self.raw} outside {self.bits}-bit range")
-
-    @property
-    def value(self) -> float:
-        return self.raw * 2.0 ** -self.frac_bits
-
-
-def quantize_value(v: float, bits: int, frac_bits: int) -> tuple[int, bool]:
-    """Round v to the nearest representable multiple of 2^-frac_bits.
-
-    Ties go to even; out-of-range values saturate. Returns (raw, saturated).
-    """
-    scaled = float(np.round(v * (1 << frac_bits)))
-    lo, hi = int_min(bits), int_max(bits)
-    raw = int(min(max(scaled, lo), hi))
-    return raw, raw != scaled
 
 
 @dataclass

@@ -44,8 +44,7 @@ def report_document(report: RunReport, cfg: ArchConfig, label: str = "run",
         "config": {
             "pe_count": cfg.pe_count, "lanes": cfg.lanes, "groups": cfg.groups,
             "tile_width": cfg.tile_width, "replicas": cfg.replicas,
-            "value_bits": cfg.value_bits, "load_bw": cfg.load_bw,
-            "move_bw": cfg.move_bw,
+            "load_bw": cfg.load_bw, "move_bw": cfg.move_bw,
         },
         "phases": {
             "load_cycles": sum(r.load_cycles for _, r in report.steps),
@@ -121,7 +120,7 @@ def render_report(doc: dict) -> str:
         f"run: {doc['label']}",
         (f"array: {cfg['pe_count']} PEs x {cfg['lanes']} lanes, "
          f"tile {cfg['tile_width']}, {cfg['groups']} banks, "
-         f"{cfg['replicas']} replica(s), H={cfg['value_bits']}"),
+         f"{cfg['replicas']} replica(s)"),
         (f"cycles: total {ph['total_cycles']}  load {ph['load_cycles']}  "
          f"compute {ph['compute_cycles']}  move {ph['move_cycles']}"),
     ]

@@ -28,7 +28,7 @@ from .matrix import (
     sdmm_reference,
 )
 from .schedule import ArchConfig
-from .simulator import MODE_DMM, MODE_SDMM, CycleReport, simulate_step
+from .simulator import MODE_SDMM, CycleReport, simulate_step
 
 KIND_GCN = "gcn"
 KIND_SAGE = "graphsage-mean"
@@ -161,11 +161,10 @@ class _SimEngine:
         self.report = report
 
     def matmul(self, label: str, x, w: DenseMatrix) -> DenseMatrix:
+        cfg = self.cfg
         if isinstance(x, SparseMatrixCSR):
-            cfg = replace(self.cfg, value_bits=packet_bits_for(x))
-            y, rep = simulate_step(x, w, MODE_SDMM, cfg)
-        else:
-            y, rep = simulate_step(x, w, MODE_DMM, self.cfg)
+            cfg = replace(cfg, value_bits=packet_bits_for(x))
+        y, rep = simulate_step(x, w, cfg)
         self.report.add(label, rep)
         return y
 

@@ -17,7 +17,6 @@ so the slot census follows from the packet bits and that count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +67,8 @@ class ArchConfig:
 
 def config_for_tile(pe_count: int, tile_width: int, lanes: int = 16, **kw) -> ArchConfig:
     """ArchConfig from an explicit tile width instead of a group count."""
+    if lanes < 1:
+        raise ValueError(f"lanes must be >= 1, got {lanes}")
     if tile_width % lanes:
         raise ValueError(f"tile width {tile_width} not a multiple of {lanes} lanes")
     return ArchConfig(pe_count, lanes=lanes, groups=tile_width // lanes, **kw)
@@ -295,35 +296,31 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
 
 
-def build_dmm_schedule(m_rows: int, t_eff: int, pe_count: int) -> TileSchedule:
-    """Dense-mode schedule: one shared column sweep per batch of K rows.
+def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
+    """Dense-mode schedule for an m x t column block of the dense left operand.
 
-    Every PE in a repetition walks columns 0..t_eff-1 in lockstep, so all
-    fetches in a cycle share one address and the collision pass can never
-    stall them. Repetitions past the row count idle the trailing PEs.
+    Rows go out K at a time: in repetition r, PE p owns row rK + p and walks
+    columns 0..t-1 in lockstep with the other PEs, carrying the block's
+    entry at (row, column) as its packet value. All fetches in a cycle
+    share one address, so the collision pass can never stall them.
+    Repetitions past the row count idle the trailing PEs.
     """
-    if t_eff < 1:
-        raise ValueError("t_eff must be >= 1")
-    if m_rows == 0:
+    x_block = np.asarray(x_block, dtype=np.int64)
+    m, t = x_block.shape
+    if t < 1:
+        raise ValueError("a dense block needs at least one column")
+    if m == 0:
         return TileSchedule.empty(pe_count)
-    reps = math.ceil(m_rows / pe_count)
-    cycles = reps * t_eff
-    shape = (cycles, pe_count)
-    sor = np.zeros(shape, np.uint8)
-    eor = np.zeros(shape, np.uint8)
-    vld = np.zeros(shape, np.uint8)
-    col = np.zeros(shape, np.int32)
-    value = np.zeros(shape, np.int64)
-    sweep = np.arange(t_eff, dtype=np.int32)
-    for rep in range(reps):
-        active = min(pe_count, m_rows - rep * pe_count)
-        s = rep * t_eff
-        sor[s, :active] = 1
-        eor[s + t_eff - 1, :active] = 1
-        vld[s:s + t_eff, :active] = 1
-        col[s:s + t_eff, :active] = sweep[:, None]
-        value[s:s + t_eff, :active] = 1
-    return TileSchedule.from_columns(sor, eor, vld, col, value)
+    reps = -(-m // pe_count)
+    active = (np.arange(reps * pe_count) < m).reshape(reps, 1, pe_count)
+    step = np.arange(t).reshape(1, t, 1)
+    value = np.zeros((reps * pe_count, t), dtype=np.int64)
+    value[:m] = x_block
+    # every field is reps x t x K, cycle-major once the first two axes merge
+    fields = (active & (step == 0), active & (step == t - 1),
+              np.broadcast_to(active, (reps, t, pe_count)), np.where(active, step, 0),
+              value.reshape(reps, pe_count, t).transpose(0, 2, 1))
+    return TileSchedule.from_columns(*(f.reshape(reps * t, pe_count) for f in fields))
 
 
 def check_schedule_values(sched: TileSchedule, value_bits: int) -> None:

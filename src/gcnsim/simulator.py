@@ -1,13 +1,16 @@
 """Cycle-level execution of tile schedules on the modeled PE array.
 
-The model walks a schedule one PE column at a time. Within a column the
-packet semantics are sequential: sor seeds the accumulators from the saved
-partial of the PE's current output row, vld accumulates value * W[col] into
-all lanes, eor writes the accumulators back and advances to the PE's next
-row. PE p owns rows p, p+K, p+2K, ... (the round-robin rule), so the row
-map is never stored. Columns never interact except through the per-cycle
-arbitration check, so each column is executed as one vectorized
-segment-sum; the result is bit-identical to stepping packet by packet.
+SDMM and DMM share one executor: a schedule carries its multiplicands in
+its value column (sparse nonzeros, or the dense block's entries), so the
+packet semantics are the same for both. Within a PE column they are
+sequential: sor seeds the accumulators from the saved partial of the PE's
+current output row, vld accumulates value * W[col] into all lanes, eor
+writes the accumulators back and advances to the PE's next row. PE p owns
+rows p, p+K, p+2K, ... (the round-robin rule), so the row map is never
+stored. PE columns never interact except through the per-cycle arbitration
+check, so a tile executes as one segment sum over its valid slots taken PE
+by PE, where each output row's slots are contiguous; the result is
+bit-identical to stepping packet by packet.
 
 A product runs one pass per column tile: one schedule, one arbitration
 check and one execution over every output column. The hardware still
@@ -52,6 +55,9 @@ from .pcoo import PcooPacket
 MODE_SDMM = "sdmm"
 MODE_DMM = "dmm"
 
+# products per run_tile chunk (valid slots x lanes): 4 MiB of int64
+_CHUNK_CELLS = 1 << 19
+
 
 class ArbitrationError(RuntimeError):
     """A granted cycle violates bank exclusivity: a scheduler bug, never silent."""
@@ -80,15 +86,15 @@ class PeState:
 
 
 def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
-            prev_tile_partial: np.ndarray,
-            value: int | None = None) -> tuple[PeState, np.ndarray | None]:
-    """Single-packet semantics; the per-column executor must agree with this.
+            prev_tile_partial: np.ndarray) -> tuple[PeState, np.ndarray | None]:
+    """Single-packet semantics; run_tile must agree with stepping these.
 
-    Returns the new state and, when eor fires, the emitted lane vector. In
-    dense mode the caller resolves the multiplicand (from the streamed left
-    operand) and passes it as `value`; sparse mode uses the packet's value.
-    Emission checks the 32-bit range here because a lone step has no later
-    tile to absorb a transient excursion.
+    Returns the new state and, when eor fires, the emitted lane vector. The
+    multiplicand is always the packet's value, in sparse and dense mode
+    alike. A valid packet outside a sor..eor pair is lost at the next sor;
+    run_tile rejects such a schedule instead. Emission checks the 32-bit
+    range here because a lone step has no later tile to absorb a transient
+    excursion.
     """
     acc = pe.acc.copy()
     cursor = pe.row_cursor
@@ -98,8 +104,7 @@ def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
     if pkt.sor:
         acc = np.asarray(prev_tile_partial, dtype=np.int64).copy()
     if pkt.vld:
-        v = pkt.value if value is None else value
-        acc = acc + v * np.asarray(w_row, dtype=np.int64)
+        acc = acc + pkt.value * np.asarray(w_row, dtype=np.int64)
     if pkt.eor:
         if acc.min() < int_min(32) or acc.max() > int_max(32):
             raise OverflowTrap(f"accumulator overflow emitting row {cursor}")
@@ -137,45 +142,51 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, dense_rows: int) -> 
 
 
 def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
-             cfg: ArchConfig, x_dense: np.ndarray | None = None
-             ) -> tuple[np.ndarray, ScheduleStats]:
+             cfg: ArchConfig) -> tuple[np.ndarray, ScheduleStats]:
     """Execute one tile schedule against a dense tile w (T rows, any lanes).
 
     partials is the OMMB view (all m rows, as many columns as w); the
     returned array is partials plus every PE's emitted rows. PE p emits
     rows range(p, m, K) in order, so its sor and eor counts must both equal
-    that row count. x_dense, when given, is the column-sliced dense left
-    operand (dense mode): the multiplicand comes from it instead of the
-    packet payload.
+    that row count, and every valid slot must sit inside one of its
+    sor..eor rows. Taken PE by PE, each row's valid slots are contiguous
+    and the slot's row is p + K * (sors so far - 1), so the whole tile is
+    one segment sum of value * w[col] over all lanes, taken in chunks of
+    slots so that memory stays linear in valid slots plus m x lanes.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError("schedule and config disagree on PE count")
     partials = np.asarray(partials, dtype=np.int64)
+    w = np.asarray(w, dtype=np.int64)
     if partials.ndim != 2 or partials.shape[1] != w.shape[1]:
         raise ShapeError("partials block does not match dense tile lanes")
     check_arbitration(sched, cfg, w.shape[0])
-    out = partials.copy()
     m, k = partials.shape[0], cfg.pe_count
-    for p in range(k):
-        rows = np.arange(p, m, k)
-        sor_col = sched.sor[:, p].astype(bool)
-        n_seg = int(sor_col.sum())
-        if n_seg != len(rows) or int(sched.eor[:, p].sum()) != len(rows):
-            raise ArbitrationError(f"PE {p}: row markers disagree with its {len(rows)} rows")
-        if n_seg == 0:
-            continue
-        seg = np.cumsum(sor_col) - 1
-        vmask = sched.vld[:, p] == 1
-        contrib = np.zeros((n_seg, w.shape[1]), dtype=np.int64)
-        if vmask.any():
-            segv = seg[vmask]
-            colv = sched.col[vmask, p]
-            if x_dense is None:
-                mult = sched.value[vmask, p]
-            else:
-                mult = x_dense[rows[segv], colv]
-            np.add.at(contrib, segv, mult[:, None] * w[colv])
-        out[rows] += contrib
+    owned = (m - np.arange(k) + k - 1) // k  # len(range(p, m, k)) per PE
+    off_map = (sched.sor.sum(axis=0) != owned) | (sched.eor.sum(axis=0) != owned)
+    if off_map.any():
+        p = int(np.flatnonzero(off_map)[0])
+        raise ArbitrationError(f"PE {p}: row markers disagree with its {owned[p]} rows")
+    out = partials.copy()
+    # PE-major (K x cycles) views: a row's valid slots are contiguous
+    valid = sched.vld.T == 1
+    seg = np.cumsum(sched.sor.T, axis=1, dtype=np.int32)[valid]  # sors so far
+    closed = np.cumsum(sched.eor.T, axis=1, dtype=np.int32)[valid]
+    stray = seg - closed + sched.eor.T[valid] != 1
+    if stray.any():
+        p, c = np.argwhere(valid)[np.flatnonzero(stray)[0]]
+        raise ArbitrationError(f"PE {p}: valid packet at cycle {c} is outside an open row")
+    row = np.repeat(np.arange(k), valid.sum(axis=1)) + k * (seg - 1)
+    col, value = sched.col.T[valid], sched.value.T[valid]
+    # bounded chunks of slots keep the products at a fixed size; a row cut
+    # by a chunk boundary is simply added to twice
+    step = max(1, _CHUNK_CELLS // max(w.shape[1], 1))
+    for s0 in range(0, len(row), step):
+        r = row[s0:s0 + step]
+        prod = w[col[s0:s0 + step]]
+        prod *= value[s0:s0 + step, None]
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        out[r[starts]] += np.add.reduceat(prod, starts, axis=0)
     return out, schedule_stats(sched)
 
 
@@ -251,41 +262,37 @@ class CycleReport:
         }
 
 
-def simulate_step(x, w: DenseMatrix, mode: str, cfg: ArchConfig
+def simulate_step(x, w: DenseMatrix, cfg: ArchConfig
                   ) -> tuple[DenseMatrix, CycleReport]:
     """One full matrix product on the array: load, compute, move.
 
-    SDMM streams a sparse left operand as packets; DMM sweeps every column
-    with a shared address stream and pulls multiplicands from the dense left
-    operand. Each column tile is scheduled, checked and executed once over
-    all output columns; its lane blocks add their load cycles and census
-    entries in order. Output accumulates across column tiles through the
-    OMMB and is width-checked once at the end.
+    The left operand picks the mode. A SparseMatrixCSR runs SDMM: each
+    column tile streams its nonzeros as packets. A DenseMatrix runs DMM:
+    each column block is swept in full, K rows at a time, with a shared
+    address stream and the block's entries as the packet values. Either
+    way each column tile is scheduled, checked and executed once over all
+    output columns by the same executor; its lane blocks add their load
+    cycles and census entries in order. Output accumulates across column
+    tiles through the OMMB and is width-checked once at the end.
     """
-    if mode == MODE_SDMM:
-        if not isinstance(x, SparseMatrixCSR):
-            raise TypeError("SDMM mode needs a sparse left operand")
-    elif mode == MODE_DMM:
-        if not isinstance(x, DenseMatrix):
-            raise TypeError("DMM mode needs a dense left operand")
+    t = cfg.tile_width
+    if isinstance(x, SparseMatrixCSR):
+        mode, tiles = MODE_SDMM, tile_columns(x, t)
+        schedule = lambda tile: build_sdmm_schedule(tile, cfg)
+    elif isinstance(x, DenseMatrix):
+        mode = MODE_DMM
+        tiles = [x.data[:, c0:c0 + t] for c0 in range(0, max(x.cols, 1), t)]
+        schedule = lambda block: build_dmm_schedule(block, cfg.pe_count)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise TypeError(f"left operand must be a SparseMatrixCSR or DenseMatrix, "
+                        f"got {type(x).__name__}")
     if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
-    m = x.rows
-    y = np.zeros((m, w.cols), dtype=np.int64)
+    y = np.zeros((x.rows, w.cols), dtype=np.int64)
     report = CycleReport(cfg.pe_count, mode=mode)
-    x_tiles = tile_columns(x, cfg.tile_width) if mode == MODE_SDMM else None
-    for ti, c0 in enumerate(range(0, max(x.cols, 1), cfg.tile_width)):
-        c1 = min(c0 + cfg.tile_width, x.cols)
-        w_tile = w.data[c0:c1]
-        if mode == MODE_SDMM:
-            sched = build_sdmm_schedule(x_tiles[ti], cfg)
-            x_slice = None
-        else:
-            sched = build_dmm_schedule(m, c1 - c0, cfg.pe_count)
-            x_slice = x.data[:, c0:c1]
-        y, stats = run_tile(sched, w_tile, y, cfg, x_dense=x_slice)
+    for c0, tile in zip(range(0, max(x.cols, 1), t), tiles):
+        w_tile = w.data[c0:c0 + t]
+        y, stats = run_tile(schedule(tile), w_tile, y, cfg)
         for o0 in range(0, max(w.cols, 1), cfg.lanes):
             report.load_cycles += load_tile(w_tile[:, o0:o0 + cfg.lanes], cfg)
             report.add_tile(stats, c0, o0)

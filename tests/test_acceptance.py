@@ -22,7 +22,7 @@ from gcnsim.pcoo import (PcooPacket, decode_packet, deserialize_stream,
 from gcnsim.runtime import make_gcn, run_model, verify_against_oracle
 from gcnsim.schedule import (ArchConfig, assign_rows, build_sdmm_schedule,
                              config_for_tile, stall_collisions, tile_columns)
-from gcnsim.simulator import MODE_DMM, MODE_SDMM, simulate_step
+from gcnsim.simulator import simulate_step
 
 ACCEPTANCE_RESULTS: list = []
 
@@ -91,7 +91,7 @@ def test_criterion_01_oracle_equivalence():
         cfg = random_arch(rng)
         x = random_sparse(rng, m, n, density, cfg.value_bits)
         w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
-        y, report = simulate_step(x, w, MODE_SDMM, cfg)
+        y, report = simulate_step(x, w, cfg)
         ref = sdmm_reference(x, w)
         assert y.frac_bits == ref.frac_bits
         assert np.array_equal(y.data, ref.data), f"SDMM mismatch on trial {trial}"
@@ -103,7 +103,7 @@ def test_criterion_01_oracle_equivalence():
         cfg = random_arch(rng)
         xd = DenseMatrix(rng.integers(-8, 8, (m, n)), 4, 0)
         w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
-        y, report = simulate_step(xd, w, MODE_DMM, cfg)
+        y, report = simulate_step(xd, w, cfg)
         ref = dmm_reference(xd, w)
         assert np.array_equal(y.data, ref.data), f"DMM mismatch on trial {trial}"
         census_identity(report)
@@ -250,7 +250,7 @@ def test_criterion_07_accounting_identity():
         n = int(rng.integers(2, 257))
         x = random_sparse(rng, m, n, 10.0 ** rng.uniform(-2, -1), cfg.value_bits)
         w = DenseMatrix(rng.integers(-8, 8, (n, int(rng.integers(1, 33)))), 4, 0)
-        _, report = simulate_step(x, w, MODE_SDMM, cfg)
+        _, report = simulate_step(x, w, cfg)
         census_identity(report)
     for _ in range(10):
         bundle = gen_powerlaw(128, 3, 2.5, seed=int(rng.integers(1 << 30)),
@@ -273,14 +273,14 @@ def test_criterion_08_dmm_degenerate():
             p = int(rng.integers(1, 33))
             x = DenseMatrix(rng.integers(-8, 8, (m, n)), 4, 0)
             w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
-            _, report = simulate_step(x, w, MODE_DMM, ArchConfig(k))
+            _, report = simulate_step(x, w, ArchConfig(k))
             assert report.collision.sum() == 0, f"K={k} m={m}: dense stalls"
             assert report.imbalance.sum() == 0, f"K={k} m={m}: dense pads"
             census_identity(report)
     # contrast: a ragged row count must show up as imbalance, not vanish
     x = DenseMatrix(rng.integers(-8, 8, (9, 8)), 4, 0)
     w = DenseMatrix(rng.integers(-8, 8, (8, 4)), 4, 0)
-    _, report = simulate_step(x, w, MODE_DMM, ArchConfig(4))
+    _, report = simulate_step(x, w, ArchConfig(4))
     assert report.imbalance.sum() > 0
 
 

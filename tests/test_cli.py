@@ -184,6 +184,18 @@ def test_error_exit_categories(workload, tmp_path, capsys):
         bad.write_text(f'{{"pe": {value}}}')
         assert main(["simulate", str(workload / "w"), "--config",
                      str(bad)]) == EXIT_DATA
+    capsys.readouterr()
+    # model shapes are checked before any work, with a plain message
+    for flag, message in (("--lanes", "lanes must be >= 1"),
+                          ("--layers", "--layers must be >= 1"),
+                          ("--hidden", "--hidden must be >= 1"),
+                          ("--classes", "--classes must be >= 1")):
+        assert main(["simulate", str(workload / "w"), flag, "0"]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert main(["sweep", str(workload / "w"), flag, "0",
+                     "--out", str(tmp_path / "z.csv")]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "z.csv").exists()
     bad.write_text("{broken")
     assert main(["simulate", str(workload / "w"), "--config",
                  str(bad)]) == EXIT_DATA

@@ -5,7 +5,6 @@ import pytest
 
 from gcnsim.matrix import (
     DenseMatrix,
-    FixedPoint,
     OverflowTrap,
     ShapeError,
     SparseMatrixCSR,
@@ -13,7 +12,6 @@ from gcnsim.matrix import (
     dmm_reference,
     normalize_adjacency,
     quantize,
-    quantize_value,
     relu,
     requantize16,
     sdmm_reference,
@@ -44,27 +42,16 @@ def random_csr(rng, rows, cols, density, bits=4, frac_bits=0):
     return SparseMatrixCSR.from_dense_raw(raw, bits, frac_bits), raw
 
 
-def test_quantize_value_known():
-    assert quantize_value(0.3, 4, 3) == (2, False)      # 2.4 rounds down
-    assert quantize_value(0.6875, 4, 3) == (6, False)   # 5.5 ties to even 6
-    assert quantize_value(0.5625, 4, 3) == (4, False)   # 4.5 ties to even 4
-    assert quantize_value(-0.6875, 4, 3) == (-6, False)
-    assert quantize_value(2.0, 4, 3) == (7, True)       # saturates high
-    assert quantize_value(-5.0, 4, 3) == (-8, True)     # saturates low
-    assert quantize_value(0.0, 16, 15) == (0, False)
-
-
 def test_quantize_matches_python_round():
     # python round() is an independent half-even implementation
     rng = np.random.default_rng(7)
-    for _ in range(500):
-        v = float(rng.uniform(-3, 3))
-        raw, sat = quantize_value(v, 16, 8)
-        expect = round(v * 256)
-        expect_sat = not -32768 <= expect <= 32767
-        expect = min(max(expect, -32768), 32767)
-        assert raw == expect
-        assert sat == expect_sat
+    vals = rng.uniform(-3, 3, size=500)
+    q = quantize(vals.reshape(20, 25), 16, 8)
+    expect = [round(v * 256) for v in vals]
+    expect_sat = sum(not -32768 <= e <= 32767 for e in expect)
+    expect = [min(max(e, -32768), 32767) for e in expect]
+    assert q.data.ravel().tolist() == expect
+    assert q.sat_count == expect_sat
 
 
 def test_quantize_error_bound_and_idempotence():
@@ -80,11 +67,12 @@ def test_quantize_error_bound_and_idempotence():
 
 def test_quantize_exhaustive_sint4():
     # every representable SINT4 value round-trips exactly at every scale
+    raws = list(range(-8, 8))
     for frac in range(4):
-        for raw in range(-8, 8):
-            fp = FixedPoint(raw, 4, frac)
-            back, sat = quantize_value(fp.value, 4, frac)
-            assert back == raw and not sat
+        vals = [raw * 2.0 ** -frac for raw in raws]
+        assert [round(v * (1 << frac)) for v in vals] == raws
+        q = quantize(np.array([vals]), 4, frac)
+        assert q.data.ravel().tolist() == raws and q.sat_count == 0
 
 
 def test_quantize_grid_sat_count():
@@ -96,14 +84,6 @@ def test_quantize_grid_sat_count():
         quantize(grid, 32, 0)
     with pytest.raises(ValueError):
         quantize(grid, 4, 4)
-
-
-def test_fixed_point_range():
-    with pytest.raises(OverflowTrap):
-        FixedPoint(8, 4, 0)
-    assert FixedPoint(-8, 4, 0).value == -8.0
-    assert FixedPoint(-8, 4, 3).value == -1.0
-    assert FixedPoint(3, 4, 3).value == 0.375
 
 
 def test_dequantize_roundtrip_sint16():

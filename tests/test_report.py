@@ -16,7 +16,7 @@ from gcnsim.report import (
 )
 from gcnsim.runtime import RunReport, make_gcn, run_model, verify_against_oracle
 from gcnsim.schedule import ArchConfig, config_for_tile
-from gcnsim.simulator import MODE_DMM, MODE_SDMM, simulate_step
+from gcnsim.simulator import simulate_step
 
 
 def banked_tile(nnz_per_row, pe_count, width=512, groups=32):
@@ -39,7 +39,7 @@ def banked_tile(nnz_per_row, pe_count, width=512, groups=32):
 def one_step_report(tile, pe_count):
     w = DenseMatrix(np.ones((tile.cols, 16), dtype=np.int64), 4, 3)
     cfg = ArchConfig(pe_count)
-    _, rep = simulate_step(tile, w, MODE_SDMM, cfg)
+    _, rep = simulate_step(tile, w, cfg)
     run = RunReport()
     run.add("step", rep)
     return report_document(run, cfg)
@@ -121,7 +121,7 @@ def test_dmm_only_run_has_no_sparse_block_numbers():
     x = DenseMatrix(np.ones((4, 8), dtype=np.int64), 16, 0)
     w = DenseMatrix(np.ones((8, 16), dtype=np.int64), 4, 0)
     cfg = config_for_tile(2, 16)
-    _, rep = simulate_step(x, w, MODE_DMM, cfg)
+    _, rep = simulate_step(x, w, cfg)
     run = RunReport()
     run.add("dense", rep)
     doc = report_document(run, cfg)
@@ -171,3 +171,14 @@ def test_render_mentions_the_numbers_people_look_for():
     verify = verify_against_oracle(model, adj, x0, cfg)
     text = render_report(report_document(run, cfg, verify=verify))
     assert "exact_match=True" in text
+
+
+def test_report_config_drops_the_unsimulated_value_width():
+    # SDMM steps always run at their operand's own packet width, so the
+    # configured width is not part of the run; older documents carrying
+    # it still render
+    doc = one_step_report(banked_tile([2, 1], 2), 2)
+    assert "value_bits" not in doc["config"]
+    assert "H=" not in render_report(doc)
+    doc["config"]["value_bits"] = 16
+    assert render_report(doc).splitlines()[1].endswith("1 replica(s)")

@@ -236,18 +236,22 @@ def test_stall_monotone_in_groups_and_replicas():
 
 
 def test_dmm_schedule_balanced():
-    sched = build_dmm_schedule(8, 8, 8)
+    x = np.arange(64).reshape(8, 8) - 32
+    sched = build_dmm_schedule(x, 8)
     assert sched.cycles == 8
     assert (sched.vld == 1).all()
     assert schedule_stats(sched).valid.tolist() == [8] * 8
     assert sched.sor[0].tolist() == [1] * 8 and sched.sor[1:].sum() == 0
     assert sched.eor[-1].tolist() == [1] * 8
     assert (sched.col == np.arange(8)[:, None]).all()
+    # cycle c, PE p carries x[p, c]: the schedule's values are the block transposed
+    assert np.array_equal(sched.value, x.T)
 
 
 def test_dmm_schedule_ragged_tail():
     k = 8
-    sched = build_dmm_schedule(k + 1, 8, k)
+    x = np.arange(72).reshape(k + 1, 8) + 1
+    sched = build_dmm_schedule(x, k)
     assert sched.cycles == 16
     assert ((sched.sor | sched.eor | sched.vld)[8:, 1:] == 0).all()
     assert (sched.vld[8:, 0] == 1).all()
@@ -257,11 +261,22 @@ def test_dmm_schedule_ragged_tail():
     # PE 0 owns rows 0 and 8, every other PE one row
     assert sched.sor.sum(axis=0).tolist() == [2] + [1] * (k - 1)
     assert sched.eor.sum(axis=0).tolist() == [2] + [1] * (k - 1)
+    assert np.array_equal(sched.value[:8], x[:8].T)
+    assert np.array_equal(sched.value[8:, 0], x[8])
+    assert (sched.value[8:, 1:] == 0).all()
+    with pytest.raises(ValueError):
+        build_dmm_schedule(np.zeros((3, 0), np.int64), k)
+    assert build_dmm_schedule(np.zeros((0, 4), np.int64), k).cycles == 0
 
 
 def test_dmm_schedule_never_stalls():
+    rng = np.random.default_rng(5)
     for m, k in ((8, 8), (13, 4), (4, 8), (32, 16)):
-        sched = build_dmm_schedule(m, 8, k)
+        x = rng.integers(-8, 8, size=(m, 8))
+        sched = build_dmm_schedule(x, k)
+        for r0 in range(0, m, k):  # each repetition carries its K rows transposed
+            block = x[r0:r0 + k].T
+            assert np.array_equal(sched.value[r0 // k * 8:][:8, :block.shape[1]], block)
         cfg = ArchConfig(pe_count=k, lanes=2, groups=4, replicas=1)
         out = stall_collisions(sched, cfg)
         assert out.cycles == sched.cycles

@@ -1,5 +1,7 @@
 """Simulator: PE semantics, memory model, phases, oracle equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from gcnsim.schedule import (
 )
 from gcnsim.simulator import (
     MODE_DMM,
-    MODE_SDMM,
     ArbitrationError,
     CycleReport,
     PeState,
@@ -41,7 +42,7 @@ def make_sched(grid):
     return TileSchedule.from_columns(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
 
 
-def naive_run_tile(sched, w, partials, cfg, x_dense=None):
+def naive_run_tile(sched, w, partials, cfg):
     """Packet-by-packet execution through pe_step: the column oracle."""
     seeds = np.array(partials, dtype=np.int64)
     out = seeds.copy()
@@ -54,15 +55,10 @@ def naive_run_tile(sched, w, partials, cfg, x_dense=None):
             pkt = PcooPacket(*(int(a[cyc, p]) for a in
                                (sched.sor, sched.eor, sched.vld, sched.col, sched.value)))
             w_row = w[pkt.col] if pkt.vld else zero_row
-            if pkt.sor or pkt.vld or pkt.eor:
-                row = rows[pe.row_cursor]
-            value = None
-            if x_dense is not None and pkt.vld:
-                value = int(x_dense[row, pkt.col])
-            prev = seeds[row] if pkt.sor else None
-            pe, emitted = pe_step(pe, pkt, w_row, prev, value=value)
+            prev = seeds[rows[pe.row_cursor]] if pkt.sor else None
+            pe, emitted = pe_step(pe, pkt, w_row, prev)
             if emitted is not None:
-                out[row] = emitted
+                out[rows[pe.row_cursor - 1]] = emitted
     return out
 
 
@@ -102,13 +98,6 @@ def test_pe_step_single_mac():
     pe2, emitted = pe_step(pe, pkt, w_row, np.zeros(2, np.int64))
     assert emitted.tolist() == [3, 6]
     assert pe2.row_cursor == 1
-
-
-def test_pe_step_dense_value_override():
-    pkt = PcooPacket(1, 1, 1, 0, 1)
-    pe = PeState(np.zeros(1, np.int64))
-    _, emitted = pe_step(pe, pkt, np.array([10], np.int64), np.zeros(1, np.int64), value=-4)
-    assert emitted.tolist() == [-40]
 
 
 def test_pe_step_overflow_traps():
@@ -167,6 +156,26 @@ def test_run_tile_rejects_row_markers_off_the_row_map():
         run_tile(sched, w, np.zeros((3, 2), np.int64), cfg)
 
 
+def test_run_tile_rejects_valid_packet_outside_open_row():
+    # one PE owning two rows (10 and 5 per lane); the row markers balance,
+    # but a stray valid packet sits outside both rows, which pe_step drops
+    # and the executor must not fold into a neighbouring row
+    cfg = ArchConfig(pe_count=1, lanes=2, groups=2)
+    w = np.array([[10, 10], [5, 5]], np.int64)
+    partials = np.zeros((2, 2), np.int64)
+    row0 = PcooPacket(1, 1, 1, 0, 1)
+    row1 = PcooPacket(1, 1, 1, 1, 1)
+    stray = PcooPacket(0, 0, 1, 1, 1)
+    good = make_sched([[row0], [row1]])
+    assert run_tile(good, w, partials, cfg)[0].tolist() == [[10, 10], [5, 5]]
+    for grid in ([[stray], [row0], [row1]],    # before the first sor
+                 [[row0], [stray], [row1]]):   # after an eor, before the next sor
+        sched = make_sched(grid)
+        assert naive_run_tile(sched, w, partials, cfg).tolist() == [[10, 10], [5, 5]]
+        with pytest.raises(ArbitrationError, match="outside an open row"):
+            run_tile(sched, w, partials, cfg)
+
+
 def test_run_tile_matches_pe_step_walk():
     rng = np.random.default_rng(89)
     for trial in range(25):
@@ -188,13 +197,12 @@ def test_run_tile_dense_mode_matches_pe_step_walk():
         m = int(rng.integers(1, 12))
         rows = int(rng.integers(1, cfg.tile_width + 1))
         x = rng.integers(-8, 8, size=(m, rows))
-        w = DenseMatrix(rng.integers(-8, 8, size=(rows, 3)), 4, 3)
-        sched = build_dmm_schedule(m, rows, k)
-        w_tile = w.data
+        w = rng.integers(-8, 8, size=(rows, 3))
+        sched = build_dmm_schedule(x, k)
         partials = np.zeros((m, 3), dtype=np.int64)
-        fast, _ = run_tile(sched, w_tile, partials, cfg, x_dense=x)
-        slow = naive_run_tile(sched, w_tile, partials, cfg, x_dense=x)
-        assert np.array_equal(fast, slow)
+        fast, _ = run_tile(sched, w, partials, cfg)
+        assert np.array_equal(fast, naive_run_tile(sched, w, partials, cfg))
+        assert np.array_equal(fast, x @ w)
 
 
 def test_run_tile_equals_reference_single_tile():
@@ -237,7 +245,7 @@ def test_simulate_step_spec_point():
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(64, 16)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=16, groups=2, value_bits=4)
-    y, report = simulate_step(x, w, MODE_SDMM, cfg)
+    y, report = simulate_step(x, w, cfg)
     assert np.array_equal(y.data, sdmm_reference(x, w).data)
     assert y.frac_bits == 6
     report.check_identity()
@@ -259,7 +267,7 @@ def test_simulate_step_random_configs():
         raw[rng.random(raw.shape) < 0.8] = 0
         x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
         w = DenseMatrix(rng.integers(-8, 8, size=(n, c)), 4, 3)
-        y, report = simulate_step(x, w, MODE_SDMM, cfg)
+        y, report = simulate_step(x, w, cfg)
         assert np.array_equal(y.data, sdmm_reference(x, w).data)
         report.check_identity()
 
@@ -269,12 +277,12 @@ def test_simulate_step_dmm():
     x = DenseMatrix(rng.integers(-8, 8, size=(32, 16)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(16, 16)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=16, groups=2, value_bits=4)
-    y, report = simulate_step(x, w, MODE_DMM, cfg)
+    y, report = simulate_step(x, w, cfg)
     assert np.array_equal(y.data, dmm_reference(x, w).data)
     assert report.mode == MODE_DMM
     # identity left operand passes W through, widened
     ident = DenseMatrix(np.eye(16, dtype=np.int64), 4, 0)
-    y2, _ = simulate_step(ident, w, MODE_DMM, cfg)
+    y2, _ = simulate_step(ident, w, cfg)
     assert np.array_equal(y2.data, w.data)
 
 
@@ -286,7 +294,7 @@ def test_simulate_step_phase_arithmetic():
     w = DenseMatrix(rng.integers(-8, 8, size=(40, 10)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=4, groups=4, value_bits=4,
                      load_bw=8, move_bw=4)
-    y, report = simulate_step(x, w, MODE_SDMM, cfg)
+    y, report = simulate_step(x, w, cfg)
     # load: per pair ceil(rows*cols*r/load_bw); tiles are 16/16/8 rows wide
     # and output tiles 4/4/2 lanes
     expect_load = 0
@@ -310,11 +318,12 @@ def test_simulate_step_dmm_many_tiles_ragged_lanes():
     cfg = ArchConfig(pe_count=4, lanes=4, groups=2, value_bits=4, load_bw=8)
     x = DenseMatrix(rng.integers(-8, 8, size=(11, 21)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(21, 10)), 4, 3)
-    y, report = simulate_step(x, w, MODE_DMM, cfg)
+    y, report = simulate_step(x, w, cfg)
     assert np.array_equal(y.data, dmm_reference(x, w).data)
     assert [(t["col_offset"], t["out_offset"]) for t in report.tiles] == \
         [(c0, o0) for c0 in (0, 8, 16) for o0 in (0, 4, 8)]
-    per_block = sum(build_dmm_schedule(11, t, 4).cycles for t in (8, 8, 5))
+    per_block = sum(build_dmm_schedule(x.data[:, c0:c0 + 8], 4).cycles
+                    for c0 in (0, 8, 16))
     assert report.compute_cycles == 3 * per_block
     assert report.load_cycles == sum(-(-t * c // 8) for t in (8, 8, 5) for c in (4, 4, 2))
     report.check_identity()
@@ -326,7 +335,7 @@ def test_simulate_step_dmm_degenerate_counts():
     rng = np.random.default_rng(127)
     x = DenseMatrix(rng.integers(-8, 8, size=(12, 8)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(8, 4)), 4, 3)
-    _, report = simulate_step(x, w, MODE_DMM, cfg)
+    _, report = simulate_step(x, w, cfg)
     assert int(report.collision.sum()) == 0
     assert int(report.imbalance.sum()) == 0
 
@@ -338,8 +347,8 @@ def test_simulate_step_determinism():
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(20, 6)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=2, groups=4, value_bits=4)
-    y1, r1 = simulate_step(x, w, MODE_SDMM, cfg)
-    y2, r2 = simulate_step(x, w, MODE_SDMM, cfg)
+    y1, r1 = simulate_step(x, w, cfg)
+    y2, r2 = simulate_step(x, w, cfg)
     assert np.array_equal(y1.data, y2.data)
     assert r1.breakdown() == r2.breakdown()
 
@@ -353,7 +362,7 @@ def test_replica_monotonicity():
     cycles = []
     for r in (1, 2, 4, 8):
         cfg = ArchConfig(pe_count=8, lanes=8, groups=4, replicas=r, value_bits=4)
-        _, report = simulate_step(x, w, MODE_SDMM, cfg)
+        _, report = simulate_step(x, w, cfg)
         cycles.append(report.compute_cycles)
     assert cycles == sorted(cycles, reverse=True), cycles
 
@@ -362,15 +371,14 @@ def test_simulate_step_input_validation():
     cfg = ArchConfig(pe_count=2, lanes=2, groups=2, value_bits=4)
     x = DenseMatrix.zeros(2, 4, 4, 0)
     w = DenseMatrix.zeros(4, 2, 4, 0)
+    # the operand's type picks the mode; anything else is not an operand
     with pytest.raises(TypeError):
-        simulate_step(x, w, MODE_SDMM, cfg)
-    with pytest.raises(TypeError):
-        simulate_step(SparseMatrixCSR.from_dense_raw(np.zeros((2, 4), np.int64), 4, 0),
-                      w, MODE_DMM, cfg)
-    with pytest.raises(ValueError):
-        simulate_step(x, w, "outer", cfg)
+        simulate_step(x.data, w, cfg)
     with pytest.raises(ShapeError):
-        simulate_step(x, DenseMatrix.zeros(5, 2, 4, 0), MODE_DMM, cfg)
+        simulate_step(x, DenseMatrix.zeros(5, 2, 4, 0), cfg)
+    with pytest.raises(ShapeError):
+        simulate_step(SparseMatrixCSR.from_dense_raw(x.data, 4, 0),
+                      DenseMatrix.zeros(5, 2, 4, 0), cfg)
 
 
 def test_cycle_report_merge():
@@ -387,3 +395,30 @@ def test_cycle_report_merge():
     assert a.compute.tolist() == [5, 3]
     with pytest.raises(ValueError):
         a.merge(CycleReport(3))
+
+
+def test_simulate_step_peak_memory_is_linear():
+    # Measured peaks fit about 90 bytes per valid slot (schedule, indices,
+    # arbitration keys) plus 28 per output cell (partials, chunked products);
+    # the budget doubles that. Materialising every slot's lane products at
+    # once (one np.add.at over all slots, or one unchunked segment sum)
+    # costs V x C x 8 bytes and more and fails the dense case.
+    rng = np.random.default_rng(151)
+    cfg = ArchConfig(pe_count=16, lanes=16, groups=32, replicas=2, value_bits=4)
+    xd = DenseMatrix(rng.integers(-8, 8, size=(8192, 64)), 4, 0)
+    r, c = rng.integers(0, 8192, 60000), rng.integers(0, 512, 60000)
+    xs = SparseMatrixCSR.from_coo(8192, 512, r, c, rng.integers(1, 4, 60000), 4, 0)
+    assert xs.nnz >= 50000 and int(xs.values.max()) <= 7
+    for x, slots, reference in ((xd, xd.rows * xd.cols, dmm_reference),
+                                (xs, xs.nnz, sdmm_reference)):
+        w = DenseMatrix(rng.integers(-8, 8, size=(x.cols, 64)), 4, 0)
+        tracemalloc.start()
+        try:
+            y, _ = simulate_step(x, w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 2 * (90 * slots + 28 * x.rows * w.cols)
+        assert peak <= budget, (type(x).__name__, peak >> 20, budget >> 20)
+        # the sparse rows straddle the executor's slot chunks
+        assert np.array_equal(y.data, reference(x, w).data)
