@@ -40,6 +40,7 @@ from .runtime import (
     make_graphsage,
     mean_adjacency,
     packet_bits_for,
+    references,
     run_model,
     verify_against_oracle,
 )
@@ -208,22 +209,26 @@ def _check_model_shape(args) -> None:
             raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
 
-def _simulate_point(bundle, kind, adjacency_mode, args, settings):
-    model, a = build_model(bundle, kind, adjacency_mode, args.hidden,
+def _point_runner(args, settings):
+    """One config point's simulator; what the points share is built once."""
+    bundle = ingest_bundle_dir(args.bundle)
+    model, a = build_model(bundle, args.model, args.adjacency, args.hidden,
                            args.classes, args.layers, settings["seed"])
-    cfg = arch_from(settings)
-    logits, run = run_model(model, a, bundle.features, cfg)
-    verify = verify_against_oracle(model, a, bundle.features, cfg,
-                                   sim=(logits, run))
+    refs = references(model, a, bundle.features)
     label = Path(args.bundle).resolve().name
-    return logits, report_document(run, cfg, label=label, verify=verify)
+
+    def simulate(point):
+        cfg = arch_from(point)
+        logits, run = run_model(model, a, bundle.features, cfg)
+        verify = verify_against_oracle(logits, run, refs)
+        return logits, report_document(run, cfg, label=label, verify=verify)
+    return simulate
 
 
 def cmd_simulate(args) -> int:
     s = resolve_settings(args)
     _check_model_shape(args)
-    bundle = ingest_bundle_dir(args.bundle)
-    logits, doc = _simulate_point(bundle, args.model, args.adjacency, args, s)
+    logits, doc = _point_runner(args, s)(s)
     print(render_report(doc), end="")
     if args.out:
         out = _require_out(args)
@@ -244,16 +249,15 @@ def cmd_sweep(args) -> int:
     if s["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {s['jobs']}")
     _check_model_shape(args)
-    bundle = ingest_bundle_dir(args.bundle)
-    grid = list(itertools.product(args.pe, args.replicas, args.tile))
     points = []
-    for pe, r, t in grid:
+    for pe, r, t in itertools.product(args.pe, args.replicas, args.tile):
         # surfaces invalid combinations before any work happens
         config_for_tile(pe, t, s["lanes"], replicas=r)
         points.append({**s, "pe": pe, "replicas": r, "tile": t})
+    simulate = _point_runner(args, s)
 
     def run_point(point):
-        _, doc = _simulate_point(bundle, args.model, args.adjacency, args, point)
+        _, doc = simulate(point)
         sd, ph, v = doc["sdmm"], doc["phases"], doc["verify"]
         return {
             "pe": point["pe"], "replicas": point["replicas"],
@@ -285,7 +289,12 @@ def cmd_report(args) -> int:
     for i, path in enumerate(args.files):
         if i:
             print()
-        print(render_report(read_report(path)), end="")
+        doc = read_report(path)
+        try:
+            text = render_report(doc)
+        except (KeyError, TypeError, ValueError) as exc:  # six keys, but bad fields
+            raise ReportFormatError(f"{path}: malformed report field {exc}") from None
+        print(text, end="")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import GraphBundle
-from .matrix import DenseMatrix, SparseMatrixCSR, quantize
+from .matrix import DenseMatrix, SparseMatrixCSR, int_max, int_min, quantize
 
 WEIGHT_MAGIC = b"GCNW"
 WEIGHT_VERSION = 1
@@ -115,7 +115,10 @@ def read_features(path) -> SparseMatrixCSR:
         elif len(vals) != width:
             _fail(path, lineno, f"expected {width} columns, got {len(vals)}")
         rows.append(vals)
-    return quantize(np.array(rows), 4, 3, sparse=True)
+    grid = np.array(rows)
+    if np.isnan(grid).any():
+        _fail(path, lines[int(np.isnan(grid).any(axis=1).argmax())][0], "feature value is nan")
+    return quantize(grid, 4, 3, sparse=True)
 
 
 def _read_sparse_features(path, lines) -> SparseMatrixCSR:
@@ -127,6 +130,8 @@ def _read_sparse_features(path, lines) -> SparseMatrixCSR:
         n, m, bits, frac = (int(p) for p in parts[1:])
     except ValueError:
         _fail(path, lineno, f"non-integer sparse header field in {header!r}")
+    if min(n, m) < 0 or not 0 <= frac < bits <= 64:
+        _fail(path, lineno, f"sparse header needs sizes >= 0, 0 <= frac < bits <= 64: {header!r}")
     rr, cc, vv = [], [], []
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -141,9 +146,21 @@ def _read_sparse_features(path, lines) -> SparseMatrixCSR:
         rr.append(r)
         cc.append(c)
         vv.append(v)
-    return SparseMatrixCSR.from_coo(n, m, np.array(rr, dtype=np.int64),
-                                    np.array(cc, dtype=np.int64),
-                                    np.array(vv, dtype=np.int64), bits, frac)
+    try:
+        r, c, v = (np.array(a, dtype=np.int64) for a in (rr, cc, vv))
+    except OverflowError:  # past int64, so past any header's width
+        raise FileFormatError(f"{path}: a triplet value does not fit 64 bits") from None
+    del rr, cc, vv  # the int lists, not the arrays, set ingest's memory peak
+    repeat = np.zeros(len(r), dtype=bool)
+    if not ((np.diff(r) > 0) | (np.diff(r) == 0) & (np.diff(c) > 0)).all():  # not CSR order
+        order = np.lexsort((c, r))
+        repeat[order[1:]] = (np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)
+    wide = (v < int_min(bits)) | (v > int_max(bits))
+    for bad, msg in ((wide, f"value outside the {bits}-bit range"), (repeat, "repeated position")):
+        if bad.any():
+            lineno, line = lines[1 + int(np.argmax(bad))]
+            _fail(path, lineno, f"{msg} in {line!r}")
+    return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
 
 
 def write_features(path, f: SparseMatrixCSR) -> None:

@@ -138,10 +138,9 @@ class SparseMatrixCSR:
         if len(r):
             dup = np.concatenate([[False], (r[1:] == r[:-1]) & (c[1:] == c[:-1])])
             if dup.any():
-                group = np.cumsum(~dup) - 1
-                v = np.bincount(group, weights=v.astype(np.float64)).astype(np.int64)
-                keep = ~dup
-                r, c = r[keep], c[keep]
+                first = np.flatnonzero(~dup)  # each sorted group's first entry
+                v = np.add.reduceat(v, first)
+                r, c = r[first], c[first]
         keep = v != 0
         r, c, v = r[keep], c[keep], v[keep]
         row_ptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rows))])
@@ -186,15 +185,17 @@ def sdmm_reference(x: SparseMatrixCSR, w: DenseMatrix) -> DenseMatrix:
     """Zero-skipping sparse-dense product, the golden model for the PE array.
 
     Y[i,k] = sum_j X[i,j] * W[j,k] over stored nonzeros only, exact in
-    integers; each result entry must fit a 32-bit accumulator.
+    integers; each result entry must fit a 32-bit accumulator. Each output
+    column is one np.add.at scatter of the stored entries' products into
+    their CSR rows, so temporaries stay linear in nnz.
     """
     if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: X is {x.rows}x{x.cols}, W is {w.rows}x{w.cols}")
-    out = np.zeros((x.rows, w.cols), dtype=np.int64)
-    for i in range(x.rows):
-        s, e = x.row_ptr[i], x.row_ptr[i + 1]
-        if e > s:
-            out[i] = x.values[s:e] @ w.data[x.col_idx[s:e]]
+    out = np.zeros((w.cols, x.rows), dtype=np.int64)  # transposed: one row per column
+    rows = np.repeat(np.arange(x.rows), x.row_nnz())
+    for j, w_col in enumerate(np.ascontiguousarray(w.data.T)):
+        np.add.at(out[j], rows, w_col[x.col_idx] * x.values)
+    out = np.ascontiguousarray(out.T)
     check_fits(out, 32, "accumulator")
     return DenseMatrix(out, 32, x.frac_bits + w.frac_bits)
 

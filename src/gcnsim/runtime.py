@@ -7,7 +7,9 @@ after combination (the product moves to the dense-data memory) and after
 each layer (the activation moves to the edge-weight memory). The oracle
 backend replays the identical pipeline on the reference kernels, so the two
 paths must agree bit for bit; a separate real-arithmetic reference measures
-quantization error.
+quantization error. Neither reference depends on the array config, so
+references() computes both once for any number of configs. A simulated run
+plans each left operand once and reuses the plan for every product with it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .matrix import (
     sdmm_reference,
 )
 from .schedule import ArchConfig
-from .simulator import MODE_SDMM, CycleReport, simulate_step
+from .simulator import MODE_SDMM, CycleReport, plan_step, simulate_step
 
 KIND_GCN = "gcn"
 KIND_SAGE = "graphsage-mean"
@@ -159,12 +161,16 @@ class _SimEngine:
     def __init__(self, cfg: ArchConfig, report: RunReport):
         self.cfg = cfg
         self.report = report
+        self.plans: dict = {}  # id(x) -> (x, cfg, plan); holding x keeps its id unique
 
     def matmul(self, label: str, x, w: DenseMatrix) -> DenseMatrix:
-        cfg = self.cfg
-        if isinstance(x, SparseMatrixCSR):
-            cfg = replace(cfg, value_bits=packet_bits_for(x))
-        y, rep = simulate_step(x, w, cfg)
+        if id(x) not in self.plans:
+            cfg = self.cfg
+            if isinstance(x, SparseMatrixCSR):
+                cfg = replace(cfg, value_bits=packet_bits_for(x))
+            self.plans[id(x)] = (x, cfg, plan_step(x, cfg))
+        _, cfg, plan = self.plans[id(x)]
+        y, rep = simulate_step(x, w, cfg, plan)
         self.report.add(label, rep)
         return y
 
@@ -242,18 +248,18 @@ def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
     return x
 
 
-def verify_against_oracle(model: ModelSpec, a: SparseMatrixCSR, x0,
-                          cfg: ArchConfig, sim=None) -> dict:
-    """Exactness vs the reference path plus error stats vs real arithmetic.
+def references(model: ModelSpec, a: SparseMatrixCSR, x0) -> tuple[DenseMatrix, np.ndarray]:
+    """The config-free answers a run is checked against: oracle logits and
+    the float64 result. Compute once per model and inputs, reuse per config."""
+    return run_oracle(model, a, x0), real_reference(model, a, x0)
 
-    Pass sim=(logits, RunReport) from an earlier run_model call to skip the
-    second simulator pass.
-    """
-    sim_logits, report = sim if sim is not None else run_model(model, a, x0, cfg)
-    oracle_logits = run_oracle(model, a, x0)
+
+def verify_against_oracle(sim_logits: DenseMatrix, report: RunReport, refs: tuple) -> dict:
+    """Exactness vs the oracle plus error stats vs real arithmetic, for
+    run_model's results and references() of the same model and inputs."""
+    oracle_logits, real = refs
     exact = (sim_logits.frac_bits == oracle_logits.frac_bits
              and np.array_equal(sim_logits.data, oracle_logits.data))
-    real = real_reference(model, a, x0)
     sim_real = dequantize(sim_logits)
     max_abs_err = float(np.abs(sim_real - real).max()) if real.size else 0.0
     agree = float((sim_real.argmax(axis=1) == real.argmax(axis=1)).mean()) \

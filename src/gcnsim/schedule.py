@@ -116,9 +116,6 @@ class TileSchedule:
         return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
                    np.asarray(value, dtype=np.int64))
 
-    def valid_count(self) -> int:
-        return int(self.vld.sum())
-
 
 @dataclass(frozen=True)
 class ScheduleStats:
@@ -325,9 +322,9 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
 
 def check_schedule_values(sched: TileSchedule, value_bits: int) -> None:
     """Reject values a packet stream of this width could not carry."""
-    if not sched.valid_count():
-        return
     vals = sched.value[sched.vld == 1]
+    if not len(vals):
+        return
     if value_bits == 0:
         if (vals != 1).any():
             raise ValueError("0-bit value field requires a binary operand (all stored values 1)")

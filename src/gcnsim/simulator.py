@@ -12,11 +12,11 @@ check, so a tile executes as one segment sum over its valid slots taken PE
 by PE, where each output row's slots are contiguous; the result is
 bit-identical to stepping packet by packet.
 
-A product runs one pass per column tile: one schedule, one arbitration
-check and one execution over every output column. The hardware still
-walks the output C lanes at a time, replaying the same schedule per lane
-block, so each lane block is an accounting pass that adds its load cycles
-and its slot census.
+A product is planned once (plan_step: schedule, check and census per
+column tile, reusable for every product with the same left operand) and
+run once per column tile over every output column (simulate_step). The
+hardware walks the output C lanes at a time, replaying the schedule per
+lane block, so each lane block only adds its load cycles and census.
 
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
@@ -118,31 +118,31 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, dense_rows: int) -> 
 
     Within one cycle and replica group, all valid packets sharing a bank
     must share one address; anything else would be silent corruption in
-    hardware, so it raises here.
+    hardware, so it raises here. One sort of packed int64 keys (cycle,
+    replica group, bank, col // groups) puts a bank's fetches side by side.
     """
-    mask = sched.vld == 1
-    if not mask.any():
+    flat = np.flatnonzero(sched.vld)  # cycle-major slot indices
+    if not len(flat):
         return
-    cyc, pe = np.nonzero(mask)
-    cols = sched.col[cyc, pe].astype(np.int64)
+    cols = sched.col.ravel()[flat]
     if cols.min() < 0 or cols.max() >= dense_rows:
         raise ShapeError(f"packet column {int(cols.max())} outside dense tile rows {dense_rows}")
-    group = pe // cfg.group_width
-    bank = cols % cfg.groups
-    key = (cyc.astype(np.int64) * cfg.replicas + group) * cfg.groups + bank
-    order = np.lexsort((cols, key))
-    k_sorted = key[order]
-    c_sorted = cols[order]
-    clash = (k_sorted[1:] == k_sorted[:-1]) & (c_sorted[1:] != c_sorted[:-1])
+    k, g = cfg.pe_count, cfg.groups
+    per_bank = -(-dense_rows // g)  # addresses one bank holds
+    key = ((flat // k * cfg.replicas + flat % k // cfg.group_width) * g
+           + cols % g) * per_bank + cols // g
+    key.sort()
+    bank_key = key // per_bank
+    clash = (bank_key[1:] == bank_key[:-1]) & (key[1:] != key[:-1])
     if clash.any():
         at = int(np.flatnonzero(clash)[0])
-        raise ArbitrationError(
-            f"cycle {int(cyc[order][at])}: addresses {int(c_sorted[at])} and "
-            f"{int(c_sorted[at + 1])} share a bank in one replica group")
+        a, b = (int(key[i] % per_bank * g + bank_key[i] % g) for i in (at, at + 1))
+        raise ArbitrationError(f"cycle {int(bank_key[at]) // g // cfg.replicas}: addresses "
+                               f"{a} and {b} share a bank in one replica group")
 
 
 def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
-             cfg: ArchConfig) -> tuple[np.ndarray, ScheduleStats]:
+             cfg: ArchConfig) -> np.ndarray:
     """Execute one tile schedule against a dense tile w (T rows, any lanes).
 
     partials is the OMMB view (all m rows, as many columns as w); the
@@ -160,7 +160,6 @@ def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
     w = np.asarray(w, dtype=np.int64)
     if partials.ndim != 2 or partials.shape[1] != w.shape[1]:
         raise ShapeError("partials block does not match dense tile lanes")
-    check_arbitration(sched, cfg, w.shape[0])
     m, k = partials.shape[0], cfg.pe_count
     owned = (m - np.arange(k) + k - 1) // k  # len(range(p, m, k)) per PE
     off_map = (sched.sor.sum(axis=0) != owned) | (sched.eor.sum(axis=0) != owned)
@@ -178,6 +177,8 @@ def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
         raise ArbitrationError(f"PE {p}: valid packet at cycle {c} is outside an open row")
     row = np.repeat(np.arange(k), valid.sum(axis=1)) + k * (seg - 1)
     col, value = sched.col.T[valid], sched.value.T[valid]
+    if len(col) and (col.min() < 0 or col.max() >= w.shape[0]):
+        raise ShapeError(f"packet column {int(col.max())} outside dense tile rows {w.shape[0]}")
     # bounded chunks of slots keep the products at a fixed size; a row cut
     # by a chunk boundary is simply added to twice
     step = max(1, _CHUNK_CELLS // max(w.shape[1], 1))
@@ -187,7 +188,7 @@ def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
         prod *= value[s0:s0 + step, None]
         starts = np.flatnonzero(np.diff(r, prepend=-1))
         out[r[starts]] += np.add.reduceat(prod, starts, axis=0)
-    return out, schedule_stats(sched)
+    return out
 
 
 def data_move(y: DenseMatrix | np.ndarray, cfg: ArchConfig) -> int:
@@ -262,37 +263,46 @@ class CycleReport:
         }
 
 
-def simulate_step(x, w: DenseMatrix, cfg: ArchConfig
-                  ) -> tuple[DenseMatrix, CycleReport]:
-    """One full matrix product on the array: load, compute, move.
+def plan_step(x, cfg: ArchConfig) -> list[tuple[int, TileSchedule, ScheduleStats]]:
+    """(first column, checked schedule, slot census) of each column tile.
 
-    The left operand picks the mode. A SparseMatrixCSR runs SDMM: each
-    column tile streams its nonzeros as packets. A DenseMatrix runs DMM:
-    each column block is swept in full, K rows at a time, with a shared
-    address stream and the block's entries as the packet values. Either
-    way each column tile is scheduled, checked and executed once over all
-    output columns by the same executor; its lane blocks add their load
-    cycles and census entries in order. Output accumulates across column
-    tiles through the OMMB and is width-checked once at the end.
+    A SparseMatrixCSR plans SDMM: each column tile streams its nonzeros as
+    packets. A DenseMatrix plans DMM: each column block is swept in full, K
+    rows at a time, with one address stream and its entries as the values.
     """
     t = cfg.tile_width
     if isinstance(x, SparseMatrixCSR):
-        mode, tiles = MODE_SDMM, tile_columns(x, t)
-        schedule = lambda tile: build_sdmm_schedule(tile, cfg)
+        scheds = [build_sdmm_schedule(tile, cfg) for tile in tile_columns(x, t)]
     elif isinstance(x, DenseMatrix):
-        mode = MODE_DMM
-        tiles = [x.data[:, c0:c0 + t] for c0 in range(0, max(x.cols, 1), t)]
-        schedule = lambda block: build_dmm_schedule(block, cfg.pe_count)
+        scheds = [build_dmm_schedule(x.data[:, c0:c0 + t], cfg.pe_count)
+                  for c0 in range(0, max(x.cols, 1), t)]
     else:
         raise TypeError(f"left operand must be a SparseMatrixCSR or DenseMatrix, "
                         f"got {type(x).__name__}")
+    plan = []
+    for c0, sched in zip(range(0, len(scheds) * t, t), scheds):
+        check_arbitration(sched, cfg, min(t, x.cols - c0))
+        plan.append((c0, sched, schedule_stats(sched)))
+    return plan
+
+
+def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None
+                  ) -> tuple[DenseMatrix, CycleReport]:
+    """One full matrix product on the array: load, compute, move.
+
+    plan is plan_step(x, cfg), built here when not given. Output accumulates
+    across column tiles through the OMMB and is width-checked at the end.
+    """
+    if plan is None:
+        plan = plan_step(x, cfg)
     if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
     y = np.zeros((x.rows, w.cols), dtype=np.int64)
+    mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
     report = CycleReport(cfg.pe_count, mode=mode)
-    for c0, tile in zip(range(0, max(x.cols, 1), t), tiles):
-        w_tile = w.data[c0:c0 + t]
-        y, stats = run_tile(schedule(tile), w_tile, y, cfg)
+    for c0, sched, stats in plan:
+        w_tile = w.data[c0:c0 + cfg.tile_width]
+        y = run_tile(sched, w_tile, y, cfg)
         for o0 in range(0, max(w.cols, 1), cfg.lanes):
             report.load_cycles += load_tile(w_tile[:, o0:o0 + cfg.lanes], cfg)
             report.add_tile(stats, c0, o0)

@@ -19,7 +19,7 @@ from gcnsim.matrix import (DenseMatrix, SparseMatrixCSR, dmm_reference,
                            normalize_adjacency, sdmm_reference)
 from gcnsim.pcoo import (PcooPacket, decode_packet, deserialize_stream,
                          encode_packet, make_header, serialize_stream)
-from gcnsim.runtime import make_gcn, run_model, verify_against_oracle
+from gcnsim.runtime import make_gcn, references, run_model, verify_against_oracle
 from gcnsim.schedule import (ArchConfig, assign_rows, build_sdmm_schedule,
                              config_for_tile, stall_collisions, tile_columns)
 from gcnsim.simulator import simulate_step
@@ -340,7 +340,8 @@ def test_criterion_10_quantized_accuracy():
                               feature_density=0.1)
         a = normalize_adjacency(bundle.adjacency, "binary")
         model = make_gcn(random_weights([32, 16, 4], seed=1000 + i))
-        stats = verify_against_oracle(model, a, bundle.features, cfg)
+        stats = verify_against_oracle(*run_model(model, a, bundle.features, cfg),
+                                      references(model, a, bundle.features))
         assert stats["exact_match"], f"graph {i}: simulator drifted from oracle"
         agree_nodes += round(stats["argmax_agreement"] * 256)
         total_nodes += 256

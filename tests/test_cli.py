@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gcnsim import runtime
 from gcnsim.cli import EXIT_DATA, EXIT_INVALID, EXIT_OK, main
 from gcnsim.formats import read_meta
 from gcnsim.pcoo import deserialize_stream
@@ -125,6 +126,25 @@ def test_sweep_parallel_jobs_match_serial(workload, capsys):
     capsys.readouterr()
 
 
+def test_sweep_computes_references_once(workload, monkeypatch, capsys):
+    calls = {"run_oracle": 0, "real_reference": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(runtime, name, counting(name, getattr(runtime, name)))
+    assert main(["sweep", str(workload / "w"), "--pe", "2,4", "--replicas", "1,2",
+                 "--tile", "64", "--model", "graphsage-mean", "--hidden", "8",
+                 "--classes", "3", "--out", str(workload / "once.csv")]) == EXIT_OK
+    rows = list(csv.DictReader(open(workload / "once.csv")))
+    assert len(rows) == 4 and all(r["exact_match"] == "True" for r in rows)
+    assert calls == {"run_oracle": 1, "real_reference": 1}
+    capsys.readouterr()
+
+
 def test_config_file_and_flag_precedence(workload, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pe": 4, "tile": 64}))
@@ -203,3 +223,39 @@ def test_error_exit_categories(workload, tmp_path, capsys):
         main(["simulate", str(workload / "w"), "--value-bits", "7"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+TINY_EDGES = "0 1\n1 2\n2 3\n"
+REPORT_WITHOUT_CONFIG = json.dumps({"version": 1, "label": "x", "config": {},
+                                    "phases": {}, "steps": [], "sdmm": {}})
+REPORT_WITH_TEXT_ERROR = json.dumps({
+    "version": 1, "label": "x", "steps": [], "sdmm": {"compute_cycles": 0},
+    "config": dict.fromkeys(("pe_count", "lanes", "tile_width", "groups", "replicas"), 1),
+    "phases": dict.fromkeys(("total_cycles", "load_cycles", "compute_cycles",
+                             "move_cycles"), 0),
+    "verify": {"exact_match": True, "max_abs_err": "small", "argmax_agreement": 1.0}})
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("r.json", REPORT_WITHOUT_CONFIG, "malformed report field 'pe_count'"),
+    ("r.json", REPORT_WITH_TEXT_ERROR, "malformed report field"),
+    ("features.txt", "sparse 4 4 4 0\n0 0 7\n1 1 2\n0 0 7\n",
+     "features.txt:4: repeated position"),
+    ("features.txt", "sparse 4 4 4 0\n0 0 7\n1 1 8\n",
+     "features.txt:3: value outside the 4-bit range"),
+    ("features.txt", "sparse 4 4 4 0\n0 0 99999999999999999999\n",
+     "does not fit 64 bits"),
+    ("features.txt", "sparse 4 4 4 9\n0 0 1\n", "features.txt:1: sparse header needs"),
+    ("features.txt", "sparse -1 4 4 0\n", "features.txt:1: sparse header needs"),
+    ("features.txt", "0.5 1\n1 0\n2 nan\n0 0\n", "features.txt:3: feature value is nan"),
+], ids=["report-without-config", "report-text-error", "repeated-position", "value-over-width",
+        "value-over-int64", "frac-not-below-bits", "negative-rows", "dense-nan"])
+def test_malformed_inputs_exit_3(tmp_path, capsys, name, text, message):
+    # a report reaches render, a feature file ingest; neither may end in a traceback
+    (tmp_path / "edges.txt").write_text(TINY_EDGES)
+    (tmp_path / name).write_text(text)
+    argv = (["report", str(tmp_path / name)] if name.endswith(".json")
+            else ["preprocess", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

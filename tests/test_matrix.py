@@ -8,6 +8,7 @@ from gcnsim.matrix import (
     OverflowTrap,
     ShapeError,
     SparseMatrixCSR,
+    check_fits,
     dequantize,
     dmm_reference,
     normalize_adjacency,
@@ -116,6 +117,13 @@ def test_csr_from_coo_sums_duplicates():
     assert np.array_equal(x.to_dense().data, [[3, 0, 0], [5, 0, 0]])
 
 
+def test_csr_from_coo_sums_duplicates_exactly_above_2_53():
+    # a float64 sum would round 2 * (2^53 + 1) to 2^54
+    big = (1 << 53) + 1
+    x = SparseMatrixCSR.from_coo(1, 2, [0, 0, 0], [1, 1, 0], [big, big, 3], 64, 0)
+    assert x.values.tolist() == [3, 2 * big]
+
+
 def test_csr_validate_rejects():
     bad = SparseMatrixCSR(2, 3, [0, 1, 2], [2, 5], [1, 1], 4, 0)
     with pytest.raises(ShapeError):
@@ -172,6 +180,42 @@ def test_sdmm_hand_traces():
     y = sdmm_reference(ident, w)
     assert np.array_equal(y.data, w.data)
     assert y.bits == 32
+
+
+def sdmm_row_loop(x, w):
+    """The row-by-row walk over the CSR arrays that sdmm_reference replaces."""
+    out = np.zeros((x.rows, w.cols), dtype=np.int64)
+    for i in range(x.rows):
+        s, e = x.row_ptr[i], x.row_ptr[i + 1]
+        if e > s:
+            out[i] = x.values[s:e] @ w.data[x.col_idx[s:e]]
+    check_fits(out, 32, "accumulator")
+    return out
+
+
+def test_sdmm_reference_matches_row_loop():
+    rng = np.random.default_rng(43)
+    for trial in range(30):
+        m, p, c = (int(v) for v in rng.integers(0, 30, 3))
+        # many empty rows, wide values, and one operand of 20k nonzeros
+        x, _ = random_csr(rng, m, p, float(rng.uniform(0, 0.5)), bits=16, frac_bits=0)
+        if trial == 0:
+            x = SparseMatrixCSR.from_coo(4000, 300, rng.integers(0, 4000, 20000),
+                                         rng.integers(0, 300, 20000),
+                                         rng.integers(1, 9, 20000), 16, 0)
+            c = 20
+        w = DenseMatrix(rng.integers(-1 << 8, 1 << 8, size=(x.cols, c)), 16, 0)
+        assert np.array_equal(sdmm_reference(x, w).data, sdmm_row_loop(x, w)), trial
+    empty = SparseMatrixCSR(3, 4, np.zeros(4), [], [], 4, 0)
+    w = DenseMatrix(np.ones((4, 2), dtype=np.int64), 4, 0)
+    assert not sdmm_reference(empty, w).data.any()
+    assert sdmm_reference(empty, w).data.shape == (3, 2)
+    # a row sum past the 32-bit accumulator traps on both paths
+    x = SparseMatrixCSR.from_dense_raw(np.array([[0, 0], [1 << 15, 1 << 15]]), 32, 0)
+    w = DenseMatrix(np.full((2, 1), 1 << 15), 32, 0)
+    for product in (sdmm_reference, sdmm_row_loop):
+        with pytest.raises(OverflowTrap):
+            product(x, w)
 
 
 def test_dmm_trivial_cases():

@@ -14,7 +14,7 @@ from gcnsim.report import (
     report_document,
     write_report,
 )
-from gcnsim.runtime import RunReport, make_gcn, run_model, verify_against_oracle
+from gcnsim.runtime import RunReport, make_gcn, references, run_model, verify_against_oracle
 from gcnsim.schedule import ArchConfig, config_for_tile
 from gcnsim.simulator import simulate_step
 
@@ -106,7 +106,7 @@ def test_document_totals_and_verify_block():
     model = make_gcn([DenseMatrix(rng.integers(-8, 8, (4, 3)), 4, 3)])
     cfg = config_for_tile(2, 16)
     logits, run = run_model(model, adj, x0, cfg)
-    verify = verify_against_oracle(model, adj, x0, cfg)
+    verify = verify_against_oracle(logits, run, references(model, adj, x0))
     doc = report_document(run, cfg, label="tiny", verify=verify)
     assert doc["label"] == "tiny"
     assert doc["phases"]["total_cycles"] == run.total_cycles()
@@ -167,8 +167,8 @@ def test_render_mentions_the_numbers_people_look_for():
     adj = SparseMatrixCSR.from_dense_raw(np.eye(4, dtype=int), 4, 0)
     model = make_gcn([DenseMatrix(rng.integers(-8, 8, (3, 2)), 4, 3)])
     cfg = config_for_tile(2, 16)
-    _, run = run_model(model, adj, x0, cfg)
-    verify = verify_against_oracle(model, adj, x0, cfg)
+    logits, run = run_model(model, adj, x0, cfg)
+    verify = verify_against_oracle(logits, run, references(model, adj, x0))
     text = render_report(report_document(run, cfg, verify=verify))
     assert "exact_match=True" in text
 

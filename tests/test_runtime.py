@@ -1,6 +1,7 @@
 """Multi-layer runtime: hand traces, sim/oracle agreement, error vs real math."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,18 +26,21 @@ from gcnsim.runtime import (
     LayerSpec,
     ModelSpec,
     RunReport,
+    _forward,
     align_add,
     make_gcn,
     make_graphsage,
     mean_adjacency,
     packet_bits_for,
     real_reference,
+    references,
     run_model,
     run_oracle,
     verify_against_oracle,
 )
-from gcnsim.schedule import config_for_tile
-from gcnsim.simulator import MODE_DMM, MODE_SDMM
+from gcnsim import simulator
+from gcnsim.schedule import config_for_tile, tile_columns
+from gcnsim.simulator import MODE_DMM, MODE_SDMM, simulate_step
 
 
 def csr_raw(grid, bits=4, frac=3):
@@ -51,6 +55,10 @@ def path3_adjacency():
     # nodes 0-1-2, undirected, no self loops
     a = csr_raw([[0, 1, 0], [1, 0, 1], [0, 1, 0]], bits=4, frac=0)
     return normalize_adjacency(a, "binary")
+
+
+def verify(model, a, x0, cfg):
+    return verify_against_oracle(*run_model(model, a, x0, cfg), references(model, a, x0))
 
 
 def random_model_inputs(rng, kind):
@@ -160,7 +168,7 @@ def test_sim_matches_oracle_bit_for_bit():
         width = int(rng.choice([16, 32, 64]))
         r = int(rng.choice([d for d in (1, 2) if k % d == 0]))
         cfg = config_for_tile(k, width, replicas=r)
-        res = verify_against_oracle(model, a, x0, cfg)
+        res = verify(model, a, x0, cfg)
         assert res["exact_match"], f"trial {trial} diverged from the oracle"
         assert res["total_cycles"] > 0
 
@@ -179,6 +187,57 @@ def test_run_model_dispatches_and_reports():
     assert d["total_cycles"] == report.total_cycles()
     assert len(d["steps"]) == len(report.steps)
     assert all("per_pe" in s for s in d["steps"])
+
+
+class FreshPlanEngine:
+    """run_model's engine without plan reuse: every step plans anew."""
+
+    def __init__(self, cfg):
+        self.cfg, self.report = cfg, RunReport()
+
+    def matmul(self, label, x, w):
+        cfg = self.cfg
+        if isinstance(x, SparseMatrixCSR):
+            cfg = replace(cfg, value_bits=packet_bits_for(x))
+        y, rep = simulate_step(x, w, cfg)
+        self.report.add(label, rep)
+        return y
+
+
+def test_reused_plans_match_a_fresh_plan_per_step():
+    rng = np.random.default_rng(61)
+    for kind in (KIND_GCN, KIND_SAGE, KIND_GCN, KIND_SAGE):
+        model, a, x0 = random_model_inputs(rng, kind)
+        cfg = config_for_tile(int(rng.choice([2, 4])), 16, lanes=4)
+        logits, report = run_model(model, a, x0, cfg)
+        engine = FreshPlanEngine(cfg)
+        expect = _forward(model, a, x0, engine)
+        assert logits.frac_bits == expect.frac_bits
+        assert np.array_equal(logits.data, expect.data)
+        assert report.as_dict() == engine.report.as_dict()
+        assert [r.tiles for _, r in report.steps] == \
+            [r.tiles for _, r in engine.report.steps]
+
+
+def test_run_model_schedules_each_operand_tile_once(monkeypatch):
+    built, checked = [], []
+    build, check = simulator.build_sdmm_schedule, simulator.check_arbitration
+    monkeypatch.setattr(simulator, "build_sdmm_schedule",
+                        lambda tile, cfg: built.append(tile) or build(tile, cfg))
+    monkeypatch.setattr(simulator, "check_arbitration",
+                        lambda sched, *args: checked.append(sched) or check(sched, *args))
+    rng = np.random.default_rng(67)
+    for kind in (KIND_GCN, KIND_SAGE):
+        model, a, x0 = random_model_inputs(rng, kind)
+        cfg = config_for_tile(2, 16, lanes=4)
+        built.clear()
+        checked.clear()
+        run_model(model, a, x0, cfg)
+        # x0 and a are the two sparse operands, however many steps use them
+        sparse_tiles = sum(len(tile_columns(x, 16)) for x in (x0, a))
+        assert len(built) == sparse_tiles
+        # one check per planned tile; layer 1's dense input is the only DMM operand
+        assert len(checked) == sparse_tiles + -(-model.layers[1].weight.rows // 16)
 
 
 def test_merged_report_keeps_accounting_identity():
@@ -217,7 +276,7 @@ def test_quantization_error_small_and_argmax_stable():
     worst = 0.0
     for _ in range(6):
         model, a, x0 = random_model_inputs(rng, KIND_GCN)
-        res = verify_against_oracle(model, a, x0, config_for_tile(2, 16))
+        res = verify(model, a, x0, config_for_tile(2, 16))
         assert res["exact_match"]
         worst = max(worst, res["max_abs_err"])
         assert res["argmax_agreement"] >= 0.8
@@ -228,7 +287,7 @@ def test_quantization_error_small_and_argmax_stable():
 def test_graphsage_error_vs_real_reference():
     rng = np.random.default_rng(303)
     model, a, x0 = random_model_inputs(rng, KIND_SAGE)
-    res = verify_against_oracle(model, a, x0, config_for_tile(2, 16))
+    res = verify(model, a, x0, config_for_tile(2, 16))
     assert res["exact_match"]
     assert res["max_abs_err"] < 0.5
 
@@ -294,7 +353,7 @@ def test_real_reference_zero_error_without_requantize_effects():
     a = path3_adjacency()
     x0 = csr_raw([[1, 0], [0, 1], [1, 1]])
     model = make_gcn([dense_raw([[1, 1], [1, -1]])])
-    res = verify_against_oracle(model, a, x0, config_for_tile(2, 16))
+    res = verify(model, a, x0, config_for_tile(2, 16))
     assert res["exact_match"]
     assert res["max_abs_err"] == 0.0
     assert res["argmax_agreement"] == 1.0

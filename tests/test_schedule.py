@@ -194,7 +194,7 @@ def test_stall_preserves_order_and_legality():
         pre = assign_rows(tile, k)
         post = stall_collisions(pre, cfg)
         assert grants_legal(post, cfg)
-        assert post.valid_count() == tile.nnz
+        assert int(post.vld.sum()) == tile.nnz
         stats = schedule_stats(post)
         assert stats.totals()["valid"] + stats.totals()["empty_row"] \
             + stats.totals()["stall_idle"] + stats.totals()["pad_idle"] \

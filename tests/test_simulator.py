@@ -20,6 +20,7 @@ from gcnsim.schedule import (
     assign_rows,
     build_dmm_schedule,
     build_sdmm_schedule,
+    schedule_stats,
     stall_collisions,
     tile_columns,
 )
@@ -32,6 +33,7 @@ from gcnsim.simulator import (
     data_move,
     load_tile,
     pe_step,
+    plan_step,
     run_tile,
     simulate_step,
 )
@@ -136,9 +138,9 @@ def test_run_tile_all_idle():
                         [EMPTY_ROW_PACKET, EMPTY_ROW_PACKET],
                         [EMPTY_ROW_PACKET, IDLE_PACKET]])
     partials = np.arange(6).reshape(3, 2)
-    out, stats = run_tile(sched, np.ones((4, 2), np.int64), partials, cfg)
+    out = run_tile(sched, np.ones((4, 2), np.int64), partials, cfg)
     assert np.array_equal(out, partials)
-    assert stats.totals()["valid"] == 0
+    assert schedule_stats(sched).totals()["valid"] == 0
 
 
 def test_run_tile_rejects_row_markers_off_the_row_map():
@@ -167,7 +169,7 @@ def test_run_tile_rejects_valid_packet_outside_open_row():
     row1 = PcooPacket(1, 1, 1, 1, 1)
     stray = PcooPacket(0, 0, 1, 1, 1)
     good = make_sched([[row0], [row1]])
-    assert run_tile(good, w, partials, cfg)[0].tolist() == [[10, 10], [5, 5]]
+    assert run_tile(good, w, partials, cfg).tolist() == [[10, 10], [5, 5]]
     for grid in ([[stray], [row0], [row1]],    # before the first sor
                  [[row0], [stray], [row1]]):   # after an eor, before the next sor
         sched = make_sched(grid)
@@ -184,7 +186,7 @@ def test_run_tile_matches_pe_step_walk():
         sched = build_sdmm_schedule(tile, cfg)
         w_tile = w.data
         partials = rng.integers(-50, 50, size=(tile.rows, w.cols))
-        fast, _ = run_tile(sched, w_tile, partials, cfg)
+        fast = run_tile(sched, w_tile, partials, cfg)
         slow = naive_run_tile(sched, w_tile, partials, cfg)
         assert np.array_equal(fast, slow), trial
 
@@ -200,7 +202,7 @@ def test_run_tile_dense_mode_matches_pe_step_walk():
         w = rng.integers(-8, 8, size=(rows, 3))
         sched = build_dmm_schedule(x, k)
         partials = np.zeros((m, 3), dtype=np.int64)
-        fast, _ = run_tile(sched, w, partials, cfg)
+        fast = run_tile(sched, w, partials, cfg)
         assert np.array_equal(fast, naive_run_tile(sched, w, partials, cfg))
         assert np.array_equal(fast, x @ w)
 
@@ -211,22 +213,65 @@ def test_run_tile_equals_reference_single_tile():
         cfg, tile, w = random_tile_setup(rng)
         sched = build_sdmm_schedule(tile, cfg)
         w_tile = w.data
-        out, _ = run_tile(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64), cfg)
+        out = run_tile(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64), cfg)
         assert np.array_equal(out, sdmm_reference(tile, w).data)
 
 
-def test_arbitration_recheck_rejects_illegal():
+def test_arbitration_recheck_rejects_illegal(monkeypatch):
     cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
-    # addresses 1 and 5 share bank 1; a legal scheduler would have stalled one
-    bad = make_sched(
-        [[PcooPacket(1, 1, 1, 1, 1), PcooPacket(1, 1, 1, 5, 1)]])
-    w_tile = np.ones((8, 2), np.int64)
-    with pytest.raises(ArbitrationError):
-        run_tile(bad, w_tile, np.zeros((2, 2), np.int64), cfg)
-    # same addresses are a shared fetch, not a collision
+    # addresses 1 and 5 share bank 1 in cycle 1; a legal scheduler would
+    # have stalled one
+    row = PcooPacket(1, 1, 1, 1, 1)
+    bad = make_sched([[row, PcooPacket(1, 1, 1, 2, 1)],
+                      [row, PcooPacket(1, 1, 1, 5, 1)]])
+    with pytest.raises(ArbitrationError, match="cycle 1: addresses 1 and 5"):
+        check_arbitration(bad, cfg, 8)
+    # the plan checks every schedule it builds
+    monkeypatch.setattr("gcnsim.simulator.build_sdmm_schedule", lambda tile, cfg: bad)
+    x = SparseMatrixCSR.from_dense_raw(np.eye(4, 8, dtype=np.int64), 4, 0)
+    with pytest.raises(ArbitrationError, match="cycle 1"):
+        plan_step(x, cfg)
+    # same addresses are a shared fetch, not a collision; so are two banks
+    # in different replica groups
     ok = make_sched(
         [[PcooPacket(1, 1, 1, 5, 1), PcooPacket(1, 1, 1, 5, 1)]])
     check_arbitration(ok, cfg, 8)
+    check_arbitration(bad, ArchConfig(pe_count=2, lanes=2, groups=4, replicas=2), 8)
+
+
+def first_clash_cycle(sched, cfg):
+    """Cycle-by-cycle spec of check_arbitration: first cycle where one
+    replica group reads two addresses from one bank, or None."""
+    for cyc in range(sched.cycles):
+        owner = {}
+        for pe in np.flatnonzero(sched.vld[cyc]):
+            addr = int(sched.col[cyc, pe])
+            bank = (pe // cfg.group_width, addr % cfg.groups)
+            if owner.setdefault(bank, addr) != addr:
+                return cyc
+    return None
+
+
+def test_arbitration_check_matches_cycle_spec():
+    rng = np.random.default_rng(83)
+    raised = 0
+    for _ in range(300):
+        k = int(rng.choice([1, 2, 4, 8]))
+        cfg = ArchConfig(pe_count=k, lanes=2, groups=int(rng.choice([1, 2, 4, 8])),
+                         replicas=int(rng.choice([r for r in (1, 2, 4) if k % r == 0])))
+        rows = int(rng.integers(1, cfg.tile_width + 1))
+        cycles = int(rng.integers(1, 6))
+        vld = rng.random((cycles, k)) < 0.5
+        sched = TileSchedule.from_columns(vld, vld, vld, rng.integers(0, rows, (cycles, k)),
+                                          np.ones((cycles, k)))
+        expect = first_clash_cycle(sched, cfg)
+        if expect is None:
+            check_arbitration(sched, cfg, rows)
+        else:
+            raised += 1
+            with pytest.raises(ArbitrationError, match=f"^cycle {expect}:"):
+                check_arbitration(sched, cfg, rows)
+    assert 20 < raised < 280
 
 
 def test_run_tile_col_out_of_range():
