@@ -17,7 +17,6 @@ import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .formats import FileFormatError, export_bundle, ingest_bundle_dir, write_meta
 from .graphs import degree_stats, gen_powerlaw, random_weights
 from .matrix import OverflowTrap, ShapeError, normalize_adjacency
-from .pcoo import StreamFormatError, make_header, serialize_stream
+from .pcoo import PACKET_VALUE_WIDTHS, StreamFormatError, make_header, serialize_stream
 from .report import (
     ReportFormatError,
     read_report,
@@ -39,12 +38,17 @@ from .runtime import (
     make_gcn,
     make_graphsage,
     mean_adjacency,
-    packet_bits_for,
     references,
     run_model,
     verify_against_oracle,
 )
-from .schedule import build_sdmm_schedule, config_for_tile, schedule_stats, tile_columns
+from .schedule import (
+    build_sdmm_schedule,
+    config_for_tile,
+    packet_bits_for,
+    schedule_stats,
+    tile_columns,
+)
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -168,16 +172,14 @@ def cmd_preprocess(args) -> int:
     out = _require_out(args)
     bundle = ingest_bundle_dir(args.bundle)
     cfg = arch_from(s)
-    feat_bits = s["value_bits"]
-    if feat_bits is None:
-        feat_bits = packet_bits_for(bundle.features)
     rows = []
-    operands = [("adjacency", bundle.adjacency, 0),
-                ("features", bundle.features, feat_bits)]
+    operands = [("adjacency", bundle.adjacency, None),
+                ("features", bundle.features, s["value_bits"])]
     for kind, mat, h in operands:
-        cfg_h = replace(cfg, value_bits=h)
+        if h is None:
+            h = packet_bits_for(mat)
         for i, tile in enumerate(tile_columns(mat, cfg.tile_width)):
-            sched = build_sdmm_schedule(tile, cfg_h)
+            sched = build_sdmm_schedule(tile, cfg)
             name = f"{kind}{i:04d}.pcoo"
             hdr = make_header(cfg.tile_width, h, cfg.pe_count, sched.cycles)
             (out / name).write_bytes(serialize_stream(sched, hdr))
@@ -251,9 +253,9 @@ def cmd_sweep(args) -> int:
     _check_model_shape(args)
     points = []
     for pe, r, t in itertools.product(args.pe, args.replicas, args.tile):
-        # surfaces invalid combinations before any work happens
-        config_for_tile(pe, t, s["lanes"], replicas=r)
-        points.append({**s, "pe": pe, "replicas": r, "tile": t})
+        point = {**s, "pe": pe, "replicas": r, "tile": t}
+        arch_from(point)  # surfaces invalid settings before the CSV exists
+        points.append(point)
     simulate = _point_runner(args, s)
 
     def run_point(point):
@@ -301,17 +303,20 @@ def cmd_report(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
-def _common_parent() -> argparse.ArgumentParser:
+def _run_parent() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--config", help="JSON file with this command's settings")
+    p.add_argument("--out", help="output file or directory")
+    return p
+
+
+def _array_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--lanes", type=int, help="MAC lanes per PE")
-    p.add_argument("--value-bits", dest="value_bits", type=int,
-                   choices=(0, 4, 16), help="packet value field width")
     p.add_argument("--load-bw", dest="load_bw", type=int)
     p.add_argument("--move-bw", dest="move_bw", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, help="sweep worker threads (>= 1)")
-    p.add_argument("--config", help="JSON file with the flags above")
-    p.add_argument("--out", help="output file or directory")
     return p
 
 
@@ -333,13 +338,12 @@ def _model_flags(sp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parent()
-    geometry = _geometry_parent()
+    run, array, geometry = _run_parent(), _array_parent(), _geometry_parent()
     p = argparse.ArgumentParser(prog="gcnsim",
                                 description="sparse GCN accelerator model")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common],
+    g = sub.add_parser("gen", parents=[run],
                        help="generate a synthetic power-law workload")
     g.add_argument("--nodes", type=int, default=256)
     g.add_argument("--degree", type=float, default=4.0)
@@ -348,18 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--density", type=float, default=0.1)
     g.set_defaults(func=cmd_gen)
 
-    pp = sub.add_parser("preprocess", parents=[common, geometry],
+    pp = sub.add_parser("preprocess", parents=[run, array, geometry],
                         help="compress and schedule sparse operands")
     pp.add_argument("bundle", help="workload directory (from gen or export)")
+    pp.add_argument("--value-bits", dest="value_bits", type=int,
+                    choices=PACKET_VALUE_WIDTHS,
+                    help="features packet value width (default: narrowest that fits)")
     pp.set_defaults(func=cmd_preprocess)
 
-    sim = sub.add_parser("simulate", parents=[common, geometry],
+    sim = sub.add_parser("simulate", parents=[run, array, geometry],
                          help="run quantized inference on the cycle model")
     sim.add_argument("bundle")
     _model_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 
-    sw = sub.add_parser("sweep", parents=[common],
+    sw = sub.add_parser("sweep", parents=[run, array],
                         help="simulate a grid of configs, emit CSV")
     sw.add_argument("bundle")
     _model_flags(sw)

@@ -43,6 +43,7 @@ HEADER_BYTES = _HEADER_STRUCT.size
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 _MAX_PACKET_BITS = 63  # codes are packed and unpacked in int64 arrays
+PACKET_VALUE_WIDTHS = (0, 4, 16)
 
 
 class StreamHeader(NamedTuple):
@@ -119,18 +120,17 @@ def stream_bits(slot_count: int, tile_width: int, value_bits: int) -> int:
 
 def make_header(tile_width: int, value_bits: int, pe_count: int,
                 cycle_count: int) -> StreamHeader:
+    """Header of a stream to write; only the supported value widths pass."""
     log2_exact(tile_width)
+    if value_bits not in PACKET_VALUE_WIDTHS:
+        raise ValueError(f"value bits {value_bits} not one of {PACKET_VALUE_WIDTHS}")
     if pe_count <= 0:
         raise ValueError("pe_count must be positive")
-    if cycle_count < 0:
-        raise ValueError("cycle_count must be non-negative")
-    fields = (("tile width", tile_width, _U16), ("value bits", value_bits, _U16),
-              ("pe_count", pe_count, _U16), ("cycle_count", cycle_count, _U32))
+    fields = (("tile width", tile_width, _U16), ("pe_count", pe_count, _U16),
+              ("cycle_count", cycle_count, _U32))
     for name, value, limit in fields:
         if not 0 <= value <= limit:
             raise ValueError(f"{name} {value} does not fit the stream header (max {limit})")
-    if packet_width(tile_width, value_bits) > _MAX_PACKET_BITS:
-        raise ValueError(f"packets wider than {_MAX_PACKET_BITS} bits are not supported")
     return StreamHeader(tile_width, value_bits, pe_count, cycle_count)
 
 

@@ -9,12 +9,14 @@ backend replays the identical pipeline on the reference kernels, so the two
 paths must agree bit for bit; a separate real-arithmetic reference measures
 quantization error. Neither reference depends on the array config, so
 references() computes both once for any number of configs. A simulated run
-plans each left operand once and reuses the plan for every product with it.
+plans each left operand once and reuses the plan for every product with it;
+one ArchConfig serves every product, since each sparse operand's packets
+take their value width from the operand itself (schedule.packet_bits_for).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,13 +120,6 @@ class RunReport:
         }
 
 
-def packet_bits_for(x: SparseMatrixCSR) -> int:
-    """Narrowest supported value field that can carry this operand."""
-    if x.nnz == 0 or (x.values == 1).all():
-        return 0
-    return 4 if x.bits <= 4 else 16
-
-
 def mean_adjacency(a: SparseMatrixCSR, frac_bits: int = 14) -> SparseMatrixCSR:
     """Row-normalized adjacency (each stored row scaled by 1/degree).
 
@@ -161,16 +156,12 @@ class _SimEngine:
     def __init__(self, cfg: ArchConfig, report: RunReport):
         self.cfg = cfg
         self.report = report
-        self.plans: dict = {}  # id(x) -> (x, cfg, plan); holding x keeps its id unique
+        self.plans: dict = {}  # id(x) -> (x, plan); holding x keeps its id unique
 
     def matmul(self, label: str, x, w: DenseMatrix) -> DenseMatrix:
         if id(x) not in self.plans:
-            cfg = self.cfg
-            if isinstance(x, SparseMatrixCSR):
-                cfg = replace(cfg, value_bits=packet_bits_for(x))
-            self.plans[id(x)] = (x, cfg, plan_step(x, cfg))
-        _, cfg, plan = self.plans[id(x)]
-        y, rep = simulate_step(x, w, cfg, plan)
+            self.plans[id(x)] = (x, plan_step(x, self.cfg))
+        y, rep = simulate_step(x, w, self.cfg, self.plans[id(x)][1])
         self.report.add(label, rep)
         return y
 

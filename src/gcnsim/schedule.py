@@ -13,6 +13,10 @@ per-packet objects are built on any path. A schedule is its five packet
 columns plus one stall count: the row map is the round-robin rule itself,
 and the stall pass adds the same number of idle slots to every PE column,
 so the slot census follows from the packet bits and that count.
+
+The packet value width belongs to each operand's stream, not to the array:
+packet_bits_for picks 0 (binary), 4 or 16 bits and rejects values that do
+not fit, so build_sdmm_schedule needs no width from the config.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import numpy as np
 from .matrix import ShapeError, SparseMatrixCSR, int_max, int_min
 from .pcoo import log2_exact
 
-PACKET_VALUE_WIDTHS = (0, 4, 16)
-
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -34,24 +36,26 @@ class ArchConfig:
     pe_count PEs of `lanes` MAC lanes each; the dense tile is replicated
     `replicas` times (replica i serves the contiguous PE block i) and striped
     across `groups` banks by row index mod groups. Tile width is lanes*groups
-    and must be a power of two for the packet column field.
+    and must be a power of two for the packet column field. There is no
+    value width here: each operand's packets pick theirs (packet_bits_for).
     """
 
     pe_count: int
     lanes: int = 16
     replicas: int = 1
     groups: int = 32
-    value_bits: int = 0
     load_bw: int = 64
     move_bw: int = 16
 
     def __post_init__(self):
         if self.pe_count < 1 or self.lanes < 1 or self.groups < 1:
             raise ValueError("pe_count, lanes, groups must all be >= 1")
+        if self.pe_count > 0xFFFF:
+            raise ValueError(f"pe_count {self.pe_count} does not fit a stream's 16-bit field")
+        if self.tile_width > 1 << 30:
+            raise ValueError(f"tile width {self.tile_width} is over 2^30 (int32 columns)")
         if self.replicas < 1 or self.pe_count % self.replicas:
             raise ValueError(f"replicas {self.replicas} must divide pe_count {self.pe_count}")
-        if self.value_bits not in PACKET_VALUE_WIDTHS:
-            raise ValueError(f"value_bits must be one of {PACKET_VALUE_WIDTHS}")
         if self.load_bw < 1 or self.move_bw < 1:
             raise ValueError("bandwidths must be >= 1")
         log2_exact(self.tile_width)
@@ -320,24 +324,20 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
     return TileSchedule.from_columns(*(f.reshape(reps * t, pe_count) for f in fields))
 
 
-def check_schedule_values(sched: TileSchedule, value_bits: int) -> None:
-    """Reject values a packet stream of this width could not carry."""
-    vals = sched.value[sched.vld == 1]
-    if not len(vals):
-        return
-    if value_bits == 0:
-        if (vals != 1).any():
-            raise ValueError("0-bit value field requires a binary operand (all stored values 1)")
-    else:
-        lo, hi = int_min(value_bits), int_max(value_bits)
-        if vals.min() < lo or vals.max() > hi:
-            raise ValueError(f"operand values exceed the {value_bits}-bit packet field")
+def packet_bits_for(x: SparseMatrixCSR) -> int:
+    """Narrowest supported value field for this operand: 0 when binary, else
+    4 or 16 by its declared width; stored values must fit that field."""
+    if x.nnz == 0 or (x.values == 1).all():
+        return 0
+    bits = 4 if x.bits <= 4 else 16
+    if x.values.min() < int_min(bits) or x.values.max() > int_max(bits):
+        raise ValueError(f"operand values exceed the {bits}-bit packet field")
+    return bits
 
 
 def build_sdmm_schedule(tile: SparseMatrixCSR, cfg: ArchConfig) -> TileSchedule:
-    """assign_rows then stall_collisions, with packet-width validation."""
+    """assign_rows then stall_collisions, for a tile its packets can carry."""
     if tile.cols > cfg.tile_width:
         raise ShapeError(f"tile has {tile.cols} columns, max {cfg.tile_width}")
-    pre = assign_rows(tile, cfg.pe_count)
-    check_schedule_values(pre, cfg.value_bits)
-    return stall_collisions(pre, cfg)
+    packet_bits_for(tile)
+    return stall_collisions(assign_rows(tile, cfg.pe_count), cfg)

@@ -61,11 +61,12 @@ def random_sparse(rng, rows, cols, density, value_bits):
 
 
 def random_arch(rng):
+    """A random array and the packet value width of the operand it gets."""
     k = int(rng.choice(KS))
     r = int(rng.choice([d for d in (1, 2, 4, 8, 16) if k % d == 0]))
     g = int(rng.choice(GROUPS))
     h = int(rng.choice([0, 4]))
-    return ArchConfig(k, lanes=16, replicas=r, groups=g, value_bits=h)
+    return ArchConfig(k, lanes=16, replicas=r, groups=g), h
 
 
 def census_identity(report):
@@ -88,8 +89,8 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(4, 513))
         p = int(rng.integers(1, 33))
         density = 10.0 ** rng.uniform(-3, -1)
-        cfg = random_arch(rng)
-        x = random_sparse(rng, m, n, density, cfg.value_bits)
+        cfg, h = random_arch(rng)
+        x = random_sparse(rng, m, n, density, h)
         w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
         y, report = simulate_step(x, w, cfg)
         ref = sdmm_reference(x, w)
@@ -100,7 +101,7 @@ def test_criterion_01_oracle_equivalence():
         m = int(rng.integers(2, 65))
         n = int(rng.integers(1, 49))
         p = int(rng.integers(1, 33))
-        cfg = random_arch(rng)
+        cfg, _ = random_arch(rng)
         xd = DenseMatrix(rng.integers(-8, 8, (m, n)), 4, 0)
         w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
         y, report = simulate_step(xd, w, cfg)
@@ -131,10 +132,10 @@ def test_criterion_02_published_cost_table():
 def test_criterion_03_schedule_legality():
     rng = np.random.default_rng(3141)
     for trial in range(1000):
-        cfg = random_arch(rng)
+        cfg, h = random_arch(rng)
         rows = int(rng.integers(1, 41))
         tile = random_sparse(rng, rows, cfg.tile_width,
-                             10.0 ** rng.uniform(-2.3, -0.8), cfg.value_bits)
+                             10.0 ** rng.uniform(-2.3, -0.8), h)
         pre = assign_rows(tile, cfg.pe_count)
         post = stall_collisions(pre, cfg)
         # grant legality, recounted from the raw arrays: within one replica
@@ -188,12 +189,12 @@ def test_criterion_04_codec_round_trip():
         assert decode_packet(encode_packet(p, 512, 4), 512, 4) == p
     # container round trips on whole schedules
     for trial in range(100):
-        cfg = random_arch(rng)
+        cfg, h = random_arch(rng)
         rows = int(rng.integers(1, 33))
         tile = random_sparse(rng, rows, cfg.tile_width,
-                             10.0 ** rng.uniform(-2.5, -1), cfg.value_bits)
+                             10.0 ** rng.uniform(-2.5, -1), h)
         sched = build_sdmm_schedule(tile, cfg)
-        header = make_header(cfg.tile_width, cfg.value_bits, cfg.pe_count,
+        header = make_header(cfg.tile_width, h, cfg.pe_count,
                              sched.cycles)
         back_header, back = deserialize_stream(serialize_stream(sched, header))
         assert back_header == header
@@ -245,10 +246,10 @@ def test_criterion_06_tile_size_trend():
 def test_criterion_07_accounting_identity():
     rng = np.random.default_rng(777)
     for _ in range(40):
-        cfg = random_arch(rng)
+        cfg, h = random_arch(rng)
         m = int(rng.integers(2, 257))
         n = int(rng.integers(2, 257))
-        x = random_sparse(rng, m, n, 10.0 ** rng.uniform(-2, -1), cfg.value_bits)
+        x = random_sparse(rng, m, n, 10.0 ** rng.uniform(-2, -1), h)
         w = DenseMatrix(rng.integers(-8, 8, (n, int(rng.integers(1, 33)))), 4, 0)
         _, report = simulate_step(x, w, cfg)
         census_identity(report)

@@ -1,15 +1,22 @@
 """CLI behavior end to end, run in process via main()."""
 
+import contextlib
 import csv
+import io
 import json
+import re
+import resource
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gcnsim import runtime
 from gcnsim.cli import EXIT_DATA, EXIT_INVALID, EXIT_OK, main
-from gcnsim.formats import read_meta
-from gcnsim.pcoo import deserialize_stream
+from gcnsim.formats import export_bundle, read_meta, write_weights
+from gcnsim.graphs import gen_powerlaw, random_weights
+from gcnsim.pcoo import StreamFormatError, deserialize_stream
 from gcnsim.report import read_report
 from gcnsim.schedule import config_for_tile
 
@@ -207,6 +214,8 @@ def test_error_exit_categories(workload, tmp_path, capsys):
     capsys.readouterr()
     # model shapes are checked before any work, with a plain message
     for flag, message in (("--lanes", "lanes must be >= 1"),
+                          ("--load-bw", "bandwidths must be >= 1"),
+                          ("--move-bw", "bandwidths must be >= 1"),
                           ("--layers", "--layers must be >= 1"),
                           ("--hidden", "--hidden must be >= 1"),
                           ("--classes", "--classes must be >= 1")):
@@ -220,9 +229,57 @@ def test_error_exit_categories(workload, tmp_path, capsys):
     assert main(["simulate", str(workload / "w"), "--config",
                  str(bad)]) == EXIT_DATA
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", str(workload / "w"), "--value-bits", "7"])
+        main(["preprocess", str(workload / "w"), "--value-bits", "7"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def usage_error(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_commands_take_only_the_flags_they_read(workload, tmp_path, capsys):
+    gen = ["gen", "--nodes", "8", "--out", str(tmp_path / "g")]
+    for flag, value in (("--lanes", "3"), ("--load-bw", "9"), ("--move-bw", "9"),
+                        ("--jobs", "5"), ("--value-bits", "16")):
+        assert usage_error(gen + [flag, value]) == 2, flag
+    assert not (tmp_path / "g").exists()
+    # the packet value width is a stream property: only preprocess sets it
+    bundle = str(workload / "w")
+    assert usage_error(["simulate", bundle, "--value-bits", "16"]) == 2
+    assert usage_error(["sweep", bundle, "--value-bits", "16",
+                        "--out", str(tmp_path / "s.csv")]) == 2
+    assert main(["preprocess", bundle, "--value-bits", "16", "--seed", "1",
+                 "--jobs", "1", "--out", str(tmp_path / "p")]) == EXIT_OK
+    assert {s["value_bits"] for s in read_meta(tmp_path / "p" / "meta.json")["streams"]
+            if s["kind"] == "features"} == {16}
+    capsys.readouterr()
+
+
+def test_value_width_contract(tmp_path, capsys):
+    # 16-bit packets carry 7000 but not 70000, whatever the header's width
+    (tmp_path / "edges.txt").write_text(TINY_EDGES)
+    features = tmp_path / "features.txt"
+    flags = ["--pe", "2", "--tile", "32", "--hidden", "4", "--classes", "2"]
+    features.write_text("sparse 4 4 32 0\n0 0 70000\n1 2 1\n")
+    assert main(["simulate", str(tmp_path), *flags]) == EXIT_INVALID
+    assert "operand values exceed the 16-bit packet field" in capsys.readouterr().err
+    features.write_text("sparse 4 4 32 0\n0 0 7000\n1 2 1\n")
+    assert main(["simulate", str(tmp_path), *flags]) == EXIT_OK
+    assert "exact_match=True" in capsys.readouterr().out
+    # an explicit width the features do not fit fails in the codec
+    out = ["--out", str(tmp_path / "o")]
+    assert main(["preprocess", str(tmp_path), "--value-bits", "0", *out]) == EXIT_INVALID
+    assert "not representable in 0 bits" in capsys.readouterr().err
+    assert main(["preprocess", str(tmp_path), "--value-bits", "4", *out]) == EXIT_INVALID
+    assert "outside 4-bit range" in capsys.readouterr().err
+    assert main(["preprocess", str(tmp_path), "--value-bits", "16", *out]) == EXIT_OK
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"value_bits": 7}))
+    assert main(["preprocess", str(tmp_path), "--config", str(config), *out]) == EXIT_INVALID
+    assert "value bits 7" in capsys.readouterr().err
 
 
 TINY_EDGES = "0 1\n1 2\n2 3\n"
@@ -259,3 +316,129 @@ def test_malformed_inputs_exit_3(tmp_path, capsys, name, text, message):
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# -- seeded mutation contract -----------------------------------------------------
+
+EXTREME_TOKENS = (str(1 << 63), str(-(1 << 63)), str(1 << 32), "65536",
+                  "nan", "inf", "1e400", "")
+EXTREME_FIELDS = (b"\xff\xff\xff\xff", b"\x00\x00\x01\x00", b"\x00\x00\x00\x80")
+TOKEN = re.compile(rb"\S+")
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+MUTATIONS = ("truncate", "flip", "swap", "extreme")
+
+
+def mutate(rng, data: bytes, kind: str, text: bool) -> bytes:
+    """One seeded corruption; a binary file's tokens are single bytes and its
+    extreme values are 4-byte fields."""
+    if kind == "truncate":
+        return data[:int(rng.integers(len(data)))]
+    if kind == "flip":
+        out = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            out[int(rng.integers(len(out)))] ^= 1 << int(rng.integers(8))
+        return bytes(out)
+    if kind == "swap":
+        spans = ([m.span() for m in TOKEN.finditer(data)] if text
+                 else [(i, i + 1) for i in range(len(data))])
+        (a0, a1), (b0, b1) = sorted(spans[i] for i in rng.choice(len(spans), 2, replace=False))
+        return data[:a0] + data[b0:b1] + data[a1:b0] + data[a0:a1] + data[b1:]
+    if text:
+        spans = [m.span() for m in NUMBER.finditer(data)]
+        new = EXTREME_TOKENS[int(rng.integers(len(EXTREME_TOKENS)))].encode()
+    else:
+        start = int(rng.integers(len(data) - 3))
+        spans = [(start, start + 4)]
+        new = EXTREME_FIELDS[int(rng.integers(len(EXTREME_FIELDS)))]
+    a0, a1 = spans[int(rng.integers(len(spans)))]
+    return data[:a0] + new + data[a1:]
+
+
+def mutation_inputs(d: Path) -> dict:
+    """A 64-node bundle with weights, a config, a report and a stream."""
+    bundle = gen_powerlaw(64, 3, 2.1, 5, 16, 0.2)
+    export_bundle(d / "b", bundle)
+    write_weights(d / "b" / "weights.bin", random_weights([16, 8, 3], 1))
+    (d / "config.json").write_text(json.dumps(
+        {"pe": 4, "replicas": 2, "tile": 32, "lanes": 4, "load_bw": 8,
+         "move_bw": 4, "seed": 3, "jobs": 1, "value_bits": 4}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", str(d / "b"), "--config", str(d / "config.json"),
+                     "--hidden", "8", "--classes", "3", "--out", str(d / "s")]) == EXIT_OK
+        assert main(["preprocess", str(d / "b"), "--config", str(d / "config.json"),
+                     "--out", str(d / "p")]) == EXIT_OK
+    shutil.copy(d / "s" / "report.json", d / "report.json")
+    shutil.copy(d / "p" / "adjacency0000.pcoo", d / "stream.pcoo")
+    return {path: path.read_bytes() for path in (
+        d / "b" / "edges.txt", d / "b" / "features.txt", d / "b" / "weights.bin",
+        d / "config.json", d / "report.json", d / "stream.pcoo")}
+
+
+@contextlib.contextmanager
+def address_space_cap(extra: int):
+    """A runaway allocation fails at once as MemoryError instead of taking
+    the host's memory; Linux only, a no-op elsewhere."""
+    try:
+        with open("/proc/self/statm") as fh:
+            used = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = used + extra if soft == resource.RLIM_INFINITY else min(used + extra, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def mutation_escapes(d: Path, seed: int, count: int) -> list[str]:
+    """Run count seeded corruptions; each ends in a documented exit code with
+    no traceback (CLI inputs) or in StreamFormatError (streams), or it is
+    returned as an escape."""
+    originals = mutation_inputs(d)
+    targets = sorted(originals)
+    rng = np.random.default_rng(seed)
+    escapes = []
+    for case in range(count):
+        path = targets[int(rng.integers(len(targets)))]
+        kind = MUTATIONS[int(rng.integers(len(MUTATIONS)))]
+        data = mutate(rng, originals[path], kind, path.suffix not in (".bin", ".pcoo"))
+        what = f"case {case}: {kind} {path.name}"
+        if path.suffix == ".pcoo":
+            try:
+                deserialize_stream(data)
+            except StreamFormatError:
+                pass
+            except Exception as exc:  # any other class is an escape
+                escapes.append(f"{what}: {type(exc).__name__}: {exc}")
+            continue
+        if path.name == "report.json":
+            argv = ["report", str(path)]
+        elif rng.random() < 0.5:
+            argv = ["simulate", str(d / "b"), "--config", str(d / "config.json"),
+                    "--hidden", "8", "--classes", "3"]
+        else:
+            argv = ["preprocess", str(d / "b"), "--config", str(d / "config.json"),
+                    "--out", str(d / "o")]
+        path.write_bytes(data)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # recorded, so one run lists every escape
+            rc = f"{type(exc).__name__}: {exc}"
+        finally:
+            path.write_bytes(originals[path])
+        if rc not in (0, 2, 3, 4, 5) or "Traceback" in err.getvalue():
+            escapes.append(f"{what} ({argv[0]}): {rc}")
+    return escapes
+
+
+def test_seeded_mutations_end_in_documented_exit_codes(tmp_path):
+    with address_space_cap(1 << 30):
+        escapes = mutation_escapes(tmp_path, seed=8, count=300)
+    assert not escapes, "\n".join(escapes)

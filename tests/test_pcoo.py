@@ -130,7 +130,20 @@ def test_make_header_rejects_fields_too_wide():
     with pytest.raises(ValueError):
         make_header(8, 0, 4, 1 << 32)      # cycle count is a u32
     with pytest.raises(ValueError):
-        make_header(8, 60, 4, 1)           # 66-bit packets overflow the int64 codes
+        make_header(8, 60, 4, 1)           # 60 is not a packet value width
+    with pytest.raises(ValueError, match="value bits 7"):
+        make_header(8, 7, 4, 1)            # only 0, 4 and 16 are written
+
+
+def test_serialize_rejects_values_the_width_cannot_carry():
+    # a stored 3 needs a value field; a stored 9 needs more than 4 bits
+    for value, narrow, message, wide in ((3, 0, "not representable in 0 bits", 4),
+                                         (9, 4, "outside 4-bit range", 16)):
+        sched = grid_schedule([[PcooPacket(1, 1, 1, 2, value)]], 1)
+        with pytest.raises(ValueError, match=message):
+            serialize_stream(sched, make_header(8, narrow, 1, 1))
+        _, back = deserialize_stream(serialize_stream(sched, make_header(8, wide, 1, 1)))
+        assert_same_packets(back, sched)
 
 
 def test_serialize_empty():

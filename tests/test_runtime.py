@@ -1,7 +1,6 @@
 """Multi-layer runtime: hand traces, sim/oracle agreement, error vs real math."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,6 @@ from gcnsim.runtime import (
     make_gcn,
     make_graphsage,
     mean_adjacency,
-    packet_bits_for,
     real_reference,
     references,
     run_model,
@@ -196,10 +194,7 @@ class FreshPlanEngine:
         self.cfg, self.report = cfg, RunReport()
 
     def matmul(self, label, x, w):
-        cfg = self.cfg
-        if isinstance(x, SparseMatrixCSR):
-            cfg = replace(cfg, value_bits=packet_bits_for(x))
-        y, rep = simulate_step(x, w, cfg)
+        y, rep = simulate_step(x, w, self.cfg)
         self.report.add(label, rep)
         return y
 
@@ -335,16 +330,6 @@ def test_align_add_shifts_exactly():
     big = DenseMatrix(np.array([[(1 << 31) - 1]]), 32, 0)
     with pytest.raises(OverflowTrap):
         align_add(big, DenseMatrix(np.array([[1]]), 32, 0))
-
-
-def test_packet_bits_for_picks_narrowest_field():
-    assert packet_bits_for(csr_raw([[1, 0], [0, 1]], frac=0)) == 0
-    assert packet_bits_for(csr_raw([[1, 0], [0, -2]])) == 4
-    assert packet_bits_for(csr_raw(np.zeros((2, 2), dtype=np.int64))) == 0
-    wide = SparseMatrixCSR.from_dense_raw(np.array([[300, 0]]), 16, 4)
-    assert packet_bits_for(wide) == 16
-    ones16 = SparseMatrixCSR.from_dense_raw(np.array([[1, 0]]), 16, 0)
-    assert packet_bits_for(ones16) == 0
 
 
 def test_real_reference_zero_error_without_requantize_effects():

@@ -11,8 +11,8 @@ from gcnsim.schedule import (
     assign_rows,
     build_dmm_schedule,
     build_sdmm_schedule,
-    check_schedule_values,
     config_for_tile,
+    packet_bits_for,
     schedule_stats,
     stall_collisions,
 )
@@ -71,8 +71,12 @@ def test_archconfig_invariants():
         ArchConfig(pe_count=8, replicas=3)
     with pytest.raises(ValueError):
         ArchConfig(pe_count=4, lanes=16, groups=3)  # 48 not a power of two
-    with pytest.raises(ValueError):
-        ArchConfig(pe_count=4, value_bits=7)
+    # a stream's PE field is 16 bits and its columns int32 at most
+    assert ArchConfig(pe_count=0xFFFF, lanes=1, groups=1 << 30).pe_count == 0xFFFF
+    with pytest.raises(ValueError, match="pe_count 65536"):
+        ArchConfig(pe_count=1 << 16)
+    with pytest.raises(ValueError, match="tile width 2147483648"):
+        config_for_tile(4, 1 << 31)
     assert config_for_tile(4, 512).groups == 32
     with pytest.raises(ValueError):
         config_for_tile(4, 520)
@@ -285,16 +289,21 @@ def test_dmm_schedule_never_stalls():
             assert schedule_stats(out).totals()["pad_idle"] == 0
 
 
-def test_check_schedule_values():
-    tile = SparseMatrixCSR.from_dense_raw(np.array([[0, 3]]), 4, 0)
-    sched = assign_rows(tile, 2)
-    with pytest.raises(ValueError):
-        check_schedule_values(sched, 0)
-    check_schedule_values(sched, 4)
-    wide = SparseMatrixCSR.from_dense_raw(np.array([[0, 9]]), 16, 0)
-    with pytest.raises(ValueError):
-        check_schedule_values(assign_rows(wide, 1), 4)
-    check_schedule_values(assign_rows(wide, 1), 16)
+def test_packet_bits_for_picks_narrowest_field():
+    raw = lambda grid, bits=4: SparseMatrixCSR.from_dense_raw(np.array(grid), bits, 0)
+    assert packet_bits_for(raw([[1, 0], [0, 1]])) == 0
+    assert packet_bits_for(raw([[1, 0], [0, -2]])) == 4
+    assert packet_bits_for(raw(np.zeros((2, 2), dtype=np.int64))) == 0
+    assert packet_bits_for(raw([[300, 0]], 16)) == 16
+    assert packet_bits_for(raw([[1, 0]], 16)) == 0
+    # values past the picked field are rejected, and so is a tile holding them
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
+    for grid, bits, width in (([[0, 9]], 4, 4), ([[70000, 1]], 32, 16),
+                              ([[0, -32769]], 16, 16)):
+        for call in (lambda: packet_bits_for(raw(grid, bits)),
+                     lambda: build_sdmm_schedule(raw(grid, bits), cfg)):
+            with pytest.raises(ValueError, match=f"exceed the {width}-bit packet field"):
+                call()
 
 
 def test_build_sdmm_schedule_rejects_fat_tile():
@@ -308,7 +317,7 @@ def test_schedule_packets_roundtrip():
     raw = rng.integers(1, 8, size=(10, 16))
     raw[rng.random(raw.shape) < 0.6] = 0
     tile = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
-    sched = build_sdmm_schedule(tile, ArchConfig(pe_count=4, lanes=4, groups=4, value_bits=4))
+    sched = build_sdmm_schedule(tile, ArchConfig(pe_count=4, lanes=4, groups=4))
     header = make_header(16, 4, 4, sched.cycles)
     _, back = deserialize_stream(serialize_stream(sched, header))
     for name in ("sor", "eor", "vld", "col", "value"):

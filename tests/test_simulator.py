@@ -65,8 +65,7 @@ def naive_run_tile(sched, w, partials, cfg):
 
 
 def random_tile_setup(rng, k=4, lanes=4, groups=4, replicas=1, density=0.4):
-    cfg = ArchConfig(pe_count=k, lanes=lanes, groups=groups, replicas=replicas,
-                     value_bits=4)
+    cfg = ArchConfig(pe_count=k, lanes=lanes, groups=groups, replicas=replicas)
     t = cfg.tile_width
     m = int(rng.integers(1, 20))
     rows = int(rng.integers(1, t + 1))
@@ -195,7 +194,7 @@ def test_run_tile_dense_mode_matches_pe_step_walk():
     rng = np.random.default_rng(97)
     for _ in range(10):
         k = 4
-        cfg = ArchConfig(pe_count=k, lanes=4, groups=2, value_bits=4)
+        cfg = ArchConfig(pe_count=k, lanes=4, groups=2)
         m = int(rng.integers(1, 12))
         rows = int(rng.integers(1, cfg.tile_width + 1))
         x = rng.integers(-8, 8, size=(m, rows))
@@ -289,11 +288,24 @@ def test_simulate_step_spec_point():
     raw[rng.random(raw.shape) < 0.99] = 0
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(64, 16)), 4, 3)
-    cfg = ArchConfig(pe_count=4, lanes=16, groups=2, value_bits=4)
+    cfg = ArchConfig(pe_count=4, lanes=16, groups=2)
     y, report = simulate_step(x, w, cfg)
     assert np.array_equal(y.data, sdmm_reference(x, w).data)
     assert y.frac_bits == 6
     report.check_identity()
+
+
+def test_simulate_step_needs_no_value_width():
+    # the config carries no packet width: each operand's packets pick theirs
+    rng = np.random.default_rng(109)
+    raw = rng.integers(-8, 8, size=(12, 8))
+    raw[rng.random(raw.shape) < 0.5] = 0
+    w = DenseMatrix(rng.integers(-8, 8, size=(8, 3)), 4, 0)
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
+    for x in (SparseMatrixCSR.from_dense_raw(raw, 4, 0),
+              SparseMatrixCSR.from_dense_raw((raw != 0).astype(np.int64), 4, 0)):
+        y, _ = simulate_step(x, w, cfg)
+        assert np.array_equal(y.data, sdmm_reference(x, w).data)
 
 
 def test_simulate_step_random_configs():
@@ -303,8 +315,7 @@ def test_simulate_step_random_configs():
         r = int(rng.choice([x for x in (1, 2, 4) if k % x == 0]))
         lanes = int(rng.choice([2, 4, 8]))
         groups = int(rng.choice([2, 4]))
-        cfg = ArchConfig(pe_count=k, lanes=lanes, groups=groups, replicas=r,
-                         value_bits=4)
+        cfg = ArchConfig(pe_count=k, lanes=lanes, groups=groups, replicas=r)
         m = int(rng.integers(1, 50))
         n = int(rng.integers(1, 70))
         c = int(rng.integers(1, 20))
@@ -321,7 +332,7 @@ def test_simulate_step_dmm():
     rng = np.random.default_rng(109)
     x = DenseMatrix(rng.integers(-8, 8, size=(32, 16)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(16, 16)), 4, 3)
-    cfg = ArchConfig(pe_count=4, lanes=16, groups=2, value_bits=4)
+    cfg = ArchConfig(pe_count=4, lanes=16, groups=2)
     y, report = simulate_step(x, w, cfg)
     assert np.array_equal(y.data, dmm_reference(x, w).data)
     assert report.mode == MODE_DMM
@@ -337,8 +348,7 @@ def test_simulate_step_phase_arithmetic():
     raw[rng.random(raw.shape) < 0.7] = 0
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(40, 10)), 4, 3)
-    cfg = ArchConfig(pe_count=4, lanes=4, groups=4, value_bits=4,
-                     load_bw=8, move_bw=4)
+    cfg = ArchConfig(pe_count=4, lanes=4, groups=4, load_bw=8, move_bw=4)
     y, report = simulate_step(x, w, cfg)
     # load: per pair ceil(rows*cols*r/load_bw); tiles are 16/16/8 rows wide
     # and output tiles 4/4/2 lanes
@@ -360,7 +370,7 @@ def test_simulate_step_phase_arithmetic():
 def test_simulate_step_dmm_many_tiles_ragged_lanes():
     # 3 column tiles (8, 8, 5 wide) by 3 lane blocks (4, 4, 2 lanes)
     rng = np.random.default_rng(139)
-    cfg = ArchConfig(pe_count=4, lanes=4, groups=2, value_bits=4, load_bw=8)
+    cfg = ArchConfig(pe_count=4, lanes=4, groups=2, load_bw=8)
     x = DenseMatrix(rng.integers(-8, 8, size=(11, 21)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(21, 10)), 4, 3)
     y, report = simulate_step(x, w, cfg)
@@ -376,7 +386,7 @@ def test_simulate_step_dmm_many_tiles_ragged_lanes():
 
 def test_simulate_step_dmm_degenerate_counts():
     # row count a multiple of K: dense sweeps never stall and never pad
-    cfg = ArchConfig(pe_count=4, lanes=4, groups=2, value_bits=4)
+    cfg = ArchConfig(pe_count=4, lanes=4, groups=2)
     rng = np.random.default_rng(127)
     x = DenseMatrix(rng.integers(-8, 8, size=(12, 8)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(8, 4)), 4, 3)
@@ -391,7 +401,7 @@ def test_simulate_step_determinism():
     raw[rng.random(raw.shape) < 0.6] = 0
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(20, 6)), 4, 3)
-    cfg = ArchConfig(pe_count=4, lanes=2, groups=4, value_bits=4)
+    cfg = ArchConfig(pe_count=4, lanes=2, groups=4)
     y1, r1 = simulate_step(x, w, cfg)
     y2, r2 = simulate_step(x, w, cfg)
     assert np.array_equal(y1.data, y2.data)
@@ -406,14 +416,14 @@ def test_replica_monotonicity():
     w = DenseMatrix(rng.integers(-8, 8, size=(64, 8)), 4, 3)
     cycles = []
     for r in (1, 2, 4, 8):
-        cfg = ArchConfig(pe_count=8, lanes=8, groups=4, replicas=r, value_bits=4)
+        cfg = ArchConfig(pe_count=8, lanes=8, groups=4, replicas=r)
         _, report = simulate_step(x, w, cfg)
         cycles.append(report.compute_cycles)
     assert cycles == sorted(cycles, reverse=True), cycles
 
 
 def test_simulate_step_input_validation():
-    cfg = ArchConfig(pe_count=2, lanes=2, groups=2, value_bits=4)
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
     x = DenseMatrix.zeros(2, 4, 4, 0)
     w = DenseMatrix.zeros(4, 2, 4, 0)
     # the operand's type picks the mode; anything else is not an operand
@@ -449,7 +459,7 @@ def test_simulate_step_peak_memory_is_linear():
     # once (one np.add.at over all slots, or one unchunked segment sum)
     # costs V x C x 8 bytes and more and fails the dense case.
     rng = np.random.default_rng(151)
-    cfg = ArchConfig(pe_count=16, lanes=16, groups=32, replicas=2, value_bits=4)
+    cfg = ArchConfig(pe_count=16, lanes=16, groups=32, replicas=2)
     xd = DenseMatrix(rng.integers(-8, 8, size=(8192, 64)), 4, 0)
     r, c = rng.integers(0, 8192, 60000), rng.integers(0, 512, 60000)
     xs = SparseMatrixCSR.from_coo(8192, 512, r, c, rng.integers(1, 4, 60000), 4, 0)
