@@ -169,9 +169,9 @@ def cmd_gen(args) -> int:
 
 def cmd_preprocess(args) -> int:
     s = resolve_settings(args)
+    cfg = arch_from(s)
     out = _require_out(args)
     bundle = ingest_bundle_dir(args.bundle)
-    cfg = arch_from(s)
     rows = []
     operands = [("adjacency", bundle.adjacency, None),
                 ("features", bundle.features, s["value_bits"])]
@@ -230,6 +230,7 @@ def _point_runner(args, settings):
 def cmd_simulate(args) -> int:
     s = resolve_settings(args)
     _check_model_shape(args)
+    arch_from(s)  # surfaces invalid settings before the bundle is read
     logits, doc = _point_runner(args, s)(s)
     print(render_report(doc), end="")
     if args.out:

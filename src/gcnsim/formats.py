@@ -1,8 +1,11 @@
 """On-disk formats: edge lists, feature files, weight containers, metadata.
 
 Text formats are line oriented and parse errors always carry the file name
-and 1-based line number. The weight container is binary little-endian. All
-of it exists so a workload can round-trip through files byte-exactly.
+and 1-based line number. Edge and sparse feature files are parsed, checked
+and written as whole arrays; the line parser reads only text outside the
+writers' plain form or text that fails a check, to give the same matrix or
+name the bad line. The weight container is binary little-endian. All of it
+exists so a workload can round-trip through files byte-exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ _WMATRIX = struct.Struct("<IIHH")       # rows, cols, bits, frac_bits
 EDGE_FILE = "edges.txt"
 FEATURE_FILE = "features.txt"
 WEIGHT_FILE = "weights.bin"
+MAX_SPARSE_DIM = 1 << 27   # rows or cols of a sparse header; row_ptr <= 1 GiB
+
+_INT64 = np.iinfo(np.int64)
+_PLAIN = b"0123456789- \t\n"   # the only bytes the writers emit
 
 
 class FileFormatError(ValueError):
@@ -44,6 +51,33 @@ def _data_lines(path):
                 yield lineno, line
 
 
+def _int_rows(data: bytes, width: int) -> np.ndarray | None:
+    """The (lines, width) int64 table of plain-form text, else None: the line
+    parser must read text with other bytes ('#', '+', '_', CR, non-ASCII), a
+    line of another token count (blank or unended lines too), a '-' not
+    leading digits or an int64 extreme, which fromstring may have clipped."""
+    if data.translate(None, _PLAIN):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    start = b > ord(" ")  # digits and '-'; only space, tab and newline are below
+    start[1:] &= b[:-1] <= ord(" ")
+    starts = np.flatnonzero(start)
+    ends = np.flatnonzero(b == ord("\n"))
+    after_minus = b[np.minimum(np.flatnonzero(b == ord("-")) + 1, len(b) - 1)]
+    # exactly width tokens a line: each line's first token follows the
+    # newline before it and its last token precedes its own
+    if (len(starts) != width * len(ends) or (starts[width::width] < ends[:-1]).any()
+            or (starts[width - 1::width] > ends).any() or (after_minus < ord("0")).any()):
+        return None
+    try:
+        t = np.fromstring(data, dtype=np.int64, sep=" ")
+    except ValueError:  # a '-' inside a token
+        return None
+    if len(t) != len(starts) or ((t == _INT64.min) | (t == _INT64.max)).any():
+        return None
+    return t.reshape(-1, width)
+
+
 # -- edges --------------------------------------------------------------------
 
 
@@ -53,30 +87,26 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
     Duplicates collapse; self loops are kept as written (normalization decides
     what to do with them later).
     """
-    us, vs = [], []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            _fail(path, lineno, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            _fail(path, lineno, f"non-integer node id in {line!r}")
-        if not (0 <= u < nodes and 0 <= v < nodes):
-            _fail(path, lineno, f"node id out of range [0, {nodes}) in {line!r}")
-        us.extend((u, v))
-        vs.extend((v, u))
-    if not us:
-        empty = np.zeros(0, dtype=np.int64)
-        return SparseMatrixCSR(nodes, nodes, np.zeros(nodes + 1, dtype=np.int64),
-                               empty, empty, 4, 0)
-    rr = np.array(us, dtype=np.int64)
-    cc = np.array(vs, dtype=np.int64)
-    a = SparseMatrixCSR.from_coo(nodes, nodes, rr, cc,
-                                 np.ones(len(rr), dtype=np.int64), 4, 0)
-    # from_coo sums duplicates; collapse back to binary
-    return SparseMatrixCSR(nodes, nodes, a.row_ptr, a.col_idx,
-                           np.ones(a.nnz, dtype=np.int64), 4, 0)
+    uv = _int_rows(Path(path).read_bytes(), 2)
+    if uv is None or ((uv < 0) | (uv >= nodes)).any():  # the line parser, which names a bad line
+        pairs = []
+        for lineno, line in _data_lines(path):
+            parts = line.split()
+            if len(parts) != 2:
+                _fail(path, lineno, f"expected 'u v', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                _fail(path, lineno, f"non-integer node id in {line!r}")
+            if not (0 <= u < nodes and 0 <= v < nodes):
+                _fail(path, lineno, f"node id out of range [0, {nodes}) in {line!r}")
+            pairs.append((u, v))
+        uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    u, v = uv.T
+    a = SparseMatrixCSR.from_coo(nodes, nodes, np.concatenate((u, v)), np.concatenate((v, u)),
+                                 np.ones(2 * len(u), dtype=np.int64), 4, 0)
+    a.values[:] = 1  # from_coo sums duplicates; collapse back to binary
+    return a
 
 
 def write_edges(path, a: SparseMatrixCSR) -> None:
@@ -84,8 +114,7 @@ def write_edges(path, a: SparseMatrixCSR) -> None:
     rr = np.repeat(np.arange(a.rows), a.row_nnz())
     keep = rr <= a.col_idx
     with open(path, "w") as fh:
-        for u, v in zip(rr[keep], a.col_idx[keep]):
-            fh.write(f"{u} {v}\n")
+        fh.write("".join(map("{} {}\n".format, rr[keep].tolist(), a.col_idx[keep].tolist())))
 
 
 # -- features -----------------------------------------------------------------
@@ -97,6 +126,9 @@ def read_features(path) -> SparseMatrixCSR:
     Triplets carry raw fixed-point values exactly; dense grids are real
     numbers quantized to the SINT4 feature precision.
     """
+    fast = _read_plain_sparse(Path(path).read_bytes())
+    if fast is not None:
+        return fast
     rows = []
     lines = list(_data_lines(path))
     if not lines:
@@ -121,6 +153,24 @@ def read_features(path) -> SparseMatrixCSR:
     return quantize(grid, 4, 3, sparse=True)
 
 
+def _read_plain_sparse(data: bytes) -> SparseMatrixCSR | None:
+    """A plain-form triplet file in CSR order that passes every check, else None."""
+    head, _, body = data.partition(b"\n")
+    parts = head.split(b" ")
+    if len(parts) != 5 or parts[0] != b"sparse" or not all(p.isdigit() for p in parts[1:]):
+        return None
+    n, m, bits, frac = map(int, parts[1:])
+    t = _int_rows(body, 3) if frac < bits <= 64 and max(n, m) <= MAX_SPARSE_DIM else None
+    if t is None:
+        return None
+    r, c, v = t.T
+    dr, dc = np.diff(r), np.diff(c)
+    if (((t[:, :2] < 0) | (t[:, :2] >= (n, m))).any() or ((dr < 0) | (dr == 0) & (dc <= 0)).any()
+            or ((v < int_min(bits)) | (v > int_max(bits))).any()):
+        return None  # a position outside, out of order or repeated, or a value too wide
+    return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
+
+
 def _read_sparse_features(path, lines) -> SparseMatrixCSR:
     lineno, header = lines[0]
     parts = header.split()
@@ -132,6 +182,8 @@ def _read_sparse_features(path, lines) -> SparseMatrixCSR:
         _fail(path, lineno, f"non-integer sparse header field in {header!r}")
     if min(n, m) < 0 or not 0 <= frac < bits <= 64:
         _fail(path, lineno, f"sparse header needs sizes >= 0, 0 <= frac < bits <= 64: {header!r}")
+    if max(n, m) > MAX_SPARSE_DIM:
+        _fail(path, lineno, f"sparse header sizes must be <= {MAX_SPARSE_DIM}: {header!r}")
     rr, cc, vv = [], [], []
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -168,8 +220,8 @@ def write_features(path, f: SparseMatrixCSR) -> None:
     rr = np.repeat(np.arange(f.rows), f.row_nnz())
     with open(path, "w") as fh:
         fh.write(f"sparse {f.rows} {f.cols} {f.bits} {f.frac_bits}\n")
-        for r, c, v in zip(rr, f.col_idx, f.values):
-            fh.write(f"{r} {c} {v}\n")
+        fh.write("".join(map("{} {} {}\n".format, rr.tolist(), f.col_idx.tolist(),
+                             f.values.tolist())))
 
 
 # -- weights ------------------------------------------------------------------

@@ -304,9 +304,14 @@ REPORT_WITH_TEXT_ERROR = json.dumps({
      "does not fit 64 bits"),
     ("features.txt", "sparse 4 4 4 9\n0 0 1\n", "features.txt:1: sparse header needs"),
     ("features.txt", "sparse -1 4 4 0\n", "features.txt:1: sparse header needs"),
+    ("features.txt", "sparse 4294967296 16 4 3\n0 0 1\n",
+     "features.txt:1: sparse header sizes must be <= 134217728"),
+    ("features.txt", f"sparse {1 << 63} 16 4 3\n0 0 1\n",
+     "features.txt:1: sparse header sizes must be <= 134217728"),
     ("features.txt", "0.5 1\n1 0\n2 nan\n0 0\n", "features.txt:3: feature value is nan"),
 ], ids=["report-without-config", "report-text-error", "repeated-position", "value-over-width",
-        "value-over-int64", "frac-not-below-bits", "negative-rows", "dense-nan"])
+        "value-over-int64", "frac-not-below-bits", "negative-rows", "rows-2^32", "rows-2^63",
+        "dense-nan"])
 def test_malformed_inputs_exit_3(tmp_path, capsys, name, text, message):
     # a report reaches render, a feature file ingest; neither may end in a traceback
     (tmp_path / "edges.txt").write_text(TINY_EDGES)
@@ -316,6 +321,18 @@ def test_malformed_inputs_exit_3(tmp_path, capsys, name, text, message):
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_config_is_checked_before_the_bundle_is_read(tmp_path, capsys):
+    # malformed data would exit 3, so exit 4 shows the settings were checked first
+    (tmp_path / "edges.txt").write_text(TINY_EDGES)
+    (tmp_path / "features.txt").write_text("sparse 4 4 4 0\n0 0 oops\n")
+    for command in ("simulate", "preprocess"):
+        assert main([command, str(tmp_path), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert "features.txt:2: non-integer triplet" in capsys.readouterr().err
+        assert main([command, str(tmp_path), "--load-bw", "0",
+                     "--out", str(tmp_path / "o")]) == EXIT_INVALID
+        assert "bandwidths must be >= 1" in capsys.readouterr().err
 
 
 # -- seeded mutation contract -----------------------------------------------------

@@ -1,9 +1,13 @@
 """File formats: parsing, line-numbered errors, byte-exact round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gcnsim import formats
 from gcnsim.formats import (
+    MAX_SPARSE_DIM,
     FileFormatError,
     export_bundle,
     ingest_bundle_dir,
@@ -17,7 +21,7 @@ from gcnsim.formats import (
     write_meta,
     write_weights,
 )
-from gcnsim.graphs import gen_powerlaw, random_weights
+from gcnsim.graphs import GraphBundle, gen_powerlaw, random_weights
 from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
 
 
@@ -162,3 +166,203 @@ def test_ingest_graph_validates_against_features(tmp_path):
     (tmp_path / "e.txt").write_text("0 3\n")
     with pytest.raises(FileFormatError, match="out of range"):
         ingest_graph(tmp_path / "e.txt", tmp_path / "f.txt")
+
+
+# -- the array path against the line parser ----------------------------------------
+
+I64_MAX, I64_MIN = (1 << 63) - 1, -(1 << 63)
+ARABIC = "\u0660\u0661\u0662\u0663"  # Arabic-Indic 0 1 2 3; int() reads them
+
+# (text, whether the array path must answer it itself)
+FEATURE_TEXTS = {
+    "plain": ("sparse 3 4 4 3\n0 0 1\n0 3 -7\n2 1 7\n", True),
+    "unordered": ("sparse 3 4 4 3\n2 1 7\n0 3 -7\n0 0 1\n", False),
+    "unordered-in-row": ("sparse 3 4 4 3\n0 3 -7\n0 0 1\n", False),
+    "no-trailing-newline": ("sparse 3 4 4 3\n0 0 1\n2 1 -8", False),
+    "tabs-and-spaces": ("sparse 3 4 4 3\n0\t0  1\n 2 1\t-8 \n", True),
+    "leading-zeros-and-minus-zero": ("sparse 3 4 4 3\n000 2 1\n1 01 -0\n", True),
+    "header-only": ("sparse 3 4 4 3\n", True),
+    "header-only-no-newline": ("sparse 3 4 4 3", True),
+    "header-then-spaces": ("sparse 3 4 4 3\n  ", False),  # fromstring reads "  " as [0]
+    "near-int64-extremes": (f"sparse 2 2 64 0\n0 1 {I64_MIN + 1}\n1 0 {I64_MAX - 1}\n", True),
+    "comments": ("# c\nsparse 3 4 4 3\n0 0 1\n# mid\n2 1 -8\n", False),
+    "blank-lines": ("sparse 3 4 4 3\n\n0 0 1\n   \n2 1 -8\n\n", False),
+    "crlf": ("sparse 3 4 4 3\r\n0 0 1\r\n2 1 -8\r\n", False),
+    "header-spacing": ("sparse  3 4 4 3\n0 0 1\n", False),
+    "plus-sign": ("sparse 3 4 4 3\n0 0 +7\n", False),
+    "underscore": ("sparse 3 4 16 3\n0 0 1_0\n", False),
+    "arabic-indic": (f"sparse 3 4 4 3\n{ARABIC[0]} {ARABIC[1]} {ARABIC[3]}\n", False),
+    "int64-extremes": (f"sparse 3 4 64 0\n0 0 {I64_MAX}\n0 1 {-I64_MAX}\n1 0 {I64_MIN}\n",
+                       False),
+    "20-digit-negative": ("sparse 3 4 64 0\n0 0 -99999999999999999999\n", False),
+    "lines-of-2-and-4": ("sparse 3 4 4 3\n0 0\n1 1 1 2\n", False),
+    "lines-of-4-and-2": ("sparse 3 4 4 3\n0 0 1 1\n1 2\n", False),
+    "bare-minus": ("sparse 3 4 4 3\n0 0 -\n", False),
+    "split-minus": ("sparse 3 4 4 3\n0 0 - 3\n", False),
+    "inner-minus": ("sparse 3 4 4 3\n0 1-2 3\n", False),
+    "position-outside": ("sparse 3 4 4 3\n0 0 1\n3 0 1\n", False),
+    "negative-position": ("sparse 3 4 4 3\n0 -1 1\n", False),
+    "value-over-width": ("sparse 3 4 4 3\n0 0 1\n1 1 8\n", False),
+    "repeated-position": ("sparse 3 4 4 3\n1 1 2\n0 0 7\n1 1 2\n", False),
+    "frac-not-below-bits": ("sparse 3 4 4 4\n0 0 1\n", False),
+    "rows-over-bound": (f"sparse {MAX_SPARSE_DIM + 1} 4 4 3\n0 0 1\n", False),
+    "cols-2^63": (f"sparse 3 {1 << 63} 4 3\n0 0 1\n", False),
+}
+
+EDGE_TEXTS = {
+    "plain": ("0 1\n1 2\n2 3\n", True),
+    "duplicates-and-self-loops": ("2 2\n0 1\n1 0\n0 1\n", True),
+    "no-trailing-newline": ("0 1\n1 2", False),
+    "tabs-and-spaces": ("0\t1\n  1  2 \n", True),
+    "trailing-spaces": ("0 1\n1 2\n  ", True),
+    "empty": ("", True),
+    "spaces-only": ("  ", False),
+    "comments": ("# c\n0 1\n# mid\n1 2\n", False),
+    "blank-lines": ("0 1\n\n \n1 2\n", False),
+    "crlf": ("0 1\r\n1 2\r\n", False),
+    "plus-sign": ("+0 1\n", False),
+    "underscore": ("1_0 2\n", False),
+    "arabic-indic": (f"{ARABIC[0]} {ARABIC[2]}\n", False),
+    "int64-max": (f"0 {I64_MAX}\n", False),
+    "20-digit-negative": ("0 -99999999999999999999\n", False),
+    "lines-of-1-and-3": ("0\n1 2 3\n", False),
+    "lines-of-3-and-1": ("0 1 2\n3\n", False),
+    "bare-minus": ("0 -\n", False),
+    "out-of-range": ("0 1\n0 16\n", False),
+    "negative": ("0 1\n-1 2\n", False),
+    "non-integer": ("0 1\n1 x\n", False),
+}
+
+
+def outcome(read):
+    """A reader's CSR fields, or the message of the FileFormatError it raised."""
+    try:
+        m = read()
+    except FileFormatError as exc:
+        return str(exc)
+    return (m.rows, m.cols, m.bits, m.frac_bits, m.row_ptr.tolist(),
+            m.col_idx.tolist(), m.values.tolist())
+
+
+def both_paths(monkeypatch, read):
+    """The reader as shipped, then with the array path switched off, so the
+    line parser reads everything."""
+    shipped = outcome(read)
+    with monkeypatch.context() as m:
+        m.setattr(formats, "_int_rows", lambda data, width: None)
+        by_lines = outcome(read)
+    return shipped, by_lines
+
+
+@pytest.mark.parametrize("name", FEATURE_TEXTS)
+def test_feature_array_path_matches_line_parser(tmp_path, monkeypatch, name):
+    text, fast = FEATURE_TEXTS[name]
+    p = tmp_path / "features.txt"
+    p.write_bytes(text.encode("utf-8"))
+    shipped, by_lines = both_paths(monkeypatch, lambda: read_features(p))
+    assert shipped == by_lines
+    assert (formats._read_plain_sparse(p.read_bytes()) is not None) == fast
+
+
+@pytest.mark.parametrize("name", EDGE_TEXTS)
+def test_edge_array_path_matches_line_parser(tmp_path, monkeypatch, name):
+    text, fast = EDGE_TEXTS[name]
+    p = tmp_path / "edges.txt"
+    p.write_bytes(text.encode("utf-8"))
+    shipped, by_lines = both_paths(monkeypatch, lambda: read_edges(p, 16))
+    assert shipped == by_lines
+    table = formats._int_rows(p.read_bytes(), 2)
+    assert (table is not None and ((table >= 0) & (table < 16)).all()) == fast
+
+
+def test_line_parser_messages_survive_the_array_path(tmp_path):
+    p = tmp_path / "features.txt"
+    for name, message in (
+            ("lines-of-2-and-4", "features.txt:2: expected 'row col value', got '0 0'"),
+            ("bare-minus", "features.txt:2: non-integer triplet in '0 0 -'"),
+            ("position-outside", "features.txt:3: position (3, 0) outside 3x4"),
+            ("rows-over-bound", f"features.txt:1: sparse header sizes must be <= {MAX_SPARSE_DIM}"),
+            ("cols-2^63", f"features.txt:1: sparse header sizes must be <= {MAX_SPARSE_DIM}")):
+        p.write_text(FEATURE_TEXTS[name][0])
+        with pytest.raises(FileFormatError) as exc:
+            read_features(p)
+        assert message in str(exc.value), name
+    q = tmp_path / "edges.txt"
+    q.write_text(EDGE_TEXTS["lines-of-1-and-3"][0])
+    with pytest.raises(FileFormatError, match=r"edges\.txt:1: expected 'u v', got '0'"):
+        read_edges(q, 16)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exported_bundles_take_the_array_path(tmp_path, monkeypatch, seed):
+    bundle = gen_powerlaw(300, 4, 2.1, seed=seed, n_features=24, feature_density=0.2)
+    paths = export_bundle(tmp_path, bundle)
+    assert formats._read_plain_sparse(paths["features"].read_bytes()) is not None
+    assert formats._int_rows(paths["edges"].read_bytes(), 2) is not None
+    shipped, by_lines = both_paths(monkeypatch, lambda: ingest_bundle_dir(tmp_path).features)
+    assert shipped == by_lines == outcome(lambda: bundle.features)
+    shipped, by_lines = both_paths(monkeypatch, lambda: ingest_bundle_dir(tmp_path).adjacency)
+    assert shipped == by_lines == outcome(lambda: bundle.adjacency)
+
+
+# -- writers against their per-line spec ----------------------------------------------
+
+
+def write_edges_by_lines(path, a):
+    """The per-line writer: the spec write_edges must match byte for byte."""
+    rr = np.repeat(np.arange(a.rows), a.row_nnz())
+    keep = rr <= a.col_idx
+    with open(path, "w") as fh:
+        for u, v in zip(rr[keep], a.col_idx[keep]):
+            fh.write(f"{u} {v}\n")
+
+
+def write_features_by_lines(path, f):
+    """The per-line writer: the spec write_features must match byte for byte."""
+    rr = np.repeat(np.arange(f.rows), f.row_nnz())
+    with open(path, "w") as fh:
+        fh.write(f"sparse {f.rows} {f.cols} {f.bits} {f.frac_bits}\n")
+        for r, c, v in zip(rr, f.col_idx, f.values):
+            fh.write(f"{r} {c} {v}\n")
+
+
+def empty_csr(rows, cols, bits, frac):
+    none = np.zeros(0, dtype=np.int64)
+    return SparseMatrixCSR(rows, cols, np.zeros(rows + 1, dtype=np.int64), none, none,
+                           bits, frac)
+
+
+def test_writers_match_the_per_line_spec(tmp_path):
+    bundles = [gen_powerlaw(500, 4, 2.1, seed=s, n_features=16, feature_density=0.3)
+               for s in (0, 7, 19)]
+    wide = SparseMatrixCSR.from_coo(3, 2, [0, 2], [1, 0], [-30000, 32767], 16, 11)
+    bundles.append(GraphBundle(empty_csr(3, 3, 4, 0), wide))                 # no edges
+    bundles.append(GraphBundle(bundles[0].adjacency, empty_csr(500, 16, 4, 3)))  # no features
+    for i, bundle in enumerate(bundles):
+        paths = export_bundle(tmp_path / f"b{i}", bundle)
+        write_edges_by_lines(tmp_path / "spec_edges.txt", bundle.adjacency)
+        write_features_by_lines(tmp_path / "spec_features.txt", bundle.features)
+        assert paths["edges"].read_bytes() == (tmp_path / "spec_edges.txt").read_bytes()
+        assert paths["features"].read_bytes() == (tmp_path / "spec_features.txt").read_bytes()
+    assert (tmp_path / "b3" / "edges.txt").read_bytes() == b""
+    assert (tmp_path / "b4" / "features.txt").read_bytes() == b"sparse 500 16 4 3\n"
+
+
+# -- ingest memory -----------------------------------------------------------------------
+
+
+def test_ingest_memory_is_linear_in_file_bytes(tmp_path):
+    # the line parser held each line as a tuple and then Python int lists,
+    # about 22 traced bytes per file byte; the array path needs about 11-13
+    bundle = gen_powerlaw(16384, 4, 2.1, seed=1, n_features=32, feature_density=0.1)
+    paths = export_bundle(tmp_path, bundle)
+    for path, read in ((paths["features"], lambda: read_features(paths["features"])),
+                       (paths["edges"], lambda: read_edges(paths["edges"], 16384))):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 16 * path.stat().st_size + (64 << 10)
+        assert peak <= budget, (path.name, peak, budget)
