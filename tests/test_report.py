@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcnsim.graphs import gen_powerlaw, random_weights
 from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
 from gcnsim.report import (
     IDLE_BENCHMARK,
@@ -14,7 +15,15 @@ from gcnsim.report import (
     report_document,
     write_report,
 )
-from gcnsim.runtime import RunReport, make_gcn, references, run_model, verify_against_oracle
+from gcnsim.runtime import (
+    RunReport,
+    make_gcn,
+    make_graphsage,
+    mean_adjacency,
+    references,
+    run_model,
+    verify_against_oracle,
+)
 from gcnsim.schedule import ArchConfig, config_for_tile
 from gcnsim.simulator import simulate_step
 
@@ -115,6 +124,34 @@ def test_document_totals_and_verify_block():
     assert doc["verify"]["exact_match"] is True
     assert doc["config"]["tile_width"] == 16
     assert doc["sdmm"]["compute_cycles"] > 0
+
+
+def test_sdmm_block_sums_the_sparse_steps():
+    # two-layer GraphSAGE: layer 1 combines a dense operand (DMM), so its
+    # self and neighbor combinations stay out of the sdmm block
+    bundle = gen_powerlaw(48, 3, 2.1, seed=23, n_features=12)
+    dims = [12, 8, 4]
+    model = make_graphsage(list(zip(random_weights(dims, seed=1),
+                                    random_weights(dims, seed=2))))
+    cfg = config_for_tile(4, 16, lanes=4)
+    _, run = run_model(model, mean_adjacency(bundle.adjacency), bundle.features, cfg)
+    doc = report_document(run, cfg)
+    steps, sd = doc["steps"], doc["sdmm"]
+    assert [s["label"] for s in steps if s["mode"] == "dmm"] == \
+        ["layer1.self", "layer1.neigh_combine"]
+    sparse = [s for s in steps if s["mode"] == "sdmm"]
+    assert len(sparse) == 4
+    step_key = {"valid": "compute", "empty_row": "empty_row",
+                "collision": "collision", "imbalance": "imbalance"}
+    assert set(sd["per_pe"]) == set(step_key)
+    for key, name in step_key.items():
+        summed = np.sum([s["per_pe"][name] for s in sparse], axis=0)
+        assert sd["per_pe"][key] == summed.tolist()
+        assert sd["slots"][key] == sum(sd["per_pe"][key])
+    assert sd["compute_cycles"] == sum(s["compute_cycles"] for s in sparse)
+    assert sd["slots"]["collision"] + sd["slots"]["imbalance"] > 0
+    for key in ("load_cycles", "compute_cycles", "move_cycles", "total_cycles"):
+        assert doc["phases"][key] == sum(s[key] for s in steps)
 
 
 def test_dmm_only_run_has_no_sparse_block_numbers():
