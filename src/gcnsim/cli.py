@@ -24,7 +24,13 @@ import numpy as np
 from .formats import FileFormatError, export_bundle, ingest_bundle_dir, write_meta
 from .graphs import degree_stats, gen_powerlaw, random_weights
 from .matrix import OverflowTrap, ShapeError, normalize_adjacency
-from .pcoo import PACKET_VALUE_WIDTHS, StreamFormatError, make_header, serialize_stream
+from .pcoo import (
+    PACKET_VALUE_WIDTHS,
+    StreamFormatError,
+    check_value_field,
+    make_header,
+    serialize_stream,
+)
 from .report import (
     ReportFormatError,
     read_report,
@@ -43,6 +49,7 @@ from .runtime import (
     verify_against_oracle,
 )
 from .schedule import (
+    ScheduleStats,
     build_sdmm_schedule,
     config_for_tile,
     packet_bits_for,
@@ -108,9 +115,7 @@ def arch_from(settings):
 def _require_out(args) -> Path:
     if not args.out:
         raise ValueError("--out is required for this command")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out)
 
 
 # -- model assembly -----------------------------------------------------------
@@ -155,6 +160,7 @@ def build_model(bundle, kind: str, adjacency_mode: str, hidden: int,
 def cmd_gen(args) -> int:
     s = resolve_settings(args)
     out = _require_out(args)
+    out.mkdir(parents=True, exist_ok=True)
     bundle = gen_powerlaw(args.nodes, args.degree, args.exponent, s["seed"],
                           args.features, args.density)
     paths = export_bundle(out, bundle)
@@ -171,23 +177,28 @@ def cmd_preprocess(args) -> int:
     s = resolve_settings(args)
     cfg = arch_from(s)
     out = _require_out(args)
+    h = s["value_bits"]
+    # every stream header field but the cycle count is known: check it now
+    make_header(cfg.tile_width, 0 if h is None else h, cfg.pe_count, 0)
     bundle = ingest_bundle_dir(args.bundle)
-    rows = []
-    operands = [("adjacency", bundle.adjacency, None),
-                ("features", bundle.features, s["value_bits"])]
-    for kind, mat, h in operands:
-        if h is None:
-            h = packet_bits_for(mat)
+    if h is not None:
+        check_value_field(bundle.features.values, h)
+    operands = [("adjacency", bundle.adjacency, packet_bits_for(bundle.adjacency)),
+                ("features", bundle.features,
+                 packet_bits_for(bundle.features) if h is None else h)]
+    out.mkdir(parents=True, exist_ok=True)
+    rows, census = [], ScheduleStats.zero(cfg.pe_count)
+    for kind, mat, bits in operands:
         for i, tile in enumerate(tile_columns(mat, cfg.tile_width)):
             sched = build_sdmm_schedule(tile, cfg)
             name = f"{kind}{i:04d}.pcoo"
-            hdr = make_header(cfg.tile_width, h, cfg.pe_count, sched.cycles)
+            hdr = make_header(cfg.tile_width, bits, cfg.pe_count, sched.cycles)
             (out / name).write_bytes(serialize_stream(sched, hdr))
-            st = schedule_stats(sched).totals()
+            stats = schedule_stats(sched)
+            census += stats
             rows.append({"file": name, "kind": kind, "tile_index": i,
-                         "value_bits": h, **st})
-    totals = {key: sum(r[key] for r in rows)
-              for key in ("valid", "empty_row", "stall_idle", "pad_idle", "cycles")}
+                         "value_bits": bits, **stats.totals()})
+    totals = census.totals()
     write_meta(out / "meta.json", {
         "config": {"pe_count": cfg.pe_count, "tile_width": cfg.tile_width,
                    "lanes": cfg.lanes, "groups": cfg.groups,
@@ -235,6 +246,7 @@ def cmd_simulate(args) -> int:
     print(render_report(doc), end="")
     if args.out:
         out = _require_out(args)
+        out.mkdir(parents=True, exist_ok=True)
         write_report(doc, out / "report.json")
         with open(out / "logits.txt", "w") as fh:
             fh.write(f"# logits {logits.rows} {logits.cols} "
@@ -246,9 +258,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     s = resolve_settings(args)
-    out_path = Path(args.out) if args.out else None
-    if out_path is None:
-        raise ValueError("--out is required for this command")
+    out_path = _require_out(args)
     if s["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {s['jobs']}")
     _check_model_shape(args)

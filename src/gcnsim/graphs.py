@@ -25,7 +25,6 @@ class GraphBundle:
     adjacency: SparseMatrixCSR
     features: SparseMatrixCSR
     weights: list = field(default_factory=list)
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.validate()
@@ -47,8 +46,6 @@ class GraphBundle:
             if w.rows != dim:
                 raise ShapeError(f"weight {i} expects {w.rows} inputs, got {dim}")
             dim = w.cols
-        if self.labels is not None and len(self.labels) != self.adjacency.rows:
-            raise ShapeError("one label per node required")
 
 
 def _degree_pmf(cap: int, exponent: float, tilt: float) -> np.ndarray:

@@ -113,9 +113,23 @@ def packet_malformed(p: PcooPacket) -> bool:
     return p.col != 0 or p.value != 0
 
 
-def stream_bits(slot_count: int, tile_width: int, value_bits: int) -> int:
-    """Exact compressed size of slot_count packets, idles included."""
-    return slot_count * packet_width(tile_width, value_bits)
+def check_value_field(values: np.ndarray, value_bits: int) -> None:
+    """Raise ValueError unless valid packets with these values fit a
+    value_bits field; with no field a valid packet stands for a stored 1."""
+    if value_bits == 0:
+        if not (values == 1).all():
+            raise ValueError("value not representable in 0 bits")
+    elif values.size:
+        lo, hi = -(1 << (value_bits - 1)), (1 << (value_bits - 1)) - 1
+        if values.min() < lo or values.max() > hi:
+            raise ValueError(f"value outside {value_bits}-bit range")
+
+
+def _at_cell(cell: int, pe_count: int) -> str:
+    return f"cell {cell} (cycle {cell // pe_count}, PE {cell % pe_count})"
+
+
+_STRAY = "is not valid but carries a column or value"
 
 
 def make_header(tile_width: int, value_bits: int, pe_count: int,
@@ -136,7 +150,8 @@ def make_header(tile_width: int, value_bits: int, pe_count: int,
 
 def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
     """Header then a TileSchedule's packets cycle-major, each MSB-first in
-    ceil(width/8) bytes; the vectorized twin of encode_packet."""
+    ceil(width/8) bytes; the vectorized twin of encode_packet. A schedule
+    with a packet_malformed cell is refused."""
     t, h = header.tile_width, header.value_bits
     cycles, k = sched.sor.shape
     if cycles != header.cycle_count:
@@ -148,15 +163,11 @@ def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
     vld = sched.vld.astype(np.int64).ravel()
     if col.size and (col.min() < 0 or col.max() >= t):
         raise ValueError(f"column outside tile width {t}")
-    if h == 0:
-        if not np.array_equal(val, vld):
-            raise ValueError("value not representable in 0 bits")
-        payload = np.zeros_like(val)
-    else:
-        lo, hi = -(1 << (h - 1)), (1 << (h - 1)) - 1
-        if val.size and (val.min() < lo or val.max() > hi):
-            raise ValueError(f"value outside {h}-bit range")
-        payload = val & ((1 << h) - 1)
+    stray = np.flatnonzero((vld == 0) & ((col != 0) | (val != 0)))  # packet_malformed
+    if stray.size:
+        raise ValueError(f"{_at_cell(int(stray[0]), k)} {_STRAY}")
+    check_value_field(val[vld == 1], h)
+    payload = val & ((1 << h) - 1)
     head = col + t * vld + 2 * t * sched.eor.astype(np.int64).ravel() \
         + 4 * t * sched.sor.astype(np.int64).ravel()
     codes = (head << h) | payload
@@ -171,6 +182,8 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     """Inverse of serialize_stream: the header and a columnar TileSchedule.
 
     Every cell is decoded at once (the vectorized twin of decode_packet).
+    A cell with bits above its packet, or one that packet_malformed rejects
+    (not valid, yet carrying a column or value), is a StreamFormatError.
     Idle slots come back as pads, since the stream carries no stall
     provenance. Row numbers need no decoding: PE p's row markers stand for
     rows p, p+K, p+2K, ... by the round-robin rule.
@@ -202,9 +215,12 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
         codes |= cells[:, i]
     wide = np.flatnonzero(codes >> width)
     if wide.size:
-        cell = int(wide[0])
-        raise StreamFormatError(f"cell {cell} (cycle {cell // k}, PE {cell % k}) "
-                                f"has bits set above its {width}-bit packet")
+        raise StreamFormatError(f"{_at_cell(int(wide[0]), k)} has bits set "
+                                f"above its {width}-bit packet")
+    body = codes & ((2 * t << h) - 1)  # vld, col and value bits
+    stray = np.flatnonzero((body != 0) & (body < t << h))  # packet_malformed
+    if stray.size:
+        raise StreamFormatError(f"{_at_cell(int(stray[0]), k)} {_STRAY}")
     shape = (cycles, k)
 
     def field(shift, mask, dtype):

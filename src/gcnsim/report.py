@@ -6,6 +6,11 @@ comparison covers the sparse compute phase only: ideal cycles assume every
 PE is busy every cycle, so efficiency = ideal / actual is the fraction of
 sparse compute time that did mandatory work (nonzeros and empty-row
 markers), the rest being collision stalls and imbalance pads.
+
+This module alone names the slot census (schedule.ScheduleStats) in
+documents: its stall_idle and pad_idle are "collision" and "imbalance",
+and its valid work is "compute" in a step's per_pe and "valid" in the
+sdmm block, which is the sum of the sparse steps' censuses.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .runtime import RunReport
-from .schedule import ArchConfig
+from .schedule import ArchConfig, ScheduleStats
 from .simulator import MODE_SDMM
 
 REPORT_VERSION = 1
@@ -36,6 +41,12 @@ def ideal_cycles(work: int, pe_count: int) -> int:
     return -(-work // pe_count)
 
 
+def _per_pe(census: ScheduleStats, valid_name: str) -> dict:
+    """The census under the document's names; a step calls valid work "compute"."""
+    return {valid_name: census.valid.tolist(), "empty_row": census.empty_row.tolist(),
+            "collision": census.stall_idle.tolist(), "imbalance": census.pad_idle.tolist()}
+
+
 def report_document(report: RunReport, cfg: ArchConfig, label: str = "run",
                     verify: dict | None = None) -> dict:
     doc = {
@@ -52,7 +63,10 @@ def report_document(report: RunReport, cfg: ArchConfig, label: str = "run",
             "move_cycles": sum(r.move_cycles for _, r in report.steps),
             "total_cycles": report.total_cycles(),
         },
-        "steps": report.as_dict()["steps"],
+        "steps": [{"label": name, "mode": r.mode, "load_cycles": r.load_cycles,
+                   "compute_cycles": r.compute_cycles, "move_cycles": r.move_cycles,
+                   "total_cycles": r.total_cycles, "per_pe": _per_pe(r.census, "compute")}
+                  for name, r in report.steps],
         "sdmm": _ideal_block(report),
     }
     if verify is not None:
@@ -61,18 +75,17 @@ def report_document(report: RunReport, cfg: ArchConfig, label: str = "run",
 
 
 def _ideal_block(report: RunReport) -> dict:
-    """Ideal-latency comparison over the merged sparse (SDMM) steps."""
-    sdmm = RunReport([step for step in report.steps if step[1].mode == MODE_SDMM])
-    if not sdmm.steps:
+    """Ideal-latency comparison over the summed sparse (SDMM) step censuses."""
+    sparse = [r.census for _, r in report.steps if r.mode == MODE_SDMM]
+    if not sparse:
         return {"compute_cycles": 0, "work": 0, "ideal_cycles": 0,
                 "efficiency": None, "slots": {}, "per_pe": {},
                 "worst_idle_fraction": 0.0, "idle_under_benchmark": True}
-    merged = sdmm.merged()
-    cycles = merged.compute_cycles
-    per_pe = {"valid": merged.compute.tolist(), "empty_row": merged.empty_row.tolist(),
-              "collision": merged.collision.tolist(), "imbalance": merged.imbalance.tolist()}
+    census = sum(sparse[1:], sparse[0])
+    cycles = census.cycles
+    per_pe = _per_pe(census, "valid")
     work = sum(per_pe["valid"]) + sum(per_pe["empty_row"])
-    ic = ideal_cycles(work, merged.pe_count)
+    ic = ideal_cycles(work, census.pe_count)
     idle_frac = [(stall + pad) / cycles if cycles else 0.0
                  for stall, pad in zip(per_pe["collision"], per_pe["imbalance"])]
     worst = max(idle_frac)

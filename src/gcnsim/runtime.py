@@ -104,21 +104,6 @@ class RunReport:
     def total_cycles(self) -> int:
         return sum(r.total_cycles for _, r in self.steps)
 
-    def merged(self) -> CycleReport:
-        if not self.steps:
-            raise ValueError("empty run report")
-        out = CycleReport(self.steps[0][1].pe_count, mode="mixed")
-        for _, r in self.steps:
-            out.merge(r)
-        return out
-
-    def as_dict(self) -> dict:
-        return {
-            "total_cycles": self.total_cycles(),
-            "sdmm_compute_cycles": self.sdmm_compute_cycles(),
-            "steps": [{"label": lbl, **r.breakdown()} for lbl, r in self.steps],
-        }
-
 
 def mean_adjacency(a: SparseMatrixCSR, frac_bits: int = 14) -> SparseMatrixCSR:
     """Row-normalized adjacency (each stored row scaled by 1/degree).

@@ -123,13 +123,33 @@ class TileSchedule:
 
 @dataclass(frozen=True)
 class ScheduleStats:
-    """Slot census per PE: valid work, empty-row markers, stalls, pads."""
+    """Slot census per PE: valid work, empty-row markers, stalls, pads.
+
+    Censuses add up: a + b is the census of running a's schedules, then b's.
+    """
 
     valid: np.ndarray
     empty_row: np.ndarray
     stall_idle: np.ndarray
     pad_idle: np.ndarray
     cycles: int
+
+    @classmethod
+    def zero(cls, pe_count: int) -> "ScheduleStats":
+        """Census of running nothing, the start of a sum."""
+        return cls(*(np.zeros(pe_count, dtype=np.int64) for _ in range(4)), 0)
+
+    @property
+    def pe_count(self) -> int:
+        return len(self.valid)
+
+    def __add__(self, other: "ScheduleStats") -> "ScheduleStats":
+        if other.pe_count != self.pe_count:
+            raise ValueError(f"cannot add a {other.pe_count}-PE census "
+                             f"to a {self.pe_count}-PE one")
+        return ScheduleStats(self.valid + other.valid, self.empty_row + other.empty_row,
+                             self.stall_idle + other.stall_idle,
+                             self.pad_idle + other.pad_idle, self.cycles + other.cycles)
 
     def totals(self) -> dict:
         return {

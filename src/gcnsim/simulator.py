@@ -17,6 +17,8 @@ column tile, reusable for every product with the same left operand) and
 run once per column tile over every output column (simulate_step). The
 hardware walks the output C lanes at a time, replaying the schedule per
 lane block, so each lane block only adds its load cycles and census.
+A step's CycleReport carries the sum of those censuses (ScheduleStats
+adds up), and report.py gives the census fields their document names.
 
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
@@ -199,68 +201,22 @@ def data_move(y: DenseMatrix | np.ndarray, cfg: ArchConfig) -> int:
 
 @dataclass
 class CycleReport:
-    """Phase cycle totals plus the per-PE slot census of every schedule run."""
+    """One product's phase cycles. The compute phase is census, the sum of
+    every schedule run's slot census; tiles keeps each run's totals."""
 
-    pe_count: int
+    census: ScheduleStats
     mode: str = MODE_SDMM
     load_cycles: int = 0
-    compute_cycles: int = 0
     move_cycles: int = 0
-    compute: np.ndarray = None
-    empty_row: np.ndarray = None
-    collision: np.ndarray = None
-    imbalance: np.ndarray = None
     tiles: list = field(default_factory=list)
 
-    def __post_init__(self):
-        for name in ("compute", "empty_row", "collision", "imbalance"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(self.pe_count, dtype=np.int64))
+    @property
+    def compute_cycles(self) -> int:
+        return self.census.cycles
 
     @property
     def total_cycles(self) -> int:
         return self.load_cycles + self.compute_cycles + self.move_cycles
-
-    def add_tile(self, stats: ScheduleStats, col_offset: int, out_offset: int) -> None:
-        self.compute_cycles += stats.cycles
-        self.compute += stats.valid
-        self.empty_row += stats.empty_row
-        self.collision += stats.stall_idle
-        self.imbalance += stats.pad_idle
-        self.tiles.append({"col_offset": col_offset, "out_offset": out_offset,
-                           "cycles": stats.cycles, **stats.totals()})
-
-    def check_identity(self) -> None:
-        per_pe = self.compute + self.empty_row + self.collision + self.imbalance
-        if not (per_pe == self.compute_cycles).all():
-            raise AssertionError("per-PE slot census does not cover the compute phase")
-
-    def merge(self, other: "CycleReport") -> None:
-        if other.pe_count != self.pe_count:
-            raise ValueError("cannot merge reports with different PE counts")
-        self.load_cycles += other.load_cycles
-        self.compute_cycles += other.compute_cycles
-        self.move_cycles += other.move_cycles
-        self.compute += other.compute
-        self.empty_row += other.empty_row
-        self.collision += other.collision
-        self.imbalance += other.imbalance
-        self.tiles.extend(other.tiles)
-
-    def breakdown(self) -> dict:
-        return {
-            "mode": self.mode,
-            "load_cycles": self.load_cycles,
-            "compute_cycles": self.compute_cycles,
-            "move_cycles": self.move_cycles,
-            "total_cycles": self.total_cycles,
-            "per_pe": {
-                "compute": self.compute.tolist(),
-                "empty_row": self.empty_row.tolist(),
-                "collision": self.collision.tolist(),
-                "imbalance": self.imbalance.tolist(),
-            },
-        }
 
 
 def plan_step(x, cfg: ArchConfig) -> list[tuple[int, TileSchedule, ScheduleStats]]:
@@ -299,14 +255,15 @@ def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None
         raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
     y = np.zeros((x.rows, w.cols), dtype=np.int64)
     mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
-    report = CycleReport(cfg.pe_count, mode=mode)
+    report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=mode)
     for c0, sched, stats in plan:
         w_tile = w.data[c0:c0 + cfg.tile_width]
         y = run_tile(sched, w_tile, y, cfg)
         for o0 in range(0, max(w.cols, 1), cfg.lanes):
             report.load_cycles += load_tile(w_tile[:, o0:o0 + cfg.lanes], cfg)
-            report.add_tile(stats, c0, o0)
+            report.census += stats
+            report.tiles.append({"col_offset": c0, "out_offset": o0, **stats.totals()})
     report.move_cycles += data_move(y, cfg)
-    report.check_identity()
+    report.census.check_identity()
     check_fits(y, 32, "accumulator")
     return DenseMatrix(y, 32, x.frac_bits + w.frac_bits), report

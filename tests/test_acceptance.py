@@ -71,8 +71,9 @@ def random_arch(rng):
 
 def census_identity(report):
     """Recount every slot class by hand and balance it against the clock."""
-    k = report.pe_count
-    slots = report.compute + report.empty_row + report.collision + report.imbalance
+    c = report.census
+    k = c.pe_count
+    slots = c.valid + c.empty_row + c.stall_idle + c.pad_idle
     assert slots.shape == (k,)
     assert (slots == report.compute_cycles).all(), (
         f"per-PE slots {slots.tolist()} != compute cycles {report.compute_cycles}")
@@ -275,14 +276,14 @@ def test_criterion_08_dmm_degenerate():
             x = DenseMatrix(rng.integers(-8, 8, (m, n)), 4, 0)
             w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
             _, report = simulate_step(x, w, ArchConfig(k))
-            assert report.collision.sum() == 0, f"K={k} m={m}: dense stalls"
-            assert report.imbalance.sum() == 0, f"K={k} m={m}: dense pads"
+            assert report.census.stall_idle.sum() == 0, f"K={k} m={m}: dense stalls"
+            assert report.census.pad_idle.sum() == 0, f"K={k} m={m}: dense pads"
             census_identity(report)
     # contrast: a ragged row count must show up as imbalance, not vanish
     x = DenseMatrix(rng.integers(-8, 8, (9, 8)), 4, 0)
     w = DenseMatrix(rng.integers(-8, 8, (8, 4)), 4, 0)
     _, report = simulate_step(x, w, ArchConfig(4))
-    assert report.imbalance.sum() > 0
+    assert report.census.pad_idle.sum() > 0
 
 
 def preprocess_graph(a, cfg):

@@ -282,6 +282,22 @@ def test_value_width_contract(tmp_path, capsys):
     assert "value bits 7" in capsys.readouterr().err
 
 
+def test_preprocess_checks_widths_before_writing(workload, tmp_path, capsys):
+    # a width no header carries, and a width the 4-bit features do not
+    # fit, both exit before ingest or before the first stream is written
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"value_bits": 7}))
+    cases = ((["--config", str(config)], "value bits 7"),
+             (["--value-bits", "0"], "not representable in 0 bits"))
+    for i, (flags, message) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert main(["preprocess", str(workload / "w"), *flags,
+                     "--out", str(out)]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.pcoo"))
+        assert not out.exists()
+
+
 TINY_EDGES = "0 1\n1 2\n2 3\n"
 REPORT_WITHOUT_CONFIG = json.dumps({"version": 1, "label": "x", "config": {},
                                     "phases": {}, "steps": [], "sdmm": {}})

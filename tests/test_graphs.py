@@ -85,16 +85,12 @@ def test_bundle_validation():
     g = gen_powerlaw(64, 2, 2.1, seed=3, n_features=8)
     assert g.nodes == 64
     weights = random_weights([8, 4, 2], seed=1)
-    labeled = GraphBundle(g.adjacency, g.features, weights,
-                          labels=np.zeros(64, dtype=np.int64))
-    labeled.validate()
+    GraphBundle(g.adjacency, g.features, weights).validate()
     with pytest.raises(ShapeError):
         GraphBundle(g.adjacency, random_features(32, 8, 0.5,
                                                  np.random.default_rng(0)))
     with pytest.raises(ShapeError):
         GraphBundle(g.adjacency, g.features, random_weights([9, 4], seed=1))
-    with pytest.raises(ShapeError):
-        GraphBundle(g.adjacency, g.features, weights, labels=np.zeros(3))
     with pytest.raises(ShapeError):
         nonsquare = SparseMatrixCSR.from_dense_raw(np.ones((2, 3), dtype=int), 4, 0)
         GraphBundle(nonsquare, g.features)

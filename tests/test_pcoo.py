@@ -17,7 +17,6 @@ from gcnsim.pcoo import (
     packet_malformed,
     packet_width,
     serialize_stream,
-    stream_bits,
 )
 from gcnsim.schedule import TileSchedule, schedule_stats
 
@@ -113,12 +112,6 @@ def test_malformed_flag():
     assert packet_malformed(PcooPacket(0, 0, 0, 3, 0))
     assert packet_malformed(PcooPacket(1, 1, 0, 0, 2))
     assert not packet_malformed(PcooPacket(0, 0, 1, 3, -1))
-
-
-def test_stream_bits_exact():
-    # 5 nonzeros + 2 pad slots at T=8, H=4: (5+2) * 10 bits
-    assert stream_bits(7, 8, 4) == 70
-    assert stream_bits(0, 512, 16) == 0
 
 
 def test_make_header_rejects_fields_too_wide():
@@ -219,6 +212,44 @@ def test_deserialize_rejects_bits_above_packet():
     assert_same_packets(deserialize_stream(bytes(data))[1], sched)
     data[HEADER_BYTES + 2] |= 0x80  # top padding bit of the second cell
     with pytest.raises(StreamFormatError):
+        deserialize_stream(bytes(data))
+
+
+def test_deserialize_rejects_exactly_the_malformed_codes():
+    # the decoder enforces packet_malformed: a one-cell stream decodes, to
+    # decode_packet's packet, exactly when that packet is well formed
+    rng = np.random.default_rng(71)
+    seen = set()
+    for _ in range(600):
+        t = int(2 ** rng.integers(0, 10))
+        h = int(rng.choice([0, 4, 16]))
+        width = packet_width(t, h)
+        code = int(rng.integers(0, 1 << width))
+        if rng.random() < 0.5:
+            code &= ~((t << h) - 1)  # flags only: idle and empty-row cells
+        prefix = serialize_stream(grid_schedule([[IDLE_PACKET]], 1),
+                                  make_header(t, h, 1, 1))[:HEADER_BYTES]
+        data = prefix + code.to_bytes((width + 7) // 8, "big")
+        want = decode_packet(code, t, h)
+        seen.add(packet_malformed(want))
+        if packet_malformed(want):
+            with pytest.raises(StreamFormatError, match=r"cell 0 \(cycle 0, PE 0\)"):
+                deserialize_stream(data)
+        else:
+            _, back = deserialize_stream(data)
+            assert PcooPacket(*(int(getattr(back, f)[0, 0]) for f in FIELDS)) == want
+    assert seen == {False, True}
+
+
+def test_malformed_cells_are_named_and_never_written():
+    stray = PcooPacket(0, 0, 0, 3, 0)
+    grid = [[IDLE_PACKET] * 3, [EMPTY_ROW_PACKET, IDLE_PACKET, stray]]
+    with pytest.raises(ValueError, match=r"cell 5 \(cycle 1, PE 2\) is not valid"):
+        serialize_stream(grid_schedule(grid, 3), make_header(8, 4, 3, 2))
+    grid[1][2] = IDLE_PACKET
+    data = bytearray(serialize_stream(grid_schedule(grid, 3), make_header(8, 4, 3, 2)))
+    data[HEADER_BYTES + 2 * 5 + 1] = 5  # value 5 in the idle cell at cycle 1, PE 2
+    with pytest.raises(StreamFormatError, match=r"cell 5 \(cycle 1, PE 2\) is not valid"):
         deserialize_stream(bytes(data))
 
 

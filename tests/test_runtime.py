@@ -37,7 +37,8 @@ from gcnsim.runtime import (
     verify_against_oracle,
 )
 from gcnsim import simulator
-from gcnsim.schedule import config_for_tile, tile_columns
+from gcnsim.report import report_document
+from gcnsim.schedule import ScheduleStats, config_for_tile, tile_columns
 from gcnsim.simulator import MODE_DMM, MODE_SDMM, simulate_step
 
 
@@ -181,10 +182,9 @@ def test_run_model_dispatches_and_reports():
     assert report.total_cycles() == sum(r.total_cycles for _, r in report.steps)
     sdmm = sum(r.compute_cycles for _, r in report.steps if r.mode == MODE_SDMM)
     assert report.sdmm_compute_cycles() == sdmm
-    d = report.as_dict()
-    assert d["total_cycles"] == report.total_cycles()
-    assert len(d["steps"]) == len(report.steps)
-    assert all("per_pe" in s for s in d["steps"])
+    for _, r in report.steps:
+        assert r.census.pe_count == cfg.pe_count
+        r.census.check_identity()
 
 
 class FreshPlanEngine:
@@ -209,7 +209,7 @@ def test_reused_plans_match_a_fresh_plan_per_step():
         expect = _forward(model, a, x0, engine)
         assert logits.frac_bits == expect.frac_bits
         assert np.array_equal(logits.data, expect.data)
-        assert report.as_dict() == engine.report.as_dict()
+        assert report_document(report, cfg) == report_document(engine.report, cfg)
         assert [r.tiles for _, r in report.steps] == \
             [r.tiles for _, r in engine.report.steps]
 
@@ -235,15 +235,16 @@ def test_run_model_schedules_each_operand_tile_once(monkeypatch):
         assert len(checked) == sparse_tiles + -(-model.layers[1].weight.rows // 16)
 
 
-def test_merged_report_keeps_accounting_identity():
+def test_summed_step_censuses_keep_accounting_identity():
     rng = np.random.default_rng(55)
     model, a, x0 = random_model_inputs(rng, KIND_SAGE)
     _, report = run_model(model, a, x0, config_for_tile(4, 16))
-    m = report.merged()
-    slots = m.compute.sum() + m.empty_row.sum() + m.collision.sum() + m.imbalance.sum()
-    assert slots == m.compute_cycles * m.pe_count
+    m = sum((r.census for _, r in report.steps), ScheduleStats.zero(4))
+    slots = m.valid.sum() + m.empty_row.sum() + m.stall_idle.sum() + m.pad_idle.sum()
+    assert slots == m.cycles * m.pe_count
+    assert m.cycles == sum(r.compute_cycles for _, r in report.steps)
     with pytest.raises(ValueError):
-        RunReport().merged()
+        m + ScheduleStats.zero(3)
 
 
 def test_aggregation_order_is_exact_in_integers():

@@ -16,6 +16,7 @@ from gcnsim.matrix import (
 from gcnsim.pcoo import EMPTY_ROW_PACKET, IDLE_PACKET, PcooPacket
 from gcnsim.schedule import (
     ArchConfig,
+    ScheduleStats,
     TileSchedule,
     assign_rows,
     build_dmm_schedule,
@@ -292,7 +293,7 @@ def test_simulate_step_spec_point():
     y, report = simulate_step(x, w, cfg)
     assert np.array_equal(y.data, sdmm_reference(x, w).data)
     assert y.frac_bits == 6
-    report.check_identity()
+    report.census.check_identity()
 
 
 def test_simulate_step_needs_no_value_width():
@@ -325,7 +326,7 @@ def test_simulate_step_random_configs():
         w = DenseMatrix(rng.integers(-8, 8, size=(n, c)), 4, 3)
         y, report = simulate_step(x, w, cfg)
         assert np.array_equal(y.data, sdmm_reference(x, w).data)
-        report.check_identity()
+        report.census.check_identity()
 
 
 def test_simulate_step_dmm():
@@ -381,7 +382,7 @@ def test_simulate_step_dmm_many_tiles_ragged_lanes():
                     for c0 in (0, 8, 16))
     assert report.compute_cycles == 3 * per_block
     assert report.load_cycles == sum(-(-t * c // 8) for t in (8, 8, 5) for c in (4, 4, 2))
-    report.check_identity()
+    report.census.check_identity()
 
 
 def test_simulate_step_dmm_degenerate_counts():
@@ -391,8 +392,8 @@ def test_simulate_step_dmm_degenerate_counts():
     x = DenseMatrix(rng.integers(-8, 8, size=(12, 8)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(8, 4)), 4, 3)
     _, report = simulate_step(x, w, cfg)
-    assert int(report.collision.sum()) == 0
-    assert int(report.imbalance.sum()) == 0
+    assert int(report.census.stall_idle.sum()) == 0
+    assert int(report.census.pad_idle.sum()) == 0
 
 
 def test_simulate_step_determinism():
@@ -405,7 +406,10 @@ def test_simulate_step_determinism():
     y1, r1 = simulate_step(x, w, cfg)
     y2, r2 = simulate_step(x, w, cfg)
     assert np.array_equal(y1.data, y2.data)
-    assert r1.breakdown() == r2.breakdown()
+    assert (r1.mode, r1.load_cycles, r1.compute_cycles, r1.move_cycles) == \
+        (r2.mode, r2.load_cycles, r2.compute_cycles, r2.move_cycles)
+    for name in ("valid", "empty_row", "stall_idle", "pad_idle"):
+        assert np.array_equal(getattr(r1.census, name), getattr(r2.census, name))
 
 
 def test_replica_monotonicity():
@@ -436,20 +440,20 @@ def test_simulate_step_input_validation():
                       DenseMatrix.zeros(5, 2, 4, 0), cfg)
 
 
-def test_cycle_report_merge():
-    a = CycleReport(2, load_cycles=3, compute_cycles=5, move_cycles=1)
-    a.compute += np.array([3, 2])
-    a.imbalance += np.array([2, 3])
-    b = CycleReport(2, load_cycles=1, compute_cycles=2, move_cycles=2)
-    b.compute += np.array([2, 1])
-    b.collision += np.array([0, 1])
-    b.imbalance += np.array([0, 0])
-    b.empty_row += np.array([0, 0])
-    a.merge(b)
-    assert a.total_cycles == 14
-    assert a.compute.tolist() == [5, 3]
+def test_schedule_stats_add_up():
+    a = CycleReport(ScheduleStats(np.array([3, 2]), np.zeros(2, np.int64),
+                                  np.zeros(2, np.int64), np.array([2, 3]), 5),
+                    load_cycles=3, move_cycles=1)
+    b = CycleReport(ScheduleStats(np.array([2, 1]), np.array([0, 0]), np.array([0, 1]),
+                                  np.array([0, 0]), 2),
+                    load_cycles=1, move_cycles=2)
+    total = a.census + b.census
+    assert a.total_cycles + b.total_cycles == 14
+    assert total.valid.tolist() == [5, 3]
+    assert (total + ScheduleStats.zero(2)).totals() == total.totals()
+    total.check_identity()
     with pytest.raises(ValueError):
-        a.merge(CycleReport(3))
+        a.census + ScheduleStats.zero(3)
 
 
 def test_simulate_step_peak_memory_is_linear():
