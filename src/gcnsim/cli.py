@@ -48,14 +48,10 @@ from .runtime import (
     run_model,
     verify_against_oracle,
 )
-from .schedule import (
-    ScheduleStats,
-    build_sdmm_schedule,
-    config_for_tile,
-    packet_bits_for,
-    schedule_stats,
-    tile_columns,
-)
+from .schedule import ScheduleStats, config_for_tile, packet_bits_for
+# not called here: the benchmark tracer (perfbench/tracer.py SITES) binds both in cli
+from .schedule import build_sdmm_schedule, tile_columns  # noqa: F401
+from .simulator import plan_step
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -189,12 +185,10 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows, census = [], ScheduleStats.zero(cfg.pe_count)
     for kind, mat, bits in operands:
-        for i, tile in enumerate(tile_columns(mat, cfg.tile_width)):
-            sched = build_sdmm_schedule(tile, cfg)
+        for i, (_, sched, stats) in enumerate(plan_step(mat, cfg)):
             name = f"{kind}{i:04d}.pcoo"
             hdr = make_header(cfg.tile_width, bits, cfg.pe_count, sched.cycles)
             (out / name).write_bytes(serialize_stream(sched, hdr))
-            stats = schedule_stats(sched)
             census += stats
             rows.append({"file": name, "kind": kind, "tile_index": i,
                          "value_bits": bits, **stats.totals()})

@@ -32,7 +32,7 @@ from .matrix import (
     sdmm_reference,
 )
 from .schedule import ArchConfig
-from .simulator import MODE_SDMM, CycleReport, plan_step, simulate_step
+from .simulator import CycleReport, plan_step, simulate_step
 
 KIND_GCN = "gcn"
 KIND_SAGE = "graphsage-mean"
@@ -97,9 +97,6 @@ class RunReport:
 
     def add(self, label: str, rep: CycleReport) -> None:
         self.steps.append((label, rep))
-
-    def sdmm_compute_cycles(self) -> int:
-        return sum(r.compute_cycles for _, r in self.steps if r.mode == MODE_SDMM)
 
     def total_cycles(self) -> int:
         return sum(r.total_cycles for _, r in self.steps)

@@ -7,18 +7,21 @@ sequential: sor seeds the accumulators from the saved partial of the PE's
 current output row, vld accumulates value * W[col] into all lanes, eor
 writes the accumulators back and advances to the PE's next row. PE p owns
 rows p, p+K, p+2K, ... (the round-robin rule), so the row map is never
-stored. PE columns never interact except through the per-cycle arbitration
-check, so a tile executes as one segment sum over its valid slots taken PE
-by PE, where each output row's slots are contiguous; the result is
-bit-identical to stepping packet by packet.
+stored. PE columns share only the banks, whose clashes the schedule
+already spends as stall slots, so a tile executes as one segment sum over
+its valid slots taken PE by PE, where each output row's slots are
+contiguous; the result is bit-identical to stepping packet by packet.
 
 A product is planned once (plan_step: schedule, check and census per
 column tile, reusable for every product with the same left operand) and
-run once per column tile over every output column (simulate_step). The
-hardware walks the output C lanes at a time, replaying the schedule per
-lane block, so each lane block only adds its load cycles and census.
-A step's CycleReport carries the sum of those censuses (ScheduleStats
-adds up), and report.py gives the census fields their document names.
+run once per column tile over every output column (simulate_step).
+plan_step is every command's one path from an operand to schedules, and
+its check_arbitration the one verification of a schedule: run_tile only
+executes. The hardware walks the output C lanes at a time, replaying the
+schedule per lane block, so each lane block only adds its load cycles and
+census. A step's CycleReport carries the sum of those censuses
+(ScheduleStats adds up), and report.py gives the census fields their
+document names.
 
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
@@ -94,9 +97,9 @@ def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
     Returns the new state and, when eor fires, the emitted lane vector. The
     multiplicand is always the packet's value, in sparse and dense mode
     alike. A valid packet outside a sor..eor pair is lost at the next sor;
-    run_tile rejects such a schedule instead. Emission checks the 32-bit
-    range here because a lone step has no later tile to absorb a transient
-    excursion.
+    check_arbitration rejects such a schedule instead. Emission checks the
+    32-bit range here because a lone step has no later tile to absorb a
+    transient excursion.
     """
     acc = pe.acc.copy()
     cursor = pe.row_cursor
@@ -115,21 +118,39 @@ def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
     return PeState(acc, cursor), emitted
 
 
-def check_arbitration(sched: TileSchedule, cfg: ArchConfig, dense_rows: int) -> None:
-    """Re-verify every cycle's grants independently of the scheduler.
+def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
+                      dense_rows: int) -> None:
+    """Verify everything run_tile relies on, independently of the scheduler.
 
-    Within one cycle and replica group, all valid packets sharing a bank
-    must share one address; anything else would be silent corruption in
-    hardware, so it raises here. One sort of packed int64 keys (cycle,
+    sched is a column tile of a rows-row operand against dense_rows dense
+    rows. Each PE's sor and eor counts equal the rows it owns, every valid
+    slot sits inside one of its sor..eor rows, and every packet column is a
+    dense row. Within one cycle and replica group, all valid packets sharing
+    a bank must share one address; anything else would be silent corruption
+    in hardware, so it raises here. One sort of packed int64 keys (cycle,
     replica group, bank, col // groups) puts a bank's fetches side by side.
     """
+    k, g = cfg.pe_count, cfg.groups
+    owned = (rows - np.arange(k) + k - 1) // k  # len(range(p, rows, k)) per PE
+    off_map = (sched.sor.sum(axis=0) != owned) | (sched.eor.sum(axis=0) != owned)
+    if off_map.any():
+        p = int(np.flatnonzero(off_map)[0])
+        raise ArbitrationError(f"PE {p}: row markers disagree with its {owned[p]} rows")
+    # rows opened minus rows closed before each slot: 1 inside an open row
+    depth = np.cumsum(sched.sor, axis=0, dtype=np.int32)
+    depth -= np.cumsum(sched.eor, axis=0, dtype=np.int32)
+    depth += sched.eor
+    stray = (depth != 1) & (sched.vld == 1)
+    if stray.any():
+        p = int(np.flatnonzero(stray.any(axis=0))[0])
+        c = int(np.flatnonzero(stray[:, p])[0])
+        raise ArbitrationError(f"PE {p}: valid packet at cycle {c} is outside an open row")
     flat = np.flatnonzero(sched.vld)  # cycle-major slot indices
     if not len(flat):
         return
     cols = sched.col.ravel()[flat]
     if cols.min() < 0 or cols.max() >= dense_rows:
         raise ShapeError(f"packet column {int(cols.max())} outside dense tile rows {dense_rows}")
-    k, g = cfg.pe_count, cfg.groups
     per_bank = -(-dense_rows // g)  # addresses one bank holds
     key = ((flat // k * cfg.replicas + flat % k // cfg.group_width) * g
            + cols % g) * per_bank + cols // g
@@ -143,44 +164,30 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, dense_rows: int) -> 
                                f"{a} and {b} share a bank in one replica group")
 
 
-def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray,
-             cfg: ArchConfig) -> np.ndarray:
-    """Execute one tile schedule against a dense tile w (T rows, any lanes).
+def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray) -> np.ndarray:
+    """Execute one checked tile schedule against a dense tile w (T rows, any lanes).
 
     partials is the OMMB view (all m rows, as many columns as w); the
-    returned array is partials plus every PE's emitted rows. PE p emits
-    rows range(p, m, K) in order, so its sor and eor counts must both equal
-    that row count, and every valid slot must sit inside one of its
-    sor..eor rows. Taken PE by PE, each row's valid slots are contiguous
-    and the slot's row is p + K * (sors so far - 1), so the whole tile is
-    one segment sum of value * w[col] over all lanes, taken in chunks of
-    slots so that memory stays linear in valid slots plus m x lanes.
+    returned array is partials plus every PE's emitted rows. Nothing here
+    checks sched: it must have passed check_arbitration for m rows and w's
+    rows, as every schedule in a plan_step plan has, once per plan. PE p
+    emits rows range(p, m, K) in order; taken PE by PE, each row's valid
+    slots are contiguous and the slot's row is p + K * (sors so far - 1), so
+    the whole tile is one segment sum of value * w[col] over all lanes,
+    taken in chunks of slots so that memory stays linear in valid slots
+    plus m x lanes.
     """
-    if sched.pe_count != cfg.pe_count:
-        raise ValueError("schedule and config disagree on PE count")
     partials = np.asarray(partials, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
     if partials.ndim != 2 or partials.shape[1] != w.shape[1]:
         raise ShapeError("partials block does not match dense tile lanes")
-    m, k = partials.shape[0], cfg.pe_count
-    owned = (m - np.arange(k) + k - 1) // k  # len(range(p, m, k)) per PE
-    off_map = (sched.sor.sum(axis=0) != owned) | (sched.eor.sum(axis=0) != owned)
-    if off_map.any():
-        p = int(np.flatnonzero(off_map)[0])
-        raise ArbitrationError(f"PE {p}: row markers disagree with its {owned[p]} rows")
+    k = sched.pe_count
     out = partials.copy()
     # PE-major (K x cycles) views: a row's valid slots are contiguous
     valid = sched.vld.T == 1
     seg = np.cumsum(sched.sor.T, axis=1, dtype=np.int32)[valid]  # sors so far
-    closed = np.cumsum(sched.eor.T, axis=1, dtype=np.int32)[valid]
-    stray = seg - closed + sched.eor.T[valid] != 1
-    if stray.any():
-        p, c = np.argwhere(valid)[np.flatnonzero(stray)[0]]
-        raise ArbitrationError(f"PE {p}: valid packet at cycle {c} is outside an open row")
     row = np.repeat(np.arange(k), valid.sum(axis=1)) + k * (seg - 1)
     col, value = sched.col.T[valid], sched.value.T[valid]
-    if len(col) and (col.min() < 0 or col.max() >= w.shape[0]):
-        raise ShapeError(f"packet column {int(col.max())} outside dense tile rows {w.shape[0]}")
     # bounded chunks of slots keep the products at a fixed size; a row cut
     # by a chunk boundary is simply added to twice
     step = max(1, _CHUNK_CELLS // max(w.shape[1], 1))
@@ -225,6 +232,7 @@ def plan_step(x, cfg: ArchConfig) -> list[tuple[int, TileSchedule, ScheduleStats
     A SparseMatrixCSR plans SDMM: each column tile streams its nonzeros as
     packets. A DenseMatrix plans DMM: each column block is swept in full, K
     rows at a time, with one address stream and its entries as the values.
+    Every schedule passes check_arbitration before it enters the plan.
     """
     t = cfg.tile_width
     if isinstance(x, SparseMatrixCSR):
@@ -237,7 +245,7 @@ def plan_step(x, cfg: ArchConfig) -> list[tuple[int, TileSchedule, ScheduleStats
                         f"got {type(x).__name__}")
     plan = []
     for c0, sched in zip(range(0, len(scheds) * t, t), scheds):
-        check_arbitration(sched, cfg, min(t, x.cols - c0))
+        check_arbitration(sched, cfg, x.rows, min(t, x.cols - c0))
         plan.append((c0, sched, schedule_stats(sched)))
     return plan
 
@@ -258,7 +266,7 @@ def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None
     report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=mode)
     for c0, sched, stats in plan:
         w_tile = w.data[c0:c0 + cfg.tile_width]
-        y = run_tile(sched, w_tile, y, cfg)
+        y = run_tile(sched, w_tile, y)
         for o0 in range(0, max(w.cols, 1), cfg.lanes):
             report.load_cycles += load_tile(w_tile[:, o0:o0 + cfg.lanes], cfg)
             report.census += stats

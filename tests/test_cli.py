@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcnsim import runtime
+from gcnsim import runtime, simulator
 from gcnsim.cli import EXIT_DATA, EXIT_INVALID, EXIT_OK, main
-from gcnsim.formats import export_bundle, read_meta, write_weights
+from gcnsim.formats import export_bundle, ingest_bundle_dir, read_meta, write_weights
 from gcnsim.graphs import gen_powerlaw, random_weights
 from gcnsim.pcoo import StreamFormatError, deserialize_stream
 from gcnsim.report import read_report
 from gcnsim.schedule import config_for_tile
+from gcnsim.simulator import plan_step
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,38 @@ def test_preprocess_streams_and_identity(workload, capsys):
     assert kinds == {"adjacency", "features"}
     table = capsys.readouterr().out
     assert "total" in table and "stall" in table
+
+
+def test_preprocess_writes_the_checked_plan(workload, tmp_path, monkeypatch, capsys):
+    # every stream is a plan_step schedule, checked once, with its census in meta.json
+    checked = []
+    check = simulator.check_arbitration
+    monkeypatch.setattr(simulator, "check_arbitration",
+                        lambda sched, *args: checked.append(sched) or check(sched, *args))
+    flags = ["--pe", "4", "--replicas", "2", "--tile", "64", "--lanes", "8"]
+    assert main(["preprocess", str(workload / "w"), *flags,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(simulator, "check_arbitration", check)
+    bundle = ingest_bundle_dir(workload / "w")
+    cfg = config_for_tile(4, 64, 8, replicas=2)
+    plans = {"adjacency": plan_step(bundle.adjacency, cfg),
+             "features": plan_step(bundle.features, cfg)}
+    streams = read_meta(tmp_path / "meta.json")["streams"]
+    assert [(s["kind"], s["tile_index"]) for s in streams] == \
+        [(kind, i) for kind, plan in plans.items() for i in range(len(plan))]
+    assert len(checked) == len(streams)
+    columns = ("sor", "eor", "vld", "col", "value")
+    for stream, written_check in zip(streams, checked):
+        _, sched, stats = plans[stream["kind"]][stream["tile_index"]]
+        _, back = deserialize_stream((tmp_path / stream["file"]).read_bytes())
+        for name in columns:
+            assert np.array_equal(getattr(back, name), getattr(sched, name)), \
+                (stream["file"], name)
+            assert np.array_equal(getattr(written_check, name), getattr(sched, name))
+        row = {k: v for k, v in stream.items()
+               if k not in ("file", "kind", "tile_index", "value_bits")}
+        assert row == stats.totals()
 
 
 def test_simulate_report_and_logits(workload, capsys):

@@ -181,7 +181,7 @@ def test_run_model_dispatches_and_reports():
     assert np.array_equal(logits.data, oracle.data)
     assert report.total_cycles() == sum(r.total_cycles for _, r in report.steps)
     sdmm = sum(r.compute_cycles for _, r in report.steps if r.mode == MODE_SDMM)
-    assert report.sdmm_compute_cycles() == sdmm
+    assert report_document(report, cfg)["sdmm"]["compute_cycles"] == sdmm
     for _, r in report.steps:
         assert r.census.pe_count == cfg.pe_count
         r.census.check_identity()

@@ -45,15 +45,15 @@ def make_sched(grid):
     return TileSchedule.from_columns(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
 
 
-def naive_run_tile(sched, w, partials, cfg):
+def naive_run_tile(sched, w, partials):
     """Packet-by-packet execution through pe_step: the column oracle."""
     seeds = np.array(partials, dtype=np.int64)
     out = seeds.copy()
     lanes = w.shape[1]
     zero_row = np.zeros(lanes, dtype=np.int64)
-    for p in range(cfg.pe_count):
+    for p in range(sched.pe_count):
         pe = PeState(np.zeros(lanes, dtype=np.int64), 0)
-        rows = range(p, len(seeds), cfg.pe_count)
+        rows = range(p, len(seeds), sched.pe_count)
         for cyc in range(sched.cycles):
             pkt = PcooPacket(*(int(a[cyc, p]) for a in
                                (sched.sor, sched.eor, sched.vld, sched.col, sched.value)))
@@ -63,6 +63,13 @@ def naive_run_tile(sched, w, partials, cfg):
             if emitted is not None:
                 out[rows[pe.row_cursor - 1]] = emitted
     return out
+
+
+def plan_of(monkeypatch, sched, rows, cols, cfg):
+    """plan_step over a rows x cols operand whose one column tile schedules as sched."""
+    monkeypatch.setattr("gcnsim.simulator.build_sdmm_schedule", lambda tile, cfg: sched)
+    return plan_step(SparseMatrixCSR.from_dense_raw(np.zeros((rows, cols), np.int64), 4, 0),
+                     cfg)
 
 
 def random_tile_setup(rng, k=4, lanes=4, groups=4, replicas=1, density=0.4):
@@ -137,28 +144,33 @@ def test_run_tile_all_idle():
     sched = make_sched([[IDLE_PACKET, IDLE_PACKET],
                         [EMPTY_ROW_PACKET, EMPTY_ROW_PACKET],
                         [EMPTY_ROW_PACKET, IDLE_PACKET]])
+    check_arbitration(sched, cfg, 3, 4)
     partials = np.arange(6).reshape(3, 2)
-    out = run_tile(sched, np.ones((4, 2), np.int64), partials, cfg)
+    out = run_tile(sched, np.ones((4, 2), np.int64), partials)
     assert np.array_equal(out, partials)
     assert schedule_stats(sched).totals()["valid"] == 0
 
 
-def test_run_tile_rejects_row_markers_off_the_row_map():
+def test_plan_rejects_row_markers_off_the_row_map(monkeypatch):
     cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
-    w = np.ones((4, 2), np.int64)
     # PE 1 opens its row but never closes it
     sched = make_sched([[PcooPacket(1, 1, 1, 0, 1), PcooPacket(1, 0, 1, 1, 1)],
                         [IDLE_PACKET, PcooPacket(0, 0, 1, 2, 1)]])
-    with pytest.raises(ArbitrationError, match="row markers"):
-        run_tile(sched, w, np.zeros((2, 2), np.int64), cfg)
+    with pytest.raises(ArbitrationError, match="^PE 1: row markers disagree with its 1 rows"):
+        check_arbitration(sched, cfg, 2, 4)
+    with pytest.raises(ArbitrationError, match="^PE 1: row markers"):
+        plan_of(monkeypatch, sched, 2, 4, cfg)
     # complete markers, but 3 rows give PE 0 a second row it never emits
     sched = make_sched([[PcooPacket(1, 1, 1, 0, 1), PcooPacket(1, 1, 1, 1, 1)]])
-    run_tile(sched, w, np.zeros((2, 2), np.int64), cfg)
-    with pytest.raises(ArbitrationError, match="row markers"):
-        run_tile(sched, w, np.zeros((3, 2), np.int64), cfg)
+    check_arbitration(sched, cfg, 2, 4)
+    assert plan_of(monkeypatch, sched, 2, 4, cfg)[0][1] is sched
+    with pytest.raises(ArbitrationError, match="^PE 0: row markers disagree with its 2 rows"):
+        check_arbitration(sched, cfg, 3, 4)
+    with pytest.raises(ArbitrationError, match="^PE 0: row markers"):
+        plan_of(monkeypatch, sched, 3, 4, cfg)
 
 
-def test_run_tile_rejects_valid_packet_outside_open_row():
+def test_plan_rejects_valid_packet_outside_open_row(monkeypatch):
     # one PE owning two rows (10 and 5 per lane); the row markers balance,
     # but a stray valid packet sits outside both rows, which pe_step drops
     # and the executor must not fold into a neighbouring row
@@ -169,13 +181,23 @@ def test_run_tile_rejects_valid_packet_outside_open_row():
     row1 = PcooPacket(1, 1, 1, 1, 1)
     stray = PcooPacket(0, 0, 1, 1, 1)
     good = make_sched([[row0], [row1]])
-    assert run_tile(good, w, partials, cfg).tolist() == [[10, 10], [5, 5]]
-    for grid in ([[stray], [row0], [row1]],    # before the first sor
-                 [[row0], [stray], [row1]]):   # after an eor, before the next sor
+    check_arbitration(good, cfg, 2, 2)
+    assert run_tile(good, w, partials).tolist() == [[10, 10], [5, 5]]
+    for cycle, grid in ((0, [[stray], [row0], [row1]]),    # before the first sor
+                        (1, [[row0], [stray], [row1]])):   # after an eor, before the next sor
         sched = make_sched(grid)
-        assert naive_run_tile(sched, w, partials, cfg).tolist() == [[10, 10], [5, 5]]
-        with pytest.raises(ArbitrationError, match="outside an open row"):
-            run_tile(sched, w, partials, cfg)
+        assert naive_run_tile(sched, w, partials).tolist() == [[10, 10], [5, 5]]
+        message = f"^PE 0: valid packet at cycle {cycle} is outside an open row"
+        with pytest.raises(ArbitrationError, match=message):
+            check_arbitration(sched, cfg, 2, 2)
+        with pytest.raises(ArbitrationError, match=message):
+            plan_of(monkeypatch, sched, 2, 2, cfg)
+    # the first PE with a stray is named, not the first cycle: PE 1 strays
+    # at cycle 0, PE 0 at cycle 2
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
+    sched = make_sched([[row0, stray], [row0, row1], [stray, IDLE_PACKET]])
+    with pytest.raises(ArbitrationError, match="^PE 0: valid packet at cycle 2 "):
+        check_arbitration(sched, cfg, 3, 2)
 
 
 def test_run_tile_matches_pe_step_walk():
@@ -186,8 +208,8 @@ def test_run_tile_matches_pe_step_walk():
         sched = build_sdmm_schedule(tile, cfg)
         w_tile = w.data
         partials = rng.integers(-50, 50, size=(tile.rows, w.cols))
-        fast = run_tile(sched, w_tile, partials, cfg)
-        slow = naive_run_tile(sched, w_tile, partials, cfg)
+        fast = run_tile(sched, w_tile, partials)
+        slow = naive_run_tile(sched, w_tile, partials)
         assert np.array_equal(fast, slow), trial
 
 
@@ -202,8 +224,8 @@ def test_run_tile_dense_mode_matches_pe_step_walk():
         w = rng.integers(-8, 8, size=(rows, 3))
         sched = build_dmm_schedule(x, k)
         partials = np.zeros((m, 3), dtype=np.int64)
-        fast = run_tile(sched, w, partials, cfg)
-        assert np.array_equal(fast, naive_run_tile(sched, w, partials, cfg))
+        fast = run_tile(sched, w, partials)
+        assert np.array_equal(fast, naive_run_tile(sched, w, partials))
         assert np.array_equal(fast, x @ w)
 
 
@@ -213,7 +235,7 @@ def test_run_tile_equals_reference_single_tile():
         cfg, tile, w = random_tile_setup(rng)
         sched = build_sdmm_schedule(tile, cfg)
         w_tile = w.data
-        out = run_tile(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64), cfg)
+        out = run_tile(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64))
         assert np.array_equal(out, sdmm_reference(tile, w).data)
 
 
@@ -225,7 +247,7 @@ def test_arbitration_recheck_rejects_illegal(monkeypatch):
     bad = make_sched([[row, PcooPacket(1, 1, 1, 2, 1)],
                       [row, PcooPacket(1, 1, 1, 5, 1)]])
     with pytest.raises(ArbitrationError, match="cycle 1: addresses 1 and 5"):
-        check_arbitration(bad, cfg, 8)
+        check_arbitration(bad, cfg, 4, 8)
     # the plan checks every schedule it builds
     monkeypatch.setattr("gcnsim.simulator.build_sdmm_schedule", lambda tile, cfg: bad)
     x = SparseMatrixCSR.from_dense_raw(np.eye(4, 8, dtype=np.int64), 4, 0)
@@ -235,8 +257,8 @@ def test_arbitration_recheck_rejects_illegal(monkeypatch):
     # in different replica groups
     ok = make_sched(
         [[PcooPacket(1, 1, 1, 5, 1), PcooPacket(1, 1, 1, 5, 1)]])
-    check_arbitration(ok, cfg, 8)
-    check_arbitration(bad, ArchConfig(pe_count=2, lanes=2, groups=4, replicas=2), 8)
+    check_arbitration(ok, cfg, 2, 8)
+    check_arbitration(bad, ArchConfig(pe_count=2, lanes=2, groups=4, replicas=2), 4, 8)
 
 
 def first_clash_cycle(sched, cfg):
@@ -262,24 +284,30 @@ def test_arbitration_check_matches_cycle_spec():
         rows = int(rng.integers(1, cfg.tile_width + 1))
         cycles = int(rng.integers(1, 6))
         vld = rng.random((cycles, k)) < 0.5
-        sched = TileSchedule.from_columns(vld, vld, vld, rng.integers(0, rows, (cycles, k)),
-                                          np.ones((cycles, k)))
+        # every slot is a one-slot row, valid or empty: each PE owns `cycles` rows
+        marks = np.ones((cycles, k))
+        sched = TileSchedule.from_columns(marks, marks, vld,
+                                          rng.integers(0, rows, (cycles, k)), marks)
         expect = first_clash_cycle(sched, cfg)
         if expect is None:
-            check_arbitration(sched, cfg, rows)
+            check_arbitration(sched, cfg, cycles * k, rows)
         else:
             raised += 1
             with pytest.raises(ArbitrationError, match=f"^cycle {expect}:"):
-                check_arbitration(sched, cfg, rows)
+                check_arbitration(sched, cfg, cycles * k, rows)
     assert 20 < raised < 280
 
 
-def test_run_tile_col_out_of_range():
+def test_plan_rejects_col_out_of_range(monkeypatch):
+    # T = 8, but a 4-column operand's tile addresses only 4 dense rows
     cfg = ArchConfig(pe_count=1, lanes=2, groups=4)
     sched = make_sched([[PcooPacket(1, 1, 1, 6, 1)]])
-    w_tile = np.ones((4, 2), np.int64)
-    with pytest.raises(ShapeError):
-        run_tile(sched, w_tile, np.zeros((1, 2), np.int64), cfg)
+    message = "^packet column 6 outside dense tile rows 4$"
+    with pytest.raises(ShapeError, match=message):
+        check_arbitration(sched, cfg, 1, 4)
+    with pytest.raises(ShapeError, match=message):
+        plan_of(monkeypatch, sched, 1, 4, cfg)
+    check_arbitration(sched, cfg, 1, 8)
 
 
 def test_simulate_step_spec_point():
