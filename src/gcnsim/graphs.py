@@ -93,15 +93,21 @@ def _degree_counts(n: int, pmf: np.ndarray, rng) -> np.ndarray:
     return np.diff(marks)
 
 
-def _pair_stubs(degrees: np.ndarray, rng) -> set:
-    stubs = np.repeat(np.arange(len(degrees)), degrees)
+def _pair_stubs(degrees: np.ndarray, rng) -> np.ndarray:
+    """Shuffled stubs paired in order, self loops and repeats dropped.
+
+    Returns the distinct (lo, hi) edges, lo < hi, sorted as pairs.
+    """
+    n = len(degrees)
+    stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
     if len(stubs) % 2:
         stubs = stubs[:-1]
     u, v = stubs[0::2], stubs[1::2]
     keep = u != v
-    edges = {(min(a, b), max(a, b)) for a, b in zip(u[keep], v[keep])}
-    return edges
+    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    key = np.unique(lo * n + hi)
+    return np.stack([key // n, key % n], axis=1)
 
 
 def random_features(n: int, n_features: int, density: float, rng
@@ -148,9 +154,8 @@ def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,
     if edges is None:
         raise ValueError(f"could not realize avg degree {avg_degree} on {n} "
                          f"nodes after {_PAIRING_TRIES} pairings")
-    e = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    rr = np.concatenate([e[:, 0], e[:, 1]])
-    cc = np.concatenate([e[:, 1], e[:, 0]])
+    rr = np.concatenate([edges[:, 0], edges[:, 1]])
+    cc = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = SparseMatrixCSR.from_coo(n, n, rr, cc,
                                          np.ones(len(rr), dtype=np.int64), 4, 0)
     features = random_features(n, n_features, feature_density, rng)

@@ -129,11 +129,17 @@ class SparseMatrixCSR:
     @classmethod
     def from_coo(cls, rows: int, cols: int, r: np.ndarray, c: np.ndarray,
                  v: np.ndarray, bits: int, frac_bits: int) -> "SparseMatrixCSR":
-        """Build from unordered triplets; duplicate positions are summed."""
+        """Build from unordered triplets; duplicate positions are summed.
+
+        One stable sort of the row-major position r * cols + c orders the
+        triplets, so it needs rows * cols to fit well inside int64.
+        """
+        if rows * cols > 2**62:
+            raise ValueError(f"{rows} x {cols} positions do not fit a 62-bit sort key")
         r = np.asarray(r, dtype=np.int64)
         c = np.asarray(c, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        order = np.lexsort((c, r))
+        order = np.argsort(r * cols + c, kind="stable")
         r, c, v = r[order], c[order], v[order]
         if len(r):
             dup = np.concatenate([[False], (r[1:] == r[:-1]) & (c[1:] == c[:-1])])

@@ -14,6 +14,15 @@ columns plus one stall count: the row map is the round-robin rule itself,
 and the stall pass adds the same number of idle slots to every PE column,
 so the slot census follows from the packet bits and that count.
 
+The stall pass rests on one observation: a bank's owner in a cycle is the
+first pending valid PE on it in the rotating scan order, so a cycle where
+every bank sees one address grants every pending PE. stall_collisions jumps
+over such cycles a numpy window at a time and runs only the clashing ones
+through the scalar grant rule; a replica group whose clash-free runs are too
+short for windows to pay finishes in the scalar loop. The one-slot-at-a-time
+pass it replaced is kept in tests/test_schedule.py as _stall_spec, and the
+two are compared there field for field.
+
 The packet value width belongs to each operand's stream, not to the array:
 packet_bits_for picks 0 (binary), 4 or 16 bits and rejects values that do
 not fit, so build_sdmm_schedule needs no width from the config.
@@ -261,6 +270,18 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     return TileSchedule.from_columns(sor, eor, vld, col, value)
 
 
+# The stall pass's windows: the first window and the floor after a clash,
+# the cap a clash-free window doubles up to, and the switch back to the
+# scalar loop. A window and its clashing cycle cost about as much host time
+# as the scalar loop spends on _WINDOW_SLOTS slots, so after _JUDGE_AFTER
+# windows a group whose mean clash-free run covers fewer slots (16 cycles of
+# an 8-PE group) finishes in the scalar loop.
+_WINDOW_MIN = 64
+_WINDOW_MAX = 4096
+_JUDGE_AFTER = 4
+_WINDOW_SLOTS = 128
+
+
 def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     """Serialize bank conflicts within each replica group (post-stall schedule).
 
@@ -270,43 +291,48 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     The scan order rotates by one PE per cycle so nobody is systematically
     favored. Groups that finish early are padded to the longest group.
 
-    Arbitration reads one address list per PE (col where vld, else -1) and
-    records each input slot's output cycle; each field then moves with one
-    scatter. A PE keeps its whole column, so every PE gains the same
-    cycles_out - cycles_in idle slots, which become stall_cycles.
+    A bank's owner in a cycle is the first pending valid PE on it in scan
+    order, so a cycle is clash-free exactly when, in every bank, all pending
+    valid PEs read one address, and then every pending PE is granted. Each
+    replica group therefore sorts the (bank, address) keys of a window of
+    upcoming cycles, read from its per-PE pointers, moves every pointer to
+    the first cycle where two neighbours share a bank but not an address,
+    and runs only that cycle through the scalar grant rule (_stall_scalar).
+    A window starts at _WINDOW_MIN cycles, doubles up to _WINDOW_MAX while
+    clash-free, and restarts at twice the last run after a clash. After
+    _JUDGE_AFTER windows, a group whose mean clash-free run spans fewer than
+    _WINDOW_SLOTS slots finishes in the scalar loop from its pointers. The
+    one-slot-at-a-time pass is the spec: tests/test_schedule.py keeps it as
+    _stall_spec and compares the two.
+
+    Both paths record only the denied requests. A slot's output cycle is its
+    input slot plus its PE's denials so far, and each field then moves with
+    one scatter. A PE keeps its whole column, so every PE gains the same
+    cycles_out - cycles_in idle slots, which become stall_cycles. A schedule
+    with no denial (no slots, groups of one PE, no clash) is returned as given.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError(f"schedule has {sched.pe_count} PEs, config {cfg.pe_count}")
     k = cfg.pe_count
     n_in = sched.cycles
-    if n_in == 0:
+    width = cfg.group_width
+    if n_in == 0 or width == 1:
         return sched
-    width, g = cfg.group_width, cfg.groups
-    addrs = np.where(sched.vld == 1, sched.col, -1).T.tolist()
-    at = [[] for _ in range(k)]  # output cycle of each input slot, per PE
+    denied = []  # (pe, input slot) of each refused request, per group
     for base in range(0, k, width):
-        group_addrs = addrs[base:base + width]
-        group_at = at[base:base + width]
-        ptrs = [0] * width
-        pending = width
-        cyc = 0
-        while pending:
-            owner: dict = {}  # bank -> the one address granted on it this cycle
-            for off in range(width):
-                lp = (cyc + off) % width
-                i = ptrs[lp]
-                if i == n_in:
-                    continue
-                addr = group_addrs[lp][i]
-                if addr >= 0 and owner.setdefault(addr % g, addr) != addr:
-                    continue
-                group_at[lp].append(cyc)
-                ptrs[lp] = i + 1
-                if i + 1 == n_in:
-                    pending -= 1
-            cyc += 1
-    rows = np.array(at, dtype=np.int64).T  # n_in x K
-    cycles = int(rows.max()) + 1
+        part = slice(base, base + width)
+        group = _stall_group(sched.vld[:, part], sched.col[:, part], cfg.groups)
+        if group:
+            found = np.array(group, dtype=np.int64)
+            found[:, 0] += base
+            denied.append(found)
+    if not denied:
+        return sched
+    pe, slot = np.concatenate(denied).T
+    rows = np.bincount(slot * k + pe, minlength=n_in * k).reshape(n_in, k)
+    np.cumsum(rows, axis=0, out=rows)
+    rows += np.arange(n_in)[:, None]  # output cycle of each input slot
+    cycles = int(rows[-1].max()) + 1
 
     def place(a: np.ndarray) -> np.ndarray:
         out = np.zeros((cycles, k), dtype=a.dtype)
@@ -315,6 +341,96 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
 
     fields = (sched.sor, sched.eor, sched.vld, sched.col, sched.value)
     return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
+
+
+def _stall_group(vld: np.ndarray, col: np.ndarray, g: int) -> list:
+    """Denied (PE in group, input slot) pairs of one replica group.
+
+    Each slot's key is bank << 32 | address when it is a valid request and
+    a bank of its own past the real ones otherwise, also for the rows past
+    the end. Sorted, a cycle's keys clash exactly where two neighbours
+    differ by 1 to 2^31: same bank, another address.
+    """
+    n_in, width = vld.shape
+    lanes = np.arange(width)
+    limit = g << 32  # keys at or past it are not valid requests
+    private = (g + lanes.astype(np.int64)) << 32
+    keys = np.empty((n_in + _WINDOW_MAX, width), dtype=np.int64)
+    body = keys[:n_in]
+    np.remainder(col, g, out=body)
+    body <<= 32
+    body |= col
+    valid = (vld == 1) & (col >= 0)
+    np.copyto(body, private, where=~valid)
+    keys[n_in:] = private
+    keys = keys.ravel()
+    steps = np.arange(0, _WINDOW_MAX * width, width)[:, None]
+    ptrs = np.zeros(width, dtype=np.int64)
+    denied: list = []
+    cyc = windows = skipped = 0
+    span = _WINDOW_MIN
+    while True:
+        lo = int(ptrs.min())
+        if lo == n_in:
+            return denied
+        if windows >= _JUDGE_AFTER and skipped * width < _WINDOW_SLOTS * windows:
+            reqs = np.where(valid[lo:], col[lo:], -1).T.tolist()
+            _stall_scalar(reqs, (ptrs - lo).tolist(), n_in - lo, cyc, g, denied, [lo] * width)
+            return denied
+        n = min(span, n_in - lo)
+        here = ptrs * width + lanes
+        window = keys.take(here + steps[:n])
+        window.sort(axis=1)
+        gaps = window[:, 1:] - window[:, :-1]
+        gaps -= 1
+        clash = gaps.view(np.uint64).ravel() < (1 << 31)
+        first = int(clash.argmax())
+        windows += 1
+        if not clash[first]:
+            ptrs = np.minimum(ptrs + n, n_in)
+            cyc += n
+            skipped += n
+            span = min(2 * span, _WINDOW_MAX)
+            continue
+        run = first // (width - 1)
+        cyc += run
+        skipped += run
+        reqs = [[a & 0xFFFFFFFF if a < limit else -1]
+                for a in keys.take(here + run * width).tolist()]
+        ptrs = np.minimum(ptrs + run, n_in)
+        step = [0] * width
+        cyc = _stall_scalar(reqs, step, 1, cyc, g, denied, ptrs.tolist(), cyc + 1)
+        ptrs = np.minimum(ptrs + step, n_in)
+        span = max(_WINDOW_MIN, 2 * run)
+
+
+def _stall_scalar(reqs: list, ptrs: list, n: int, cyc: int, g: int, denied: list,
+                  slot0: list, stop: int = -1) -> int:
+    """The grant rule, one output cycle at a time, from cycle cyc.
+
+    PE p of the group requests reqs[p][ptrs[p]] next (-1: not a valid slot)
+    and is done at n. Runs until every PE is done, or up to cycle stop;
+    appends (p, slot0[p] + i) to denied for each refused request i, advances
+    ptrs in place, and returns the next cycle.
+    """
+    width = len(reqs)
+    pending = sum(i < n for i in ptrs)
+    while pending and cyc != stop:
+        owner: dict = {}  # bank -> the one address granted on it this cycle
+        for off in range(width):
+            lp = (cyc + off) % width
+            i = ptrs[lp]
+            if i == n:
+                continue
+            addr = reqs[lp][i]
+            if addr >= 0 and owner.setdefault(addr % g, addr) != addr:
+                denied.append((lp, slot0[lp] + i))
+                continue
+            ptrs[lp] = i + 1
+            if i + 1 == n:
+                pending -= 1
+        cyc += 1
+    return cyc
 
 
 def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcnsim import graphs
 from gcnsim.graphs import (
     GraphBundle,
     degree_stats,
@@ -54,6 +55,34 @@ def test_adjacency_is_simple_and_symmetric():
     assert (d == d.T).all()
     assert np.trace(d) == 0
     assert set(np.unique(d)) <= {0, 1}
+
+
+def _pair_stubs_spec(degrees, rng) -> set:
+    """Stub pairing as a set of (min, max) tuples: the spec of _pair_stubs."""
+    stubs = np.repeat(np.arange(len(degrees)), degrees)
+    rng.shuffle(stubs)
+    if len(stubs) % 2:
+        stubs = stubs[:-1]
+    u, v = stubs[0::2], stubs[1::2]
+    keep = u != v
+    edges = {(min(a, b), max(a, b)) for a, b in zip(u[keep], v[keep])}
+    return edges
+
+
+def test_pair_stubs_matches_the_set_spec():
+    cases = [np.array([3, 2, 2]),               # odd stub count: the last stub drops
+             np.array([40, 1, 1, 0]),           # one hub: mostly self loops
+             np.array([5, 5]), np.array([1]), np.zeros(4, dtype=np.int64)]
+    shape_rng = np.random.default_rng(5)
+    cases += [shape_rng.integers(0, 12, int(shape_rng.integers(2, 300))) for _ in range(20)]
+    for seed, degrees in enumerate(cases):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = graphs._pair_stubs(degrees, got_rng)
+        want = np.array(sorted(_pair_stubs_spec(degrees, want_rng)),
+                        dtype=np.int64).reshape(-1, 2)
+        assert got.dtype == want.dtype and np.array_equal(got, want), seed
+        # the same draws: both generators end in the same state
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_generator_rejects_bad_requests():

@@ -124,6 +124,29 @@ def test_csr_from_coo_sums_duplicates_exactly_above_2_53():
     assert x.values.tolist() == [3, 2 * big]
 
 
+def test_csr_from_coo_sorts_like_a_row_then_column_lexsort():
+    rng = np.random.default_rng(29)
+    for rows, cols in ((1, 1), (7, 3), (50, 200), (300, 9)):
+        r = rng.integers(0, rows, 400)
+        c = rng.integers(0, cols, 400)
+        v = rng.integers(-3, 4, 400)
+        x = SparseMatrixCSR.from_coo(rows, cols, r, c, v, 16, 0)
+        dense = np.zeros((rows, cols), dtype=np.int64)
+        np.add.at(dense, (r, c), v)
+        want = SparseMatrixCSR.from_dense_raw(dense, 16, 0)
+        for name in ("row_ptr", "col_idx", "values"):
+            assert np.array_equal(getattr(x, name), getattr(want, name)), name
+        assert x.sat_count == 0
+
+
+def test_csr_from_coo_rejects_sizes_past_the_sort_key():
+    wide = 1 << 61  # two rows of 2^61 columns: the largest key is 2^62 - 1
+    x = SparseMatrixCSR.from_coo(2, wide, [1, 0, 1], [wide - 1, 5, 0], [1, 2, 3], 4, 0)
+    assert x.row_ptr.tolist() == [0, 1, 3] and x.col_idx.tolist() == [5, 0, wide - 1]
+    with pytest.raises(ValueError, match="62-bit sort key"):
+        SparseMatrixCSR.from_coo(3, wide, [0], [0], [1], 4, 0)
+
+
 def test_csr_validate_rejects():
     bad = SparseMatrixCSR(2, 3, [0, 1, 2], [2, 5], [1, 1], 4, 0)
     with pytest.raises(ShapeError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcnsim import schedule
 from gcnsim.matrix import ShapeError, SparseMatrixCSR
 from gcnsim.pcoo import deserialize_stream, make_header, serialize_stream
 from gcnsim.schedule import (
@@ -61,6 +62,65 @@ def grants_legal(sched, cfg):
             if any(len(addrs) > 1 for addrs in per_bank.values()):
                 return False
     return True
+
+
+# The stall pass as it was before it learned to skip clash-free cycles, kept
+# verbatim as the single-item spec of the grant rule: one loop iteration per
+# slot, no windows. schedule.stall_collisions must match it field for field.
+def _stall_spec(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
+    """Serialize bank conflicts within each replica group (post-stall schedule).
+
+    Per output cycle a valid packet is granted if its address was already
+    granted this cycle (PEs may share a read) or its bank (col mod groups)
+    is unclaimed; otherwise an idle slot is emitted and the packet retries.
+    The scan order rotates by one PE per cycle so nobody is systematically
+    favored. Groups that finish early are padded to the longest group.
+
+    Arbitration reads one address list per PE (col where vld, else -1) and
+    records each input slot's output cycle; each field then moves with one
+    scatter. A PE keeps its whole column, so every PE gains the same
+    cycles_out - cycles_in idle slots, which become stall_cycles.
+    """
+    if sched.pe_count != cfg.pe_count:
+        raise ValueError(f"schedule has {sched.pe_count} PEs, config {cfg.pe_count}")
+    k = cfg.pe_count
+    n_in = sched.cycles
+    if n_in == 0:
+        return sched
+    width, g = cfg.group_width, cfg.groups
+    addrs = np.where(sched.vld == 1, sched.col, -1).T.tolist()
+    at = [[] for _ in range(k)]  # output cycle of each input slot, per PE
+    for base in range(0, k, width):
+        group_addrs = addrs[base:base + width]
+        group_at = at[base:base + width]
+        ptrs = [0] * width
+        pending = width
+        cyc = 0
+        while pending:
+            owner: dict = {}  # bank -> the one address granted on it this cycle
+            for off in range(width):
+                lp = (cyc + off) % width
+                i = ptrs[lp]
+                if i == n_in:
+                    continue
+                addr = group_addrs[lp][i]
+                if addr >= 0 and owner.setdefault(addr % g, addr) != addr:
+                    continue
+                group_at[lp].append(cyc)
+                ptrs[lp] = i + 1
+                if i + 1 == n_in:
+                    pending -= 1
+            cyc += 1
+    rows = np.array(at, dtype=np.int64).T  # n_in x K
+    cycles = int(rows.max()) + 1
+
+    def place(a: np.ndarray) -> np.ndarray:
+        out = np.zeros((cycles, k), dtype=a.dtype)
+        out[rows, np.arange(k)] = a
+        return out
+
+    fields = (sched.sor, sched.eor, sched.vld, sched.col, sched.value)
+    return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
 
 
 def test_archconfig_invariants():
@@ -237,6 +297,115 @@ def test_stall_monotone_in_groups_and_replicas():
         assert stalls_by_r == sorted(stalls_by_r, reverse=True), stalls_by_r
         assert stalls_by_r[-1] == 0  # a group of one PE cannot collide
     _ = rng
+
+
+def random_grid(rng, cycles, k, tile_width, p_valid, p_marker):
+    """Pre-stall packet grid: valid slots, empty-row markers and idle slots."""
+    draw = rng.random((cycles, k))
+    vld = draw < p_valid
+    marker = ~vld & (draw < p_valid + p_marker)
+    sor = (vld & (rng.random((cycles, k)) < 0.3)) | marker
+    eor = (vld & (rng.random((cycles, k)) < 0.3)) | marker
+    col = np.where(vld, rng.integers(0, tile_width, (cycles, k)), 0)
+    value = np.where(vld, rng.integers(-8, 8, (cycles, k)), 0)
+    return TileSchedule.from_columns(sor, eor, vld, col, value)
+
+
+def random_stall_cases(rng, count):
+    """Seeded (schedule, config) pairs over K, replica splits and bank counts."""
+    for case in range(count):
+        k = int(rng.integers(1, 17))
+        r = int(rng.choice([d for d in range(1, k + 1) if k % d == 0]))
+        groups = 1 << int(rng.integers(0, 7))  # 1..64 banks
+        lanes = 1 << int(rng.integers(0, 4))
+        cfg = ArchConfig(pe_count=k, lanes=lanes, groups=groups, replicas=r)
+        cycles = int(rng.choice([0, 1, 2, 5, 20, 60, 150, 300]))
+        kind = case % 4
+        if kind == 0:    # marker-heavy: few valid slots
+            p_valid, p_marker = 0.05, 0.6
+        elif kind == 1:  # dense clash: few banks, many addresses
+            cfg = ArchConfig(pe_count=k, lanes=lanes, groups=1 << int(rng.integers(0, 3)),
+                             replicas=r)
+            p_valid, p_marker = 0.95, 0.02
+        elif kind == 2:  # all idle now and then, otherwise anything
+            p_valid, p_marker = (0.0, 0.0) if rng.random() < 0.1 else (rng.random(), 0.1)
+        else:            # a tile from row assignment
+            m = int(rng.integers(1, 4 * k + 2))
+            raw = rng.integers(1, 8, size=(m, cfg.tile_width))
+            raw[rng.random(raw.shape) < rng.uniform(0.3, 0.99)] = 0
+            yield assign_rows(SparseMatrixCSR.from_dense_raw(raw, 4, 0), k), cfg
+            continue
+        # half the grids read a few addresses only, so PEs often share a read
+        width = cfg.tile_width if rng.random() < 0.5 else int(rng.integers(1, 9))
+        yield random_grid(rng, cycles, k, min(width, cfg.tile_width),
+                          p_valid, p_marker), cfg
+
+
+def assert_same_schedule(got, want):
+    for name in ("sor", "eor", "vld", "col", "value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.stall_cycles == want.stall_cycles
+
+
+def count_scalar_calls(monkeypatch) -> list:
+    """Record each _stall_scalar call: one clashing "cycle" or the "rest" of a group."""
+    calls = []
+    scalar = schedule._stall_scalar
+
+    def counted(reqs, ptrs, n, cyc, g, denied, slot0, stop=-1):
+        calls.append("rest" if stop == -1 else "cycle")
+        return scalar(reqs, ptrs, n, cyc, g, denied, slot0, stop)
+
+    monkeypatch.setattr(schedule, "_stall_scalar", counted)
+    return calls
+
+
+def test_stall_collisions_matches_scalar_spec(monkeypatch):
+    calls = count_scalar_calls(monkeypatch)
+    rng = np.random.default_rng(89)
+    stalled = 0
+    cases = list(random_stall_cases(rng, 2000))
+    for sched, cfg in cases:
+        want = _stall_spec(sched, cfg)
+        assert_same_schedule(stall_collisions(sched, cfg), want)
+        stalled += want.stall_cycles > 0
+    # both paths ran: single clashing cycles and groups finished by the scalar loop
+    assert calls.count("cycle") > 100 and calls.count("rest") > 100
+    assert 200 < stalled < len(cases) - 200
+
+
+def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
+    calls = count_scalar_calls(monkeypatch)
+    ones = np.ones((5000, 4), dtype=np.int64)
+    col = np.zeros((5000, 4), dtype=np.int64)
+    col[4500, 1] = 4  # once, PE 1 reads bank 0's address 4 while PE 0 reads 0
+    col[:, 3] = np.arange(5000) % 4  # PE 3 meets PE 2's address 0 in bank 0 only
+    late = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    late_cfg = ArchConfig(pe_count=4, lanes=1, groups=4, replicas=2)
+    col = np.tile(np.arange(4), (700, 1))
+    col[100:, 1::2] = (4, 6)  # from cycle 100, PEs 1 and 3 meet PEs 0 and 2's banks
+    switching = TileSchedule.from_columns(ones[:700], ones[:700], ones[:700], col, ones[:700])
+    switching_cfg = ArchConfig(pe_count=4, lanes=2, groups=4, replicas=1)
+    # no clash before cycle 4500, past the largest window: the windows reach it.
+    # PE 1 loses that cycle, so at 4501 it still reads 4 against PE 0's next
+    # 0, wins by rotation, and the two are level again: two clashing cycles.
+    out = stall_collisions(late, late_cfg)
+    assert_same_schedule(out, _stall_spec(late, late_cfg))
+    assert out.stall_cycles == 1 and calls == ["cycle", "cycle"]
+    calls.clear()
+    out = stall_collisions(switching, switching_cfg)
+    assert_same_schedule(out, _stall_spec(switching, switching_cfg))
+    assert out.stall_cycles > 500
+    assert calls[0] == "cycle" and calls[-1] == "rest"  # windows first, then the scalar rest
+    # no denial: the schedule comes back as given
+    clash_free = TileSchedule.from_columns(*(getattr(late, name)[:4000] for name in
+                                             ("sor", "eor", "vld", "col", "value")))
+    for sched, cfg in ((late, ArchConfig(pe_count=4, lanes=1, groups=4, replicas=4)),
+                       (clash_free, late_cfg),
+                       (TileSchedule.empty(4), late_cfg),
+                       (random_grid(np.random.default_rng(3), 30, 4, 8, 0.0, 0.3), late_cfg)):
+        assert stall_collisions(sched, cfg) is sched
 
 
 def test_dmm_schedule_balanced():
