@@ -299,11 +299,11 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     the first cycle where two neighbours share a bank but not an address,
     and runs only that cycle through the scalar grant rule (_stall_scalar).
     A window starts at _WINDOW_MIN cycles, doubles up to _WINDOW_MAX while
-    clash-free, and restarts at twice the last run after a clash. After
-    _JUDGE_AFTER windows, a group whose mean clash-free run spans fewer than
-    _WINDOW_SLOTS slots finishes in the scalar loop from its pointers. The
-    one-slot-at-a-time pass is the spec: tests/test_schedule.py keeps it as
-    _stall_spec and compares the two.
+    clash-free, and restarts at twice the last run, within those bounds,
+    after a clash. After _JUDGE_AFTER windows, a group whose mean clash-free
+    run spans fewer than _WINDOW_SLOTS slots finishes in the scalar loop from
+    its pointers. The one-slot-at-a-time pass is the spec:
+    tests/test_schedule.py keeps it as _stall_spec and compares the two.
 
     Both paths record only the denied requests. A slot's output cycle is its
     input slot plus its PE's denials so far, and each field then moves with
@@ -401,7 +401,7 @@ def _stall_group(vld: np.ndarray, col: np.ndarray, g: int) -> list:
         step = [0] * width
         cyc = _stall_scalar(reqs, step, 1, cyc, g, denied, ptrs.tolist(), cyc + 1)
         ptrs = np.minimum(ptrs + step, n_in)
-        span = max(_WINDOW_MIN, 2 * run)
+        span = min(max(_WINDOW_MIN, 2 * run), _WINDOW_MAX)
 
 
 def _stall_scalar(reqs: list, ptrs: list, n: int, cyc: int, g: int, denied: list,

@@ -398,6 +398,19 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
     assert_same_schedule(out, _stall_spec(switching, switching_cfg))
     assert out.stall_cycles > 500
     assert calls[0] == "cycle" and calls[-1] == "rest"  # windows first, then the scalar rest
+    # first clash 3000 cycles into a 4096-cycle window, next one 4968 cycles
+    # after it: the window that follows must still be capped at 4096 cycles
+    ones = np.ones((16000, 2), dtype=np.int64)
+    col = np.tile(np.arange(2), (16000, 1))
+    col[7032, 1] = 2  # PE 1 loses cycle 7032 to PE 0's 0 in bank 0 ...
+    col[7033, 0] = 2  # ... shares address 2 with PE 0 at 7033 and then lags one slot
+    col[12000, 1] = 2  # clashes with PE 0's 0 again at cycle 12001
+    long_runs = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    long_cfg = ArchConfig(pe_count=2, lanes=1, groups=2, replicas=1)
+    calls.clear()
+    out = stall_collisions(long_runs, long_cfg)
+    assert_same_schedule(out, _stall_spec(long_runs, long_cfg))
+    assert out.stall_cycles == 1 and calls == ["cycle", "cycle"]
     # no denial: the schedule comes back as given
     clash_free = TileSchedule.from_columns(*(getattr(late, name)[:4000] for name in
                                              ("sor", "eor", "vld", "col", "value")))
