@@ -4,8 +4,9 @@ Text formats are line oriented and parse errors always carry the file name
 and 1-based line number. Edge and sparse feature files are parsed, checked
 and written as whole arrays; the line parser reads only text outside the
 writers' plain form or text that fails a check, to give the same matrix or
-name the bad line. The weight container is binary little-endian. All of it
-exists so a workload can round-trip through files byte-exactly.
+name the bad line; the writers format a bounded chunk of lines at a time.
+The weight container is binary little-endian. All of it exists so a
+workload can round-trip through files byte-exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ MAX_SPARSE_DIM = 1 << 27   # rows or cols of a sparse header; row_ptr <= 1 GiB
 
 _INT64 = np.iinfo(np.int64)
 _PLAIN = b"0123456789- \t\n"   # the only bytes the writers emit
+_WRITE_LINES = 1 << 12           # lines of text a writer builds at once
 
 
 class FileFormatError(ValueError):
@@ -109,12 +111,20 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
     return a
 
 
+def _write_lines(path, head: str, line: str, *columns: np.ndarray) -> None:
+    """A text file: head, then line.format(*entries) per entry of the columns."""
+    with open(path, "w") as fh:
+        fh.write(head)
+        for s0 in range(0, len(columns[0]), _WRITE_LINES):
+            fh.write("".join(map(line.format, *(c[s0:s0 + _WRITE_LINES].tolist()
+                                                for c in columns))))
+
+
 def write_edges(path, a: SparseMatrixCSR) -> None:
     """One line per undirected edge (u <= v); assumes a symmetric matrix."""
     rr = np.repeat(np.arange(a.rows), a.row_nnz())
     keep = rr <= a.col_idx
-    with open(path, "w") as fh:
-        fh.write("".join(map("{} {}\n".format, rr[keep].tolist(), a.col_idx[keep].tolist())))
+    _write_lines(path, "", "{} {}\n", rr[keep], a.col_idx[keep])
 
 
 # -- features -----------------------------------------------------------------
@@ -218,10 +228,8 @@ def _read_sparse_features(path, lines) -> SparseMatrixCSR:
 def write_features(path, f: SparseMatrixCSR) -> None:
     """Sparse triplet form; raw values, so the round trip is exact."""
     rr = np.repeat(np.arange(f.rows), f.row_nnz())
-    with open(path, "w") as fh:
-        fh.write(f"sparse {f.rows} {f.cols} {f.bits} {f.frac_bits}\n")
-        fh.write("".join(map("{} {} {}\n".format, rr.tolist(), f.col_idx.tolist(),
-                             f.values.tolist())))
+    _write_lines(path, f"sparse {f.rows} {f.cols} {f.bits} {f.frac_bits}\n", "{} {} {}\n",
+                 rr, f.col_idx, f.values)
 
 
 # -- weights ------------------------------------------------------------------

@@ -9,9 +9,9 @@ backend replays the identical pipeline on the reference kernels, so the two
 paths must agree bit for bit; a separate real-arithmetic reference measures
 quantization error. Neither reference depends on the array config, so
 references() computes both once for any number of configs. A simulated run
-plans each left operand once and reuses the plan for every product with it;
-one ArchConfig serves every product, since each sparse operand's packets
-take their value width from the operand itself (schedule.packet_bits_for).
+compiles each left operand's plan once, for every product with it; one
+ArchConfig serves every product, since each sparse operand's packets take
+their value width from the operand itself (schedule.packet_bits_for).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .matrix import (
     sdmm_reference,
 )
 from .schedule import ArchConfig
-from .simulator import CycleReport, plan_step, simulate_step
+from .simulator import CycleReport, check_product, compile_plan, simulate_step
 
 KIND_GCN = "gcn"
 KIND_SAGE = "graphsage-mean"
@@ -138,11 +138,12 @@ class _SimEngine:
     def __init__(self, cfg: ArchConfig, report: RunReport):
         self.cfg = cfg
         self.report = report
-        self.plans: dict = {}  # id(x) -> (x, plan); holding x keeps its id unique
+        self.plans: dict = {}  # id(x) -> (x, compile_plan); holding x keeps its id unique
 
     def matmul(self, label: str, x, w: DenseMatrix) -> DenseMatrix:
         if id(x) not in self.plans:
-            self.plans[id(x)] = (x, plan_step(x, self.cfg))
+            check_product(x, w)
+            self.plans[id(x)] = (x, compile_plan(x, self.cfg))
         y, rep = simulate_step(x, w, self.cfg, self.plans[id(x)][1])
         self.report.add(label, rep)
         return y

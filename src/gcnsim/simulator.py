@@ -12,16 +12,14 @@ already spends as stall slots, so a tile executes as one segment sum over
 its valid slots taken PE by PE, where each output row's slots are
 contiguous; the result is bit-identical to stepping packet by packet.
 
-A product is planned once (plan_step: schedule, check and census per
-column tile, reusable for every product with the same left operand) and
-run once per column tile over every output column (simulate_step).
-plan_step is every command's one path from an operand to schedules, and
-its check_arbitration the one verification of a schedule: run_tile only
-executes. The hardware walks the output C lanes at a time, replaying the
-schedule per lane block, so each lane block only adds its load cycles and
-census. A step's CycleReport carries the sum of those censuses
-(ScheduleStats adds up), and report.py gives the census fields their
-document names.
+A product is planned (plan_step, every command's one path from an operand to
+schedules: each checked once by check_arbitration, with its census), compiled
+(compile_tile: a schedule's PE-major segments, all a plan keeps of it) and run
+(run_tile: all output columns of a tile at once, into one output array); a
+compiled plan serves every product with its left operand. The hardware walks
+the output C lanes at a time, replaying the schedule per lane block, so each
+lane block only adds its load cycles and census. A step's CycleReport sums
+those censuses, and report.py gives them their document names.
 
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
@@ -34,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,40 +163,42 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
                                f"{a} and {b} share a bank in one replica group")
 
 
-def run_tile(sched: TileSchedule, w: np.ndarray, partials: np.ndarray) -> np.ndarray:
-    """Execute one checked tile schedule against a dense tile w (T rows, any lanes).
+class CompiledTile(NamedTuple):
+    """A checked schedule's valid slots, PE-major, as run_tile consumes them."""
 
-    partials is the OMMB view (all m rows, as many columns as w); the
-    returned array is partials plus every PE's emitted rows. Nothing here
-    checks sched: it must have passed check_arbitration for m rows and w's
-    rows, as every schedule in a plan_step plan has, once per plan. PE p
-    emits rows range(p, m, K) in order; taken PE by PE, each row's valid
-    slots are contiguous and the slot's row is p + K * (sors so far - 1), so
-    the whole tile is one segment sum of value * w[col] over all lanes,
-    taken in chunks of slots so that memory stays linear in valid slots
-    plus m x lanes.
-    """
-    partials = np.asarray(partials, dtype=np.int64)
-    w = np.asarray(w, dtype=np.int64)
-    if partials.ndim != 2 or partials.shape[1] != w.shape[1]:
+    starts: np.ndarray  # first slot of each output row's segment
+    rows: np.ndarray    # that segment's output row
+    col: np.ndarray     # dense row of each valid slot
+    value: np.ndarray   # multiplicand of each valid slot
+
+
+def compile_tile(sched: TileSchedule) -> CompiledTile:
+    """A checked schedule's valid slots: taken PE by PE, a row's slots are
+    contiguous and a slot's row is p + K * (sors so far - 1). A row with no
+    valid slot gets no segment; its partial passes on unchanged."""
+    valid = sched.vld.T == 1  # PE-major (K x cycles)
+    seg = np.cumsum(sched.sor.T, axis=1, dtype=np.int32)[valid] - 1  # index among the PE's rows
+    row = np.repeat(np.arange(sched.pe_count), valid.sum(axis=1)) + sched.pe_count * seg
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    return CompiledTile(starts, row[starts], sched.col.T[valid], sched.value.T[valid])
+
+
+def run_tile(tile: CompiledTile, w: np.ndarray, out: np.ndarray) -> None:
+    """Add a compiled tile times w (T rows, any lanes) into out, the m-row int64
+    OMMB, in place; its schedule was checked in its plan. Lane-major: gather w's
+    columns, multiply, segment-sum along contiguous rows, in chunks of slots so
+    that memory stays linear in slots plus m x lanes (a cut row is added twice)."""
+    if out.ndim != 2 or out.shape[1] != w.shape[1]:
         raise ShapeError("partials block does not match dense tile lanes")
-    k = sched.pe_count
-    out = partials.copy()
-    # PE-major (K x cycles) views: a row's valid slots are contiguous
-    valid = sched.vld.T == 1
-    seg = np.cumsum(sched.sor.T, axis=1, dtype=np.int32)[valid]  # sors so far
-    row = np.repeat(np.arange(k), valid.sum(axis=1)) + k * (seg - 1)
-    col, value = sched.col.T[valid], sched.value.T[valid]
-    # bounded chunks of slots keep the products at a fixed size; a row cut
-    # by a chunk boundary is simply added to twice
+    wt = np.ascontiguousarray(np.asarray(w, dtype=np.int64).T)
     step = max(1, _CHUNK_CELLS // max(w.shape[1], 1))
-    for s0 in range(0, len(row), step):
-        r = row[s0:s0 + step]
-        prod = w[col[s0:s0 + step]]
-        prod *= value[s0:s0 + step, None]
-        starts = np.flatnonzero(np.diff(r, prepend=-1))
-        out[r[starts]] += np.add.reduceat(prod, starts, axis=0)
-    return out
+    for s0 in range(0, len(tile.col), step):
+        i0 = np.searchsorted(tile.starts, s0, "right") - 1  # the row s0 lies in
+        i1 = np.searchsorted(tile.starts, s0 + step)
+        prod = wt.take(tile.col[s0:s0 + step], axis=1)
+        prod *= tile.value[s0:s0 + step]
+        cuts = np.maximum(tile.starts[i0:i1], s0) - s0
+        out[tile.rows[i0:i1]] += np.add.reduceat(prod, cuts, axis=1).T
 
 
 def data_move(y: DenseMatrix | np.ndarray, cfg: ArchConfig) -> int:
@@ -208,8 +209,8 @@ def data_move(y: DenseMatrix | np.ndarray, cfg: ArchConfig) -> int:
 
 @dataclass
 class CycleReport:
-    """One product's phase cycles. The compute phase is census, the sum of
-    every schedule run's slot census; tiles keeps each run's totals."""
+    """One product's phase cycles: census sums every schedule run's census, and
+    tiles has each plan entry's col_offset, lane_blocks (runs) and one run's totals."""
 
     census: ScheduleStats
     mode: str = MODE_SDMM
@@ -250,27 +251,37 @@ def plan_step(x, cfg: ArchConfig) -> list[tuple[int, TileSchedule, ScheduleStats
     return plan
 
 
+def check_product(x, w: DenseMatrix) -> None:
+    """Reject x @ w before planning; plan_step rejects an x of no operand type."""
+    if isinstance(x, (SparseMatrixCSR, DenseMatrix)) and x.cols != w.rows:
+        raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
+
+
+def compile_plan(x, cfg: ArchConfig) -> list[tuple[int, CompiledTile, ScheduleStats]]:
+    """plan_step(x, cfg) with each schedule compiled for run_tile."""
+    return [(c0, compile_tile(sched), stats) for c0, sched, stats in plan_step(x, cfg)]
+
+
 def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None
                   ) -> tuple[DenseMatrix, CycleReport]:
     """One full matrix product on the array: load, compute, move.
 
-    plan is plan_step(x, cfg), built here when not given. Output accumulates
-    across column tiles through the OMMB and is width-checked at the end.
+    plan is compile_plan(x, cfg), built here when not given. Output accumulates
+    across column tiles in one OMMB array and is width-checked at the end.
     """
-    if plan is None:
-        plan = plan_step(x, cfg)
-    if x.cols != w.rows:
-        raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
+    check_product(x, w)
+    plan = compile_plan(x, cfg) if plan is None else plan
     y = np.zeros((x.rows, w.cols), dtype=np.int64)
     mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
     report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=mode)
-    for c0, sched, stats in plan:
+    lane_blocks = range(0, max(w.cols, 1), cfg.lanes)
+    for c0, tile, stats in plan:
         w_tile = w.data[c0:c0 + cfg.tile_width]
-        y = run_tile(sched, w_tile, y)
-        for o0 in range(0, max(w.cols, 1), cfg.lanes):
+        run_tile(tile, w_tile, y)
+        for o0 in lane_blocks:
             report.load_cycles += load_tile(w_tile[:, o0:o0 + cfg.lanes], cfg)
             report.census += stats
-            report.tiles.append({"col_offset": c0, "out_offset": o0, **stats.totals()})
+        report.tiles.append({"col_offset": c0, "lane_blocks": len(lane_blocks), **stats.totals()})
     report.move_cycles += data_move(y, cfg)
     report.census.check_identity()
     check_fits(y, 32, "accumulator")

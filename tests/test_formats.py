@@ -338,6 +338,9 @@ def test_writers_match_the_per_line_spec(tmp_path):
     wide = SparseMatrixCSR.from_coo(3, 2, [0, 2], [1, 0], [-30000, 32767], 16, 11)
     bundles.append(GraphBundle(empty_csr(3, 3, 4, 0), wide))                 # no edges
     bundles.append(GraphBundle(bundles[0].adjacency, empty_csr(500, 16, 4, 3)))  # no features
+    # several of the writers' chunks of lines
+    bundles.append(gen_powerlaw(3000, 4, 2.1, seed=23, n_features=16, feature_density=0.3))
+    assert bundles[-1].adjacency.nnz > 2 * formats._WRITE_LINES
     for i, bundle in enumerate(bundles):
         paths = export_bundle(tmp_path / f"b{i}", bundle)
         write_edges_by_lines(tmp_path / "spec_edges.txt", bundle.adjacency)
@@ -346,6 +349,22 @@ def test_writers_match_the_per_line_spec(tmp_path):
         assert paths["features"].read_bytes() == (tmp_path / "spec_features.txt").read_bytes()
     assert (tmp_path / "b3" / "edges.txt").read_bytes() == b""
     assert (tmp_path / "b4" / "features.txt").read_bytes() == b"sparse 500 16 4 3\n"
+
+
+def test_writers_memory_is_bounded(tmp_path):
+    # building a whole file as one string took about 84 traced bytes per
+    # edge nonzero and 140 per feature nonzero; in chunks of lines the
+    # writers hold the index arrays plus one chunk's text
+    bundle = gen_powerlaw(16384, 4, 2.1, seed=0, n_features=32, feature_density=0.1)
+    for write, m in ((write_edges, bundle.adjacency), (write_features, bundle.features)):
+        tracemalloc.start()
+        try:
+            write(tmp_path / "out.txt", m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = 24 * m.nnz + (1 << 20)
+        assert peak <= budget, (write.__name__, peak, budget)
 
 
 # -- ingest memory -----------------------------------------------------------------------

@@ -235,6 +235,51 @@ def test_run_model_schedules_each_operand_tile_once(monkeypatch):
         assert len(checked) == sparse_tiles + -(-model.layers[1].weight.rows // 16)
 
 
+def test_run_model_compiles_each_plan_entry_once(monkeypatch):
+    # GraphSAGE runs every planned operand twice: x in self and neigh_combine,
+    # a in both layers' neigh_aggregate
+    planned, compiled, ran = [], [], []
+    plan, compile_tile, run_tile = (simulator.plan_step, simulator.compile_tile,
+                                    simulator.run_tile)
+
+    def counted_plan(x, cfg):
+        entries = plan(x, cfg)
+        planned.extend(sched for _, sched, _ in entries)
+        return entries
+
+    def counted_compile(sched):
+        compiled.append((sched, compile_tile(sched)))
+        return compiled[-1][1]
+
+    monkeypatch.setattr(simulator, "plan_step", counted_plan)
+    monkeypatch.setattr(simulator, "compile_tile", counted_compile)
+    monkeypatch.setattr(simulator, "run_tile",
+                        lambda tile, *args: ran.append(tile) or run_tile(tile, *args))
+    model, a, x0 = random_model_inputs(np.random.default_rng(71), KIND_SAGE)
+    run_model(model, a, x0, config_for_tile(2, 16, lanes=4))
+    assert len(planned) > 3
+    assert [id(sched) for sched, _ in compiled] == [id(sched) for sched in planned]
+    assert sorted(map(id, ran)) == sorted(2 * [id(tile) for _, tile in compiled])
+
+
+def test_shape_mismatch_raises_before_planning(monkeypatch):
+    built = []
+    monkeypatch.setattr(simulator, "build_sdmm_schedule",
+                        lambda *args: built.append(args))
+    monkeypatch.setattr(simulator, "build_dmm_schedule",
+                        lambda *args: built.append(args))
+    cfg = config_for_tile(2, 16, lanes=4)
+    w = dense_raw(np.ones((5, 2), np.int64))
+    for x in (csr_raw(np.ones((3, 4), np.int64)), dense_raw(np.ones((3, 4), np.int64))):
+        with pytest.raises(ShapeError, match="inner dims differ: 4 vs 5"):
+            simulate_step(x, w, cfg)
+    model, a, x0 = random_model_inputs(np.random.default_rng(73), KIND_SAGE)
+    wide = csr_raw(np.ones((x0.rows, x0.cols + 1), np.int64))
+    with pytest.raises(ShapeError, match="inner dims differ"):
+        run_model(model, a, wide, cfg)
+    assert built == []
+
+
 def test_summed_step_censuses_keep_accounting_identity():
     rng = np.random.default_rng(55)
     model, a, x0 = random_model_inputs(rng, KIND_SAGE)

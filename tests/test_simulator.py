@@ -31,6 +31,7 @@ from gcnsim.simulator import (
     CycleReport,
     PeState,
     check_arbitration,
+    compile_tile,
     data_move,
     load_tile,
     pe_step,
@@ -62,6 +63,13 @@ def naive_run_tile(sched, w, partials):
             pe, emitted = pe_step(pe, pkt, w_row, prev)
             if emitted is not None:
                 out[rows[pe.row_cursor - 1]] = emitted
+    return out
+
+
+def run_compiled(sched, w, partials):
+    """run_tile of the compiled sched, into a copy of partials."""
+    out = np.array(partials, dtype=np.int64)
+    run_tile(compile_tile(sched), np.asarray(w, dtype=np.int64), out)
     return out
 
 
@@ -146,7 +154,7 @@ def test_run_tile_all_idle():
                         [EMPTY_ROW_PACKET, IDLE_PACKET]])
     check_arbitration(sched, cfg, 3, 4)
     partials = np.arange(6).reshape(3, 2)
-    out = run_tile(sched, np.ones((4, 2), np.int64), partials)
+    out = run_compiled(sched, np.ones((4, 2), np.int64), partials)
     assert np.array_equal(out, partials)
     assert schedule_stats(sched).totals()["valid"] == 0
 
@@ -182,7 +190,7 @@ def test_plan_rejects_valid_packet_outside_open_row(monkeypatch):
     stray = PcooPacket(0, 0, 1, 1, 1)
     good = make_sched([[row0], [row1]])
     check_arbitration(good, cfg, 2, 2)
-    assert run_tile(good, w, partials).tolist() == [[10, 10], [5, 5]]
+    assert run_compiled(good, w, partials).tolist() == [[10, 10], [5, 5]]
     for cycle, grid in ((0, [[stray], [row0], [row1]]),    # before the first sor
                         (1, [[row0], [stray], [row1]])):   # after an eor, before the next sor
         sched = make_sched(grid)
@@ -208,7 +216,7 @@ def test_run_tile_matches_pe_step_walk():
         sched = build_sdmm_schedule(tile, cfg)
         w_tile = w.data
         partials = rng.integers(-50, 50, size=(tile.rows, w.cols))
-        fast = run_tile(sched, w_tile, partials)
+        fast = run_compiled(sched, w_tile, partials)
         slow = naive_run_tile(sched, w_tile, partials)
         assert np.array_equal(fast, slow), trial
 
@@ -224,7 +232,7 @@ def test_run_tile_dense_mode_matches_pe_step_walk():
         w = rng.integers(-8, 8, size=(rows, 3))
         sched = build_dmm_schedule(x, k)
         partials = np.zeros((m, 3), dtype=np.int64)
-        fast = run_tile(sched, w, partials)
+        fast = run_compiled(sched, w, partials)
         assert np.array_equal(fast, naive_run_tile(sched, w, partials))
         assert np.array_equal(fast, x @ w)
 
@@ -235,8 +243,41 @@ def test_run_tile_equals_reference_single_tile():
         cfg, tile, w = random_tile_setup(rng)
         sched = build_sdmm_schedule(tile, cfg)
         w_tile = w.data
-        out = run_tile(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64))
+        out = run_compiled(sched, w_tile, np.zeros((tile.rows, w.cols), np.int64))
         assert np.array_equal(out, sdmm_reference(tile, w).data)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 3, 7])
+def test_run_tile_chunks_match_pe_step_walk(monkeypatch, chunk_cells):
+    # a chunk holds chunk_cells // lanes slots (at least one), so most rows
+    # here are cut by a chunk boundary and added to in two or more chunks
+    monkeypatch.setattr("gcnsim.simulator._CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(157 + chunk_cells)
+    cases = []  # (schedule, dense tile, output rows)
+    for _ in range(12):
+        cfg, tile, w = random_tile_setup(rng, k=int(rng.choice([1, 2, 4])), density=0.7)
+        cases.append((build_sdmm_schedule(tile, cfg), w.data, tile.rows))
+        x = rng.integers(-8, 8, size=(int(rng.integers(1, 12)), w.rows))
+        cases.append((build_dmm_schedule(x, cfg.pe_count), w.data, len(x)))
+    # no valid slot at all: empty rows only, idle only, and zero rows
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
+    w = rng.integers(-8, 8, size=(4, 2))
+    for x in (np.zeros((3, 4), np.int64), np.zeros((0, 4), np.int64)):
+        cases.append((build_sdmm_schedule(SparseMatrixCSR.from_dense_raw(x, 4, 0), cfg),
+                      w, len(x)))
+        cases.append((build_dmm_schedule(x, 2), w, len(x)))
+    cases.append((make_sched([[IDLE_PACKET, IDLE_PACKET]]), w, 0))
+    cut = idle = 0
+    for sched, w, m in cases:
+        partials = rng.integers(-50, 50, size=(m, w.shape[1]))
+        assert np.array_equal(run_compiled(sched, w, partials),
+                              naive_run_tile(sched, w, partials))
+        tile = compile_tile(sched)
+        step = max(1, chunk_cells // w.shape[1])
+        ends = np.append(tile.starts[1:], len(tile.col)) - 1
+        cut += int((tile.starts // step != ends // step).sum())
+        idle += not len(tile.col)
+    assert cut > 20 and idle == 4
 
 
 def test_arbitration_recheck_rejects_illegal(monkeypatch):
@@ -389,7 +430,9 @@ def test_simulate_step_phase_arithmetic():
     assert report.move_cycles == -(-24 * 10 // 4)
     assert report.total_cycles == report.load_cycles + report.compute_cycles \
         + report.move_cycles
-    assert len(report.tiles) == 9
+    # one tiles entry per column tile, each run once per lane block
+    assert [(t["col_offset"], t["lane_blocks"]) for t in report.tiles] == \
+        [(0, 3), (16, 3), (32, 3)]
     # each of the 3 lane blocks replays its column tile's one schedule
     per_block = sum(build_sdmm_schedule(tile, cfg).cycles
                     for tile in tile_columns(x, cfg.tile_width))
@@ -404,10 +447,14 @@ def test_simulate_step_dmm_many_tiles_ragged_lanes():
     w = DenseMatrix(rng.integers(-8, 8, size=(21, 10)), 4, 3)
     y, report = simulate_step(x, w, cfg)
     assert np.array_equal(y.data, dmm_reference(x, w).data)
-    assert [(t["col_offset"], t["out_offset"]) for t in report.tiles] == \
-        [(c0, o0) for c0 in (0, 8, 16) for o0 in (0, 4, 8)]
+    assert [(t["col_offset"], t["lane_blocks"]) for t in report.tiles] == \
+        [(c0, 3) for c0 in (0, 8, 16)]
     per_block = sum(build_dmm_schedule(x.data[:, c0:c0 + 8], 4).cycles
                     for c0 in (0, 8, 16))
+    assert [t["cycles"] for t in report.tiles] == \
+        [build_dmm_schedule(x.data[:, c0:c0 + 8], 4).cycles for c0 in (0, 8, 16)]
+    for name, total in report.census.totals().items():
+        assert sum(3 * t[name] for t in report.tiles) == total, name
     assert report.compute_cycles == 3 * per_block
     assert report.load_cycles == sum(-(-t * c // 8) for t in (8, 8, 5) for c in (4, 4, 2))
     report.census.check_identity()
