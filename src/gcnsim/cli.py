@@ -19,9 +19,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from .formats import FileFormatError, export_bundle, ingest_bundle_dir, write_meta
+from .formats import (FileFormatError, _write_lines, export_bundle, ingest_bundle_dir,
+                      write_meta)
 from .graphs import degree_stats, gen_powerlaw, random_weights
 from .matrix import OverflowTrap, ShapeError, normalize_adjacency
 from .pcoo import (
@@ -242,10 +241,9 @@ def cmd_simulate(args) -> int:
         out = _require_out(args)
         out.mkdir(parents=True, exist_ok=True)
         write_report(doc, out / "report.json")
-        with open(out / "logits.txt", "w") as fh:
-            fh.write(f"# logits {logits.rows} {logits.cols} "
-                     f"bits={logits.bits} frac_bits={logits.frac_bits}\n")
-            np.savetxt(fh, logits.data, fmt="%d")
+        _write_lines(out / "logits.txt", f"# logits {logits.rows} {logits.cols} "
+                     f"bits={logits.bits} frac_bits={logits.frac_bits}\n",
+                     " ".join(["{}"] * logits.cols) + "\n", *logits.data.T)
         print(f"wrote {out / 'report.json'} and {out / 'logits.txt'}")
     return EXIT_OK
 

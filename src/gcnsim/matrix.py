@@ -132,16 +132,21 @@ class SparseMatrixCSR:
         """Build from unordered triplets; duplicate positions are summed.
 
         One stable sort of the row-major position r * cols + c orders the
-        triplets, so it needs rows * cols to fit well inside int64.
+        triplets, so it needs rows * cols to fit well inside int64. Triplets
+        whose positions already strictly increase (a file in CSR order) are
+        taken as they are, without the sort.
         """
         if rows * cols > 2**62:
             raise ValueError(f"{rows} x {cols} positions do not fit a 62-bit sort key")
         r = np.asarray(r, dtype=np.int64)
         c = np.asarray(c, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        order = np.argsort(r * cols + c, kind="stable")
-        r, c, v = r[order], c[order], v[order]
-        if len(r):
+        key = r * cols + c
+        order = None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
+        del key  # freed, like the order below, before the arrays that set the peak
+        if order is not None:  # strictly increasing positions repeat none
+            r, c, v = r[order], c[order], v[order]
+            del order
             dup = np.concatenate([[False], (r[1:] == r[:-1]) & (c[1:] == c[:-1])])
             if dup.any():
                 first = np.flatnonzero(~dup)  # each sorted group's first entry

@@ -158,22 +158,26 @@ def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
         raise ValueError(f"header says {header.cycle_count} cycles, got {cycles}")
     if k != header.pe_count:
         raise ValueError(f"header says {header.pe_count} PEs, schedule has {k}")
-    col = sched.col.astype(np.int64).ravel()
-    val = sched.value.astype(np.int64).ravel()
-    vld = sched.vld.astype(np.int64).ravel()
+    col, val, vld = sched.col.ravel(), sched.value.ravel(), sched.vld.ravel()
     if col.size and (col.min() < 0 or col.max() >= t):
         raise ValueError(f"column outside tile width {t}")
     stray = np.flatnonzero((vld == 0) & ((col != 0) | (val != 0)))  # packet_malformed
     if stray.size:
         raise ValueError(f"{_at_cell(int(stray[0]), k)} {_STRAY}")
-    check_value_field(val[vld == 1], h)
-    payload = val & ((1 << h) - 1)
-    head = col + t * vld + 2 * t * sched.eor.astype(np.int64).ravel() \
-        + 4 * t * sched.sor.astype(np.int64).ravel()
-    codes = (head << h) | payload
+    # every other slot now holds value 0, which fits any field
+    check_value_field(val if h else val[vld == 1], h)
+    codes = sched.sor.astype(np.int64).ravel()
+    for bit in (sched.eor.ravel(), vld):
+        codes <<= 1
+        codes += bit
+    codes *= t
+    codes += col
+    if h:
+        codes <<= h
+        codes |= val & ((1 << h) - 1)
+    # each cell is the last nbytes of its code's big-endian 8 bytes
     nbytes = (packet_width(t, h) + 7) // 8
-    shifts = 8 * np.arange(nbytes - 1, -1, -1, dtype=np.int64)
-    body = ((codes[:, None] >> shifts) & 0xFF).astype(np.uint8)
+    body = codes.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
     prefix = _HEADER_STRUCT.pack(STREAM_MAGIC, header.version, t, h, k, cycles)
     return prefix + body.tobytes()
 
@@ -208,32 +212,31 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     expect = HEADER_BYTES + cycles * k * nbytes
     if len(data) != expect:
         raise StreamFormatError(f"payload is {len(data)} bytes, expected {expect}")
-    cells = np.frombuffer(data, dtype=np.uint8, offset=HEADER_BYTES).reshape(-1, nbytes)
-    codes = np.zeros(len(cells), dtype=np.int64)
-    for i in range(nbytes):
-        codes <<= 8
-        codes |= cells[:, i]
-    wide = np.flatnonzero(codes >> width)
+    # cell i is the low nbytes of the big-endian 8 bytes that end with it
+    # (the first cell's lead-in is header bytes)
+    codes = np.ndarray(cycles * k, ">u8", data, HEADER_BYTES + nbytes - 8,
+                       (nbytes,)).astype(np.uint64)
+    if nbytes < 8:
+        codes &= (1 << 8 * nbytes) - 1
+    wide = np.flatnonzero(codes >= 1 << width)
     if wide.size:
         raise StreamFormatError(f"{_at_cell(int(wide[0]), k)} has bits set "
                                 f"above its {width}-bit packet")
     body = codes & ((2 * t << h) - 1)  # vld, col and value bits
-    stray = np.flatnonzero((body != 0) & (body < t << h))  # packet_malformed
+    body -= 1  # wraps 0 past every code, so the test below is 0 < body < t << h
+    stray = np.flatnonzero(body < (t << h) - 1)  # packet_malformed
     if stray.size:
         raise StreamFormatError(f"{_at_cell(int(stray[0]), k)} {_STRAY}")
+    del body
     shape = (cycles, k)
-
-    def field(shift, mask, dtype):
-        return ((codes >> shift) & mask).astype(dtype).reshape(shape)
-
-    tbits = log2_exact(t)
-    vld = field(h + tbits, 1, np.uint8)
+    flags = (codes >> (width - 3)).astype(np.uint8).reshape(shape)  # sor, eor, vld
+    vld = flags & 1
     if h == 0:
         value = vld
     else:
-        value = field(0, (1 << h) - 1, np.int64)
-        value -= (value >> (h - 1)) << h  # sign-extend the field
-    sched = TileSchedule.from_columns(field(h + tbits + 2, 1, np.uint8),
-                                      field(h + tbits + 1, 1, np.uint8),
-                                      vld, field(h, t - 1, np.int32), value)
+        value = (codes << (64 - h)).view(np.int64).reshape(shape)
+        value >>= 64 - h  # the low h bits, sign-extended
+    col = (codes >> h).astype(np.int32).reshape(shape)
+    col &= t - 1
+    sched = TileSchedule.from_columns(flags >> 2, (flags >> 1) & 1, vld, col, value)
     return header, sched

@@ -194,15 +194,18 @@ def tile_columns(x: SparseMatrixCSR, tile_width: int) -> list[SparseMatrixCSR]:
     Tile t holds columns [t*T, min((t+1)*T, cols)) rebased to start at 0;
     the last tile is ragged, and an operand with no columns is one empty
     tile. One pass for all tiles keeps preprocessing linear in nnz when the
-    operand spans many tiles.
+    operand spans many tiles. The pass is a stable sort of the tile ids,
+    held as int16 when they fit, which numpy sorts by radix.
     """
     ntiles = max(1, -(-x.cols // tile_width))
     if ntiles == 1:
         return [x]
     rr = np.repeat(np.arange(x.rows), x.row_nnz())
     tile_of = x.col_idx // tile_width
+    if ntiles <= 1 << 15:
+        tile_of = tile_of.astype(np.int16)
     order = np.argsort(tile_of, kind="stable")  # keeps (row, col) order inside a tile
-    bounds = np.searchsorted(tile_of[order], np.arange(ntiles + 1))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(tile_of, minlength=ntiles))])
     tiles = []
     for t in range(ntiles):
         idx = order[bounds[t]:bounds[t + 1]]
@@ -221,6 +224,12 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     contributes one empty-row marker so row numbering still advances. Short
     PE columns are zero-filled to the longest, and the grid is returned
     cycle-major.
+
+    PE p's rows are p, p+K, ..., so with the rows laid out ceil(m/K) x K a
+    column-wise cumsum of each row's packet count (at least 1) gives every
+    row's first slot. A packet's cell in the flat grid is slot * K + PE, and
+    each field is written with one 1-D scatter: sor at each row's first
+    cell, eor at its last, the nonzeros at consecutive slots between.
     """
     if pe_count < 1:
         raise ValueError("pe_count must be >= 1")
@@ -228,46 +237,29 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     if m == 0:
         return TileSchedule.empty(pe_count)
     row_nnz = tile.row_nnz()
-    packets_per_row = np.maximum(row_nnz, 1)
-    pe_of_row = np.arange(m, dtype=np.int64) % pe_count
-    pe_load = np.bincount(pe_of_row, weights=packets_per_row,
-                          minlength=pe_count).astype(np.int64)
-    cycles = int(pe_load.max())
+    reps = -(-m // pe_count)
+    packets = np.zeros(reps * pe_count, dtype=np.int64)
+    np.maximum(row_nnz, 1, out=packets[:m])
+    ends = np.cumsum(packets.reshape(reps, pe_count), axis=0)
+    cycles = int(ends[-1].max())
+    # flat cell of each row's first packet: its slot in its PE column, times K, plus the PE
+    first = ends.ravel()[:m] - packets[:m]
+    first *= pe_count
+    first += np.arange(m) % pe_count
 
-    # slot where each row's first packet lands inside its PE column
-    order = np.argsort(pe_of_row, kind="stable")
-    sorted_ppr = packets_per_row[order]
-    running = np.cumsum(sorted_ppr) - sorted_ppr
-    group_base = np.concatenate([[0], np.cumsum(pe_load)[:-1]])
-    row_start = np.empty(m, dtype=np.int64)
-    row_start[order] = running - group_base[pe_of_row[order]]
-
-    shape = (cycles, pe_count)
-    sor = np.zeros(shape, np.uint8)
-    eor = np.zeros(shape, np.uint8)
-    vld = np.zeros(shape, np.uint8)
-    col = np.zeros(shape, np.int32)
-    value = np.zeros(shape, np.int64)
-
-    nnz = tile.nnz
-    if nnz:
-        row_of_nz = np.repeat(np.arange(m), row_nnz)
-        within = np.arange(nnz) - np.repeat(tile.row_ptr[:-1], row_nnz)
-        slot = row_start[row_of_nz] + within
-        pe = pe_of_row[row_of_nz]
-        sor[slot, pe] = (within == 0)
-        eor[slot, pe] = (within == row_nnz[row_of_nz] - 1)
-        vld[slot, pe] = 1
-        col[slot, pe] = tile.col_idx
-        value[slot, pe] = tile.values
-
-    empties = np.flatnonzero(row_nnz == 0)
-    if len(empties):
-        slot = row_start[empties]
-        pe = pe_of_row[empties]
-        sor[slot, pe] = 1
-        eor[slot, pe] = 1
-    return TileSchedule.from_columns(sor, eor, vld, col, value)
+    sor, eor, vld, col, value = (np.zeros(cycles * pe_count, dtype) for dtype in
+                                 (np.uint8, np.uint8, np.uint8, np.int32, np.int64))
+    sor[first] = 1
+    eor[first + (packets[:m] - 1) * pe_count] = 1  # a row's last packet, or its marker
+    if tile.nnz:
+        # nonzero j of row i sits j - row_ptr[i] slots after the row's first
+        at = np.arange(0, tile.nnz * pe_count, pe_count)
+        at += np.repeat(first - tile.row_ptr[:-1] * pe_count, row_nnz)
+        vld[at] = 1
+        col[at] = tile.col_idx
+        value[at] = tile.values
+    return TileSchedule.from_columns(*(a.reshape(cycles, pe_count)
+                                       for a in (sor, eor, vld, col, value)))
 
 
 # The stall pass's windows: the first window and the floor after a clash,
@@ -307,17 +299,19 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
 
     Both paths record only the denied requests. A slot's output cycle is its
     input slot plus its PE's denials so far, and each field then moves with
-    one scatter. A PE keeps its whole column, so every PE gains the same
-    cycles_out - cycles_in idle slots, which become stall_cycles. A schedule
-    with no denial (no slots, groups of one PE, no clash) is returned as given.
+    one scatter into the flat output grid. A PE keeps its whole column, so
+    every PE gains the same cycles_out - cycles_in idle slots, which become
+    stall_cycles. A schedule with no denial (no slots, groups of one PE, no
+    clash) is returned as given; one whose columns all lie below groups is
+    returned before any bank work, since each bank then holds one address.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError(f"schedule has {sched.pe_count} PEs, config {cfg.pe_count}")
     k = cfg.pe_count
     n_in = sched.cycles
     width = cfg.group_width
-    if n_in == 0 or width == 1:
-        return sched
+    if n_in == 0 or width == 1 or sched.col.max() < cfg.groups:
+        return sched  # no slots, groups of one PE, or one address per bank
     denied = []  # (pe, input slot) of each refused request, per group
     for base in range(0, k, width):
         part = slice(base, base + width)
@@ -333,11 +327,13 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     np.cumsum(rows, axis=0, out=rows)
     rows += np.arange(n_in)[:, None]  # output cycle of each input slot
     cycles = int(rows[-1].max()) + 1
+    rows *= k
+    rows += np.arange(k)  # its flat output cell
 
     def place(a: np.ndarray) -> np.ndarray:
-        out = np.zeros((cycles, k), dtype=a.dtype)
-        out[rows, np.arange(k)] = a
-        return out
+        out = np.zeros(cycles * k, dtype=a.dtype)
+        out[rows.ravel()] = a.ravel()
+        return out.reshape(cycles, k)
 
     fields = (sched.sor, sched.eor, sched.vld, sched.col, sched.value)
     return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
@@ -355,9 +351,9 @@ def _stall_group(vld: np.ndarray, col: np.ndarray, g: int) -> list:
     lanes = np.arange(width)
     limit = g << 32  # keys at or past it are not valid requests
     private = (g + lanes.astype(np.int64)) << 32
-    keys = np.empty((n_in + _WINDOW_MAX, width), dtype=np.int64)
+    keys = np.empty((n_in + min(n_in, _WINDOW_MAX), width), dtype=np.int64)
     body = keys[:n_in]
-    np.remainder(col, g, out=body)
+    np.bitwise_and(col, g - 1, out=body)  # the bank: g divides a power-of-two tile width
     body <<= 32
     body |= col
     valid = (vld == 1) & (col >= 0)

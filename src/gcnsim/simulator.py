@@ -128,31 +128,40 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
     a bank must share one address; anything else would be silent corruption
     in hardware, so it raises here. One sort of packed int64 keys (cycle,
     replica group, bank, col // groups) puts a bank's fetches side by side.
+    With dense_rows <= groups every bank holds one address, so no cycle can
+    clash and the sort is skipped; the other checks still run.
     """
     k, g = cfg.pe_count, cfg.groups
     owned = (rows - np.arange(k) + k - 1) // k  # len(range(p, rows, k)) per PE
-    off_map = (sched.sor.sum(axis=0) != owned) | (sched.eor.sum(axis=0) != owned)
+    depth = np.cumsum(sched.sor, axis=0, dtype=np.int32)
+    closed = np.cumsum(sched.eor, axis=0, dtype=np.int32)
+    # each PE's marker counts: the cumsums' last row, or zeros with no cycle
+    off_map = (depth[-1:].sum(axis=0) != owned) | (closed[-1:].sum(axis=0) != owned)
     if off_map.any():
         p = int(np.flatnonzero(off_map)[0])
         raise ArbitrationError(f"PE {p}: row markers disagree with its {owned[p]} rows")
     # rows opened minus rows closed before each slot: 1 inside an open row
-    depth = np.cumsum(sched.sor, axis=0, dtype=np.int32)
-    depth -= np.cumsum(sched.eor, axis=0, dtype=np.int32)
+    depth -= closed
+    del closed
     depth += sched.eor
     stray = (depth != 1) & (sched.vld == 1)
     if stray.any():
         p = int(np.flatnonzero(stray.any(axis=0))[0])
         c = int(np.flatnonzero(stray[:, p])[0])
         raise ArbitrationError(f"PE {p}: valid packet at cycle {c} is outside an open row")
-    flat = np.flatnonzero(sched.vld)  # cycle-major slot indices
+    flat = np.flatnonzero(sched.vld == 1)  # cycle-major slot indices
     if not len(flat):
         return
     cols = sched.col.ravel()[flat]
     if cols.min() < 0 or cols.max() >= dense_rows:
         raise ShapeError(f"packet column {int(cols.max())} outside dense tile rows {dense_rows}")
+    if dense_rows <= g:
+        return
+    # groups divides the power-of-two tile width, so a column's bank is its
+    # low bits; a slot's (cycle, replica group) is its cell // group width
     per_bank = -(-dense_rows // g)  # addresses one bank holds
-    key = ((flat // k * cfg.replicas + flat % k // cfg.group_width) * g
-           + cols % g) * per_bank + cols // g
+    key = ((flat // cfg.group_width * g + (cols & (g - 1))) * per_bank
+           + (cols >> g.bit_length() - 1))
     key.sort()
     bank_key = key // per_bank
     clash = (bank_key[1:] == bank_key[:-1]) & (key[1:] != key[:-1])

@@ -114,6 +114,9 @@ def test_simulate_report_and_logits(workload, capsys):
     assert lines[0].startswith("# logits 300 3")
     grid = np.loadtxt(lines[1:], dtype=np.int64)
     assert grid.shape == (300, 3)
+    spec = io.StringIO()  # the bytes np.savetxt writes for the same grid
+    np.savetxt(spec, grid, fmt="%d")
+    assert (out / "logits.txt").read_text() == lines[0] + "\n" + spec.getvalue()
 
     rc = main(["report", str(out / "report.json")])
     assert rc == EXIT_OK

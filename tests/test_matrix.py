@@ -126,10 +126,17 @@ def test_csr_from_coo_sums_duplicates_exactly_above_2_53():
 
 def test_csr_from_coo_sorts_like_a_row_then_column_lexsort():
     rng = np.random.default_rng(29)
+    cases = []
     for rows, cols in ((1, 1), (7, 3), (50, 200), (300, 9)):
-        r = rng.integers(0, rows, 400)
-        c = rng.integers(0, cols, 400)
-        v = rng.integers(-3, 4, 400)
+        cases.append((rows, cols, rng.integers(0, rows, 400), rng.integers(0, cols, 400),
+                      rng.integers(-3, 4, 400)))
+    # already in CSR order (taken as it is), and unsorted with each position
+    # given twice in a row
+    key = np.unique(rng.integers(0, 50 * 200, 400))
+    cases.append((50, 200, key // 200, key % 200, rng.integers(-3, 4, len(key))))
+    r, c = rng.integers(0, 30, 200), rng.integers(0, 20, 200)
+    cases.append((30, 20, r.repeat(2), c.repeat(2), rng.integers(-3, 4, 400)))
+    for rows, cols, r, c, v in cases:
         x = SparseMatrixCSR.from_coo(rows, cols, r, c, v, 16, 0)
         dense = np.zeros((rows, cols), dtype=np.int64)
         np.add.at(dense, (r, c), v)

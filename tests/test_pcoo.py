@@ -172,6 +172,29 @@ def test_serialize_roundtrip_random():
         assert_same_packets(back, sched)
 
 
+def test_serialize_matches_encode_packet_per_cell():
+    # the vectorized encoder against the single-packet spec, cell by cell,
+    # at every tile width, so cells of 1 to 5 bytes are all cut from codes
+    rng = np.random.default_rng(67)
+    widths, kinds = set(), set()
+    for h in (0, 4, 16):
+        for tbits in range(1, 16):
+            t, k = 1 << tbits, int(rng.integers(1, 6))
+            cycles = int(rng.integers(1, 8))
+            grid = [[random_packet(rng, t, h) for _ in range(k)] for _ in range(cycles)]
+            data = serialize_stream(grid_schedule(grid, k), make_header(t, h, k, cycles))
+            nbytes = (packet_width(t, h) + 7) // 8
+            assert len(data) == HEADER_BYTES + cycles * k * nbytes
+            cells = [encode_packet(p, t, h).to_bytes(nbytes, "big") for row in grid for p in row]
+            assert data[HEADER_BYTES:] == b"".join(cells), (t, h)
+            widths.add(nbytes)
+            kinds.update("negative" if p.value < 0 else "idle" if p == IDLE_PACKET
+                         else "empty" if p == EMPTY_ROW_PACKET else "valid"
+                         for row in grid for p in row)
+    assert widths == {1, 2, 3, 4, 5}
+    assert kinds == {"negative", "idle", "empty", "valid"}
+
+
 def test_deserialize_matches_decode_packet_per_cell():
     # the vectorized decoder against the single-packet spec, cell by cell
     # and its slot census against the per-cell kinds (valid, empty-row, idle)

@@ -168,14 +168,28 @@ def test_assign_rows_all_empty():
 
 def test_assign_rows_matches_naive():
     rng = np.random.default_rng(61)
-    for _ in range(30):
-        m = int(rng.integers(1, 30))
-        n = int(rng.integers(1, 16))
-        k = int(rng.integers(1, 7))
+
+    def sparse(m, n):
         raw = rng.integers(-8, 8, size=(m, n))
         raw[rng.random((m, n)) < 0.6] = 0
+        return raw
+
+    cases = []
+    for _ in range(30):
+        m, n, k = (int(rng.integers(1, hi)) for hi in (30, 16, 7))
+        cases.append((sparse(m, n), k))
+    one_dense = np.zeros((6, 12), dtype=np.int64)
+    one_dense[2] = rng.integers(1, 8, 12)
+    cases += [(sparse(m, 9), k) for m, k in ((1, 16), (5, 16), (15, 16), (4 * 3 + 1, 4),
+                                             (16 * 2 + 1, 16))]  # m < K, ragged last K rows
+    cases += [(np.zeros((7, 5), np.int64), 3), (one_dense, 4), (one_dense[2:3], 16),
+              (np.zeros((0, 4), np.int64), 3)]  # all rows empty, one dense row, no rows
+    for raw, k in cases:
+        m = len(raw)
         tile = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
         sched = assign_rows(tile, k)
+        assert [getattr(sched, name).dtype for name in ("sor", "eor", "vld", "col", "value")] \
+            == [np.uint8] * 3 + [np.int32, np.int64]
         oracle = naive_assign(raw, k)
         assert sched.cycles == len(oracle[0])
         for p in range(k):
@@ -419,6 +433,31 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
                        (TileSchedule.empty(4), late_cfg),
                        (random_grid(np.random.default_rng(3), 30, 4, 8, 0.0, 0.3), late_cfg)):
         assert stall_collisions(sched, cfg) is sched
+
+
+def test_stall_collisions_skips_banks_that_hold_one_address(monkeypatch):
+    # with every column below groups each bank holds one address, so no
+    # cycle can clash: the schedule comes back without a bank pass
+    groups = []
+    stall_group = schedule._stall_group
+    monkeypatch.setattr(schedule, "_stall_group",
+                        lambda vld, col, g: groups.append(g) or stall_group(vld, col, g))
+    rng = np.random.default_rng(73)
+    cfg = ArchConfig(pe_count=8, lanes=4, groups=16, replicas=2)
+    ones = np.ones((50, 8), dtype=np.int64)
+    same_bank = TileSchedule.from_columns(ones, ones, ones, np.repeat(np.arange(50) % 16, 8)
+                                          .reshape(50, 8), ones)  # all PEs, one address
+    for sched in (same_bank, random_grid(rng, 200, 8, 16, 0.9, 0.05),
+                  random_grid(rng, 200, 8, 1, 0.5, 0.2)):
+        assert stall_collisions(sched, cfg) is sched
+        assert_same_schedule(_stall_spec(sched, cfg), sched)
+    assert groups == []
+    # one group reads address 16 in one cycle: the bank pass runs, finds
+    # no clash, and also returns the schedule as given
+    col = np.zeros((50, 8), dtype=np.int64)
+    col[7, :4] = 16
+    edge = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    assert stall_collisions(edge, cfg) is edge and groups == [16, 16]
 
 
 def test_dmm_schedule_balanced():

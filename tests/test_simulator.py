@@ -302,6 +302,26 @@ def test_arbitration_recheck_rejects_illegal(monkeypatch):
     check_arbitration(bad, ArchConfig(pe_count=2, lanes=2, groups=4, replicas=2), 4, 8)
 
 
+def test_arbitration_checks_with_one_address_per_bank():
+    # dense_rows <= groups: no bank holds two addresses, so no cycle can
+    # clash, but markers, open rows and columns are still checked
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
+    row = PcooPacket(1, 1, 1, 1, 1)
+    good = make_sched([[row, PcooPacket(1, 1, 1, 3, 1)], [row, IDLE_PACKET]])
+    check_arbitration(good, cfg, 3, 4)
+    stray = make_sched([[row, row], [PcooPacket(0, 0, 1, 2, 1), IDLE_PACKET]])
+    with pytest.raises(ArbitrationError, match="^PE 0: valid packet at cycle 1 is outside"):
+        check_arbitration(stray, cfg, 2, 4)
+    with pytest.raises(ArbitrationError, match="^PE 1: row markers disagree with its 2 rows"):
+        check_arbitration(good, cfg, 4, 4)
+    with pytest.raises(ShapeError, match="packet column 3 outside dense tile rows 3"):
+        check_arbitration(good, cfg, 3, 3)
+    # one dense row past the banks: addresses 0 and 4 share bank 0
+    clash = make_sched([[PcooPacket(1, 1, 1, 0, 1), PcooPacket(1, 1, 1, 4, 1)]])
+    with pytest.raises(ArbitrationError, match="cycle 0: addresses 0 and 4"):
+        check_arbitration(clash, cfg, 2, 5)
+
+
 def first_clash_cycle(sched, cfg):
     """Cycle-by-cycle spec of check_arbitration: first cycle where one
     replica group reads two addresses from one bank, or None."""
