@@ -242,8 +242,7 @@ def cmd_simulate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         write_report(doc, out / "report.json")
         _write_lines(out / "logits.txt", f"# logits {logits.rows} {logits.cols} "
-                     f"bits={logits.bits} frac_bits={logits.frac_bits}\n",
-                     " ".join(["{}"] * logits.cols) + "\n", *logits.data.T)
+                     f"bits={logits.bits} frac_bits={logits.frac_bits}\n", *logits.data.T)
         print(f"wrote {out / 'report.json'} and {out / 'logits.txt'}")
     return EXIT_OK
 

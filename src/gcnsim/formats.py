@@ -4,9 +4,10 @@ Text formats are line oriented and parse errors always carry the file name
 and 1-based line number. Edge and sparse feature files are parsed, checked
 and written as whole arrays; the line parser reads only text outside the
 writers' plain form or text that fails a check, to give the same matrix or
-name the bad line; the writers format a bounded chunk of lines at a time.
-The weight container is binary little-endian. All of it exists so a
-workload can round-trip through files byte-exactly.
+name the bad line. The writers format a bounded chunk of lines at a time as
+one byte matrix, with the bytes `str(int)` would give. The weight container
+is binary little-endian. All of it exists so a workload can round-trip
+through files byte-exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ MAX_SPARSE_DIM = 1 << 27   # rows or cols of a sparse header; row_ptr <= 1 GiB
 _INT64 = np.iinfo(np.int64)
 _PLAIN = b"0123456789- \t\n"   # the only bytes the writers emit
 _WRITE_LINES = 1 << 12           # lines of text a writer builds at once
+_SHOWN = 10 ** np.arange(20, dtype=np.uint64)  # a digit at place p shows from 10^p up,
+_SHOWN[0] = 0                                  # the units digit always
 
 
 class FileFormatError(ValueError):
@@ -111,20 +114,53 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
     return a
 
 
-def _write_lines(path, head: str, line: str, *columns: np.ndarray) -> None:
-    """A text file: head, then line.format(*entries) per entry of the columns."""
-    with open(path, "w") as fh:
-        fh.write(head)
+def _int_lines(columns: list[np.ndarray]) -> bytes:
+    """One line per entry of the equal-length int64 columns: each entry in
+    decimal, a space between entries, a newline after the last.
+
+    The text is a uint8 matrix with one row per byte position and one column
+    per line. Each input column takes a sign byte, as many digit rows as its
+    largest magnitude has digits (divided out by 10 from the uint64
+    magnitude, so int64 min works) and a separator row. A sign or leading
+    zero that does not show is a 0 byte, which the final translate deletes.
+    """
+    parts = []
+    for c in columns:
+        neg = c < 0
+        u = c.astype(np.uint64)
+        mag = np.where(neg, -u, u)
+        parts.append((neg, mag, 1 + int((mag.max() >= _SHOWN[1:]).sum())))
+    text = np.empty((sum(d + 2 for _, _, d in parts), len(columns[0])), dtype=np.uint8)
+    at = 0
+    for neg, mag, d in parts:
+        text[at] = neg * ord("-")
+        digits = text[at + 1:at + 1 + d]
+        shown = mag >= _SHOWN[d - 1::-1, None]
+        for k in range(d - 1, -1, -1):
+            q = mag // 10
+            digits[k] = mag - q * 10 + ord("0")
+            mag = q
+        digits *= shown
+        text[at + d + 1] = ord(" ")
+        at += d + 2
+    text[-1] = ord("\n")
+    return text.T.tobytes().translate(None, b"\0")
+
+
+def _write_lines(path, head: str, *columns: np.ndarray) -> None:
+    """A text file: head, then _int_lines of the int64 columns, written a
+    chunk of lines at a time so memory stays bounded."""
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
         for s0 in range(0, len(columns[0]), _WRITE_LINES):
-            fh.write("".join(map(line.format, *(c[s0:s0 + _WRITE_LINES].tolist()
-                                                for c in columns))))
+            fh.write(_int_lines([c[s0:s0 + _WRITE_LINES] for c in columns]))
 
 
 def write_edges(path, a: SparseMatrixCSR) -> None:
     """One line per undirected edge (u <= v); assumes a symmetric matrix."""
     rr = np.repeat(np.arange(a.rows), a.row_nnz())
     keep = rr <= a.col_idx
-    _write_lines(path, "", "{} {}\n", rr[keep], a.col_idx[keep])
+    _write_lines(path, "", rr[keep], a.col_idx[keep])
 
 
 # -- features -----------------------------------------------------------------
@@ -228,7 +264,7 @@ def _read_sparse_features(path, lines) -> SparseMatrixCSR:
 def write_features(path, f: SparseMatrixCSR) -> None:
     """Sparse triplet form; raw values, so the round trip is exact."""
     rr = np.repeat(np.arange(f.rows), f.row_nnz())
-    _write_lines(path, f"sparse {f.rows} {f.cols} {f.bits} {f.frac_bits}\n", "{} {} {}\n",
+    _write_lines(path, f"sparse {f.rows} {f.cols} {f.bits} {f.frac_bits}\n",
                  rr, f.col_idx, f.values)
 
 

@@ -16,6 +16,7 @@ from .matrix import DenseMatrix, ShapeError, SparseMatrixCSR
 
 _PAIRING_TRIES = 10
 _EDGE_YIELD = 0.9  # accept a pairing that keeps this fraction after simplification
+_DRAW_CHUNK = 1 << 20  # uniforms random_features draws at once
 
 
 @dataclass
@@ -96,7 +97,9 @@ def _degree_counts(n: int, pmf: np.ndarray, rng) -> np.ndarray:
 def _pair_stubs(degrees: np.ndarray, rng) -> np.ndarray:
     """Shuffled stubs paired in order, self loops and repeats dropped.
 
-    Returns the distinct (lo, hi) edges, lo < hi, sorted as pairs.
+    Returns the distinct (lo, hi) edges, lo < hi, sorted as pairs: a sort of
+    the keys lo * n + hi and a mask of the first of each run of equal keys
+    (numpy's hash-based unique is far slower on these keys).
     """
     n = len(degrees)
     stubs = np.repeat(np.arange(n), degrees)
@@ -106,16 +109,25 @@ def _pair_stubs(degrees: np.ndarray, rng) -> np.ndarray:
     u, v = stubs[0::2], stubs[1::2]
     keep = u != v
     lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
-    key = np.unique(lo * n + hi)
+    key = np.sort(lo * n + hi)
+    key = key[np.diff(key, prepend=-1) != 0]
     return np.stack([key // n, key % n], axis=1)
 
 
 def random_features(n: int, n_features: int, density: float, rng
                     ) -> SparseMatrixCSR:
-    """Sparse SINT4 feature matrix with nonzero entries at the given density."""
+    """Sparse SINT4 feature matrix with nonzero entries at the given density.
+
+    The n * n_features uniforms that pick the nonzero positions are drawn at
+    most _DRAW_CHUNK at a time; the stream is sequential, so the matrix and
+    the generator's final state are those of one draw of them all.
+    """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density {density} not in (0, 1]")
-    flat = np.flatnonzero(rng.random(n * n_features) < density)
+    size = n * n_features
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.flatnonzero(rng.random(min(_DRAW_CHUNK, size - s0)) < density) + s0
+        for s0 in range(0, size, _DRAW_CHUNK)])
     vals = rng.choice(np.concatenate([np.arange(-8, 0), np.arange(1, 8)]),
                       size=len(flat))
     return SparseMatrixCSR.from_coo(n, n_features, flat // n_features,
@@ -129,7 +141,9 @@ def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,
 
     The pairing is retried when simplification (dropping self loops and
     duplicates) eats too many edges; dense degree requests near n-1 can
-    exhaust the retry budget and raise.
+    exhaust the retry budget and raise. The adjacency is built from the
+    sorted keys of both directions of every edge, which are distinct, so
+    from_coo receives its triplets in CSR order and skips its sort.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
@@ -154,10 +168,10 @@ def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,
     if edges is None:
         raise ValueError(f"could not realize avg degree {avg_degree} on {n} "
                          f"nodes after {_PAIRING_TRIES} pairings")
-    rr = np.concatenate([edges[:, 0], edges[:, 1]])
-    cc = np.concatenate([edges[:, 1], edges[:, 0]])
-    adjacency = SparseMatrixCSR.from_coo(n, n, rr, cc,
-                                         np.ones(len(rr), dtype=np.int64), 4, 0)
+    lo, hi = edges.T
+    key = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+    adjacency = SparseMatrixCSR.from_coo(n, n, key // n, key % n,
+                                         np.ones(len(key), dtype=np.int64), 4, 0)
     features = random_features(n, n_features, feature_density, rng)
     return GraphBundle(adjacency, features)
 

@@ -332,12 +332,35 @@ def empty_csr(rows, cols, bits, frac):
                            bits, frac)
 
 
+def identity(n):
+    return SparseMatrixCSR.from_coo(n, n, np.arange(n), np.arange(n), np.ones(n), 4, 0)
+
+
+def column(values, bits):
+    """One value per row in column 0, so the column-index column is all zero."""
+    n = len(values)
+    return SparseMatrixCSR.from_coo(n, 1, np.arange(n), np.zeros(n), values, bits, 0)
+
+
 def test_writers_match_the_per_line_spec(tmp_path):
     bundles = [gen_powerlaw(500, 4, 2.1, seed=s, n_features=16, feature_density=0.3)
                for s in (0, 7, 19)]
     wide = SparseMatrixCSR.from_coo(3, 2, [0, 2], [1, 0], [-30000, 32767], 16, 11)
     bundles.append(GraphBundle(empty_csr(3, 3, 4, 0), wide))                 # no edges
     bundles.append(GraphBundle(bundles[0].adjacency, empty_csr(500, 16, 4, 3)))  # no features
+    bundles.append(GraphBundle(identity(1), column([-5], 4)))  # one line each, zeros
+    # every decimal width on both sides of each power of ten, and the int64 extremes
+    mags = sorted({10 ** k + d for k in range(19) for d in (-1, 0)} - {0})
+    values = mags + [-m for m in mags] + [2**63 - 1, -2**63]
+    bundles.append(GraphBundle(identity(len(values)), column(values, 64)))
+    # columns whose largest magnitude is exactly a power of ten
+    bundles += [GraphBundle(identity(2), column([10 ** k, -10 ** k], 64)) for k in range(19)]
+    f = bundles[1].features  # an all-negative value column
+    bundles.append(GraphBundle(bundles[1].adjacency, SparseMatrixCSR(
+        f.rows, f.cols, f.row_ptr, f.col_idx, -np.abs(f.values), 4, 3)))
+    # both files end exactly on a chunk boundary
+    bundles.append(GraphBundle(identity(2 * formats._WRITE_LINES),
+                               column(np.full(2 * formats._WRITE_LINES, 7), 4)))
     # several of the writers' chunks of lines
     bundles.append(gen_powerlaw(3000, 4, 2.1, seed=23, n_features=16, feature_density=0.3))
     assert bundles[-1].adjacency.nnz > 2 * formats._WRITE_LINES
@@ -349,6 +372,10 @@ def test_writers_match_the_per_line_spec(tmp_path):
         assert paths["features"].read_bytes() == (tmp_path / "spec_features.txt").read_bytes()
     assert (tmp_path / "b3" / "edges.txt").read_bytes() == b""
     assert (tmp_path / "b4" / "features.txt").read_bytes() == b"sparse 500 16 4 3\n"
+    assert (tmp_path / "b5" / "edges.txt").read_bytes() == b"0 0\n"
+    assert (tmp_path / "b5" / "features.txt").read_bytes() == b"sparse 1 1 4 0\n0 0 -5\n"
+    assert (tmp_path / "b6" / "features.txt").read_text().splitlines()[-2:] == [
+        f"{len(values) - 2} 0 9223372036854775807", f"{len(values) - 1} 0 -9223372036854775808"]
 
 
 def test_writers_memory_is_bounded(tmp_path):

@@ -110,6 +110,26 @@ def test_random_features_density_and_range():
         random_features(4, 4, 1.5, rng)
 
 
+def _random_features_spec(n, n_features, density, rng):
+    """random_features with one draw of all n * n_features uniforms: its spec."""
+    flat = np.flatnonzero(rng.random(n * n_features) < density)
+    vals = rng.choice(np.concatenate([np.arange(-8, 0), np.arange(1, 8)]), size=len(flat))
+    return SparseMatrixCSR.from_coo(n, n_features, flat // n_features, flat % n_features,
+                                    vals, 4, 3)
+
+
+def test_random_features_matches_the_one_draw_spec():
+    chunk = graphs._DRAW_CHUNK
+    # no features, below one chunk, a partial last chunk, an exact multiple of chunks
+    for n, n_features in ((16, 0), (512, 32), (chunk // 16 + 3, 24), (2 * chunk // 32, 32)):
+        got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = random_features(n, n_features, 0.1, got_rng)
+        want = _random_features_spec(n, n_features, 0.1, want_rng)
+        for field in ("row_ptr", "col_idx", "values"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (n, field)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, n
+
+
 def test_bundle_validation():
     g = gen_powerlaw(64, 2, 2.1, seed=3, n_features=8)
     assert g.nodes == 64
