@@ -184,10 +184,12 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows, census = [], ScheduleStats.zero(cfg.pe_count)
     for kind, mat, bits in operands:
-        for i, (_, sched, stats) in enumerate(plan_step(mat, cfg)):
+        for c0, sched, stats in plan_step(mat, cfg):
+            i = c0 // cfg.tile_width
             name = f"{kind}{i:04d}.pcoo"
             hdr = make_header(cfg.tile_width, bits, cfg.pe_count, sched.cycles)
             (out / name).write_bytes(serialize_stream(sched, hdr))
+            del sched  # written: the next tile is planned without it
             census += stats
             rows.append({"file": name, "kind": kind, "tile_index": i,
                          "value_bits": bits, **stats.totals()})

@@ -1,11 +1,12 @@
 """On-disk formats: edge lists, feature files, weight containers, metadata.
 
 Text formats are line oriented and parse errors always carry the file name
-and 1-based line number. Edge and sparse feature files are parsed, checked
-and written as whole arrays; the line parser reads only text outside the
-writers' plain form or text that fails a check, to give the same matrix or
-name the bad line. The writers format a bounded chunk of lines at a time as
-one byte matrix, with the bytes `str(int)` would give. The weight container
+and 1-based line number. Edge and sparse feature files are parsed into and
+checked as whole int64 columns, a bounded chunk of text at a time; the line
+parser reads only text outside the writers' plain form or text that fails a
+check, to give the same matrix or name the bad line. The writers format a
+bounded chunk of lines at a time as one byte matrix, with the bytes
+`str(int)` would give. The weight container
 is binary little-endian. All of it exists so a workload can round-trip
 through files byte-exactly.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import GraphBundle
+from .graphs import GraphBundle, symmetric_adjacency
 from .matrix import DenseMatrix, SparseMatrixCSR, int_max, int_min, quantize
 
 WEIGHT_MAGIC = b"GCNW"
@@ -36,6 +37,7 @@ MAX_SPARSE_DIM = 1 << 27   # rows or cols of a sparse header; row_ptr <= 1 GiB
 _INT64 = np.iinfo(np.int64)
 _PLAIN = b"0123456789- \t\n"   # the only bytes the writers emit
 _WRITE_LINES = 1 << 12           # lines of text a writer builds at once
+_READ_BYTES = 1 << 20            # text a reader parses at once
 _SHOWN = 10 ** np.arange(20, dtype=np.uint64)  # a digit at place p shows from 10^p up,
 _SHOWN[0] = 0                                  # the units digit always
 
@@ -56,31 +58,42 @@ def _data_lines(path):
                 yield lineno, line
 
 
-def _int_rows(data: bytes, width: int) -> np.ndarray | None:
-    """The (lines, width) int64 table of plain-form text, else None: the line
-    parser must read text with other bytes ('#', '+', '_', CR, non-ASCII), a
-    line of another token count (blank or unended lines too), a '-' not
-    leading digits or an int64 extreme, which fromstring may have clipped."""
-    if data.translate(None, _PLAIN):
-        return None
-    b = np.frombuffer(data, dtype=np.uint8)
-    start = b > ord(" ")  # digits and '-'; only space, tab and newline are below
-    start[1:] &= b[:-1] <= ord(" ")
-    starts = np.flatnonzero(start)
-    ends = np.flatnonzero(b == ord("\n"))
-    after_minus = b[np.minimum(np.flatnonzero(b == ord("-")) + 1, len(b) - 1)]
-    # exactly width tokens a line: each line's first token follows the
-    # newline before it and its last token precedes its own
-    if (len(starts) != width * len(ends) or (starts[width::width] < ends[:-1]).any()
-            or (starts[width - 1::width] > ends).any() or (after_minus < ord("0")).any()):
-        return None
-    try:
-        t = np.fromstring(data, dtype=np.int64, sep=" ")
-    except ValueError:  # a '-' inside a token
-        return None
-    if len(t) != len(starts) or ((t == _INT64.min) | (t == _INT64.max)).any():
-        return None
-    return t.reshape(-1, width)
+def _int_rows(data: bytes, width: int, pos: int = 0) -> list[np.ndarray] | None:
+    """The width int64 columns of the plain-form text data[pos:], one entry a
+    line, else None: the line parser must read text with other bytes ('#',
+    '+', '_', CR, non-ASCII), a line of another token count (blank or unended
+    lines too), a '-' not leading digits or an int64 extreme, which fromstring
+    may have clipped. The text is parsed about _READ_BYTES at a time, cut
+    after a newline, into columns allocated once, so that the parse's
+    temporaries stay bounded by the chunk."""
+    cols = [np.empty(data.count(b"\n", pos), dtype=np.int64) for _ in range(width)]
+    at = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos + _READ_BYTES) + 1 or len(data)
+        chunk = data[pos:end]
+        if chunk.translate(None, _PLAIN):
+            return None
+        b = np.frombuffer(chunk, dtype=np.uint8)
+        start = b > ord(" ")  # digits and '-'; only space, tab and newline are below
+        start[1:] &= b[:-1] <= ord(" ")
+        starts = np.flatnonzero(start)
+        ends = np.flatnonzero(b == ord("\n"))
+        after_minus = b[np.minimum(np.flatnonzero(b == ord("-")) + 1, len(b) - 1)]
+        # exactly width tokens a line: each line's first token follows the
+        # newline before it and its last token precedes its own
+        if (len(starts) != width * len(ends) or (starts[width::width] < ends[:-1]).any()
+                or (starts[width - 1::width] > ends).any() or (after_minus < ord("0")).any()):
+            return None
+        try:
+            t = np.fromstring(chunk, dtype=np.int64, sep=" ")
+        except ValueError:  # a '-' inside a token
+            return None
+        if len(t) != len(starts) or ((t == _INT64.min) | (t == _INT64.max)).any():
+            return None
+        for col, part in zip(cols, t.reshape(-1, width).T):
+            col[at:at + len(part)] = part
+        at, pos = at + len(ends), end
+    return cols
 
 
 # -- edges --------------------------------------------------------------------
@@ -90,11 +103,12 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
     """Whitespace "u v" pairs, 0-indexed, into a symmetrized binary adjacency.
 
     Duplicates collapse; self loops are kept as written (normalization decides
-    what to do with them later).
+    what to do with them later): symmetric_adjacency, one in-place sort of
+    both directions' keys.
     """
     uv = _int_rows(Path(path).read_bytes(), 2)
-    if uv is None or ((uv < 0) | (uv >= nodes)).any():  # the line parser, which names a bad line
-        pairs = []
+    if uv is None or any(((c < 0) | (c >= nodes)).any() for c in uv):
+        pairs = []  # the line parser, which names a bad line
         for lineno, line in _data_lines(path):
             parts = line.split()
             if len(parts) != 2:
@@ -106,12 +120,8 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
             if not (0 <= u < nodes and 0 <= v < nodes):
                 _fail(path, lineno, f"node id out of range [0, {nodes}) in {line!r}")
             pairs.append((u, v))
-        uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    u, v = uv.T
-    a = SparseMatrixCSR.from_coo(nodes, nodes, np.concatenate((u, v)), np.concatenate((v, u)),
-                                 np.ones(2 * len(u), dtype=np.int64), 4, 0)
-    a.values[:] = 1  # from_coo sums duplicates; collapse back to binary
-    return a
+        uv = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return symmetric_adjacency(nodes, *uv)
 
 
 def _int_lines(columns: list[np.ndarray]) -> bytes:
@@ -201,19 +211,20 @@ def read_features(path) -> SparseMatrixCSR:
 
 def _read_plain_sparse(data: bytes) -> SparseMatrixCSR | None:
     """A plain-form triplet file in CSR order that passes every check, else None."""
-    head, _, body = data.partition(b"\n")
-    parts = head.split(b" ")
+    cut = data.find(b"\n") + 1 or len(data)  # the body is parsed in place, not copied
+    parts = data[:cut].rstrip(b"\n").split(b" ")
     if len(parts) != 5 or parts[0] != b"sparse" or not all(p.isdigit() for p in parts[1:]):
         return None
     n, m, bits, frac = map(int, parts[1:])
-    t = _int_rows(body, 3) if frac < bits <= 64 and max(n, m) <= MAX_SPARSE_DIM else None
-    if t is None:
+    cols = _int_rows(data, 3, cut) if frac < bits <= 64 and max(n, m) <= MAX_SPARSE_DIM else None
+    if cols is None:
         return None
-    r, c, v = t.T
+    r, c, v = cols
     dr, dc = np.diff(r), np.diff(c)
-    if (((t[:, :2] < 0) | (t[:, :2] >= (n, m))).any() or ((dr < 0) | (dr == 0) & (dc <= 0)).any()
+    if (((r < 0) | (r >= n) | (c < 0) | (c >= m)).any() or ((dr < 0) | (dr == 0) & (dc <= 0)).any()
             or ((v < int_min(bits)) | (v > int_max(bits))).any()):
         return None  # a position outside, out of order or repeated, or a value too wide
+    del dr, dc
     return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
 
 

@@ -114,6 +114,22 @@ def _pair_stubs(degrees: np.ndarray, rng) -> np.ndarray:
     return np.stack([key // n, key % n], axis=1)
 
 
+def symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> SparseMatrixCSR:
+    """Binary n x n adjacency holding each edge (u, v) in both directions.
+
+    Repeated edges collapse; self loops are kept. The row-major keys u * n + v
+    of both directions are sorted in place and the first of each run is kept:
+    that is CSR order, so a search of the keys gives the row pointers, and
+    the keys become the columns in place.
+    """
+    key = np.concatenate((u * n + v, v * n + u))
+    key.sort()
+    key = key[np.diff(key, prepend=-1) != 0]
+    row_ptr = np.searchsorted(key, np.arange(0, n * n + 1, n))
+    key %= n
+    return SparseMatrixCSR(n, n, row_ptr, key, np.ones(len(key), dtype=np.int64), 4, 0)
+
+
 def random_features(n: int, n_features: int, density: float, rng
                     ) -> SparseMatrixCSR:
     """Sparse SINT4 feature matrix with nonzero entries at the given density.
@@ -130,8 +146,9 @@ def random_features(n: int, n_features: int, density: float, rng
         for s0 in range(0, size, _DRAW_CHUNK)])
     vals = rng.choice(np.concatenate([np.arange(-8, 0), np.arange(1, 8)]),
                       size=len(flat))
-    return SparseMatrixCSR.from_coo(n, n_features, flat // n_features,
-                                    flat % n_features, vals, 4, 3)
+    col = flat % n_features
+    flat //= n_features
+    return SparseMatrixCSR.from_coo(n, n_features, flat, col, vals, 4, 3)
 
 
 def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,
@@ -141,9 +158,8 @@ def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,
 
     The pairing is retried when simplification (dropping self loops and
     duplicates) eats too many edges; dense degree requests near n-1 can
-    exhaust the retry budget and raise. The adjacency is built from the
-    sorted keys of both directions of every edge, which are distinct, so
-    from_coo receives its triplets in CSR order and skips its sort.
+    exhaust the retry budget and raise. The adjacency is symmetric_adjacency
+    of the pairing, whose arrays are freed before the features are drawn.
     """
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
@@ -168,10 +184,8 @@ def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,
     if edges is None:
         raise ValueError(f"could not realize avg degree {avg_degree} on {n} "
                          f"nodes after {_PAIRING_TRIES} pairings")
-    lo, hi = edges.T
-    key = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
-    adjacency = SparseMatrixCSR.from_coo(n, n, key // n, key % n,
-                                         np.ones(len(key), dtype=np.int64), 4, 0)
+    adjacency = symmetric_adjacency(n, *edges.T)
+    del edges, cand  # the pairing's arrays, freed before the features are drawn
     features = random_features(n, n_features, feature_density, rng)
     return GraphBundle(adjacency, features)
 

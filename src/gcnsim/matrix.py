@@ -134,7 +134,8 @@ class SparseMatrixCSR:
         One stable sort of the row-major position r * cols + c orders the
         triplets, so it needs rows * cols to fit well inside int64. Triplets
         whose positions already strictly increase (a file in CSR order) are
-        taken as they are, without the sort.
+        taken as they are, without the sort, and with no zero value they are
+        not copied either: the matrix then holds c and v as given.
         """
         if rows * cols > 2**62:
             raise ValueError(f"{rows} x {cols} positions do not fit a 62-bit sort key")
@@ -153,7 +154,8 @@ class SparseMatrixCSR:
                 v = np.add.reduceat(v, first)
                 r, c = r[first], c[first]
         keep = v != 0
-        r, c, v = r[keep], c[keep], v[keep]
+        if not keep.all():
+            r, c, v = r[keep], c[keep], v[keep]
         row_ptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rows))])
         return cls(rows, cols, row_ptr, c, v, bits, frac_bits)
 

@@ -31,6 +31,7 @@ not fit, so build_sdmm_schedule needs no width from the config.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -188,33 +189,33 @@ def schedule_stats(sched: TileSchedule) -> ScheduleStats:
     return stats
 
 
-def tile_columns(x: SparseMatrixCSR, tile_width: int) -> list[SparseMatrixCSR]:
-    """All T-column slices of x in one stable pass over the nonzeros.
+def tile_columns(x: SparseMatrixCSR, tile_width: int) -> Iterator[SparseMatrixCSR]:
+    """Each T-column slice of x in turn, from one stable pass over the nonzeros.
 
     Tile t holds columns [t*T, min((t+1)*T, cols)) rebased to start at 0;
     the last tile is ragged, and an operand with no columns is one empty
     tile. One pass for all tiles keeps preprocessing linear in nnz when the
     operand spans many tiles. The pass is a stable sort of the tile ids,
-    held as int16 when they fit, which numpy sorts by radix.
+    held as int16 when they fit, which numpy sorts by radix. That order is
+    the one per-nonzero array kept across tiles: a tile's nonzeros keep their
+    row-major order, so their rows come from a search of x.row_ptr.
     """
     ntiles = max(1, -(-x.cols // tile_width))
     if ntiles == 1:
-        return [x]
-    rr = np.repeat(np.arange(x.rows), x.row_nnz())
+        yield x
+        return
     tile_of = x.col_idx // tile_width
     if ntiles <= 1 << 15:
         tile_of = tile_of.astype(np.int16)
     order = np.argsort(tile_of, kind="stable")  # keeps (row, col) order inside a tile
     bounds = np.concatenate([[0], np.cumsum(np.bincount(tile_of, minlength=ntiles))])
-    tiles = []
+    del tile_of
     for t in range(ntiles):
         idx = order[bounds[t]:bounds[t + 1]]
-        width = min(tile_width, x.cols - t * tile_width)
-        row_ptr = np.concatenate([[0], np.cumsum(np.bincount(rr[idx], minlength=x.rows))])
-        tiles.append(SparseMatrixCSR(x.rows, width, row_ptr,
-                                     x.col_idx[idx] - t * tile_width,
-                                     x.values[idx], x.bits, x.frac_bits))
-    return tiles
+        row_nnz = np.bincount(np.searchsorted(x.row_ptr, idx, "right") - 1, minlength=x.rows)
+        yield SparseMatrixCSR(x.rows, min(tile_width, x.cols - t * tile_width),
+                              np.concatenate([[0], np.cumsum(row_nnz)]),
+                              x.col_idx[idx] - t * tile_width, x.values[idx], x.bits, x.frac_bits)
 
 
 def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -236,28 +236,31 @@ class CycleReport:
         return self.load_cycles + self.compute_cycles + self.move_cycles
 
 
-def plan_step(x, cfg: ArchConfig) -> list[tuple[int, TileSchedule, ScheduleStats]]:
-    """(first column, checked schedule, slot census) of each column tile.
+def plan_step(x, cfg: ArchConfig) -> Iterator[tuple[int, TileSchedule, ScheduleStats]]:
+    """Yield (first column, checked schedule, slot census) of each column tile.
 
     A SparseMatrixCSR plans SDMM: each column tile streams its nonzeros as
     packets. A DenseMatrix plans DMM: each column block is swept in full, K
     rows at a time, with one address stream and its entries as the values.
-    Every schedule passes check_arbitration before it enters the plan.
+    Every schedule passes check_arbitration before it is yielded. A tile's
+    schedule is built only when the previous entry is asked past, and the
+    plan keeps no reference to a yielded one, so a consumer that drops each
+    entry holds one tile's schedule at a time.
     """
-    t = cfg.tile_width
-    if isinstance(x, SparseMatrixCSR):
-        scheds = [build_sdmm_schedule(tile, cfg) for tile in tile_columns(x, t)]
-    elif isinstance(x, DenseMatrix):
-        scheds = [build_dmm_schedule(x.data[:, c0:c0 + t], cfg.pe_count)
-                  for c0 in range(0, max(x.cols, 1), t)]
-    else:
+    if not isinstance(x, (SparseMatrixCSR, DenseMatrix)):
         raise TypeError(f"left operand must be a SparseMatrixCSR or DenseMatrix, "
                         f"got {type(x).__name__}")
-    plan = []
-    for c0, sched in zip(range(0, len(scheds) * t, t), scheds):
+    t = cfg.tile_width
+    starts = range(0, max(x.cols, 1), t)  # as many as tile_columns yields
+    if isinstance(x, SparseMatrixCSR):
+        scheds = (build_sdmm_schedule(tile, cfg) for tile in tile_columns(x, t))
+    else:
+        scheds = (build_dmm_schedule(x.data[:, c0:c0 + t], cfg.pe_count) for c0 in starts)
+    for c0 in starts:
+        sched = next(scheds)
         check_arbitration(sched, cfg, x.rows, min(t, x.cols - c0))
-        plan.append((c0, sched, schedule_stats(sched)))
-    return plan
+        yield c0, sched, schedule_stats(sched)
+        del sched
 
 
 def check_product(x, w: DenseMatrix) -> None:
@@ -267,7 +270,7 @@ def check_product(x, w: DenseMatrix) -> None:
 
 
 def compile_plan(x, cfg: ArchConfig) -> list[tuple[int, CompiledTile, ScheduleStats]]:
-    """plan_step(x, cfg) with each schedule compiled for run_tile."""
+    """plan_step(x, cfg) with each schedule compiled for run_tile, and dropped."""
     return [(c0, compile_tile(sched), stats) for c0, sched, stats in plan_step(x, cfg)]
 
 

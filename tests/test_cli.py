@@ -7,6 +7,7 @@ import json
 import re
 import resource
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +79,8 @@ def test_preprocess_writes_the_checked_plan(workload, tmp_path, monkeypatch, cap
     monkeypatch.setattr(simulator, "check_arbitration", check)
     bundle = ingest_bundle_dir(workload / "w")
     cfg = config_for_tile(4, 64, 8, replicas=2)
-    plans = {"adjacency": plan_step(bundle.adjacency, cfg),
-             "features": plan_step(bundle.features, cfg)}
+    plans = {"adjacency": list(plan_step(bundle.adjacency, cfg)),
+             "features": list(plan_step(bundle.features, cfg))}
     streams = read_meta(tmp_path / "meta.json")["streams"]
     assert [(s["kind"], s["tile_index"]) for s in streams] == \
         [(kind, i) for kind, plan in plans.items() for i in range(len(plan))]
@@ -95,6 +96,38 @@ def test_preprocess_writes_the_checked_plan(workload, tmp_path, monkeypatch, cap
         row = {k: v for k, v in stream.items()
                if k not in ("file", "kind", "tile_index", "value_bits")}
         assert row == stats.totals()
+
+
+def test_preprocess_holds_one_tile_schedule_at_a_time(tmp_path, monkeypatch, capsys):
+    # the adjacency of 8192 nodes in 2 or in 16 column tiles: a plan held whole
+    # grows with the tile count, since every schedule has a slot per row
+    bundle = tmp_path / "w"
+    export_bundle(bundle, gen_powerlaw(8192, 4, 2.1, seed=5, n_features=16,
+                                       feature_density=0.1))
+    peaks, biggest = {}, {}
+    for tile in (4096, 512):
+        cfg = config_for_tile(8, tile, replicas=2)
+        flags = ["--pe", "8", "--replicas", "2", "--tile", str(tile)]
+        tracemalloc.start()
+        try:
+            assert main(["preprocess", str(bundle), *flags,
+                         "--out", str(tmp_path / f"t{tile}")]) == EXIT_OK
+            peaks[tile] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        biggest[tile] = max(sum(getattr(sched, name).nbytes for name in
+                                ("sor", "eor", "vld", "col", "value"))
+                            for _, sched, _ in plan_step(ingest_bundle_dir(bundle).adjacency, cfg))
+        assert len(read_meta(tmp_path / f"t{tile}" / "meta.json")["streams"]) == 1 + 8192 // tile
+    capsys.readouterr()
+    assert peaks[512] - peaks[4096] < biggest[512], (peaks, biggest)
+    # the first entry is built alone, before any later tile is asked for
+    built = []
+    build = simulator.build_sdmm_schedule
+    monkeypatch.setattr(simulator, "build_sdmm_schedule",
+                        lambda tile, cfg: built.append(tile) or build(tile, cfg))
+    c0, _, _ = next(plan_step(ingest_bundle_dir(bundle).adjacency, config_for_tile(8, 512)))
+    assert (c0, len(built)) == (0, 1)
 
 
 def test_simulate_report_and_logits(workload, capsys):
@@ -129,7 +162,8 @@ def test_sweep_grid_and_monotonicity(workload, capsys):
                "--replicas", "1,2,4,8", "--tile", "64",
                "--hidden", "8", "--classes", "3", "--out", str(csv_path)])
     assert rc == EXIT_OK
-    rows = list(csv.DictReader(open(csv_path)))
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     for row in rows:
         config_for_tile(int(row["pe"]), int(row["tile"]), int(row["lanes"]),
@@ -150,7 +184,8 @@ def test_single_point_sweep_matches_simulate(workload, capsys):
     assert main(["sweep", str(workload / "w"), "--pe", "2", "--replicas", "1",
                  "--tile", "128", "--hidden", "8", "--classes", "3",
                  "--out", str(csv_path)]) == EXIT_OK
-    row = next(csv.DictReader(open(csv_path)))
+    with open(csv_path, newline="") as fh:
+        row = next(csv.DictReader(fh))
     assert int(row["total_cycles"]) == doc["phases"]["total_cycles"]
     assert int(row["sdmm_compute_cycles"]) == doc["sdmm"]["compute_cycles"]
     assert float(row["efficiency"]) == pytest.approx(doc["sdmm"]["efficiency"])
@@ -164,7 +199,8 @@ def test_sweep_parallel_jobs_match_serial(workload, capsys):
     assert main(base + ["--out", str(a)]) == EXIT_OK
     assert main(base + ["--jobs", "3", "--out", str(b)]) == EXIT_OK
     assert a.read_text() == b.read_text()
-    rows = list(csv.DictReader(open(a)))
+    with open(a, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     capsys.readouterr()
 
@@ -182,7 +218,8 @@ def test_sweep_computes_references_once(workload, monkeypatch, capsys):
     assert main(["sweep", str(workload / "w"), "--pe", "2,4", "--replicas", "1,2",
                  "--tile", "64", "--model", "graphsage-mean", "--hidden", "8",
                  "--classes", "3", "--out", str(workload / "once.csv")]) == EXIT_OK
-    rows = list(csv.DictReader(open(workload / "once.csv")))
+    with open(workload / "once.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4 and all(r["exact_match"] == "True" for r in rows)
     assert calls == {"run_oracle": 1, "real_reference": 1}
     capsys.readouterr()

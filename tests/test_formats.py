@@ -249,7 +249,7 @@ def both_paths(monkeypatch, read):
     line parser reads everything."""
     shipped = outcome(read)
     with monkeypatch.context() as m:
-        m.setattr(formats, "_int_rows", lambda data, width: None)
+        m.setattr(formats, "_int_rows", lambda data, width, pos=0: None)
         by_lines = outcome(read)
     return shipped, by_lines
 
@@ -271,8 +271,9 @@ def test_edge_array_path_matches_line_parser(tmp_path, monkeypatch, name):
     p.write_bytes(text.encode("utf-8"))
     shipped, by_lines = both_paths(monkeypatch, lambda: read_edges(p, 16))
     assert shipped == by_lines
-    table = formats._int_rows(p.read_bytes(), 2)
-    assert (table is not None and ((table >= 0) & (table < 16)).all()) == fast
+    columns = formats._int_rows(p.read_bytes(), 2)
+    assert (columns is not None
+            and all(((col >= 0) & (col < 16)).all() for col in columns)) == fast
 
 
 def test_line_parser_messages_survive_the_array_path(tmp_path):

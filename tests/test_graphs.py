@@ -1,5 +1,7 @@
 """Generator statistics, determinism, and bundle validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,20 @@ def test_generator_rejects_bad_requests():
     # a near-complete graph cannot survive simplification at this yield
     with pytest.raises(ValueError):
         gen_powerlaw(8, 7, 2.1, seed=0)
+
+
+def test_gen_powerlaw_memory_per_stored_entry():
+    # traced peak over the stored entries (adjacency and feature nonzeros) at
+    # the preprocess benchmark's size: 28.2 bytes an entry, 45.4 when the
+    # pairing's arrays lived on and the keys were sorted and divided into copies
+    tracemalloc.start()
+    try:
+        b = gen_powerlaw(131072, 4, 2.1, seed=0, n_features=32, feature_density=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_entry = peak / (b.adjacency.nnz + b.features.nnz)
+    assert per_entry <= 35.0, f"{per_entry:.1f} bytes per stored entry"
 
 
 def test_random_features_density_and_range():

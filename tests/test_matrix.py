@@ -179,7 +179,7 @@ def test_col_slice_matches_dense():
         cols = int(rng.integers(1, 25))
         x, raw = random_csr(rng, 15, cols, 0.3)
         t = int(rng.integers(1, 30))
-        tiles = tile_columns(x, t)
+        tiles = list(tile_columns(x, t))
         starts = range(0, cols, t)
         assert [tile.cols for tile in tiles] == [min(t, cols - c0) for c0 in starts]
         for c0, tile in zip(starts, tiles):
@@ -189,7 +189,7 @@ def test_col_slice_matches_dense():
         assert sum(tile.nnz for tile in tiles) == x.nnz
     # ragged last tile
     x, raw = random_csr(rng, 7, 20, 0.5)
-    tiles = tile_columns(x, 8)
+    tiles = list(tile_columns(x, 8))
     assert [tile.cols for tile in tiles] == [8, 8, 4]
     assert np.array_equal(tiles[2].to_dense().data, raw[:, 16:])
     # an operand no wider than one tile is that tile

@@ -229,7 +229,7 @@ def test_run_model_schedules_each_operand_tile_once(monkeypatch):
         checked.clear()
         run_model(model, a, x0, cfg)
         # x0 and a are the two sparse operands, however many steps use them
-        sparse_tiles = sum(len(tile_columns(x, 16)) for x in (x0, a))
+        sparse_tiles = sum(len(list(tile_columns(x, 16))) for x in (x0, a))
         assert len(built) == sparse_tiles
         # one check per planned tile; layer 1's dense input is the only DMM operand
         assert len(checked) == sparse_tiles + -(-model.layers[1].weight.rows // 16)
@@ -243,7 +243,7 @@ def test_run_model_compiles_each_plan_entry_once(monkeypatch):
                                     simulator.run_tile)
 
     def counted_plan(x, cfg):
-        entries = plan(x, cfg)
+        entries = list(plan(x, cfg))
         planned.extend(sched for _, sched, _ in entries)
         return entries
 

@@ -76,8 +76,8 @@ def run_compiled(sched, w, partials):
 def plan_of(monkeypatch, sched, rows, cols, cfg):
     """plan_step over a rows x cols operand whose one column tile schedules as sched."""
     monkeypatch.setattr("gcnsim.simulator.build_sdmm_schedule", lambda tile, cfg: sched)
-    return plan_step(SparseMatrixCSR.from_dense_raw(np.zeros((rows, cols), np.int64), 4, 0),
-                     cfg)
+    return list(plan_step(SparseMatrixCSR.from_dense_raw(np.zeros((rows, cols), np.int64), 4, 0),
+                          cfg))
 
 
 def random_tile_setup(rng, k=4, lanes=4, groups=4, replicas=1, density=0.4):
@@ -293,7 +293,7 @@ def test_arbitration_recheck_rejects_illegal(monkeypatch):
     monkeypatch.setattr("gcnsim.simulator.build_sdmm_schedule", lambda tile, cfg: bad)
     x = SparseMatrixCSR.from_dense_raw(np.eye(4, 8, dtype=np.int64), 4, 0)
     with pytest.raises(ArbitrationError, match="cycle 1"):
-        plan_step(x, cfg)
+        list(plan_step(x, cfg))
     # same addresses are a shared fetch, not a collision; so are two banks
     # in different replica groups
     ok = make_sched(
