@@ -1,20 +1,20 @@
 """On-disk formats: edge lists, feature files, weight containers, metadata.
 
-Text formats are line oriented and parse errors always carry the file name
-and 1-based line number. Edge and sparse feature files are parsed into and
-checked as whole int64 columns, a bounded chunk of text at a time; the line
-parser reads only text outside the writers' plain form or text that fails a
-check, to give the same matrix or name the bad line. The writers format a
-bounded chunk of lines at a time as one byte matrix, with the bytes
-`str(int)` would give. The weight container
-is binary little-endian. All of it exists so a workload can round-trip
-through files byte-exactly.
+An edge or sparse feature file has one reader: a tokenizer turns the text
+into int64 columns and one set of array checks runs on them, in the order a
+line-by-line reading meets the faults. Plain-form text (the writers') is
+tokenized as arrays, any other text by a line loop that only splits and
+converts; an error names the first bad line as `path:line:`. The writers
+format a bounded chunk of lines at a time as one byte matrix, with the bytes
+`str(int)` would give. The weight container is binary little-endian. All of
+it exists so a workload can round-trip through files byte-exactly.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -50,22 +50,28 @@ def _fail(path, lineno: int, msg: str):
     raise FileFormatError(f"{path}:{lineno}: {msg}")
 
 
-def _data_lines(path):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+def _data_lines(path, data: bytes):
+    """(lineno, stripped line) of each line of the UTF-8 text data that is
+    not blank or a '#' comment; a byte that is not UTF-8 fails its line."""
+    # the newlines open() reads; no UTF-8 sequence holds a CR or LF byte
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text ({exc.reason})")
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _int_rows(data: bytes, width: int, pos: int = 0) -> list[np.ndarray] | None:
     """The width int64 columns of the plain-form text data[pos:], one entry a
-    line, else None: the line parser must read text with other bytes ('#',
-    '+', '_', CR, non-ASCII), a line of another token count (blank or unended
-    lines too), a '-' not leading digits or an int64 extreme, which fromstring
-    may have clipped. The text is parsed about _READ_BYTES at a time, cut
-    after a newline, into columns allocated once, so that the parse's
-    temporaries stay bounded by the chunk."""
+    line, unchecked; else None, for the line loop: other bytes ('#', '+', CR,
+    non-ASCII...), a line of another token count (blank or unended too), a
+    '-' not leading digits or an int64 extreme, which fromstring may have
+    clipped. The text is parsed about _READ_BYTES at a time, cut after a
+    newline, into columns allocated once, so temporaries stay chunk-sized."""
     cols = [np.empty(data.count(b"\n", pos), dtype=np.int64) for _ in range(width)]
     at = 0
     while pos < len(data):
@@ -96,6 +102,37 @@ def _int_rows(data: bytes, width: int, pos: int = 0) -> list[np.ndarray] | None:
     return cols
 
 
+def _line_columns(lines, width: int, form: str, noun: str):
+    """The line loop: the width columns of the data lines before the first
+    that is not width integers, and that line's (lineno, message) or None.
+    A value past int64 gives object columns, which fail a range or width check."""
+    rows, bad = [], None
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != width:
+            bad = lineno, f"expected '{form}', got {line!r}"
+            break
+        try:
+            rows.append(tuple(map(int, parts)))
+        except ValueError:
+            bad = lineno, f"non-integer {noun} in {line!r}"
+            break
+    try:
+        cols = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        cols = np.array(rows, dtype=object)
+    return cols.reshape(-1, width).T, bad
+
+
+def _fail_first(path, data: bytes, skip: int, bad: np.ndarray, message) -> None:
+    """Fail at the first record that bad marks, with message(i, line). Record
+    i is data line skip + i of data, which is split into lines only here."""
+    if bad.any():
+        i = int(bad.argmax())
+        lineno, line = next(islice(_data_lines(path, data), skip + i, None))
+        _fail(path, lineno, message(i, line))
+
+
 # -- edges --------------------------------------------------------------------
 
 
@@ -106,22 +143,17 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
     what to do with them later): symmetric_adjacency, one in-place sort of
     both directions' keys.
     """
-    uv = _int_rows(Path(path).read_bytes(), 2)
-    if uv is None or any(((c < 0) | (c >= nodes)).any() for c in uv):
-        pairs = []  # the line parser, which names a bad line
-        for lineno, line in _data_lines(path):
-            parts = line.split()
-            if len(parts) != 2:
-                _fail(path, lineno, f"expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                _fail(path, lineno, f"non-integer node id in {line!r}")
-            if not (0 <= u < nodes and 0 <= v < nodes):
-                _fail(path, lineno, f"node id out of range [0, {nodes}) in {line!r}")
-            pairs.append((u, v))
-        uv = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return symmetric_adjacency(nodes, *uv)
+    data = Path(path).read_bytes()
+    uv, bad = _int_rows(data, 2), None
+    if uv is None:
+        uv, bad = _line_columns(_data_lines(path, data), 2, "u v", "node id")
+    u, v = uv
+    _fail_first(path, data, 0, (u < 0) | (u >= nodes) | (v < 0) | (v >= nodes),
+                lambda i, line: f"node id out of range [0, {nodes}) in {line!r}")
+    if bad:
+        _fail(path, *bad)
+    del data  # not held through the adjacency's sort
+    return symmetric_adjacency(nodes, u, v)
 
 
 def _int_lines(columns: list[np.ndarray]) -> bytes:
@@ -182,17 +214,47 @@ def read_features(path) -> SparseMatrixCSR:
     Triplets carry raw fixed-point values exactly; dense grids are real
     numbers quantized to the SINT4 feature precision.
     """
-    fast = _read_plain_sparse(Path(path).read_bytes())
-    if fast is not None:
-        return fast
-    rows = []
-    lines = list(_data_lines(path))
-    if not lines:
+    data = Path(path).read_bytes()
+    cut = data.find(b"\n") + 1 or len(data)
+    head, bad = data[:cut], None
+    plain = head.strip() and not head.translate(None, _PLAIN + b"sparse")  # one line, no CR
+    cols = _int_rows(data, 3, cut) if plain else None  # the body is parsed in place
+    lines = _data_lines(path, data)
+    lineno, header = next(lines, (0, "")) if cols is None else (1, head.decode().strip())
+    if not header:
         raise FileFormatError(f"{path}: empty feature file")
-    first_line = lines[0][1]
-    if first_line.split()[0] == "sparse":
-        return _read_sparse_features(path, lines)
-    width = None
+    if header.split()[0] != "sparse":
+        return _read_dense(path, list(_data_lines(path, data)))
+    parts = header.split()
+    if len(parts) != 5:
+        _fail(path, lineno, "sparse header needs 'sparse rows cols bits frac'")
+    try:
+        n, m, bits, frac = (int(p) for p in parts[1:])
+    except ValueError:
+        _fail(path, lineno, f"non-integer sparse header field in {header!r}")
+    if min(n, m) < 0 or not 0 <= frac < bits <= 64:
+        _fail(path, lineno, f"sparse header needs sizes >= 0, 0 <= frac < bits <= 64: {header!r}")
+    if max(n, m) > MAX_SPARSE_DIM:
+        _fail(path, lineno, f"sparse header sizes must be <= {MAX_SPARSE_DIM}: {header!r}")
+    if cols is None:
+        cols, bad = _line_columns(lines, 3, "row col value", "triplet")
+    r, c, v = cols
+    _fail_first(path, data, 1, (r < 0) | (r >= n) | (c < 0) | (c >= m),
+                lambda i, line: f"position ({r[i]}, {c[i]}) outside {n}x{m}")
+    if bad:
+        _fail(path, *bad)
+    _fail_first(path, data, 1, (v < int_min(bits)) | (v > int_max(bits)),
+                lambda i, line: f"value outside the {bits}-bit range in {line!r}")
+    if (np.diff(r * m + c) <= 0).any():  # not CSR order: look for a repeated position
+        order = np.lexsort((c, r))
+        repeat = np.zeros(len(r), dtype=bool)
+        repeat[order[1:]] = (np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)
+        _fail_first(path, data, 1, repeat, lambda i, line: f"repeated position in {line!r}")
+    return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
+
+
+def _read_dense(path, lines) -> SparseMatrixCSR:
+    rows, width = [], None
     for lineno, line in lines:
         try:
             vals = [float(tok) for tok in line.split()]
@@ -207,69 +269,6 @@ def read_features(path) -> SparseMatrixCSR:
     if np.isnan(grid).any():
         _fail(path, lines[int(np.isnan(grid).any(axis=1).argmax())][0], "feature value is nan")
     return quantize(grid, 4, 3, sparse=True)
-
-
-def _read_plain_sparse(data: bytes) -> SparseMatrixCSR | None:
-    """A plain-form triplet file in CSR order that passes every check, else None."""
-    cut = data.find(b"\n") + 1 or len(data)  # the body is parsed in place, not copied
-    parts = data[:cut].rstrip(b"\n").split(b" ")
-    if len(parts) != 5 or parts[0] != b"sparse" or not all(p.isdigit() for p in parts[1:]):
-        return None
-    n, m, bits, frac = map(int, parts[1:])
-    cols = _int_rows(data, 3, cut) if frac < bits <= 64 and max(n, m) <= MAX_SPARSE_DIM else None
-    if cols is None:
-        return None
-    r, c, v = cols
-    dr, dc = np.diff(r), np.diff(c)
-    if (((r < 0) | (r >= n) | (c < 0) | (c >= m)).any() or ((dr < 0) | (dr == 0) & (dc <= 0)).any()
-            or ((v < int_min(bits)) | (v > int_max(bits))).any()):
-        return None  # a position outside, out of order or repeated, or a value too wide
-    del dr, dc
-    return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
-
-
-def _read_sparse_features(path, lines) -> SparseMatrixCSR:
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 5:
-        _fail(path, lineno, "sparse header needs 'sparse rows cols bits frac'")
-    try:
-        n, m, bits, frac = (int(p) for p in parts[1:])
-    except ValueError:
-        _fail(path, lineno, f"non-integer sparse header field in {header!r}")
-    if min(n, m) < 0 or not 0 <= frac < bits <= 64:
-        _fail(path, lineno, f"sparse header needs sizes >= 0, 0 <= frac < bits <= 64: {header!r}")
-    if max(n, m) > MAX_SPARSE_DIM:
-        _fail(path, lineno, f"sparse header sizes must be <= {MAX_SPARSE_DIM}: {header!r}")
-    rr, cc, vv = [], [], []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            _fail(path, lineno, f"expected 'row col value', got {line!r}")
-        try:
-            r, c, v = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            _fail(path, lineno, f"non-integer triplet in {line!r}")
-        if not (0 <= r < n and 0 <= c < m):
-            _fail(path, lineno, f"position ({r}, {c}) outside {n}x{m}")
-        rr.append(r)
-        cc.append(c)
-        vv.append(v)
-    try:
-        r, c, v = (np.array(a, dtype=np.int64) for a in (rr, cc, vv))
-    except OverflowError:  # past int64, so past any header's width
-        raise FileFormatError(f"{path}: a triplet value does not fit 64 bits") from None
-    del rr, cc, vv  # the int lists, not the arrays, set ingest's memory peak
-    repeat = np.zeros(len(r), dtype=bool)
-    if not ((np.diff(r) > 0) | (np.diff(r) == 0) & (np.diff(c) > 0)).all():  # not CSR order
-        order = np.lexsort((c, r))
-        repeat[order[1:]] = (np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)
-    wide = (v < int_min(bits)) | (v > int_max(bits))
-    for bad, msg in ((wide, f"value outside the {bits}-bit range"), (repeat, "repeated position")):
-        if bad.any():
-            lineno, line = lines[1 + int(np.argmax(bad))]
-            _fail(path, lineno, f"{msg} in {line!r}")
-    return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
 
 
 def write_features(path, f: SparseMatrixCSR) -> None:
@@ -330,9 +329,9 @@ def write_meta(path, doc: dict) -> None:
 
 def read_meta(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, a 5000-digit int
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("meta_version") != META_VERSION:
         raise FileFormatError(f"{path}: not a metadata sidecar")

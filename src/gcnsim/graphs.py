@@ -125,7 +125,7 @@ def symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> SparseMatrixCSR
     key = np.concatenate((u * n + v, v * n + u))
     key.sort()
     key = key[np.diff(key, prepend=-1) != 0]
-    row_ptr = np.searchsorted(key, np.arange(0, n * n + 1, n))
+    row_ptr = np.searchsorted(key, np.arange(n + 1) * n)
     key %= n
     return SparseMatrixCSR(n, n, row_ptr, key, np.ones(len(key), dtype=np.int64), 4, 0)
 

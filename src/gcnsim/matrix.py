@@ -234,7 +234,7 @@ def requantize16(y: DenseMatrix) -> DenseMatrix:
     representable (exact powers of two).
     """
     real = dequantize(y)
-    peak = float(np.abs(real).max())
+    peak = float(np.abs(real).max(initial=0.0))  # 0 for an empty result
     if peak == 0.0:
         frac = 15
     else:

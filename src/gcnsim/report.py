@@ -110,9 +110,9 @@ def write_report(doc: dict, path) -> None:
 
 def read_report(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, a 5000-digit int
         raise ReportFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ReportFormatError(f"{path}: expected a JSON object")

@@ -21,6 +21,7 @@ from gcnsim.pcoo import StreamFormatError, deserialize_stream
 from gcnsim.report import read_report
 from gcnsim.schedule import config_for_tile
 from gcnsim.simulator import plan_step
+from test_formats import agrees, reader_and_spec
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +391,7 @@ REPORT_WITH_TEXT_ERROR = json.dumps({
     ("features.txt", "sparse 4 4 4 0\n0 0 7\n1 1 8\n",
      "features.txt:3: value outside the 4-bit range"),
     ("features.txt", "sparse 4 4 4 0\n0 0 99999999999999999999\n",
-     "does not fit 64 bits"),
+     "features.txt:2: value outside the 4-bit range in '0 0 99999999999999999999'"),
     ("features.txt", "sparse 4 4 4 9\n0 0 1\n", "features.txt:1: sparse header needs"),
     ("features.txt", "sparse -1 4 4 0\n", "features.txt:1: sparse header needs"),
     ("features.txt", "sparse 4294967296 16 4 3\n0 0 1\n",
@@ -410,6 +411,43 @@ def test_malformed_inputs_exit_3(tmp_path, capsys, name, text, message):
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("edges.txt", b"0 1\n1 \xff2\n", "edges.txt:2: not UTF-8 text"),
+    ("features.txt", b"sparse 4 4 4 0\n0 0 1\r\xe9 1 1\n", "features.txt:3: not UTF-8 text"),
+    ("config.json", b'{"pe": 4, "tile": 6\xff4}', "config.json: not valid JSON"),
+    ("report.json", b'{"version": \xc31}', "report.json: not valid JSON"),
+    ("config.json", b'{"pe": ' + b"1" * 5000 + b"}", "config.json: not valid JSON"),
+    ("report.json", b'{"version": ' + b"1" * 5000 + b"}", "report.json: not valid JSON"),
+], ids=["edges", "features", "config", "report", "config-5000-digits", "report-5000-digits"])
+def test_undecodable_inputs_exit_3(tmp_path, capsys, name, data, message):
+    # bytes that are not UTF-8, and an integer past Python's 4300-digit
+    # conversion limit, used to exit 4 with a message that named no file
+    (tmp_path / "edges.txt").write_text(TINY_EDGES)
+    (tmp_path / "features.txt").write_text("sparse 4 4 4 0\n0 0 1\n")
+    (tmp_path / name).write_bytes(data)
+    out = ["--out", str(tmp_path / "o")]
+    argv = {"report.json": ["report", str(tmp_path / name)],
+            "config.json": ["simulate", str(tmp_path), "--config", str(tmp_path / name), *out]
+            }.get(name, ["simulate", str(tmp_path), *out])
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_zero_node_bundle_runs(tmp_path, capsys):
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "edges.txt").write_text("")
+    (tmp_path / "b" / "features.txt").write_text("sparse 0 4 4 3\n")
+    assert main(["preprocess", str(tmp_path / "b"), "--out", str(tmp_path / "p")]) == EXIT_OK
+    assert [s["cycles"] for s in read_meta(tmp_path / "p" / "meta.json")["streams"]] == [0, 0]
+    for model in ("gcn", "graphsage-mean"):
+        assert main(["simulate", str(tmp_path / "b"), "--model", model,
+                     "--out", str(tmp_path / model)]) == EXIT_OK
+        assert (tmp_path / model / "logits.txt").read_text().splitlines()[1:] == []
+        assert read_report(tmp_path / model / "report.json")["verify"]["exact_match"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_config_is_checked_before_the_bundle_is_read(tmp_path, capsys):
@@ -432,6 +470,7 @@ EXTREME_FIELDS = (b"\xff\xff\xff\xff", b"\x00\x00\x01\x00", b"\x00\x00\x00\x80")
 TOKEN = re.compile(rb"\S+")
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 MUTATIONS = ("truncate", "flip", "swap", "extreme")
+MUTATION_NODES = 64
 
 
 def mutate(rng, data: bytes, kind: str, text: bool) -> bytes:
@@ -462,7 +501,7 @@ def mutate(rng, data: bytes, kind: str, text: bool) -> bytes:
 
 def mutation_inputs(d: Path) -> dict:
     """A 64-node bundle with weights, a config, a report and a stream."""
-    bundle = gen_powerlaw(64, 3, 2.1, 5, 16, 0.2)
+    bundle = gen_powerlaw(MUTATION_NODES, 3, 2.1, 5, 16, 0.2)
     export_bundle(d / "b", bundle)
     write_weights(d / "b" / "weights.bin", random_weights([16, 8, 3], 1))
     (d / "config.json").write_text(json.dumps(
@@ -501,8 +540,9 @@ def address_space_cap(extra: int):
 
 def mutation_escapes(d: Path, seed: int, count: int) -> list[str]:
     """Run count seeded corruptions; each ends in a documented exit code with
-    no traceback (CLI inputs) or in StreamFormatError (streams), or it is
-    returned as an escape."""
+    no traceback (CLI inputs) or in StreamFormatError (streams), and the
+    reader gives an edges.txt or features.txt case the line-parser spec's
+    matrix or message, or it is returned as an escape."""
     originals = mutation_inputs(d)
     targets = sorted(originals)
     rng = np.random.default_rng(seed)
@@ -538,6 +578,10 @@ def mutation_escapes(d: Path, seed: int, count: int) -> list[str]:
         except Exception as exc:  # recorded, so one run lists every escape
             rc = f"{type(exc).__name__}: {exc}"
         finally:
+            if path.suffix == ".txt":  # the reader against the line parser it replaced
+                shipped, spec = reader_and_spec(path, MUTATION_NODES)
+                if not agrees(path, shipped, spec):
+                    escapes.append(f"{what}: reader {shipped!r}, spec {spec!r}")
             path.write_bytes(originals[path])
         if rc not in (0, 2, 3, 4, 5) or "Traceback" in err.getvalue():
             escapes.append(f"{what} ({argv[0]}): {rc}")

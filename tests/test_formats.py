@@ -1,5 +1,6 @@
 """File formats: parsing, line-numbered errors, byte-exact round trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,9 @@ from gcnsim.formats import (
     write_meta,
     write_weights,
 )
-from gcnsim.graphs import GraphBundle, gen_powerlaw, random_weights
+from gcnsim.graphs import GraphBundle, gen_powerlaw, random_weights, symmetric_adjacency
 from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
+from test_golden_census import make_bundle as make_golden_bundle
 
 
 def test_two_node_single_edge_symmetrizes(tmp_path):
@@ -168,16 +170,135 @@ def test_ingest_graph_validates_against_features(tmp_path):
         ingest_graph(tmp_path / "e.txt", tmp_path / "f.txt")
 
 
-# -- the array path against the line parser ----------------------------------------
+# -- the reader against the line parser it replaced, kept here as the spec -------------
+
+
+def spec_data_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def spec_fail(path, lineno, msg):
+    raise FileFormatError(f"{path}:{lineno}: {msg}")
+
+
+def spec_read_edges(path, nodes):
+    """The line parser read_edges had: each line checked in full in turn."""
+    pairs = []
+    for lineno, line in spec_data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            spec_fail(path, lineno, f"expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            spec_fail(path, lineno, f"non-integer node id in {line!r}")
+        if not (0 <= u < nodes and 0 <= v < nodes):
+            spec_fail(path, lineno, f"node id out of range [0, {nodes}) in {line!r}")
+        pairs.append((u, v))
+    return symmetric_adjacency(nodes, *np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+
+def spec_read_features(path):
+    """The line parser read_features had; a dense grid goes to the shipped
+    dense branch, which the array reader left as it was."""
+    lines = list(spec_data_lines(path))
+    if not lines:
+        raise FileFormatError(f"{path}: empty feature file")
+    if lines[0][1].split()[0] != "sparse":
+        return formats._read_dense(path, lines)
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 5:
+        spec_fail(path, lineno, "sparse header needs 'sparse rows cols bits frac'")
+    try:
+        n, m, bits, frac = (int(p) for p in parts[1:])
+    except ValueError:
+        spec_fail(path, lineno, f"non-integer sparse header field in {header!r}")
+    if min(n, m) < 0 or not 0 <= frac < bits <= 64:
+        spec_fail(path, lineno,
+                  f"sparse header needs sizes >= 0, 0 <= frac < bits <= 64: {header!r}")
+    if max(n, m) > MAX_SPARSE_DIM:
+        spec_fail(path, lineno, f"sparse header sizes must be <= {MAX_SPARSE_DIM}: {header!r}")
+    rr, cc, vv = [], [], []
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3:
+            spec_fail(path, lineno, f"expected 'row col value', got {line!r}")
+        try:
+            r, c, v = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            spec_fail(path, lineno, f"non-integer triplet in {line!r}")
+        if not (0 <= r < n and 0 <= c < m):
+            spec_fail(path, lineno, f"position ({r}, {c}) outside {n}x{m}")
+        rr.append(r)
+        cc.append(c)
+        vv.append(v)
+    try:
+        r, c, v = (np.array(a, dtype=np.int64) for a in (rr, cc, vv))
+    except OverflowError:
+        raise FileFormatError(f"{path}: a triplet value does not fit 64 bits") from None
+    repeat = np.zeros(len(r), dtype=bool)
+    if not ((np.diff(r) > 0) | (np.diff(r) == 0) & (np.diff(c) > 0)).all():
+        order = np.lexsort((c, r))
+        repeat[order[1:]] = (np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)
+    wide = (v < -(1 << (bits - 1))) | (v > (1 << (bits - 1)) - 1)
+    for bad, msg in ((wide, f"value outside the {bits}-bit range"), (repeat, "repeated position")):
+        if bad.any():
+            lineno, line = lines[1 + int(np.argmax(bad))]
+            spec_fail(path, lineno, f"{msg} in {line!r}")
+    return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
+
+
+NOT_UTF8 = "not UTF-8"  # the outcome of the spec on bytes that are not UTF-8
+
+
+def outcome(read):
+    """A reader's CSR fields, or the message of the FileFormatError it raised;
+    the spec raises UnicodeDecodeError on bytes that are not UTF-8."""
+    try:
+        m = read()
+    except FileFormatError as exc:
+        return str(exc)
+    except UnicodeDecodeError:
+        return NOT_UTF8
+    return (m.rows, m.cols, m.bits, m.frac_bits, m.row_ptr.tolist(),
+            m.col_idx.tolist(), m.values.tolist())
+
+
+def reader_and_spec(path, nodes):
+    """Outcomes of the shipped reader and of the spec on an edges.txt (read
+    for nodes nodes) or a features.txt."""
+    if path.name == "edges.txt":
+        return (outcome(lambda: read_edges(path, nodes)),
+                outcome(lambda: spec_read_edges(path, nodes)))
+    return outcome(lambda: read_features(path)), outcome(lambda: spec_read_features(path))
+
+
+def agrees(path, shipped, spec) -> bool:
+    """The reader gives the spec's matrix or message, except where it names a
+    line the spec could not: a triplet value past int64 is too wide for its
+    line, and a byte that is not UTF-8 fails its line (the spec raised a
+    bare codec error, which exits 4)."""
+    if spec == f"{path}: a triplet value does not fit 64 bits":
+        return re.fullmatch(rf"{re.escape(str(path))}:\d+: value outside the \d+-bit range in .*",
+                            str(shipped)) is not None
+    if spec == NOT_UTF8:
+        return re.match(rf"{re.escape(str(path))}:\d+: not UTF-8 text", str(shipped)) is not None
+    return shipped == spec
+
 
 I64_MAX, I64_MIN = (1 << 63) - 1, -(1 << 63)
-ARABIC = "\u0660\u0661\u0662\u0663"  # Arabic-Indic 0 1 2 3; int() reads them
+ARABIC = "٠١٢٣"  # Arabic-Indic 0 1 2 3; int() reads them
 
-# (text, whether the array path must answer it itself)
+# (text, whether the reader reads it without the line loop or the dense branch)
 FEATURE_TEXTS = {
     "plain": ("sparse 3 4 4 3\n0 0 1\n0 3 -7\n2 1 7\n", True),
-    "unordered": ("sparse 3 4 4 3\n2 1 7\n0 3 -7\n0 0 1\n", False),
-    "unordered-in-row": ("sparse 3 4 4 3\n0 3 -7\n0 0 1\n", False),
+    "unordered": ("sparse 3 4 4 3\n2 1 7\n0 3 -7\n0 0 1\n", True),
+    "unordered-in-row": ("sparse 3 4 4 3\n0 3 -7\n0 0 1\n", True),
     "no-trailing-newline": ("sparse 3 4 4 3\n0 0 1\n2 1 -8", False),
     "tabs-and-spaces": ("sparse 3 4 4 3\n0\t0  1\n 2 1\t-8 \n", True),
     "leading-zeros-and-minus-zero": ("sparse 3 4 4 3\n000 2 1\n1 01 -0\n", True),
@@ -188,7 +309,8 @@ FEATURE_TEXTS = {
     "comments": ("# c\nsparse 3 4 4 3\n0 0 1\n# mid\n2 1 -8\n", False),
     "blank-lines": ("sparse 3 4 4 3\n\n0 0 1\n   \n2 1 -8\n\n", False),
     "crlf": ("sparse 3 4 4 3\r\n0 0 1\r\n2 1 -8\r\n", False),
-    "header-spacing": ("sparse  3 4 4 3\n0 0 1\n", False),
+    "cr-inside-header": ("sparse 3\r4 4 3\n0 0 1\n", True),  # fails before the body is read
+    "header-spacing": ("sparse  3 4 4 3\n0 0 1\n", True),
     "plus-sign": ("sparse 3 4 4 3\n0 0 +7\n", False),
     "underscore": ("sparse 3 4 16 3\n0 0 1_0\n", False),
     "arabic-indic": (f"sparse 3 4 4 3\n{ARABIC[0]} {ARABIC[1]} {ARABIC[3]}\n", False),
@@ -200,13 +322,22 @@ FEATURE_TEXTS = {
     "bare-minus": ("sparse 3 4 4 3\n0 0 -\n", False),
     "split-minus": ("sparse 3 4 4 3\n0 0 - 3\n", False),
     "inner-minus": ("sparse 3 4 4 3\n0 1-2 3\n", False),
-    "position-outside": ("sparse 3 4 4 3\n0 0 1\n3 0 1\n", False),
-    "negative-position": ("sparse 3 4 4 3\n0 -1 1\n", False),
-    "value-over-width": ("sparse 3 4 4 3\n0 0 1\n1 1 8\n", False),
-    "repeated-position": ("sparse 3 4 4 3\n1 1 2\n0 0 7\n1 1 2\n", False),
-    "frac-not-below-bits": ("sparse 3 4 4 4\n0 0 1\n", False),
-    "rows-over-bound": (f"sparse {MAX_SPARSE_DIM + 1} 4 4 3\n0 0 1\n", False),
-    "cols-2^63": (f"sparse 3 {1 << 63} 4 3\n0 0 1\n", False),
+    "position-outside": ("sparse 3 4 4 3\n0 0 1\n3 0 1\n", True),
+    "negative-position": ("sparse 3 4 4 3\n0 -1 1\n", True),
+    "value-over-width": ("sparse 3 4 4 3\n0 0 1\n1 1 8\n", True),
+    "repeated-position": ("sparse 3 4 4 3\n1 1 2\n0 0 7\n1 1 2\n", True),
+    "frac-not-below-bits": ("sparse 3 4 4 4\n0 0 1\n", True),
+    "rows-over-bound": (f"sparse {MAX_SPARSE_DIM + 1} 4 4 3\n0 0 1\n", True),
+    "cols-2^63": (f"sparse 3 {1 << 63} 4 3\n0 0 1\n", True),
+    "not-sparse-first-token": ("sparse3 4 4 3\n0 0 1\n", False),  # a dense grid
+    "blank-then-integer-grid": ("\n1 0 1\n0 1 1\n", False),  # a dense grid too
+    # two faults: the first bad line the old line-by-line checks met is named
+    "outside-then-non-integer": ("sparse 3 4 4 3\n5 0 1\n0 0 1\nx 0 1\n", False),
+    "outside-then-short-line": ("sparse 3 4 4 3\n0 9 1\n0 0 1\n0 1\n", False),
+    "non-integer-then-outside": ("sparse 3 4 4 3\n0 x 1\n0 9 1\n", False),
+    "wide-then-short-line": ("sparse 3 4 4 3\n0 0 9\n0 0 1\n0 1\n", False),
+    "wide-then-repeat": ("sparse 3 4 4 3\n0 0 9\n1 1 2\n1 1 2\n", True),
+    "repeat-then-wide": ("sparse 3 4 4 3\n1 1 2\n1 1 2\n2 0 -9\n", True),
 }
 
 EDGE_TEXTS = {
@@ -228,30 +359,25 @@ EDGE_TEXTS = {
     "lines-of-1-and-3": ("0\n1 2 3\n", False),
     "lines-of-3-and-1": ("0 1 2\n3\n", False),
     "bare-minus": ("0 -\n", False),
-    "out-of-range": ("0 1\n0 16\n", False),
-    "negative": ("0 1\n-1 2\n", False),
+    "out-of-range": ("0 1\n0 16\n", True),
+    "negative": ("0 1\n-1 2\n", True),
     "non-integer": ("0 1\n1 x\n", False),
+    # two faults: the first bad line the old line-by-line checks met is named
+    "out-of-range-then-non-integer": ("0 1\n0 16\n1 2\nx 1\n", False),
+    "negative-then-short-line": ("0 1\n-1 2\n1 2\n0\n", False),
+    "non-integer-then-out-of-range": ("0 x\n0 16\n", False),
 }
 
 
-def outcome(read):
-    """A reader's CSR fields, or the message of the FileFormatError it raised."""
-    try:
-        m = read()
-    except FileFormatError as exc:
-        return str(exc)
-    return (m.rows, m.cols, m.bits, m.frac_bits, m.row_ptr.tolist(),
-            m.col_idx.tolist(), m.values.tolist())
-
-
-def both_paths(monkeypatch, read):
-    """The reader as shipped, then with the array path switched off, so the
-    line parser reads everything."""
-    shipped = outcome(read)
+def reaches_line_loop(monkeypatch, read) -> bool:
+    """Whether read() reads any line in a loop: the triplet or edge line loop,
+    or the dense-grid branch."""
+    calls = []
     with monkeypatch.context() as m:
-        m.setattr(formats, "_int_rows", lambda data, width, pos=0: None)
-        by_lines = outcome(read)
-    return shipped, by_lines
+        for name in ("_line_columns", "_read_dense"):
+            m.setattr(formats, name, lambda *a, f=getattr(formats, name): calls.append(1) or f(*a))
+        outcome(read)
+    return bool(calls)
 
 
 @pytest.mark.parametrize("name", FEATURE_TEXTS)
@@ -259,9 +385,9 @@ def test_feature_array_path_matches_line_parser(tmp_path, monkeypatch, name):
     text, fast = FEATURE_TEXTS[name]
     p = tmp_path / "features.txt"
     p.write_bytes(text.encode("utf-8"))
-    shipped, by_lines = both_paths(monkeypatch, lambda: read_features(p))
-    assert shipped == by_lines
-    assert (formats._read_plain_sparse(p.read_bytes()) is not None) == fast
+    shipped, spec = reader_and_spec(p, None)
+    assert agrees(p, shipped, spec), (shipped, spec)
+    assert reaches_line_loop(monkeypatch, lambda: read_features(p)) != fast
 
 
 @pytest.mark.parametrize("name", EDGE_TEXTS)
@@ -269,11 +395,9 @@ def test_edge_array_path_matches_line_parser(tmp_path, monkeypatch, name):
     text, fast = EDGE_TEXTS[name]
     p = tmp_path / "edges.txt"
     p.write_bytes(text.encode("utf-8"))
-    shipped, by_lines = both_paths(monkeypatch, lambda: read_edges(p, 16))
-    assert shipped == by_lines
-    columns = formats._int_rows(p.read_bytes(), 2)
-    assert (columns is not None
-            and all(((col >= 0) & (col < 16)).all() for col in columns)) == fast
+    shipped, spec = reader_and_spec(p, 16)
+    assert shipped == spec
+    assert reaches_line_loop(monkeypatch, lambda: read_edges(p, 16)) != fast
 
 
 def test_line_parser_messages_survive_the_array_path(tmp_path):
@@ -283,7 +407,12 @@ def test_line_parser_messages_survive_the_array_path(tmp_path):
             ("bare-minus", "features.txt:2: non-integer triplet in '0 0 -'"),
             ("position-outside", "features.txt:3: position (3, 0) outside 3x4"),
             ("rows-over-bound", f"features.txt:1: sparse header sizes must be <= {MAX_SPARSE_DIM}"),
-            ("cols-2^63", f"features.txt:1: sparse header sizes must be <= {MAX_SPARSE_DIM}")):
+            ("cols-2^63", f"features.txt:1: sparse header sizes must be <= {MAX_SPARSE_DIM}"),
+            ("outside-then-non-integer", "features.txt:2: position (5, 0) outside 3x4"),
+            ("wide-then-short-line", "features.txt:4: expected 'row col value', got '0 1'"),
+            ("repeat-then-wide", "features.txt:4: value outside the 4-bit range in '2 0 -9'"),
+            ("20-digit-negative",
+             "features.txt:2: value outside the 64-bit range in '0 0 -99999999999999999999'")):
         p.write_text(FEATURE_TEXTS[name][0])
         with pytest.raises(FileFormatError) as exc:
             read_features(p)
@@ -294,16 +423,36 @@ def test_line_parser_messages_survive_the_array_path(tmp_path):
         read_edges(q, 16)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bytes_that_are_not_utf8_fail_their_line(tmp_path):
+    # the line counts CR, CRLF and LF as open() does; the spec raised a bare
+    # UnicodeDecodeError instead
+    q = tmp_path / "edges.txt"
+    for data, lineno in ((b"0 1\n1 \xff2\n", 2), (b"0 1\r1 2\r\n\xfe\n", 3), (b"\x80", 1)):
+        q.write_bytes(data)
+        with pytest.raises(FileFormatError, match=rf"edges\.txt:{lineno}: not UTF-8 text"):
+            read_edges(q, 4)
+        assert agrees(q, *reader_and_spec(q, 4))
+    p = tmp_path / "features.txt"
+    for data, lineno in ((b"sparse 2 2 4 3\xe9\n0 0 1\n", 1), (b"sparse 2 2 4 3\n0 0 1 \xc3\n", 2)):
+        p.write_bytes(data)
+        with pytest.raises(FileFormatError, match=rf"features\.txt:{lineno}: not UTF-8 text"):
+            read_features(p)
+        assert agrees(p, *reader_and_spec(p, None))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, "golden-census"])
 def test_exported_bundles_take_the_array_path(tmp_path, monkeypatch, seed):
-    bundle = gen_powerlaw(300, 4, 2.1, seed=seed, n_features=24, feature_density=0.2)
-    paths = export_bundle(tmp_path, bundle)
-    assert formats._read_plain_sparse(paths["features"].read_bytes()) is not None
-    assert formats._int_rows(paths["edges"].read_bytes(), 2) is not None
-    shipped, by_lines = both_paths(monkeypatch, lambda: ingest_bundle_dir(tmp_path).features)
-    assert shipped == by_lines == outcome(lambda: bundle.features)
-    shipped, by_lines = both_paths(monkeypatch, lambda: ingest_bundle_dir(tmp_path).adjacency)
-    assert shipped == by_lines == outcome(lambda: bundle.adjacency)
+    bundle = (make_golden_bundle() if seed == "golden-census" else
+              gen_powerlaw(300, 4, 2.1, seed=seed, n_features=24, feature_density=0.2))
+    export_bundle(tmp_path, bundle)
+
+    def line_loop(*args):
+        raise AssertionError("an exported bundle reached the line loop")
+
+    monkeypatch.setattr(formats, "_line_columns", line_loop)
+    back = ingest_bundle_dir(tmp_path)
+    assert outcome(lambda: back.features) == outcome(lambda: bundle.features)
+    assert outcome(lambda: back.adjacency) == outcome(lambda: bundle.adjacency)
 
 
 # -- writers against their per-line spec ----------------------------------------------
