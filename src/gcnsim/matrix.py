@@ -226,22 +226,57 @@ def relu(y: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(np.maximum(y.data, 0), y.bits, y.frac_bits)
 
 
+# entries per requantize16 step
+_REQUANTIZE_CELLS = 1 << 16
+
+
+def _rescale(v, s: int):
+    """v * 2**-s rounded half to even, exactly, for an int or an int64 array
+    (always a new one). s <= 0 is a left shift; s > 0 takes
+    floor((v + 2**(s-1) - 1 + bit s of v) / 2**s), with one temporary of v's size."""
+    if s <= 0:
+        return v << -s
+    odd = v >> s
+    odd &= 1
+    out = v + ((1 << s - 1) - 1)
+    out += odd
+    del odd
+    out >>= s
+    return out
+
+
 def requantize16(y: DenseMatrix) -> DenseMatrix:
     """Narrow a 32-bit layer result to SINT16.
 
     The scale is chosen from the observed range: frac = 15 - ceil(log2(max|v|)),
     clamped to [0, 15], backed off one step if the maximum itself would not be
-    representable (exact powers of two).
+    representable (exact powers of two). Entries are rescaled by a shift,
+    rounded half to even and saturated (counted in sat_count), a block of
+    rows at a time, so the only full-size array is the result. It is all
+    integer arithmetic: for |y| < 2**53 it equals quantize(dequantize(y), 16,
+    frac) bit for bit, and every caller passes a result that check_fits(32)
+    has passed.
     """
-    real = dequantize(y)
-    peak = float(np.abs(real).max(initial=0.0))  # 0 for an empty result
-    if peak == 0.0:
+    data = y.data
+    peak = max(int(data.max(initial=0)), -int(data.min(initial=0)))  # 0 when empty
+    if peak == 0:
         frac = 15
     else:
-        frac = int(min(15, max(0, 15 - np.ceil(np.log2(peak)))))
-        if round(peak * (1 << frac)) > int_max(16) and frac > 0:
+        # ceil(log2(peak * 2**-frac_bits)), exactly
+        frac = min(15, max(0, 15 - ((peak - 1).bit_length() - y.frac_bits)))
+        if frac > 0 and _rescale(peak, y.frac_bits - frac) > int_max(16):
             frac -= 1
-    return quantize(real, 16, frac)
+    # past 2**62 every |y| < 2**53 rounds to 0 alike, and the shift stays in int64
+    shift = min(y.frac_bits - frac, 62)
+    lo, hi = int_min(16), int_max(16)
+    out = np.empty_like(data)
+    sat = 0
+    step = max(1, _REQUANTIZE_CELLS // max(y.cols, 1))
+    for r0 in range(0, y.rows, step):
+        part = _rescale(data[r0:r0 + step], shift)
+        sat += int(np.count_nonzero(part > hi)) + int(np.count_nonzero(part < lo))
+        np.clip(part, lo, hi, out=out[r0:r0 + step])
+    return DenseMatrix(out, 16, frac, sat)
 
 
 def normalize_adjacency(a: SparseMatrixCSR, mode: str = "binary",

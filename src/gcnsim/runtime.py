@@ -12,10 +12,18 @@ references() computes both once for any number of configs. A simulated run
 compiles each left operand's plan once, for every product with it; one
 ArchConfig serves every product, since each sparse operand's packets take
 their value width from the operand itself (schedule.packet_bits_for).
+
+A run holds only what it can still use: the adjacency's plan, the current
+activation's plan, at most two activations (a layer's input and its
+output) with the products between them, and the simulator's chunk-sized
+temporaries. The layer walk drops each intermediate after its last use,
+and the engine drops a plan with its operand, so the peak does not grow
+with the number of layers.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,26 +133,44 @@ def align_add(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.data.shape != b.data.shape:
         raise ShapeError("cannot add differently shaped matrices")
     f = max(a.frac_bits, b.frac_bits)
-    da = a.data << (f - a.frac_bits)
-    db = b.data << (f - b.frac_bits)
-    out = da + db
+    out = a.data << (f - a.frac_bits)
+    out += b.data << (f - b.frac_bits)
     check_fits(out, 32, "sum")
     return DenseMatrix(out, 32, f)
 
 
 class _SimEngine:
-    """Matrix products through the cycle simulator, reports collected."""
+    """Matrix products through the cycle simulator, reports collected.
+
+    A compiled plan is kept only while its left operand can come again: not
+    past the operand's own life (the layer walk drops each activation after
+    its last product), and at most two at a time, least recently used out
+    first and before a new operand is planned. The adjacency's plan lasts
+    the run and an activation's goes by the time the next one is planned;
+    either layer walk uses an operand in one run of products with only the
+    adjacency in between, so each operand is still planned once.
+    """
+
+    HELD = 2
 
     def __init__(self, cfg: ArchConfig, report: RunReport):
         self.cfg = cfg
         self.report = report
-        self.plans: dict = {}  # id(x) -> (x, compile_plan); holding x keeps its id unique
+        # id(x) -> (weak reference to x, compile_plan), least recently used first
+        self.plans: dict = {}
 
     def matmul(self, label: str, x, w: DenseMatrix) -> DenseMatrix:
-        if id(x) not in self.plans:
+        for key in [key for key, (ref, _) in self.plans.items() if ref() is None]:
+            del self.plans[key]  # its operand is gone, so its id may be reused
+        entry = self.plans.pop(id(x), None)
+        if entry is None:
             check_product(x, w)
-            self.plans[id(x)] = (x, compile_plan(x, self.cfg))
-        y, rep = simulate_step(x, w, self.cfg, self.plans[id(x)][1])
+            if len(self.plans) == self.HELD:
+                del self.plans[next(iter(self.plans))]
+            plan = compile_plan(x, self.cfg)  # first: it rejects an x of no operand type
+            entry = (weakref.ref(x), plan)
+        self.plans[id(x)] = entry
+        y, rep = simulate_step(x, w, self.cfg, entry[1])
         self.report.add(label, rep)
         return y
 
@@ -159,22 +185,34 @@ class _OracleEngine:
 
 
 def _forward(model: ModelSpec, a: SparseMatrixCSR, x0, engine) -> DenseMatrix:
-    """Shared layer walk so both backends quantize at identical points."""
+    """Shared layer walk so both backends quantize at identical points.
+
+    Each intermediate is dropped after its last use, so no layer holds a
+    product or activation it cannot use again.
+    """
     x = x0
     for i, layer in enumerate(model.layers):
         if model.kind == KIND_GCN:
             xw = engine.matmul(f"layer{i}.combine", x, layer.weight)
+            del x
             xw16 = requantize16(xw)   # parked in 16-bit dense memory
+            del xw
             y = engine.matmul(f"layer{i}.aggregate", a, xw16)
+            del xw16
         else:
             self_part = engine.matmul(f"layer{i}.self", x, layer.weight_self)
             xn = engine.matmul(f"layer{i}.neigh_combine", x, layer.weight)
+            del x
             xn16 = requantize16(xn)
+            del xn
             neigh = engine.matmul(f"layer{i}.neigh_aggregate", a, xn16)
+            del xn16
             y = align_add(self_part, neigh)
+            del self_part, neigh
         if layer.activation == "relu":
             y = relu(y)
         x = requantize16(y)           # parked in 16-bit edge-weight memory
+        del y
     return x
 
 

@@ -437,7 +437,8 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
     columns 0..t-1 in lockstep with the other PEs, carrying the block's
     entry at (row, column) as its packet value. All fetches in a cycle
     share one address, so the collision pass can never stall them.
-    Repetitions past the row count idle the trailing PEs.
+    Repetitions past the row count idle the trailing PEs. Each field is
+    written once, in its final dtype, with no grid-sized temporary.
     """
     x_block = np.asarray(x_block, dtype=np.int64)
     m, t = x_block.shape
@@ -445,16 +446,21 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
         raise ValueError("a dense block needs at least one column")
     if m == 0:
         return TileSchedule.empty(pe_count)
-    reps = -(-m // pe_count)
-    active = (np.arange(reps * pe_count) < m).reshape(reps, 1, pe_count)
-    step = np.arange(t).reshape(1, t, 1)
-    value = np.zeros((reps * pe_count, t), dtype=np.int64)
-    value[:m] = x_block
-    # every field is reps x t x K, cycle-major once the first two axes merge
-    fields = (active & (step == 0), active & (step == t - 1),
-              np.broadcast_to(active, (reps, t, pe_count)), np.where(active, step, 0),
-              value.reshape(reps, pe_count, t).transpose(0, 2, 1))
-    return TileSchedule.from_columns(*(f.reshape(reps * t, pe_count) for f in fields))
+    full, rem = divmod(m, pe_count)
+    grid = (full + (rem > 0), t, pe_count)  # cycle-major once the first two axes merge
+    sor, eor = np.zeros(grid, np.uint8), np.zeros(grid, np.uint8)
+    sor[:, 0] = eor[:, -1] = 1
+    vld = np.ones(grid, np.uint8)
+    col = np.empty(grid, np.int32)
+    col[:] = np.arange(t, dtype=np.int32)[:, None]
+    value = np.zeros(grid, np.int64)
+    value[:full] = x_block[:full * pe_count].reshape(full, pe_count, t).transpose(0, 2, 1)
+    if rem:  # the last repetition idles PEs rem..K-1
+        value[full, :, :rem] = x_block[full * pe_count:].T
+        for f in (sor, eor, vld, col):
+            f[full, :, rem:] = 0
+    return TileSchedule.from_columns(*(f.reshape(-1, pe_count)
+                                       for f in (sor, eor, vld, col, value)))
 
 
 def packet_bits_for(x: SparseMatrixCSR) -> int:

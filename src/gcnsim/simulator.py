@@ -21,6 +21,12 @@ the output C lanes at a time, replaying the schedule per lane block, so each
 lane block only adds its load cycles and census. A step's CycleReport sums
 those censuses, and report.py gives them their document names.
 
+Memory: a plan entry's temporaries are bounded by a chunk, not by its grid.
+check_arbitration walks whole cycles and compile_tile blocks of PEs, about
+_PASS_SLOTS slots at a time, and run_tile multiplies _CHUNK_CELLS products
+at a time. compile_plan drops each schedule before the next is built, so a
+plan holds its compiled entries and at most one schedule.
+
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
 tiles may transiently exceed 32 bits; two's-complement wraparound makes the
@@ -59,8 +65,10 @@ from .pcoo import PcooPacket
 MODE_SDMM = "sdmm"
 MODE_DMM = "dmm"
 
-# products per run_tile chunk (valid slots x lanes): 4 MiB of int64
-_CHUNK_CELLS = 1 << 19
+# products per run_tile chunk (valid slots x lanes): 1 MiB of int64
+_CHUNK_CELLS = 1 << 17
+# slots per step of check_arbitration's and compile_tile's walks over a grid
+_PASS_SLOTS = 1 << 16
 
 
 class ArbitrationError(RuntimeError):
@@ -126,50 +134,78 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
     slot sits inside one of its sor..eor rows, and every packet column is a
     dense row. Within one cycle and replica group, all valid packets sharing
     a bank must share one address; anything else would be silent corruption
-    in hardware, so it raises here. One sort of packed int64 keys (cycle,
+    in hardware, so it raises here. A sort of packed int64 keys (cycle,
     replica group, bank, col // groups) puts a bank's fetches side by side.
     With dense_rows <= groups every bank holds one address, so no cycle can
     clash and the sort is skipped; the other checks still run.
+
+    The grid is walked in chunks of whole cycles, about _PASS_SLOTS slots
+    each, so every temporary is chunk-sized. Findings are raised after the
+    walk in the order markers, stray, range, bank, each naming what a check
+    of the whole grid would: the first PE with a stray and its first stray
+    cycle, the largest column, and the first clashing cycle.
     """
     k, g = cfg.pe_count, cfg.groups
+    per_bank = -(-dense_rows // g)  # addresses one bank holds
+    step = max(1, _PASS_SLOTS // k)  # cycles per chunk
+    opened = closed = np.zeros(k, np.int32)  # each PE's row markers so far
+    stray_at = np.full(k, -1)  # each PE's first stray cycle
+    lo, hi = math.inf, -math.inf  # column range of the valid slots
+    clash = None
+    for c0 in range(0, sched.cycles, step):
+        sor, eor, vld = (f[c0:c0 + step] for f in (sched.sor, sched.eor, sched.vld))
+        depth = np.cumsum(sor, axis=0, dtype=np.int32)
+        depth += opened
+        shut = np.cumsum(eor, axis=0, dtype=np.int32)
+        shut += closed
+        opened, closed = depth[-1].copy(), shut[-1].copy()
+        # rows opened minus rows closed before each slot: 1 inside an open row
+        depth -= shut
+        del shut
+        depth += eor
+        valid = vld == 1
+        stray = depth != 1
+        del depth
+        stray &= valid
+        if stray.any():
+            new = stray.any(axis=0) & (stray_at < 0)
+            stray_at[new] = c0 + stray[:, new].argmax(axis=0)
+        del stray
+        flat = np.flatnonzero(valid)  # cycle-major slot indices in the chunk
+        if not len(flat):
+            continue
+        cols = sched.col[c0:c0 + step].ravel()[flat]
+        lo, hi = min(lo, int(cols.min())), max(hi, int(cols.max()))
+        if clash is not None or dense_rows <= g:
+            continue
+        # groups divides the power-of-two tile width, so a column's bank is its
+        # low bits; a slot's (cycle, replica group) is its cell // group width
+        key = ((flat // cfg.group_width * g + (cols & (g - 1))) * per_bank
+               + (cols >> g.bit_length() - 1))
+        del flat, cols
+        key.sort()
+        bank_key = key // per_bank
+        same = (bank_key[1:] == bank_key[:-1]) & (key[1:] != key[:-1])
+        if same.any():
+            at = int(np.flatnonzero(same)[0])
+            a, b = (int(key[i] % per_bank * g + bank_key[i] % g) for i in (at, at + 1))
+            clash = (f"cycle {c0 + int(bank_key[at]) // g // cfg.replicas}: addresses "
+                     f"{a} and {b} share a bank in one replica group")
     owned = (rows - np.arange(k) + k - 1) // k  # len(range(p, rows, k)) per PE
-    depth = np.cumsum(sched.sor, axis=0, dtype=np.int32)
-    closed = np.cumsum(sched.eor, axis=0, dtype=np.int32)
-    # each PE's marker counts: the cumsums' last row, or zeros with no cycle
-    off_map = (depth[-1:].sum(axis=0) != owned) | (closed[-1:].sum(axis=0) != owned)
+    off_map = (opened != owned) | (closed != owned)
     if off_map.any():
         p = int(np.flatnonzero(off_map)[0])
         raise ArbitrationError(f"PE {p}: row markers disagree with its {owned[p]} rows")
-    # rows opened minus rows closed before each slot: 1 inside an open row
-    depth -= closed
-    del closed
-    depth += sched.eor
-    stray = (depth != 1) & (sched.vld == 1)
-    if stray.any():
-        p = int(np.flatnonzero(stray.any(axis=0))[0])
-        c = int(np.flatnonzero(stray[:, p])[0])
-        raise ArbitrationError(f"PE {p}: valid packet at cycle {c} is outside an open row")
-    flat = np.flatnonzero(sched.vld == 1)  # cycle-major slot indices
-    if not len(flat):
+    if (stray_at >= 0).any():
+        p = int(np.flatnonzero(stray_at >= 0)[0])
+        raise ArbitrationError(f"PE {p}: valid packet at cycle {stray_at[p]} "
+                               f"is outside an open row")
+    if hi == -math.inf:  # no valid slot
         return
-    cols = sched.col.ravel()[flat]
-    if cols.min() < 0 or cols.max() >= dense_rows:
-        raise ShapeError(f"packet column {int(cols.max())} outside dense tile rows {dense_rows}")
-    if dense_rows <= g:
-        return
-    # groups divides the power-of-two tile width, so a column's bank is its
-    # low bits; a slot's (cycle, replica group) is its cell // group width
-    per_bank = -(-dense_rows // g)  # addresses one bank holds
-    key = ((flat // cfg.group_width * g + (cols & (g - 1))) * per_bank
-           + (cols >> g.bit_length() - 1))
-    key.sort()
-    bank_key = key // per_bank
-    clash = (bank_key[1:] == bank_key[:-1]) & (key[1:] != key[:-1])
-    if clash.any():
-        at = int(np.flatnonzero(clash)[0])
-        a, b = (int(key[i] % per_bank * g + bank_key[i] % g) for i in (at, at + 1))
-        raise ArbitrationError(f"cycle {int(bank_key[at]) // g // cfg.replicas}: addresses "
-                               f"{a} and {b} share a bank in one replica group")
+    if lo < 0 or hi >= dense_rows:
+        raise ShapeError(f"packet column {hi} outside dense tile rows {dense_rows}")
+    if clash is not None:
+        raise ArbitrationError(clash)
 
 
 class CompiledTile(NamedTuple):
@@ -184,12 +220,39 @@ class CompiledTile(NamedTuple):
 def compile_tile(sched: TileSchedule) -> CompiledTile:
     """A checked schedule's valid slots: taken PE by PE, a row's slots are
     contiguous and a slot's row is p + K * (sors so far - 1). A row with no
-    valid slot gets no segment; its partial passes on unchanged."""
-    valid = sched.vld.T == 1  # PE-major (K x cycles)
-    seg = np.cumsum(sched.sor.T, axis=1, dtype=np.int32)[valid] - 1  # index among the PE's rows
-    row = np.repeat(np.arange(sched.pe_count), valid.sum(axis=1)) + sched.pe_count * seg
+    valid slot gets no segment; its partial passes on unchanged. A grid of
+    more than _PASS_SLOTS slots is compiled in blocks of PEs of about that
+    many into preallocated slot arrays; a row never spans two PEs, so a
+    block's own segment starts are the real ones, shifted."""
+    k = sched.pe_count
+    width = max(1, _PASS_SLOTS // max(sched.cycles, 1))  # PEs per block
+    if width >= k:
+        return _compile_pes(sched, slice(None))
+    blocks = [slice(p0, p0 + width) for p0 in range(0, k, width)]
+    n_valid = sum(np.count_nonzero(sched.vld[:, pes] == 1) for pes in blocks)
+    col, value = np.empty(n_valid, sched.col.dtype), np.empty(n_valid, sched.value.dtype)
+    starts, rows = [], []
+    s0 = 0
+    for pes in blocks:
+        part = _compile_pes(sched, pes)
+        s1 = s0 + len(part.col)
+        starts.append(part.starts + s0)
+        rows.append(part.rows)
+        col[s0:s1], value[s0:s1] = part.col, part.value
+        del part  # before the next block's
+        s0 = s1
+    return CompiledTile(np.concatenate(starts), np.concatenate(rows), col, value)
+
+
+def _compile_pes(sched: TileSchedule, pes: slice) -> CompiledTile:
+    """compile_tile of the PE columns pes alone, its starts counted from 0."""
+    valid = sched.vld[:, pes].T == 1  # PE-major (PEs x cycles)
+    seg = np.cumsum(sched.sor[:, pes].T, axis=1, dtype=np.int32)[valid] - 1  # index among the PE's rows
+    k = sched.pe_count
+    row = np.repeat(np.arange(k)[pes], valid.sum(axis=1)) + k * seg
     starts = np.flatnonzero(np.diff(row, prepend=-1))
-    return CompiledTile(starts, row[starts], sched.col.T[valid], sched.value.T[valid])
+    return CompiledTile(starts, row[starts], sched.col[:, pes].T[valid],
+                        sched.value[:, pes].T[valid])
 
 
 def run_tile(tile: CompiledTile, w: np.ndarray, out: np.ndarray) -> None:
@@ -270,8 +333,13 @@ def check_product(x, w: DenseMatrix) -> None:
 
 
 def compile_plan(x, cfg: ArchConfig) -> list[tuple[int, CompiledTile, ScheduleStats]]:
-    """plan_step(x, cfg) with each schedule compiled for run_tile, and dropped."""
-    return [(c0, compile_tile(sched), stats) for c0, sched, stats in plan_step(x, cfg)]
+    """plan_step(x, cfg) with each schedule compiled for run_tile, and dropped
+    before the next is built."""
+    plan = []
+    for c0, sched, stats in plan_step(x, cfg):
+        plan.append((c0, compile_tile(sched), stats))
+        del sched
+    return plan
 
 
 def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None

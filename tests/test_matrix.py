@@ -1,5 +1,7 @@
 """Fixed-point types and reference kernels against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from gcnsim.matrix import (
     check_fits,
     dequantize,
     dmm_reference,
+    int_max,
     normalize_adjacency,
     quantize,
     relu,
@@ -368,6 +371,83 @@ def test_requantize16_error_bound():
         step = 2.0 ** -q.frac_bits
         err = np.abs(dequantize(q) - dequantize(y))
         assert err.max() <= step / 2 + 1e-12
+
+
+def _requantize16_spec(y: DenseMatrix) -> DenseMatrix:
+    """requantize16 as a float formula: the scale from log2 of the real peak,
+    then quantize() of the dequantized grid. Exact while |y| < 2**53."""
+    real = dequantize(y)
+    peak = float(np.abs(real).max(initial=0.0))  # 0 for an empty result
+    if peak == 0.0:
+        frac = 15
+    else:
+        frac = int(min(15, max(0, 15 - np.ceil(np.log2(peak)))))
+        if round(peak * (1 << frac)) > int_max(16) and frac > 0:
+            frac -= 1
+    return quantize(real, 16, frac)
+
+
+def requantize16_cases(rng):
+    """(raw grid, frac_bits) pairs in the 32-bit accumulator range."""
+    cases = []
+    for _ in range(300):  # seeded int32-range grids at every scale
+        hi = 1 << int(rng.integers(0, 32))
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        cases.append((rng.integers(-hi, hi, size=shape), int(rng.integers(0, 48))))
+    for s in range(1, 32):  # ties at a right shift of s, either sign, even and odd
+        ties = [(2 * j + 1) << s - 1 for j in range(4) if (2 * j + 1) << s - 1 < 1 << 31]
+        ties += [-t for t in ties]
+        # every tie below 1.0 keeps the scale at 15
+        cases.append((np.array([ties]), s + 15))
+        if s <= 15:  # the int32 maximum as the peak pins the scale at 0
+            cases.append((np.array([[int_max(32)] + ties]), s))
+    for f in range(15):  # left shifts: frac >= frac_bits
+        cases.append((rng.integers(-(1 << f), 1 << f, size=(3, 5)) | 1, f))
+        cases.append((np.array([[1, -1, 0]]), f))
+    for k in range(31):  # exact powers of two: the one-step backoff
+        for f in (0, k, k + 3, 20):
+            cases.append((np.array([[1 << k, 3, -5]]), f))
+            cases.append((np.array([[-(1 << k), 1]]), f))
+    for f in (0, 1, 4):  # saturating magnitudes
+        cases.append((np.array([[int_max(32), int(-2**31), 1 << 16, -(1 << 15) - 1, 7]]), f))
+    cases += [(np.zeros((3, 4), np.int64), 9), (np.zeros((0, 5), np.int64), 3),
+              (np.zeros((4, 0), np.int64), 0)]
+    return cases
+
+
+def test_requantize16_matches_float_spec():
+    rng = np.random.default_rng(43)
+    shifts = set()
+    saturated = backoffs = 0
+    for data, frac_bits in requantize16_cases(rng):
+        y = DenseMatrix(data, 32, frac_bits)
+        got, want = requantize16(y), _requantize16_spec(y)
+        where = (data.tolist() if data.size < 12 else data.shape, frac_bits)
+        assert (got.bits, got.frac_bits, got.sat_count) == \
+            (want.bits, want.frac_bits, want.sat_count), where
+        assert got.data.dtype == want.data.dtype and np.array_equal(got.data, want.data), where
+        assert np.array_equal(y.data, data)  # the input is not touched
+        shifts.add(frac_bits - got.frac_bits)
+        saturated += got.sat_count > 0
+        peak = int(np.abs(data).max(initial=0))
+        backoffs += peak > 0 and peak & peak - 1 == 0 and got.frac_bits < 15
+    assert set(range(-14, 32)) <= shifts
+    assert saturated >= 3 and backoffs >= 40
+
+
+def test_requantize16_peaks_at_its_output():
+    # the result is the only full-size array: under the result plus one
+    # input-sized temporary
+    y = DenseMatrix(np.random.default_rng(47).integers(-(1 << 30), 1 << 30, size=(8192, 64)),
+                    32, 20)
+    tracemalloc.start()
+    try:
+        q = requantize16(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= q.data.nbytes + y.data.nbytes, peak >> 20
+    assert np.array_equal(q.data, _requantize16_spec(y).data)
 
 
 def test_normalize_adjacency_binary():

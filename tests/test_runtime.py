@@ -36,7 +36,7 @@ from gcnsim.runtime import (
     run_oracle,
     verify_against_oracle,
 )
-from gcnsim import simulator
+from gcnsim import runtime, simulator
 from gcnsim.report import report_document
 from gcnsim.schedule import ScheduleStats, config_for_tile, tile_columns
 from gcnsim.simulator import MODE_DMM, MODE_SDMM, simulate_step
@@ -260,6 +260,37 @@ def test_run_model_compiles_each_plan_entry_once(monkeypatch):
     assert len(planned) > 3
     assert [id(sched) for sched, _ in compiled] == [id(sched) for sched in planned]
     assert sorted(map(id, ran)) == sorted(2 * [id(tile) for _, tile in compiled])
+
+
+def test_run_model_working_set_does_not_grow_with_depth(monkeypatch):
+    # hidden 64 on 3072 nodes: six layers peak within 10% of two, since each
+    # activation, its products and its plan go once the walk is past them
+    held = []  # plans the engine holds after each product
+
+    class CountingEngine(runtime._SimEngine):
+        def matmul(self, *args):
+            y = super().matmul(*args)
+            held.append(len(self.plans))
+            return y
+
+    monkeypatch.setattr(runtime, "_SimEngine", CountingEngine)
+    bundle = gen_powerlaw(3072, 4, 2.1, seed=3, n_features=64, feature_density=0.1)
+    a = normalize_adjacency(bundle.adjacency, "sym_norm")
+    cfg = config_for_tile(16, 512, replicas=2)
+    peaks = {}
+    for layers in (2, 6):
+        model = make_gcn(random_weights([64] * layers + [4], seed=1), "sym_norm")
+        held.clear()
+        tracemalloc.start()
+        try:
+            run_model(model, a, bundle.features, cfg)
+            peaks[layers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # x0 (kept by the caller) and a; then a and each activation until the
+        # walk drops it after its combine
+        assert held == [1, 2] + [2, 1] * (layers - 1)
+    assert peaks[6] <= 1.1 * peaks[2], (peaks[6] >> 10, peaks[2] >> 10)
 
 
 def test_shape_mismatch_raises_before_planning(monkeypatch):

@@ -13,6 +13,7 @@ from gcnsim.matrix import (
     dmm_reference,
     sdmm_reference,
 )
+from gcnsim import simulator
 from gcnsim.pcoo import EMPTY_ROW_PACKET, IDLE_PACKET, PcooPacket
 from gcnsim.schedule import (
     ArchConfig,
@@ -21,6 +22,7 @@ from gcnsim.schedule import (
     assign_rows,
     build_dmm_schedule,
     build_sdmm_schedule,
+    config_for_tile,
     schedule_stats,
     stall_collisions,
     tile_columns,
@@ -31,6 +33,7 @@ from gcnsim.simulator import (
     CycleReport,
     PeState,
     check_arbitration,
+    compile_plan,
     compile_tile,
     data_move,
     load_tile,
@@ -369,6 +372,148 @@ def test_plan_rejects_col_out_of_range(monkeypatch):
     with pytest.raises(ShapeError, match=message):
         plan_of(monkeypatch, sched, 1, 4, cfg)
     check_arbitration(sched, cfg, 1, 8)
+
+
+def check_outcome(sched, cfg, rows, dense_rows):
+    """check_arbitration's verdict: None, or its exception type and message."""
+    try:
+        check_arbitration(sched, cfg, rows, dense_rows)
+    except (ArbitrationError, ShapeError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_chunked_arbitration_check_reports_the_whole_grid(monkeypatch):
+    # K = 2 over 3.5 chunks of one-slot rows, PE p reading dense row p (banks
+    # 0 and 1 of 4, 8 dense rows): each fault names what one pass over the
+    # whole grid names, wherever the chunk boundaries fall
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
+    chunk = simulator._PASS_SLOTS // 2  # cycles per chunk
+    cycles = 3 * chunk + chunk // 2
+
+    def outcome(cols=(), strays=()):
+        marks = np.ones((cycles, 2), np.int64)
+        col = np.tile(np.arange(2), (cycles, 1))
+        for (c, p), v in cols:
+            col[c, p] = v
+        sor, eor = marks.copy(), marks.copy()
+        for c, p in strays:  # the row's markers go, its valid slot stays
+            sor[c, p] = eor[c, p] = 0
+        owned = sor.sum(axis=0)
+        rows = int(owned[1]) * 2 + int(owned[0] > owned[1])
+        sched = TileSchedule.from_columns(sor, eor, marks, col, marks)
+        verdict = check_outcome(sched, cfg, rows, 8)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_PASS_SLOTS", 1 << 40)  # the whole grid in one chunk
+            assert check_outcome(sched, cfg, rows, 8) == verdict
+        return verdict
+
+    arb, shape = ArbitrationError.__name__, ShapeError.__name__
+    clash = "cycle {}: addresses 0 and 4 share a bank in one replica group"
+    assert outcome() is None
+    # two columns past the tile, the larger one in a later chunk
+    assert outcome(cols=[((10, 0), 9), ((2 * chunk + 10, 1), 12)]) == \
+        (shape, "packet column 12 outside dense tile rows 8")
+    assert outcome(cols=[((chunk + 3, 1), 12), ((2 * chunk, 0), 9)]) == \
+        (shape, "packet column 12 outside dense tile rows 8")
+    # a negative column fails the range check, which names the largest column
+    assert outcome(cols=[((5, 0), -1)]) == (shape, "packet column 1 outside dense tile rows 8")
+    # a clash only in a later chunk, on a chunk's first cycle, and the first of two
+    assert outcome(cols=[((2 * chunk + 7, 1), 4)]) == (arb, clash.format(2 * chunk + 7))
+    assert outcome(cols=[((chunk, 1), 4)]) == (arb, clash.format(chunk))
+    assert outcome(cols=[((3 * chunk, 1), 4), ((chunk - 1, 1), 4)]) == \
+        (arb, clash.format(chunk - 1))
+    # the first PE with a stray is named, with its first stray, not the first stray
+    assert outcome(strays=[(4, 1), (2 * chunk + 3, 0), (3 * chunk, 1)]) == \
+        (arb, f"PE 0: valid packet at cycle {2 * chunk + 3} is outside an open row")
+    # the checks keep their order across chunks: stray, range, bank
+    assert outcome(strays=[(3 * chunk, 1)], cols=[((1, 0), 9)])[1].startswith("PE 1: ")
+    assert outcome(cols=[((2, 1), 4), ((3 * chunk + 1, 0), 9)])[0] == shape
+    # a clash-free DMM grid of two chunks, with the bank test on
+    dense = config_for_tile(16, 512, replicas=2)
+    x = np.random.default_rng(167).integers(-8, 8, size=(2048, 64))
+    sched = build_dmm_schedule(x, 16)
+    assert sched.cycles * 16 > simulator._PASS_SLOTS and 64 > dense.groups
+    check_arbitration(sched, dense, 2048, 64)
+
+
+def random_marked_schedule(rng, k, rows_per_pe, dense_rows):
+    """k PE columns of rows_per_pe rows (1-3 slots, valid or not), with idle
+    and stray valid slots between rows and a few columns out of range."""
+    columns = []
+    for _ in range(k):
+        slots = []
+        for _ in range(rows_per_pe):
+            while rng.random() < 0.3:  # idle, or now and then a stray
+                slots.append((0, 0, int(rng.random() < 0.1)))
+            n = int(rng.integers(1, 4))
+            slots += [(int(i == 0), int(i == n - 1), int(rng.random() < 0.8)) for i in range(n)]
+        columns.append(slots)
+    cycles = max(map(len, columns))
+    bits = np.zeros((3, cycles, k), np.int64)
+    for p, slots in enumerate(columns):
+        bits[:, :len(slots), p] = np.array(slots).T
+    col = rng.integers(0, dense_rows, (cycles, k))
+    odd = rng.random((cycles, k)) < 0.01
+    col[odd] = rng.choice([-1, dense_rows, dense_rows + 3], odd.sum())
+    return TileSchedule.from_columns(*bits, col, np.ones((cycles, k)))
+
+
+@pytest.mark.parametrize("pass_slots", [1, 3, 8])
+def test_arbitration_check_chunks_match_one_pass(monkeypatch, pass_slots):
+    rng = np.random.default_rng(173 + pass_slots)
+    seen = set()
+    for _ in range(300):
+        k = int(rng.choice([1, 2, 4, 8]))
+        cfg = ArchConfig(pe_count=k, lanes=2, groups=int(rng.choice([1, 2, 4, 8])),
+                         replicas=int(rng.choice([r for r in (1, 2, 4) if k % r == 0])))
+        dense_rows = int(rng.integers(1, cfg.tile_width + 1))
+        rows_per_pe = int(rng.integers(0, 6))
+        sched = random_marked_schedule(rng, k, rows_per_pe, dense_rows)
+        rows = k * rows_per_pe + int(rng.random() < 0.1)  # now and then a row too many
+        whole = check_outcome(sched, cfg, rows, dense_rows)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_PASS_SLOTS", pass_slots)
+            assert check_outcome(sched, cfg, rows, dense_rows) == whole, (k, sched.cycles)
+        seen.add(whole and whole[1].split(" ")[0])
+    assert seen == {None, "PE", "packet", "cycle"}
+
+
+@pytest.mark.parametrize("pass_slots", [1, 5, 16])
+def test_compile_tile_blocks_match_one_block(monkeypatch, pass_slots):
+    rng = np.random.default_rng(179 + pass_slots)
+    cases = []
+    for _ in range(20):
+        cfg, tile, w = random_tile_setup(rng, k=int(rng.choice([1, 2, 4, 8])), density=0.5)
+        for sched in (build_sdmm_schedule(tile, cfg),
+                      build_dmm_schedule(rng.integers(-8, 8, size=(tile.rows, w.rows)),
+                                         cfg.pe_count)):
+            cases.append((sched, compile_tile(sched)))  # each one block at full size
+    monkeypatch.setattr(simulator, "_PASS_SLOTS", pass_slots)
+    for sched, whole in cases:
+        blocks = compile_tile(sched)
+        for got, want in zip(blocks, whole):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_compile_plan_peaks_at_its_schedule_and_compiled_tile():
+    # a dense 8192 x 64 operand is one 524,288-slot DMM plan entry at K = 16;
+    # building, checking, counting and compiling it add no more than 4 MiB
+    # to the schedule and its compiled tile
+    x = DenseMatrix(np.random.default_rng(181).integers(-8, 8, size=(8192, 64)), 16, 8)
+    cfg = config_for_tile(16, 512, replicas=2)
+    sched = build_dmm_schedule(x.data, cfg.pe_count)
+    held = sum(a.nbytes for a in (sched.sor, sched.eor, sched.vld, sched.col, sched.value))
+    held += sum(a.nbytes for a in compile_tile(sched))
+    del sched
+    tracemalloc.start()
+    try:
+        plan = compile_plan(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == 1
+    assert peak <= held + (4 << 20), (peak >> 10, held >> 10)
 
 
 def test_simulate_step_spec_point():
