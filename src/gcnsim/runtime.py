@@ -9,21 +9,20 @@ backend replays the identical pipeline on the reference kernels, so the two
 paths must agree bit for bit; a separate real-arithmetic reference measures
 quantization error. Neither reference depends on the array config, so
 references() computes both once for any number of configs. A simulated run
-compiles each left operand's plan once, for every product with it; one
-ArchConfig serves every product, since each sparse operand's packets take
-their value width from the operand itself (schedule.packet_bits_for).
+plans each left operand once, where the layer walk first needs it, for
+every product with it; one ArchConfig serves every product, since each
+sparse operand's packets take their value width from the operand itself
+(schedule.packet_bits_for).
 
-A run holds only what it can still use: the adjacency's plan, the current
-activation's plan, at most two activations (a layer's input and its
-output) with the products between them, and the simulator's chunk-sized
-temporaries. The layer walk drops each intermediate after its last use,
-and the engine drops a plan with its operand, so the peak does not grow
-with the number of layers.
+The layer walk owns each plan and holds only what it can still use: the
+adjacency's plan for the run, the current layer input's plan until its
+last product, at most two activations (a layer's input and its output)
+with the products between them, and the simulator's chunk-sized
+temporaries. So the peak does not grow with the number of layers.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,37 +139,18 @@ def align_add(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 class _SimEngine:
-    """Matrix products through the cycle simulator, reports collected.
-
-    A compiled plan is kept only while its left operand can come again: not
-    past the operand's own life (the layer walk drops each activation after
-    its last product), and at most two at a time, least recently used out
-    first and before a new operand is planned. The adjacency's plan lasts
-    the run and an activation's goes by the time the next one is planned;
-    either layer walk uses an operand in one run of products with only the
-    adjacency in between, so each operand is still planned once.
-    """
-
-    HELD = 2
+    """Matrix products through the cycle simulator, reports collected. An
+    operand's handle carries its compiled plan for as long as the walk keeps it."""
 
     def __init__(self, cfg: ArchConfig, report: RunReport):
-        self.cfg = cfg
-        self.report = report
-        # id(x) -> (weak reference to x, compile_plan), least recently used first
-        self.plans: dict = {}
+        self.cfg, self.report = cfg, report
 
-    def matmul(self, label: str, x, w: DenseMatrix) -> DenseMatrix:
-        for key in [key for key, (ref, _) in self.plans.items() if ref() is None]:
-            del self.plans[key]  # its operand is gone, so its id may be reused
-        entry = self.plans.pop(id(x), None)
-        if entry is None:
-            check_product(x, w)
-            if len(self.plans) == self.HELD:
-                del self.plans[next(iter(self.plans))]
-            plan = compile_plan(x, self.cfg)  # first: it rejects an x of no operand type
-            entry = (weakref.ref(x), plan)
-        self.plans[id(x)] = entry
-        y, rep = simulate_step(x, w, self.cfg, entry[1])
+    def operand(self, x):
+        return x, compile_plan(x, self.cfg)
+
+    def matmul(self, label: str, op, w: DenseMatrix) -> DenseMatrix:
+        x, plan = op
+        y, rep = simulate_step(x, w, self.cfg, plan)
         self.report.add(label, rep)
         return y
 
@@ -178,37 +158,42 @@ class _SimEngine:
 class _OracleEngine:
     """Same pipeline on the reference kernels; no cycle accounting."""
 
+    def operand(self, x):
+        return x
+
     def matmul(self, label: str, x, w: DenseMatrix) -> DenseMatrix:
         if isinstance(x, SparseMatrixCSR):
             return sdmm_reference(x, w)
         return dmm_reference(x, w)
 
 
-def _forward(model: ModelSpec, a: SparseMatrixCSR, x0, engine) -> DenseMatrix:
+def _forward(model: ModelSpec, a: SparseMatrixCSR, x, engine) -> DenseMatrix:
     """Shared layer walk so both backends quantize at identical points.
 
-    Each intermediate is dropped after its last use, so no layer holds a
-    product or activation it cannot use again.
+    One pipeline serves both model kinds; GraphSAGE adds the self product
+    and sum. The walk owns each plan: it checks the features x and a before
+    planning, then plans a for the run and each layer's input at the top of
+    its layer, and drops each handle and intermediate after its last use.
     """
-    x = x0
+    check_product(x, model.layers[0].weight)
+    check_product(a, x)
+    adjacency = engine.operand(a)
+    sage = model.kind == KIND_SAGE
+    neigh = "neigh_" if sage else ""
     for i, layer in enumerate(model.layers):
-        if model.kind == KIND_GCN:
-            xw = engine.matmul(f"layer{i}.combine", x, layer.weight)
-            del x
-            xw16 = requantize16(xw)   # parked in 16-bit dense memory
-            del xw
-            y = engine.matmul(f"layer{i}.aggregate", a, xw16)
-            del xw16
-        else:
-            self_part = engine.matmul(f"layer{i}.self", x, layer.weight_self)
-            xn = engine.matmul(f"layer{i}.neigh_combine", x, layer.weight)
-            del x
-            xn16 = requantize16(xn)
-            del xn
-            neigh = engine.matmul(f"layer{i}.neigh_aggregate", a, xn16)
-            del xn16
-            y = align_add(self_part, neigh)
-            del self_part, neigh
+        op = engine.operand(x)
+        del x
+        if sage:
+            self_part = engine.matmul(f"layer{i}.self", op, layer.weight_self)
+        xw = engine.matmul(f"layer{i}.{neigh}combine", op, layer.weight)
+        del op
+        xw16 = requantize16(xw)       # parked in 16-bit dense memory
+        del xw
+        y = engine.matmul(f"layer{i}.{neigh}aggregate", adjacency, xw16)
+        del xw16
+        if sage:
+            y = align_add(self_part, y)
+            del self_part
         if layer.activation == "relu":
             y = relu(y)
         x = requantize16(y)           # parked in 16-bit edge-weight memory

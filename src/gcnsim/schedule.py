@@ -177,13 +177,22 @@ class ScheduleStats:
                                  f"or negative pads {self.pad_idle.tolist()}")
 
 
+# slots per step of a walk over a grid: schedule_stats here, check_arbitration
+# and compile_tile in the simulator
+_PASS_SLOTS = 1 << 16
+
+
 def schedule_stats(sched: TileSchedule) -> ScheduleStats:
-    """Slot census from the packet bits; stalls are sched.stall_cycles per PE."""
-    count = lambda mask: np.count_nonzero(mask, axis=0)
-    vld = sched.vld == 1
-    empty = count((sched.sor == 1) & (sched.eor == 1) & ~vld)
-    idle = count((sched.sor | sched.eor | sched.vld) == 0)
-    stats = ScheduleStats(count(vld), empty, np.full_like(idle, sched.stall_cycles),
+    """Slot census from the packet bits, counted over chunks of whole cycles
+    (about _PASS_SLOTS slots); stalls are sched.stall_cycles per PE."""
+    step = max(1, _PASS_SLOTS // max(sched.pe_count, 1))  # cycles per chunk
+    valid, empty, idle = (np.zeros(sched.pe_count, np.int64) for _ in range(3))
+    for c0 in range(0, sched.cycles, step):
+        sor, eor, vld = (f[c0:c0 + step] for f in (sched.sor, sched.eor, sched.vld))
+        valid += np.count_nonzero(vld == 1, axis=0)
+        empty += np.count_nonzero((sor == 1) & (eor == 1) & (vld != 1), axis=0)
+        idle += np.count_nonzero((sor | eor | vld) == 0, axis=0)
+    stats = ScheduleStats(valid, empty, np.full_like(idle, sched.stall_cycles),
                           idle - sched.stall_cycles, sched.cycles)
     stats.check_identity()
     return stats

@@ -22,10 +22,10 @@ lane block only adds its load cycles and census. A step's CycleReport sums
 those censuses, and report.py gives them their document names.
 
 Memory: a plan entry's temporaries are bounded by a chunk, not by its grid.
-check_arbitration walks whole cycles and compile_tile blocks of PEs, about
-_PASS_SLOTS slots at a time, and run_tile multiplies _CHUNK_CELLS products
-at a time. compile_plan drops each schedule before the next is built, so a
-plan holds its compiled entries and at most one schedule.
+schedule_stats and check_arbitration walk whole cycles and compile_tile
+blocks of PEs, about _PASS_SLOTS slots at a time, and run_tile multiplies
+_CHUNK_CELLS products at a time. compile_plan drops each schedule before the
+next is built, so a plan holds its compiled entries and at most one schedule.
 
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
@@ -52,6 +52,7 @@ from .matrix import (
     int_min,
 )
 from .schedule import (
+    _PASS_SLOTS,
     ArchConfig,
     ScheduleStats,
     TileSchedule,
@@ -67,8 +68,6 @@ MODE_DMM = "dmm"
 
 # products per run_tile chunk (valid slots x lanes): 1 MiB of int64
 _CHUNK_CELLS = 1 << 17
-# slots per step of check_arbitration's and compile_tile's walks over a grid
-_PASS_SLOTS = 1 << 16
 
 
 class ArbitrationError(RuntimeError):
@@ -310,9 +309,7 @@ def plan_step(x, cfg: ArchConfig) -> Iterator[tuple[int, TileSchedule, ScheduleS
     plan keeps no reference to a yielded one, so a consumer that drops each
     entry holds one tile's schedule at a time.
     """
-    if not isinstance(x, (SparseMatrixCSR, DenseMatrix)):
-        raise TypeError(f"left operand must be a SparseMatrixCSR or DenseMatrix, "
-                        f"got {type(x).__name__}")
+    check_operand(x)
     t = cfg.tile_width
     starts = range(0, max(x.cols, 1), t)  # as many as tile_columns yields
     if isinstance(x, SparseMatrixCSR):
@@ -326,9 +323,17 @@ def plan_step(x, cfg: ArchConfig) -> Iterator[tuple[int, TileSchedule, ScheduleS
         del sched
 
 
+def check_operand(x) -> None:
+    """Reject a left operand of no operand type; its type picks the mode."""
+    if not isinstance(x, (SparseMatrixCSR, DenseMatrix)):
+        raise TypeError(f"left operand must be a SparseMatrixCSR or DenseMatrix, "
+                        f"got {type(x).__name__}")
+
+
 def check_product(x, w: DenseMatrix) -> None:
-    """Reject x @ w before planning; plan_step rejects an x of no operand type."""
-    if isinstance(x, (SparseMatrixCSR, DenseMatrix)) and x.cols != w.rows:
+    """Reject x @ w before planning."""
+    check_operand(x)
+    if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
 
 

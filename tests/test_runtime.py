@@ -1,6 +1,7 @@
 """Multi-layer runtime: hand traces, sim/oracle agreement, error vs real math."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -193,6 +194,9 @@ class FreshPlanEngine:
     def __init__(self, cfg):
         self.cfg, self.report = cfg, RunReport()
 
+    def operand(self, x):
+        return x
+
     def matmul(self, label, x, w):
         y, rep = simulate_step(x, w, self.cfg)
         self.report.add(label, rep)
@@ -265,32 +269,50 @@ def test_run_model_compiles_each_plan_entry_once(monkeypatch):
 def test_run_model_working_set_does_not_grow_with_depth(monkeypatch):
     # hidden 64 on 3072 nodes: six layers peak within 10% of two, since each
     # activation, its products and its plan go once the walk is past them
-    held = []  # plans the engine holds after each product
+    class Plan(list):  # a compiled plan a WeakSet can count while it lives
+        __hash__ = object.__hash__
+
+    live, held = weakref.WeakSet(), []  # compiled plans alive after each product
+    compile_plan = runtime.compile_plan
+
+    def counted_compile(x, cfg):
+        plan = Plan(compile_plan(x, cfg))
+        live.add(plan)
+        return plan
 
     class CountingEngine(runtime._SimEngine):
         def matmul(self, *args):
             y = super().matmul(*args)
-            held.append(len(self.plans))
+            held.append(len(live))
             return y
 
+    monkeypatch.setattr(runtime, "compile_plan", counted_compile)
     monkeypatch.setattr(runtime, "_SimEngine", CountingEngine)
     bundle = gen_powerlaw(3072, 4, 2.1, seed=3, n_features=64, feature_density=0.1)
-    a = normalize_adjacency(bundle.adjacency, "sym_norm")
     cfg = config_for_tile(16, 512, replicas=2)
-    peaks = {}
-    for layers in (2, 6):
-        model = make_gcn(random_weights([64] * layers + [4], seed=1), "sym_norm")
-        held.clear()
-        tracemalloc.start()
-        try:
-            run_model(model, a, bundle.features, cfg)
-            peaks[layers] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # x0 (kept by the caller) and a; then a and each activation until the
-        # walk drops it after its combine
-        assert held == [1, 2] + [2, 1] * (layers - 1)
-    assert peaks[6] <= 1.1 * peaks[2], (peaks[6] >> 10, peaks[2] >> 10)
+    gcn_a = normalize_adjacency(bundle.adjacency, "sym_norm")
+    sage_a = mean_adjacency(bundle.adjacency)
+    for kind in (KIND_GCN, KIND_SAGE):
+        peaks = {}
+        for layers in (2, 6):
+            dims = [64] * layers + [4]
+            if kind == KIND_GCN:
+                model, a = make_gcn(random_weights(dims, seed=1), "sym_norm"), gcn_a
+            else:
+                pairs = zip(random_weights(dims, seed=1), random_weights(dims, seed=2))
+                model, a = make_graphsage(list(pairs)), sage_a
+            held.clear()
+            tracemalloc.start()
+            try:
+                run_model(model, a, bundle.features, cfg)
+                peaks[layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a's plan for the run; each layer input's until its last product
+            # (combine), so the aggregate runs with a's alone
+            per_layer = [2, 1] if kind == KIND_GCN else [2, 2, 1]
+            assert held == per_layer * layers, kind
+        assert peaks[6] <= 1.1 * peaks[2], (kind, peaks[6] >> 10, peaks[2] >> 10)
 
 
 def test_shape_mismatch_raises_before_planning(monkeypatch):
@@ -308,6 +330,13 @@ def test_shape_mismatch_raises_before_planning(monkeypatch):
     wide = csr_raw(np.ones((x0.rows, x0.cols + 1), np.int64))
     with pytest.raises(ShapeError, match="inner dims differ"):
         run_model(model, a, wide, cfg)
+    # an adjacency whose columns are not x0's rows fails before x0 is planned
+    narrow = csr_raw(np.ones((x0.rows, x0.rows + 1), np.int64))
+    with pytest.raises(ShapeError, match=f"inner dims differ: {x0.rows + 1} vs {x0.rows}"):
+        run_model(model, narrow, x0, cfg)
+    # so does an x0 of no operand type
+    with pytest.raises(TypeError, match="left operand must be"):
+        run_model(model, a, x0.to_dense().data, cfg)
     assert built == []
 
 

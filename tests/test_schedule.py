@@ -1,5 +1,7 @@
 """Scheduler: assignment, stalling, DMM sweeps, stats accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -565,3 +567,45 @@ def test_schedule_stats_rejects_unclassifiable_slots():
     busy.stall_cycles = 1
     with pytest.raises(AssertionError):
         schedule_stats(busy)
+
+
+@pytest.mark.parametrize("pass_slots", [1, 3, 8])
+def test_schedule_stats_chunks_match_one_chunk(monkeypatch, pass_slots):
+    # stalled SDMM tiles with empty rows, and a ragged DMM sweep, counted a few
+    # cycles at a time against the whole grid at once
+    rng = np.random.default_rng(191 + pass_slots)
+    cases = []
+    for _ in range(30):
+        k = int(rng.choice([1, 2, 4, 8]))
+        cfg = ArchConfig(pe_count=k, lanes=int(rng.choice([1, 2])),
+                         groups=int(rng.choice([2, 4])),
+                         replicas=int(rng.choice([r for r in (1, 2, 4) if k % r == 0])))
+        raw = rng.integers(1, 8, size=(int(rng.integers(0, 30)), cfg.tile_width))
+        raw[rng.random(raw.shape) < 0.8] = 0
+        cases.append(build_sdmm_schedule(SparseMatrixCSR.from_dense_raw(raw, 4, 0), cfg))
+        cases.append(build_dmm_schedule(rng.integers(-8, 8, size=(raw.shape[0], 3)), k))
+    with monkeypatch.context() as m:
+        m.setattr(schedule, "_PASS_SLOTS", 1 << 40)
+        whole = [schedule_stats(sched) for sched in cases]
+    monkeypatch.setattr(schedule, "_PASS_SLOTS", pass_slots)
+    for sched, want in zip(cases, whole):
+        got = schedule_stats(sched)
+        assert got.cycles == want.cycles
+        for name in ("valid", "empty_row", "stall_idle", "pad_idle"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert sum(s.totals()["stall_idle"] for s in whole) > 0
+    assert sum(s.totals()["empty_row"] for s in whole) > 0
+
+
+def test_schedule_stats_peak_is_chunk_sized():
+    # a dense 8192 x 64 block is one 524,288-slot DMM grid at K = 16; a census
+    # over the whole grid at once took 1.5 MiB of masks
+    sched = build_dmm_schedule(np.random.default_rng(197).integers(-8, 8, size=(8192, 64)), 16)
+    tracemalloc.start()
+    try:
+        stats = schedule_stats(sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.totals()["valid"] == 8192 * 64
+    assert peak <= 0.35 * (1 << 20), peak >> 10
