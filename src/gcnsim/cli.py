@@ -6,7 +6,8 @@ sweep (grid of configs to CSV), report (render saved report documents).
 Array parameters come from flags or a JSON config file; flags win.
 
 Exit codes: 0 success, 2 usage, 3 unreadable or malformed data, 4 invalid
-configuration or operands, 5 accumulator overflow.
+configuration or operands (also a request too large for memory), 5
+accumulator overflow.
 """
 
 from __future__ import annotations
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
         return EXIT_OVERFLOW
     except (ShapeError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"invalid: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -323,7 +323,7 @@ def read_weights(path) -> list[DenseMatrix]:
 def write_meta(path, doc: dict) -> None:
     doc = {"meta_version": META_VERSION, **doc}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

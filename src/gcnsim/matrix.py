@@ -194,21 +194,33 @@ def dequantize(m: DenseMatrix) -> np.ndarray:
     return m.data.astype(np.float64) * 2.0 ** -m.frac_bits
 
 
+# output entries per sdmm_reference block
+_REFERENCE_CELLS = 1 << 16
+
+
 def sdmm_reference(x: SparseMatrixCSR, w: DenseMatrix) -> DenseMatrix:
     """Zero-skipping sparse-dense product, the golden model for the PE array.
 
     Y[i,k] = sum_j X[i,j] * W[j,k] over stored nonzeros only, exact in
     integers; each result entry must fit a 32-bit accumulator. Each output
     column is one np.add.at scatter of the stored entries' products into
-    their CSR rows, so temporaries stay linear in nnz.
+    their CSR rows, a contiguous row of a block of about _REFERENCE_CELLS
+    entries that is then copied into the row-major result, so temporaries
+    stay linear in nnz plus one block.
     """
     if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: X is {x.rows}x{x.cols}, W is {w.rows}x{w.cols}")
-    out = np.zeros((w.cols, x.rows), dtype=np.int64)  # transposed: one row per column
+    out = np.empty((x.rows, w.cols), dtype=np.int64)
     rows = np.repeat(np.arange(x.rows), x.row_nnz())
-    for j, w_col in enumerate(np.ascontiguousarray(w.data.T)):
-        np.add.at(out[j], rows, w_col[x.col_idx] * x.values)
-    out = np.ascontiguousarray(out.T)
+    wt = np.ascontiguousarray(w.data.T)
+    step = max(1, _REFERENCE_CELLS // max(x.rows, 1))  # output columns per block
+    for j0 in range(0, w.cols, step):
+        w_cols = wt[j0:j0 + step]
+        block = np.zeros((len(w_cols), x.rows), dtype=np.int64)  # one row per column
+        for j, w_col in enumerate(w_cols):
+            np.add.at(block[j], rows, w_col[x.col_idx] * x.values)
+        out[:, j0:j0 + step] = block.T
+        del block  # before the next block's
     check_fits(out, 32, "accumulator")
     return DenseMatrix(out, 32, x.frac_bits + w.frac_bits)
 

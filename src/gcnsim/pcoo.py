@@ -174,7 +174,7 @@ def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
     codes += col
     if h:
         codes <<= h
-        codes |= val & ((1 << h) - 1)
+        codes |= val.astype(np.uint16) & ((1 << h) - 1)  # two's-complement low h bits
     # each cell is the last nbytes of its code's big-endian 8 bytes
     nbytes = (packet_width(t, h) + 7) // 8
     body = codes.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
@@ -185,7 +185,8 @@ def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
 def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     """Inverse of serialize_stream: the header and a columnar TileSchedule.
 
-    Every cell is decoded at once (the vectorized twin of decode_packet).
+    Every cell is decoded at once (the vectorized twin of decode_packet),
+    its value as int16.
     A cell with bits above its packet, or one that packet_malformed rejects
     (not valid, yet carrying a column or value), is a StreamFormatError.
     Idle slots come back as pads, since the stream carries no stall
@@ -234,8 +235,9 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     if h == 0:
         value = vld
     else:
-        value = (codes << (64 - h)).view(np.int64).reshape(shape)
-        value >>= 64 - h  # the low h bits, sign-extended
+        value = codes.astype(np.uint16).view(np.int16).reshape(shape)  # low 16 bits
+        value <<= 16 - h
+        value >>= 16 - h  # the low h bits, sign-extended
     col = (codes >> h).astype(np.int32).reshape(shape)
     col &= t - 1
     sched = TileSchedule.from_columns(flags >> 2, (flags >> 1) & 1, vld, col, value)

@@ -104,7 +104,7 @@ def _ideal_block(report: RunReport) -> dict:
 
 def write_report(doc: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -153,7 +153,8 @@ def render_report(doc: dict) -> str:
                      + " ".join(f"{f:.3f}" for f in sd["idle_fraction"]))
     if "verify" in doc:
         v = doc["verify"]
+        err = v["max_abs_err"]
         lines.append(f"oracle: exact_match={v['exact_match']} "
-                     f"max_abs_err={v['max_abs_err']:.6f} "
+                     f"max_abs_err={'n/a' if err is None else f'{err:.6f}'} "
                      f"argmax_agreement={v['argmax_agreement']:.4f}")
     return "\n".join(lines) + "\n"

@@ -16,9 +16,10 @@ sparse operand's packets take their value width from the operand itself
 
 The layer walk owns each plan and holds only what it can still use: the
 adjacency's plan for the run, the current layer input's plan until its
-last product, at most two activations (a layer's input and its output)
-with the products between them, and the simulator's chunk-sized
-temporaries. So the peak does not grow with the number of layers.
+last product, the layer's products, and the simulator's chunk-sized
+temporaries. A layer input itself goes once it is planned, since its
+plan's packets carry its entries. So the peak does not grow with the
+number of layers.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .matrix import (
     sdmm_reference,
 )
 from .schedule import ArchConfig
-from .simulator import CycleReport, check_product, compile_plan, simulate_step
+from .simulator import (CycleReport, check_product, compile_plan, planned_operand,
+                        simulate_step)
 
 KIND_GCN = "gcn"
 KIND_SAGE = "graphsage-mean"
@@ -140,13 +142,15 @@ def align_add(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 class _SimEngine:
     """Matrix products through the cycle simulator, reports collected. An
-    operand's handle carries its compiled plan for as long as the walk keeps it."""
+    operand's handle carries its compiled plan for as long as the walk keeps
+    it, and of the operand only its planned_operand summary, so the walk's
+    del drops the matrix once it is planned."""
 
     def __init__(self, cfg: ArchConfig, report: RunReport):
         self.cfg, self.report = cfg, report
 
     def operand(self, x):
-        return x, compile_plan(x, self.cfg)
+        return planned_operand(x), compile_plan(x, self.cfg)
 
     def matmul(self, label: str, op, w: DenseMatrix) -> DenseMatrix:
         x, plan = op
@@ -219,7 +223,9 @@ def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
 
     The adjacency is idealized: binary edges stay 1.0 and the mean mode uses
     exact 1/degree, so the comparison charges all error to quantization.
-    Aggregation runs on a's CSR arrays, one bincount per output column.
+    Aggregation runs on a's CSR arrays, one bincount per output column. A
+    deep model can overflow float64; its result then holds inf or nan, and
+    the overflow raises no warning.
     """
     rows = np.repeat(np.arange(a.rows), a.row_nnz())
     if model.adjacency_mode == "mean":
@@ -235,13 +241,14 @@ def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
 
     x = x0.to_dense() if isinstance(x0, SparseMatrixCSR) else x0
     x = dequantize(x) if isinstance(x, DenseMatrix) else x
-    for layer in model.layers:
-        y = aggregate(x @ dequantize(layer.weight))
-        if model.kind == KIND_SAGE:
-            y = x @ dequantize(layer.weight_self) + y
-        if layer.activation == "relu":
-            y = np.maximum(y, 0.0)
-        x = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in model.layers:
+            y = aggregate(x @ dequantize(layer.weight))
+            if model.kind == KIND_SAGE:
+                y = x @ dequantize(layer.weight_self) + y
+            if layer.activation == "relu":
+                y = np.maximum(y, 0.0)
+            x = y
     return x
 
 
@@ -253,12 +260,15 @@ def references(model: ModelSpec, a: SparseMatrixCSR, x0) -> tuple[DenseMatrix, n
 
 def verify_against_oracle(sim_logits: DenseMatrix, report: RunReport, refs: tuple) -> dict:
     """Exactness vs the oracle plus error stats vs real arithmetic, for
-    run_model's results and references() of the same model and inputs."""
+    run_model's results and references() of the same model and inputs.
+    max_abs_err is None when the real reference overflowed (not finite)."""
     oracle_logits, real = refs
     exact = (sim_logits.frac_bits == oracle_logits.frac_bits
              and np.array_equal(sim_logits.data, oracle_logits.data))
     sim_real = dequantize(sim_logits)
     max_abs_err = float(np.abs(sim_real - real).max()) if real.size else 0.0
+    if not np.isfinite(max_abs_err):
+        max_abs_err = None
     agree = float((sim_real.argmax(axis=1) == real.argmax(axis=1)).mean()) \
         if real.size else 1.0
     return {

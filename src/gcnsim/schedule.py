@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .matrix import ShapeError, SparseMatrixCSR, int_max, int_min
-from .pcoo import log2_exact
+from .pcoo import check_value_field, log2_exact
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,10 @@ class TileSchedule:
     There is no row map: PE p owns rows p, p+K, p+2K, ... of the tile and
     emits them in that order, one sor/eor pair per row. The same schedule
     runs against every output lane block of its column tile.
+
+    Fields are stored at their packet width: the flags as uint8, col as
+    int32 (a tile may be up to 2^30 wide) and value as int16, since no
+    packet value field is wider than 16 bits.
     """
 
     sor: np.ndarray
@@ -124,11 +128,14 @@ class TileSchedule:
         """Schedule from the five packet fields alone, as a stream carries them.
 
         Idle slots cannot tell a pad from a stall, so a schedule built here
-        has no stall cycles and counts every idle slot as a pad.
+        has no stall cycles and counts every idle slot as a pad. Values are
+        narrowed to int16; one outside that range is a ValueError.
         """
         sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
+        value = np.asarray(value)
+        check_value_field(value, 16)
         return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
-                   np.asarray(value, dtype=np.int64))
+                   value.astype(np.int16, copy=False))
 
 
 @dataclass(frozen=True)
@@ -246,6 +253,7 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     m = tile.rows
     if m == 0:
         return TileSchedule.empty(pe_count)
+    check_value_field(tile.values, 16)  # before the int16 scatter narrows them
     row_nnz = tile.row_nnz()
     reps = -(-m // pe_count)
     packets = np.zeros(reps * pe_count, dtype=np.int64)
@@ -258,7 +266,7 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     first += np.arange(m) % pe_count
 
     sor, eor, vld, col, value = (np.zeros(cycles * pe_count, dtype) for dtype in
-                                 (np.uint8, np.uint8, np.uint8, np.int32, np.int64))
+                                 (np.uint8, np.uint8, np.uint8, np.int32, np.int16))
     sor[first] = 1
     eor[first + (packets[:m] - 1) * pe_count] = 1  # a row's last packet, or its marker
     if tile.nnz:
@@ -447,9 +455,11 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
     entry at (row, column) as its packet value. All fetches in a cycle
     share one address, so the collision pass can never stall them.
     Repetitions past the row count idle the trailing PEs. Each field is
-    written once, in its final dtype, with no grid-sized temporary.
+    written once, in its final dtype, with no grid-sized temporary; an entry
+    outside int16, the packet value width, is a ValueError.
     """
     x_block = np.asarray(x_block, dtype=np.int64)
+    check_value_field(x_block, 16)
     m, t = x_block.shape
     if t < 1:
         raise ValueError("a dense block needs at least one column")
@@ -462,7 +472,7 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
     vld = np.ones(grid, np.uint8)
     col = np.empty(grid, np.int32)
     col[:] = np.arange(t, dtype=np.int32)[:, None]
-    value = np.zeros(grid, np.int64)
+    value = np.zeros(grid, np.int16)
     value[:full] = x_block[:full * pe_count].reshape(full, pe_count, t).transpose(0, 2, 1)
     if rem:  # the last repetition idles PEs rem..K-1
         value[full, :, :rem] = x_block[full * pe_count:].T

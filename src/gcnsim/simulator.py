@@ -208,7 +208,8 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
 
 
 class CompiledTile(NamedTuple):
-    """A checked schedule's valid slots, PE-major, as run_tile consumes them."""
+    """A checked schedule's valid slots, PE-major, as run_tile consumes them.
+    col and value keep the schedule's dtypes: int32 and the int16 packet value."""
 
     starts: np.ndarray  # first slot of each output row's segment
     rows: np.ndarray    # that segment's output row
@@ -267,7 +268,7 @@ def run_tile(tile: CompiledTile, w: np.ndarray, out: np.ndarray) -> None:
         i0 = np.searchsorted(tile.starts, s0, "right") - 1  # the row s0 lies in
         i1 = np.searchsorted(tile.starts, s0 + step)
         prod = wt.take(tile.col[s0:s0 + step], axis=1)
-        prod *= tile.value[s0:s0 + step]
+        prod *= tile.value[s0:s0 + step]  # int64 products of the int16 values
         cuts = np.maximum(tile.starts[i0:i1], s0) - s0
         out[tile.rows[i0:i1]] += np.add.reduceat(prod, cuts, axis=1).T
 
@@ -330,10 +331,28 @@ def check_operand(x) -> None:
                         f"got {type(x).__name__}")
 
 
-def check_product(x, w: DenseMatrix) -> None:
-    """Reject x @ w before planning."""
+class PlannedOperand(NamedTuple):
+    """All a product reads of its left operand besides the operand's plan,
+    whose packets carry the entries: a holder of the plan can drop the matrix."""
+
+    rows: int
+    cols: int
+    frac_bits: int
+    mode: str
+
+
+def planned_operand(x) -> PlannedOperand:
+    """x's shape, scale and mode; a PlannedOperand is returned as it is."""
+    if isinstance(x, PlannedOperand):
+        return x
     check_operand(x)
-    if x.cols != w.rows:
+    mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
+    return PlannedOperand(x.rows, x.cols, x.frac_bits, mode)
+
+
+def check_product(x, w: DenseMatrix) -> None:
+    """Reject x @ w before planning; x may be a PlannedOperand."""
+    if planned_operand(x).cols != w.rows:
         raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
 
 
@@ -351,14 +370,15 @@ def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None
                   ) -> tuple[DenseMatrix, CycleReport]:
     """One full matrix product on the array: load, compute, move.
 
-    plan is compile_plan(x, cfg), built here when not given. Output accumulates
+    plan is compile_plan(x, cfg), built here when not given; with a plan, x
+    may be planned_operand(x) instead of the matrix. Output accumulates
     across column tiles in one OMMB array and is width-checked at the end.
     """
     check_product(x, w)
     plan = compile_plan(x, cfg) if plan is None else plan
+    x = planned_operand(x)
     y = np.zeros((x.rows, w.cols), dtype=np.int64)
-    mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
-    report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=mode)
+    report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=x.mode)
     lane_blocks = range(0, max(w.cols, 1), cfg.lanes)
     for c0, tile, stats in plan:
         w_tile = w.data[c0:c0 + cfg.tile_width]

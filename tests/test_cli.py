@@ -450,6 +450,40 @@ def test_zero_node_bundle_runs(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_overflowing_real_reference_writes_null(tmp_path, capsys):
+    # 400 layers overflow the float64 real reference while the fixed-point
+    # run stays exact; no warning escapes and no NaN reaches the document
+    assert main(["gen", "--nodes", "512", "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert main(["simulate", str(tmp_path / "b"), "--layers", "400",
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    def strict(name):
+        raise ValueError(f"{name} in a written document")
+
+    doc = json.loads((tmp_path / "o" / "report.json").read_text(), parse_constant=strict)
+    assert doc["verify"]["max_abs_err"] is None and doc["verify"]["exact_match"]
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "o" / "report.json")]) == EXIT_OK
+    assert "max_abs_err=n/a" in capsys.readouterr().out
+
+
+def test_out_of_memory_exits_4_in_one_line(workload, tmp_path, capsys):
+    # 10^12 nodes ask for 7.28 TiB, hidden 10^9 for 238 GiB of weights, and
+    # the largest legal sparse header for a 1 GiB row_ptr
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "edges.txt").write_text("")
+    (tmp_path / "b" / "features.txt").write_text("sparse 134217728 134217728 4 0\n")
+    for argv in (["gen", "--nodes", "1000000000000", "--out", str(tmp_path / "g")],
+                 ["simulate", str(workload / "w"), "--hidden", "1000000000"],
+                 ["preprocess", str(tmp_path / "b"), "--out", str(tmp_path / "p")]):
+        with address_space_cap(1 << 28):
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == EXIT_INVALID, err
+        assert err.startswith(f"invalid: {argv[0]} ran out of memory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_config_is_checked_before_the_bundle_is_read(tmp_path, capsys):
     # malformed data would exit 3, so exit 4 shows the settings were checked first
     (tmp_path / "edges.txt").write_text(TINY_EDGES)

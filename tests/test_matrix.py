@@ -450,6 +450,25 @@ def test_requantize16_peaks_at_its_output():
     assert np.array_equal(q.data, _requantize16_spec(y).data)
 
 
+def test_sdmm_reference_peaks_at_its_output():
+    # about 49,000 nonzeros in 8192 x 64 times a 64-wide weight: a 4 MiB
+    # result. Past it the oracle holds temporaries of a nonzero's size (each
+    # nonzero's row, one column's gathered products) and of a block or mask
+    # of the result's entries, 1.5 MiB here; 48 bytes a nonzero (2.4 MiB)
+    # takes them, a second, transposed copy of the result (4 MiB) does not
+    rng = np.random.default_rng(191)
+    x, _ = random_csr(rng, 8192, 64, 0.1)
+    w = DenseMatrix(rng.integers(-8, 8, size=(64, 64)), 4, 0)
+    tracemalloc.start()
+    try:
+        y = sdmm_reference(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= y.data.nbytes + 48 * x.nnz, (peak >> 10, x.nnz)
+    assert np.array_equal(y.data, x.to_dense().data @ w.data)
+
+
 def test_normalize_adjacency_binary():
     raw = np.array([[0, 3, 0], [3, 0, 1], [0, 1, 0]])
     a = SparseMatrixCSR.from_dense_raw(raw, 16, 2)

@@ -139,6 +139,19 @@ def test_serialize_rejects_values_the_width_cannot_carry():
         assert_same_packets(back, sched)
 
 
+def test_stream_roundtrip_keeps_the_int16_extremes():
+    # h = 16 carries all of int16, and every width decodes to int16 values
+    sched = grid_schedule([[PcooPacket(1, 0, 1, 0, -32768), PcooPacket(1, 1, 1, 1, 32767)],
+                           [PcooPacket(0, 1, 1, 1, 32767), EMPTY_ROW_PACKET]], 2)
+    _, back = deserialize_stream(serialize_stream(sched, make_header(8, 16, 2, 2)))
+    assert back.value.tolist() == [[-32768, 32767], [32767, 0]]
+    assert_same_packets(back, sched)
+    for h, value in ((0, 1), (4, -8), (16, -32768)):
+        one = grid_schedule([[PcooPacket(1, 1, 1, 3, value)]], 1)
+        _, back = deserialize_stream(serialize_stream(one, make_header(8, h, 1, 1)))
+        assert back.value.dtype == np.int16 and back.value.tolist() == [[value]]
+
+
 def test_serialize_empty():
     header = make_header(8, 0, 4, 0)
     data = serialize_stream(TileSchedule.empty(4), header)

@@ -191,7 +191,7 @@ def test_assign_rows_matches_naive():
         tile = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
         sched = assign_rows(tile, k)
         assert [getattr(sched, name).dtype for name in ("sor", "eor", "vld", "col", "value")] \
-            == [np.uint8] * 3 + [np.int32, np.int64]
+            == [np.uint8] * 3 + [np.int32, np.int16]
         oracle = naive_assign(raw, k)
         assert sched.cycles == len(oracle[0])
         for p in range(k):
@@ -494,6 +494,24 @@ def test_dmm_schedule_ragged_tail():
     with pytest.raises(ValueError):
         build_dmm_schedule(np.zeros((3, 0), np.int64), k)
     assert build_dmm_schedule(np.zeros((0, 4), np.int64), k).cycles == 0
+
+
+def test_packet_values_are_int16_and_checked_before_narrowing():
+    # no packet value field is wider than 16 bits, so schedules store int16;
+    # a value int16 cannot hold is refused, never wrapped
+    for bad in (-32769, 32768):
+        with pytest.raises(ValueError, match="outside 16-bit range"):
+            TileSchedule.from_columns([[1]], [[1]], [[1]], [[0]], [[bad]])
+        with pytest.raises(ValueError, match="outside 16-bit range"):
+            assign_rows(SparseMatrixCSR(1, 1, [0, 1], [0], [bad], 32, 0), 2)
+        with pytest.raises(ValueError, match="outside 16-bit range"):
+            build_dmm_schedule(np.array([[bad]]), 2)
+    ends = np.array([[-32768, 32767]])
+    for sched in (TileSchedule.from_columns([[1, 0]], [[1, 0]], [[1, 0]], [[0, 0]], [[-32768, 0]]),
+                  assign_rows(SparseMatrixCSR.from_dense_raw(ends, 16, 0), 2),
+                  build_dmm_schedule(ends, 2)):
+        assert sched.value.dtype == np.int16
+        assert sched.value[sched.vld == 1].min() == -32768
 
 
 def test_dmm_schedule_never_stalls():

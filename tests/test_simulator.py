@@ -516,6 +516,25 @@ def test_compile_plan_peaks_at_its_schedule_and_compiled_tile():
     assert peak <= held + (4 << 20), (peak >> 10, held >> 10)
 
 
+def test_compile_plan_holds_packet_values_at_16_bits():
+    # the same 524,288-slot DMM entry: its schedule stores 9 bytes a slot
+    # (three flag bytes, an int32 column, an int16 value) and its compiled
+    # tile 6 (column and value), so with chunk-sized temporaries planning
+    # stays under 24 bytes a slot (12 MiB); int64 values, 6 bytes a slot more
+    # in each, peaked at 15.4 MiB
+    x = DenseMatrix(np.random.default_rng(181).integers(-8, 8, size=(8192, 64)), 16, 8)
+    cfg = config_for_tile(16, 512, replicas=2)
+    tracemalloc.start()
+    try:
+        plan = compile_plan(x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (_, tile, _), = plan
+    assert tile.value.dtype == np.int16
+    assert peak <= 24 * x.data.size, peak >> 10
+
+
 def test_simulate_step_spec_point():
     # 64x64 at ~1% density times 64x16, K=4, T=32 (16 lanes x 2 groups)
     rng = np.random.default_rng(103)
