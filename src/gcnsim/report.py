@@ -153,8 +153,8 @@ def render_report(doc: dict) -> str:
                      + " ".join(f"{f:.3f}" for f in sd["idle_fraction"]))
     if "verify" in doc:
         v = doc["verify"]
-        err = v["max_abs_err"]
+        err, agree = v["max_abs_err"], v["argmax_agreement"]
         lines.append(f"oracle: exact_match={v['exact_match']} "
                      f"max_abs_err={'n/a' if err is None else f'{err:.6f}'} "
-                     f"argmax_agreement={v['argmax_agreement']:.4f}")
+                     f"argmax_agreement={'n/a' if agree is None else f'{agree:.4f}'}")
     return "\n".join(lines) + "\n"

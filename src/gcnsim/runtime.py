@@ -261,16 +261,17 @@ def references(model: ModelSpec, a: SparseMatrixCSR, x0) -> tuple[DenseMatrix, n
 def verify_against_oracle(sim_logits: DenseMatrix, report: RunReport, refs: tuple) -> dict:
     """Exactness vs the oracle plus error stats vs real arithmetic, for
     run_model's results and references() of the same model and inputs.
-    max_abs_err is None when the real reference overflowed (not finite)."""
+    max_abs_err and argmax_agreement are None when the real reference
+    overflowed (not finite): argmax would pick a row's first NaN."""
     oracle_logits, real = refs
     exact = (sim_logits.frac_bits == oracle_logits.frac_bits
              and np.array_equal(sim_logits.data, oracle_logits.data))
     sim_real = dequantize(sim_logits)
     max_abs_err = float(np.abs(sim_real - real).max()) if real.size else 0.0
-    if not np.isfinite(max_abs_err):
-        max_abs_err = None
     agree = float((sim_real.argmax(axis=1) == real.argmax(axis=1)).mean()) \
         if real.size else 1.0
+    if not np.isfinite(max_abs_err):
+        max_abs_err = agree = None
     return {
         "exact_match": bool(exact),
         "max_abs_err": max_abs_err,

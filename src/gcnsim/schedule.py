@@ -12,7 +12,8 @@ cycles x K) from row assignment through the .pcoo stream and back; no
 per-packet objects are built on any path. A schedule is its five packet
 columns plus one stall count: the row map is the round-robin rule itself,
 and the stall pass adds the same number of idle slots to every PE column,
-so the slot census follows from the packet bits and that count.
+so the slot census follows from the packet bits and that count
+(simulator.check_arbitration counts it as it checks the schedule).
 
 The stall pass rests on one observation: a bank's owner in a cycle is the
 first pending valid PE on it in the rotating scan order, so a cycle where
@@ -182,27 +183,6 @@ class ScheduleStats:
         if not (per_pe == self.cycles).all() or (self.pad_idle < 0).any():
             raise AssertionError(f"slot census {per_pe.tolist()} != cycles {self.cycles} "
                                  f"or negative pads {self.pad_idle.tolist()}")
-
-
-# slots per step of a walk over a grid: schedule_stats here, check_arbitration
-# and compile_tile in the simulator
-_PASS_SLOTS = 1 << 16
-
-
-def schedule_stats(sched: TileSchedule) -> ScheduleStats:
-    """Slot census from the packet bits, counted over chunks of whole cycles
-    (about _PASS_SLOTS slots); stalls are sched.stall_cycles per PE."""
-    step = max(1, _PASS_SLOTS // max(sched.pe_count, 1))  # cycles per chunk
-    valid, empty, idle = (np.zeros(sched.pe_count, np.int64) for _ in range(3))
-    for c0 in range(0, sched.cycles, step):
-        sor, eor, vld = (f[c0:c0 + step] for f in (sched.sor, sched.eor, sched.vld))
-        valid += np.count_nonzero(vld == 1, axis=0)
-        empty += np.count_nonzero((sor == 1) & (eor == 1) & (vld != 1), axis=0)
-        idle += np.count_nonzero((sor | eor | vld) == 0, axis=0)
-    stats = ScheduleStats(valid, empty, np.full_like(idle, sched.stall_cycles),
-                          idle - sched.stall_cycles, sched.cycles)
-    stats.check_identity()
-    return stats
 
 
 def tile_columns(x: SparseMatrixCSR, tile_width: int) -> Iterator[SparseMatrixCSR]:

@@ -13,19 +13,19 @@ its valid slots taken PE by PE, where each output row's slots are
 contiguous; the result is bit-identical to stepping packet by packet.
 
 A product is planned (plan_step, every command's one path from an operand to
-schedules: each checked once by check_arbitration, with its census), compiled
-(compile_tile: a schedule's PE-major segments, all a plan keeps of it) and run
-(run_tile: all output columns of a tile at once, into one output array); a
-compiled plan serves every product with its left operand. The hardware walks
-the output C lanes at a time, replaying the schedule per lane block, so each
-lane block only adds its load cycles and census. A step's CycleReport sums
-those censuses, and report.py gives them their document names.
+schedules: check_arbitration checks each once and counts its census in the
+same walk), compiled (compile_tile: a schedule's PE-major segments, all a plan
+keeps of it) and run (run_tile: all output columns of a tile at once, into one
+output array); a compiled plan serves every product with its left operand.
+The hardware walks the output C lanes at a time, replaying the schedule per
+lane block, so each lane block only adds its load cycles and census. A step's
+CycleReport sums those censuses, and report.py gives them their document names.
 
 Memory: a plan entry's temporaries are bounded by a chunk, not by its grid.
-schedule_stats and check_arbitration walk whole cycles and compile_tile
-blocks of PEs, about _PASS_SLOTS slots at a time, and run_tile multiplies
-_CHUNK_CELLS products at a time. compile_plan drops each schedule before the
-next is built, so a plan holds its compiled entries and at most one schedule.
+check_arbitration walks whole cycles and compile_tile blocks of PEs, about
+_PASS_SLOTS slots at a time, and run_tile multiplies _CHUNK_CELLS products at
+a time. compile_plan drops each schedule before the next is built, so a plan
+holds its compiled entries and at most one schedule.
 
 Overflow note: emitted values are checked against the 32-bit accumulator
 range at the end of a simulate_step, not per tile. Partials handed between
@@ -52,13 +52,11 @@ from .matrix import (
     int_min,
 )
 from .schedule import (
-    _PASS_SLOTS,
     ArchConfig,
     ScheduleStats,
     TileSchedule,
     build_dmm_schedule,
     build_sdmm_schedule,
-    schedule_stats,
     tile_columns,
 )
 from .pcoo import PcooPacket
@@ -66,6 +64,9 @@ from .pcoo import PcooPacket
 MODE_SDMM = "sdmm"
 MODE_DMM = "dmm"
 
+# slots per step of a walk over a grid: whole cycles in check_arbitration,
+# blocks of PEs in compile_tile
+_PASS_SLOTS = 1 << 16
 # products per run_tile chunk (valid slots x lanes): 1 MiB of int64
 _CHUNK_CELLS = 1 << 17
 
@@ -125,8 +126,9 @@ def pe_step(pe: PeState, pkt: PcooPacket, w_row: np.ndarray,
 
 
 def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
-                      dense_rows: int) -> None:
-    """Verify everything run_tile relies on, independently of the scheduler.
+                      dense_rows: int) -> ScheduleStats:
+    """Verify everything run_tile relies on, independently of the scheduler,
+    and return the schedule's slot census.
 
     sched is a column tile of a rows-row operand against dense_rows dense
     rows. Each PE's sor and eor counts equal the rows it owns, every valid
@@ -138,21 +140,32 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
     With dense_rows <= groups every bank holds one address, so no cycle can
     clash and the sort is skipped; the other checks still run.
 
+    The same walk counts each PE's valid slots, empty-row markers (sor=eor=1,
+    vld=0) and idle slots (no bit set); sched.stall_cycles of the idle slots
+    per PE are stalls, the rest pads.
+
     The grid is walked in chunks of whole cycles, about _PASS_SLOTS slots
     each, so every temporary is chunk-sized. Findings are raised after the
     walk in the order markers, stray, range, bank, each naming what a check
     of the whole grid would: the first PE with a stray and its first stray
-    cycle, the largest column, and the first clashing cycle.
+    cycle, the largest column, and the first clashing cycle. A census that
+    leaves a slot unclassified, or needs negative pads, raises AssertionError
+    after them.
     """
     k, g = cfg.pe_count, cfg.groups
     per_bank = -(-dense_rows // g)  # addresses one bank holds
     step = max(1, _PASS_SLOTS // k)  # cycles per chunk
     opened = closed = np.zeros(k, np.int32)  # each PE's row markers so far
     stray_at = np.full(k, -1)  # each PE's first stray cycle
+    n_valid, empty, idle = (np.zeros(k, np.int64) for _ in range(3))
     lo, hi = math.inf, -math.inf  # column range of the valid slots
     clash = None
     for c0 in range(0, sched.cycles, step):
         sor, eor, vld = (f[c0:c0 + step] for f in (sched.sor, sched.eor, sched.vld))
+        valid = vld == 1
+        n_valid += np.count_nonzero(valid, axis=0)
+        empty += np.count_nonzero((sor == 1) & (eor == 1) & ~valid, axis=0)
+        idle += np.count_nonzero((sor | eor | vld) == 0, axis=0)
         depth = np.cumsum(sor, axis=0, dtype=np.int32)
         depth += opened
         shut = np.cumsum(eor, axis=0, dtype=np.int32)
@@ -162,7 +175,6 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
         depth -= shut
         del shut
         depth += eor
-        valid = vld == 1
         stray = depth != 1
         del depth
         stray &= valid
@@ -199,12 +211,14 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
         p = int(np.flatnonzero(stray_at >= 0)[0])
         raise ArbitrationError(f"PE {p}: valid packet at cycle {stray_at[p]} "
                                f"is outside an open row")
-    if hi == -math.inf:  # no valid slot
-        return
-    if lo < 0 or hi >= dense_rows:
+    if lo < 0 or hi >= dense_rows:  # neither holds with no valid slot
         raise ShapeError(f"packet column {hi} outside dense tile rows {dense_rows}")
     if clash is not None:
         raise ArbitrationError(clash)
+    stats = ScheduleStats(n_valid, empty, np.full_like(idle, sched.stall_cycles),
+                          idle - sched.stall_cycles, sched.cycles)
+    stats.check_identity()
+    return stats
 
 
 class CompiledTile(NamedTuple):
@@ -220,14 +234,12 @@ class CompiledTile(NamedTuple):
 def compile_tile(sched: TileSchedule) -> CompiledTile:
     """A checked schedule's valid slots: taken PE by PE, a row's slots are
     contiguous and a slot's row is p + K * (sors so far - 1). A row with no
-    valid slot gets no segment; its partial passes on unchanged. A grid of
-    more than _PASS_SLOTS slots is compiled in blocks of PEs of about that
-    many into preallocated slot arrays; a row never spans two PEs, so a
+    valid slot gets no segment; its partial passes on unchanged. The grid is
+    compiled in blocks of PEs of about _PASS_SLOTS slots (one block when it
+    fits) into preallocated slot arrays; a row never spans two PEs, so a
     block's own segment starts are the real ones, shifted."""
     k = sched.pe_count
     width = max(1, _PASS_SLOTS // max(sched.cycles, 1))  # PEs per block
-    if width >= k:
-        return _compile_pes(sched, slice(None))
     blocks = [slice(p0, p0 + width) for p0 in range(0, k, width)]
     n_valid = sum(np.count_nonzero(sched.vld[:, pes] == 1) for pes in blocks)
     col, value = np.empty(n_valid, sched.col.dtype), np.empty(n_valid, sched.value.dtype)
@@ -319,8 +331,7 @@ def plan_step(x, cfg: ArchConfig) -> Iterator[tuple[int, TileSchedule, ScheduleS
         scheds = (build_dmm_schedule(x.data[:, c0:c0 + t], cfg.pe_count) for c0 in starts)
     for c0 in starts:
         sched = next(scheds)
-        check_arbitration(sched, cfg, x.rows, min(t, x.cols - c0))
-        yield c0, sched, schedule_stats(sched)
+        yield c0, sched, check_arbitration(sched, cfg, x.rows, min(t, x.cols - c0))
         del sched
 
 

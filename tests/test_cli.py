@@ -452,7 +452,9 @@ def test_zero_node_bundle_runs(tmp_path, capsys):
 
 def test_overflowing_real_reference_writes_null(tmp_path, capsys):
     # 400 layers overflow the float64 real reference while the fixed-point
-    # run stays exact; no warning escapes and no NaN reaches the document
+    # run stays exact; no warning escapes and no NaN reaches the document.
+    # The overflowed reference's rows hold NaNs, so neither the error nor the
+    # argmax agreement against it says anything: both are null
     assert main(["gen", "--nodes", "512", "--out", str(tmp_path / "b")]) == EXIT_OK
     assert main(["simulate", str(tmp_path / "b"), "--layers", "400",
                  "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -461,10 +463,17 @@ def test_overflowing_real_reference_writes_null(tmp_path, capsys):
         raise ValueError(f"{name} in a written document")
 
     doc = json.loads((tmp_path / "o" / "report.json").read_text(), parse_constant=strict)
-    assert doc["verify"]["max_abs_err"] is None and doc["verify"]["exact_match"]
+    assert doc["verify"]["exact_match"]
+    assert doc["verify"]["max_abs_err"] is None and doc["verify"]["argmax_agreement"] is None
     capsys.readouterr()
     assert main(["report", str(tmp_path / "o" / "report.json")]) == EXIT_OK
-    assert "max_abs_err=n/a" in capsys.readouterr().out
+    assert "max_abs_err=n/a argmax_agreement=n/a" in capsys.readouterr().out
+    assert main(["sweep", str(tmp_path / "b"), "--layers", "400", "--pe", "16",
+                 "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    with open(tmp_path / "s.csv", newline="") as fh:
+        row, = csv.DictReader(fh)
+    assert row["exact_match"] == "True"
+    assert row["max_abs_err"] == row["argmax_agreement"] == ""
 
 
 def test_out_of_memory_exits_4_in_one_line(workload, tmp_path, capsys):

@@ -18,7 +18,8 @@ from gcnsim.pcoo import (
     packet_width,
     serialize_stream,
 )
-from gcnsim.schedule import TileSchedule, schedule_stats
+from gcnsim.schedule import TileSchedule
+from test_schedule import census_spec
 
 FIELDS = ("sor", "eor", "vld", "col", "value")
 
@@ -233,7 +234,7 @@ def test_deserialize_matches_decode_packet_per_cell():
                     kind = 0 if want.vld else 1 if want == EMPTY_ROW_PACKET else 2
                     kinds[kind, p] += 1
                     seen.add(kind)
-            stats = schedule_stats(back)
+            stats = census_spec(back)
             assert back.stall_cycles == 0
             assert np.array_equal(stats.stall_idle, np.zeros(k))
             assert np.array_equal(np.stack([stats.valid, stats.empty_row, stats.pad_idle]),

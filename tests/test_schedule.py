@@ -1,6 +1,4 @@
-"""Scheduler: assignment, stalling, DMM sweeps, stats accounting."""
-
-import tracemalloc
+"""Scheduler: assignment, stalling, DMM sweeps, slot census."""
 
 import numpy as np
 import pytest
@@ -10,13 +8,13 @@ from gcnsim.matrix import ShapeError, SparseMatrixCSR
 from gcnsim.pcoo import deserialize_stream, make_header, serialize_stream
 from gcnsim.schedule import (
     ArchConfig,
+    ScheduleStats,
     TileSchedule,
     assign_rows,
     build_dmm_schedule,
     build_sdmm_schedule,
     config_for_tile,
     packet_bits_for,
-    schedule_stats,
     stall_collisions,
 )
 
@@ -125,6 +123,35 @@ def _stall_spec(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
 
 
+def census_spec(sched: TileSchedule) -> ScheduleStats:
+    """Slot census one slot at a time: the spec of the census that
+    simulator.check_arbitration counts while it checks a schedule.
+
+    A slot is valid work (vld), an empty-row marker (sor = eor = 1, vld = 0)
+    or idle (no bit set); anything else is an AssertionError. sched.stall_cycles
+    of each PE's idle slots are stalls and the rest pads, which may not be
+    negative.
+    """
+    k = sched.pe_count
+    valid, empty, idle = ([0] * k for _ in range(3))
+    for cyc in range(sched.cycles):
+        for p in range(k):
+            bits = tuple(int(f[cyc, p]) for f in (sched.sor, sched.eor, sched.vld))
+            if bits[2] == 1:
+                valid[p] += 1
+            elif bits == (1, 1, 0):
+                empty[p] += 1
+            elif bits == (0, 0, 0):
+                idle[p] += 1
+            else:
+                raise AssertionError(f"slot {cyc}, PE {p} has bits {bits}")
+    pads = [n - sched.stall_cycles for n in idle]
+    if min(pads, default=0) < 0:
+        raise AssertionError(f"{sched.stall_cycles} stalls but idle slots {idle}")
+    return ScheduleStats(*(np.array(a, np.int64) for a in
+                           (valid, empty, [sched.stall_cycles] * k, pads)), sched.cycles)
+
+
 def test_archconfig_invariants():
     cfg = ArchConfig(pe_count=8, lanes=16, replicas=2, groups=32)
     assert cfg.tile_width == 512
@@ -146,7 +173,7 @@ def test_archconfig_invariants():
 
 def test_assign_rows_concatenation_example():
     sched = assign_rows(skewed_rows_tile(), 4)
-    stats = schedule_stats(sched)
+    stats = census_spec(sched)
     assert sched.cycles == 5
     assert stats.valid.tolist() == [5, 2, 2, 2]
     assert stats.pad_idle.tolist() == [0, 3, 3, 3]
@@ -164,7 +191,7 @@ def test_assign_rows_all_empty():
     tile = SparseMatrixCSR.from_dense_raw(np.zeros((4, 8), dtype=np.int64), 4, 0)
     sched = assign_rows(tile, 4)
     assert sched.cycles == 1
-    assert schedule_stats(sched).empty_row.tolist() == [1, 1, 1, 1]
+    assert census_spec(sched).empty_row.tolist() == [1, 1, 1, 1]
     assert (sched.sor == 1).all() and (sched.eor == 1).all() and (sched.vld == 0).all()
 
 
@@ -200,7 +227,7 @@ def test_assign_rows_matches_naive():
                    for cyc in range(sched.cycles)]
             assert got == oracle[p]
         # conservation, and one sor/eor pair per round-robin row of each PE
-        stats = schedule_stats(sched)
+        stats = census_spec(sched)
         assert stats.totals()["valid"] == tile.nnz
         rows_per_pe = [len(range(p, m, k)) for p in range(k)]
         assert sched.sor.sum(axis=0).tolist() == rows_per_pe
@@ -218,7 +245,7 @@ def test_stall_share_rule():
     cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
     out = stall_collisions(sched, cfg)
     assert out.cycles == 1
-    assert schedule_stats(out).totals()["stall_idle"] == 0
+    assert census_spec(out).totals()["stall_idle"] == 0
 
 
 def test_stall_block_rule():
@@ -232,7 +259,7 @@ def test_stall_block_rule():
     # the injected idle slots carry no bits and count as one stall per PE
     assert (out.sor[out.vld == 0] == 0).all() and (out.eor[out.vld == 0] == 0).all()
     assert out.stall_cycles == 1
-    stats = schedule_stats(out)
+    stats = census_spec(out)
     assert stats.stall_idle.tolist() == [1, 1] and stats.pad_idle.tolist() == [0, 0]
     assert grants_legal(out, cfg)
 
@@ -245,7 +272,7 @@ def test_stall_conflict_free_is_identity():
     out = stall_collisions(sched, cfg)
     assert out.cycles == 1
     assert np.array_equal(out.col, sched.col)
-    assert schedule_stats(out).totals()["stall_idle"] == 0
+    assert census_spec(out).totals()["stall_idle"] == 0
 
 
 def test_stall_rotation_is_fair():
@@ -254,7 +281,7 @@ def test_stall_rotation_is_fair():
     grid = [[(0, 0, 1, 1, 1), (0, 0, 1, 5, 1)] for _ in range(depth)]
     cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
     out = stall_collisions(make_sched(grid), cfg)
-    stats = schedule_stats(out)
+    stats = census_spec(out)
     assert stats.totals()["valid"] == 2 * depth
     assert abs(int(stats.stall_idle[0]) - int(stats.stall_idle[1])) <= 1
 
@@ -275,14 +302,14 @@ def test_stall_preserves_order_and_legality():
         post = stall_collisions(pre, cfg)
         assert grants_legal(post, cfg)
         assert int(post.vld.sum()) == tile.nnz
-        stats = schedule_stats(post)
+        stats = census_spec(post)
         assert stats.totals()["valid"] + stats.totals()["empty_row"] \
             + stats.totals()["stall_idle"] + stats.totals()["pad_idle"] \
             == post.cycles * k
         # every PE keeps its whole column, so each gains the same stall count
         assert (stats.stall_idle == post.cycles - pre.cycles).all()
         assert post.stall_cycles == post.cycles - pre.cycles
-        assert np.array_equal(stats.pad_idle, schedule_stats(pre).pad_idle)
+        assert np.array_equal(stats.pad_idle, census_spec(pre).pad_idle)
         # deleting the all-zero slots leaves each pre-stall column's packets
         for p in range(k):
             live = lambda s: (s.sor[:, p] | s.eor[:, p] | s.vld[:, p]) != 0
@@ -303,13 +330,13 @@ def test_stall_monotone_in_groups_and_replicas():
         stalls_by_g = []
         for lanes, groups in ((32, 2), (16, 4), (8, 8), (2, 32)):
             cfg = ArchConfig(pe_count=8, lanes=lanes, groups=groups)
-            stalls_by_g.append(schedule_stats(stall_collisions(pre, cfg)).totals()["stall_idle"])
+            stalls_by_g.append(census_spec(stall_collisions(pre, cfg)).totals()["stall_idle"])
         assert stalls_by_g == sorted(stalls_by_g, reverse=True), stalls_by_g
         # more replicas never stall more
         stalls_by_r = []
         for r in (1, 2, 4, 8):
             cfg = ArchConfig(pe_count=8, lanes=16, groups=4, replicas=r)
-            stalls_by_r.append(schedule_stats(stall_collisions(pre, cfg)).totals()["stall_idle"])
+            stalls_by_r.append(census_spec(stall_collisions(pre, cfg)).totals()["stall_idle"])
         assert stalls_by_r == sorted(stalls_by_r, reverse=True), stalls_by_r
         assert stalls_by_r[-1] == 0  # a group of one PE cannot collide
     _ = rng
@@ -467,7 +494,7 @@ def test_dmm_schedule_balanced():
     sched = build_dmm_schedule(x, 8)
     assert sched.cycles == 8
     assert (sched.vld == 1).all()
-    assert schedule_stats(sched).valid.tolist() == [8] * 8
+    assert census_spec(sched).valid.tolist() == [8] * 8
     assert sched.sor[0].tolist() == [1] * 8 and sched.sor[1:].sum() == 0
     assert sched.eor[-1].tolist() == [1] * 8
     assert (sched.col == np.arange(8)[:, None]).all()
@@ -482,7 +509,7 @@ def test_dmm_schedule_ragged_tail():
     assert sched.cycles == 16
     assert ((sched.sor | sched.eor | sched.vld)[8:, 1:] == 0).all()
     assert (sched.vld[8:, 0] == 1).all()
-    stats = schedule_stats(sched)
+    stats = census_spec(sched)
     assert stats.pad_idle.tolist() == [0] + [8] * (k - 1)
     assert stats.stall_idle.tolist() == [0] * k
     # PE 0 owns rows 0 and 8, every other PE one row
@@ -525,9 +552,9 @@ def test_dmm_schedule_never_stalls():
         cfg = ArchConfig(pe_count=k, lanes=2, groups=4, replicas=1)
         out = stall_collisions(sched, cfg)
         assert out.cycles == sched.cycles
-        assert schedule_stats(out).totals()["stall_idle"] == 0
+        assert census_spec(out).totals()["stall_idle"] == 0
         if m % k == 0:
-            assert schedule_stats(out).totals()["pad_idle"] == 0
+            assert census_spec(out).totals()["pad_idle"] == 0
 
 
 def test_packet_bits_for_picks_narrowest_field():
@@ -569,61 +596,7 @@ def test_schedule_packets_roundtrip():
     assert back.eor.sum(axis=0).tolist() == rows_per_pe
     # a stream cannot tell a stall from a pad: every idle slot reads back as a pad
     assert sched.stall_cycles > 0 and back.stall_cycles == 0
-    before, after = schedule_stats(sched), schedule_stats(back)
+    before, after = census_spec(sched), census_spec(back)
     assert np.array_equal(after.pad_idle, before.pad_idle + before.stall_idle)
     assert np.array_equal(after.valid, before.valid)
     assert np.array_equal(after.empty_row, before.empty_row)
-
-
-def test_schedule_stats_rejects_unclassifiable_slots():
-    # sor without eor or vld is neither work, an empty-row marker nor idle
-    sched = make_sched([[(1, 0, 0, 0, 0), (0, 0, 0, 0, 0)]])
-    with pytest.raises(AssertionError):
-        schedule_stats(sched)
-    # more stalls than idle slots: the census would need negative pads
-    busy = make_sched([[(1, 1, 1, 0, 1), (1, 1, 1, 1, 1)]])
-    busy.stall_cycles = 1
-    with pytest.raises(AssertionError):
-        schedule_stats(busy)
-
-
-@pytest.mark.parametrize("pass_slots", [1, 3, 8])
-def test_schedule_stats_chunks_match_one_chunk(monkeypatch, pass_slots):
-    # stalled SDMM tiles with empty rows, and a ragged DMM sweep, counted a few
-    # cycles at a time against the whole grid at once
-    rng = np.random.default_rng(191 + pass_slots)
-    cases = []
-    for _ in range(30):
-        k = int(rng.choice([1, 2, 4, 8]))
-        cfg = ArchConfig(pe_count=k, lanes=int(rng.choice([1, 2])),
-                         groups=int(rng.choice([2, 4])),
-                         replicas=int(rng.choice([r for r in (1, 2, 4) if k % r == 0])))
-        raw = rng.integers(1, 8, size=(int(rng.integers(0, 30)), cfg.tile_width))
-        raw[rng.random(raw.shape) < 0.8] = 0
-        cases.append(build_sdmm_schedule(SparseMatrixCSR.from_dense_raw(raw, 4, 0), cfg))
-        cases.append(build_dmm_schedule(rng.integers(-8, 8, size=(raw.shape[0], 3)), k))
-    with monkeypatch.context() as m:
-        m.setattr(schedule, "_PASS_SLOTS", 1 << 40)
-        whole = [schedule_stats(sched) for sched in cases]
-    monkeypatch.setattr(schedule, "_PASS_SLOTS", pass_slots)
-    for sched, want in zip(cases, whole):
-        got = schedule_stats(sched)
-        assert got.cycles == want.cycles
-        for name in ("valid", "empty_row", "stall_idle", "pad_idle"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert sum(s.totals()["stall_idle"] for s in whole) > 0
-    assert sum(s.totals()["empty_row"] for s in whole) > 0
-
-
-def test_schedule_stats_peak_is_chunk_sized():
-    # a dense 8192 x 64 block is one 524,288-slot DMM grid at K = 16; a census
-    # over the whole grid at once took 1.5 MiB of masks
-    sched = build_dmm_schedule(np.random.default_rng(197).integers(-8, 8, size=(8192, 64)), 16)
-    tracemalloc.start()
-    try:
-        stats = schedule_stats(sched)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stats.totals()["valid"] == 8192 * 64
-    assert peak <= 0.35 * (1 << 20), peak >> 10

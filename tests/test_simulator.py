@@ -23,7 +23,6 @@ from gcnsim.schedule import (
     build_dmm_schedule,
     build_sdmm_schedule,
     config_for_tile,
-    schedule_stats,
     stall_collisions,
     tile_columns,
 )
@@ -42,6 +41,7 @@ from gcnsim.simulator import (
     run_tile,
     simulate_step,
 )
+from test_schedule import census_spec
 
 
 def make_sched(grid):
@@ -155,11 +155,10 @@ def test_run_tile_all_idle():
     sched = make_sched([[IDLE_PACKET, IDLE_PACKET],
                         [EMPTY_ROW_PACKET, EMPTY_ROW_PACKET],
                         [EMPTY_ROW_PACKET, IDLE_PACKET]])
-    check_arbitration(sched, cfg, 3, 4)
+    assert check_arbitration(sched, cfg, 3, 4).totals()["valid"] == 0
     partials = np.arange(6).reshape(3, 2)
     out = run_compiled(sched, np.ones((4, 2), np.int64), partials)
     assert np.array_equal(out, partials)
-    assert schedule_stats(sched).totals()["valid"] == 0
 
 
 def test_plan_rejects_row_markers_off_the_row_map(monkeypatch):
@@ -375,10 +374,11 @@ def test_plan_rejects_col_out_of_range(monkeypatch):
 
 
 def check_outcome(sched, cfg, rows, dense_rows):
-    """check_arbitration's verdict: None, or its exception type and message."""
+    """check_arbitration's verdict: None, or its exception type and message
+    (an AssertionError is a census that fails its accounting identity)."""
     try:
         check_arbitration(sched, cfg, rows, dense_rows)
-    except (ArbitrationError, ShapeError) as exc:
+    except (ArbitrationError, ShapeError, AssertionError) as exc:
         return type(exc).__name__, str(exc)
     return None
 
@@ -476,7 +476,72 @@ def test_arbitration_check_chunks_match_one_pass(monkeypatch, pass_slots):
             m.setattr(simulator, "_PASS_SLOTS", pass_slots)
             assert check_outcome(sched, cfg, rows, dense_rows) == whole, (k, sched.cycles)
         seen.add(whole and whole[1].split(" ")[0])
-    assert seen == {None, "PE", "packet", "cycle"}
+    assert seen == {None, "PE", "packet", "cycle", "slot"}
+
+
+@pytest.mark.parametrize("pass_slots", [1, 3, 8, 1 << 40])
+def test_arbitration_census_matches_slot_spec(monkeypatch, pass_slots):
+    # stalled SDMM tiles with empty rows, and ragged DMM sweeps, checked and
+    # counted a few cycles at a time and as one chunk, against the per-slot spec
+    monkeypatch.setattr(simulator, "_PASS_SLOTS", pass_slots)
+    rng = np.random.default_rng(191)
+    seen = np.zeros(3, np.int64)  # stalls, empty-row markers, pads
+    for _ in range(30):
+        k = int(rng.choice([1, 2, 4, 8]))
+        cfg = ArchConfig(pe_count=k, lanes=int(rng.choice([1, 2])),
+                         groups=int(rng.choice([2, 4])),
+                         replicas=int(rng.choice([r for r in (1, 2, 4) if k % r == 0])))
+        raw = rng.integers(1, 8, size=(int(rng.integers(0, 30)), cfg.tile_width))
+        raw[rng.random(raw.shape) < 0.8] = 0
+        m = len(raw)
+        sdmm = build_sdmm_schedule(SparseMatrixCSR.from_dense_raw(raw, 4, 0), cfg)
+        dmm = build_dmm_schedule(rng.integers(-8, 8, size=(m, 3)), k)
+        for sched, dense_rows in ((sdmm, cfg.tile_width), (dmm, 3)):
+            got, want = check_arbitration(sched, cfg, m, dense_rows), census_spec(sched)
+            assert got.cycles == want.cycles
+            for name in ("valid", "empty_row", "stall_idle", "pad_idle"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            seen += [want.stall_idle.sum(), want.empty_row.sum(), want.pad_idle.sum()]
+    assert (seen > 0).all()
+
+
+def test_arbitration_census_rejects_unclassifiable_slots_last():
+    cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
+    # PE 0 opens its row on a slot with no work: run_tile would take it, but
+    # it is neither work, an empty-row marker nor idle
+    opened = make_sched([[(1, 0, 0, 0, 0), (1, 1, 1, 1, 1)],
+                         [(0, 1, 1, 0, 1), IDLE_PACKET]])
+    # more stalls than idle slots: the census would need negative pads
+    busy = make_sched([[(1, 1, 1, 0, 1), (1, 1, 1, 1, 1)]])
+    busy.stall_cycles = 1
+    for sched in (opened, busy):
+        with pytest.raises(AssertionError):
+            census_spec(sched)
+        with pytest.raises(AssertionError, match="^slot census"):
+            check_arbitration(sched, cfg, 2, 2)
+    # the arbitration findings are raised first
+    with pytest.raises(ArbitrationError, match="^PE 0: row markers disagree with its 2 rows"):
+        check_arbitration(opened, cfg, 3, 2)
+    with pytest.raises(ShapeError, match="^packet column 1 outside dense tile rows 1"):
+        check_arbitration(busy, cfg, 2, 1)
+
+
+def test_arbitration_census_peak_is_chunk_sized():
+    # a dense 8192 x 64 block is one 524,288-slot DMM grid at K = 16 (4.5 MiB
+    # as a schedule); checked and counted a chunk of cycles at a time it peaks
+    # at 2.7 MiB of chunk temporaries, and as one chunk at 12.6 MiB
+    x = np.random.default_rng(197).integers(-8, 8, size=(8192, 64))
+    cfg = config_for_tile(16, 512, replicas=2)
+    sched = build_dmm_schedule(x, cfg.pe_count)
+    tracemalloc.start()
+    try:
+        stats = check_arbitration(sched, cfg, 8192, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.totals()["valid"] == 8192 * 64
+    assert peak <= 3 << 20, peak >> 10
 
 
 @pytest.mark.parametrize("pass_slots", [1, 5, 16])
