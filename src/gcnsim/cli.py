@@ -20,8 +20,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .formats import (FileFormatError, _write_lines, export_bundle, ingest_bundle_dir,
-                      write_meta)
+from .formats import (MAX_SPARSE_DIM, FileFormatError, _write_lines, export_bundle,
+                      ingest_bundle_dir, write_meta)
 from .graphs import degree_stats, gen_powerlaw, random_weights
 from .matrix import OverflowTrap, ShapeError, normalize_adjacency
 from .pcoo import (
@@ -156,6 +156,9 @@ def build_model(bundle, kind: str, adjacency_mode: str, hidden: int,
 def cmd_gen(args) -> int:
     s = resolve_settings(args)
     out = _require_out(args)
+    if max(args.nodes, args.features) > MAX_SPARSE_DIM:  # before any work on a bundle
+        raise ValueError(f"--nodes {args.nodes} and --features {args.features} must be "
+                         f"<= {MAX_SPARSE_DIM}, the largest sparse header a reader accepts")
     out.mkdir(parents=True, exist_ok=True)
     bundle = gen_powerlaw(args.nodes, args.degree, args.exponent, s["seed"],
                           args.features, args.density)

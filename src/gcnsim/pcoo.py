@@ -107,10 +107,10 @@ def decode_packet(bits: int, tile_width: int, value_bits: int) -> PcooPacket:
 
 
 def packet_malformed(p: PcooPacket) -> bool:
-    """True for invalid packets that still carry payload bits (vld=0, col or value set)."""
+    """True for invalid packets that carry a column, a value or one row marker (sor != eor)."""
     if p.vld:
         return False
-    return p.col != 0 or p.value != 0
+    return p.col != 0 or p.value != 0 or p.sor != p.eor
 
 
 def check_value_field(values: np.ndarray, value_bits: int) -> None:
@@ -129,7 +129,7 @@ def _at_cell(cell: int, pe_count: int) -> str:
     return f"cell {cell} (cycle {cell // pe_count}, PE {cell % pe_count})"
 
 
-_STRAY = "is not valid but carries a column or value"
+_STRAY = "is not valid but carries a column, a value or one row marker"
 
 
 def make_header(tile_width: int, value_bits: int, pe_count: int,
@@ -161,7 +161,8 @@ def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
     col, val, vld = sched.col.ravel(), sched.value.ravel(), sched.vld.ravel()
     if col.size and (col.min() < 0 or col.max() >= t):
         raise ValueError(f"column outside tile width {t}")
-    stray = np.flatnonzero((vld == 0) & ((col != 0) | (val != 0)))  # packet_malformed
+    lone = sched.sor.ravel() != sched.eor.ravel()
+    stray = np.flatnonzero((vld == 0) & ((col != 0) | (val != 0) | lone))  # packet_malformed
     if stray.size:
         raise ValueError(f"{_at_cell(int(stray[0]), k)} {_STRAY}")
     # every other slot now holds value 0, which fits any field
@@ -186,12 +187,12 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     """Inverse of serialize_stream: the header and a columnar TileSchedule.
 
     Every cell is decoded at once (the vectorized twin of decode_packet),
-    its value as int16.
-    A cell with bits above its packet, or one that packet_malformed rejects
-    (not valid, yet carrying a column or value), is a StreamFormatError.
-    Idle slots come back as pads, since the stream carries no stall
-    provenance. Row numbers need no decoding: PE p's row markers stand for
-    rows p, p+K, p+2K, ... by the round-robin rule.
+    its value as int16. A cell with bits above its packet, or one that
+    packet_malformed rejects (not valid, yet carrying a column, a value or
+    only one of sor and eor), is a StreamFormatError. The schedule is the
+    one written: its census, stalls included, is the written schedule's.
+    Row numbers need no decoding: PE p's row markers stand for rows p, p+K,
+    p+2K, ... by the round-robin rule.
     """
     from .schedule import TileSchedule  # schedule imports this module
 
@@ -225,12 +226,13 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
                                 f"above its {width}-bit packet")
     body = codes & ((2 * t << h) - 1)  # vld, col and value bits
     body -= 1  # wraps 0 past every code, so the test below is 0 < body < t << h
-    stray = np.flatnonzero(body < (t << h) - 1)  # packet_malformed
+    shape = (cycles, k)
+    flags = (codes >> (width - 3)).astype(np.uint8).reshape(shape)  # sor, eor, vld
+    flat = flags.ravel()  # packet_malformed: vld 0 with a column or value, or one row marker
+    stray = np.flatnonzero((body < (t << h) - 1) | (flat == 2) | (flat == 4))
     if stray.size:
         raise StreamFormatError(f"{_at_cell(int(stray[0]), k)} {_STRAY}")
     del body
-    shape = (cycles, k)
-    flags = (codes >> (width - 3)).astype(np.uint8).reshape(shape)  # sor, eor, vld
     vld = flags & 1
     if h == 0:
         value = vld

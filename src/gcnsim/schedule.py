@@ -10,10 +10,10 @@ block of its column tile: the lane blocks only repeat it for accounting.
 Schedules are stored columnar (one numpy array per packet field, shaped
 cycles x K) from row assignment through the .pcoo stream and back; no
 per-packet objects are built on any path. A schedule is its five packet
-columns plus one stall count: the row map is the round-robin rule itself,
-and the stall pass adds the same number of idle slots to every PE column,
-so the slot census follows from the packet bits and that count
-(simulator.check_arbitration counts it as it checks the schedule).
+columns alone: the row map is the round-robin rule itself, and the stall
+pass adds the same idle slots to every PE column of a grid where one column
+had none, so the census (simulator.check_arbitration) finds the stalls as
+the fewest idle slots in any column.
 
 The stall pass rests on one observation: a bank's owner in a cycle is the
 first pending valid PE on it in the rotating scan order, so a cycle where
@@ -94,11 +94,11 @@ class TileSchedule:
     """Rectangular cycles x K packet grid, one array per packet field.
 
     A slot is valid work (vld), an empty-row marker (sor=eor=1, vld=0) or
-    idle (no bit set). stall_cycles counts the idle slots the collision pass
-    added to every PE column; the other idle slots pad short PE columns.
-    There is no row map: PE p owns rows p, p+K, p+2K, ... of the tile and
-    emits them in that order, one sor/eor pair per row. The same schedule
-    runs against every output lane block of its column tile.
+    idle (no bit set). The stalls are the fewest idle slots in any PE
+    column; the other idle slots pad short PE columns. There is no row map:
+    PE p owns rows p, p+K, p+2K, ... of the tile and emits them in that
+    order, one sor/eor pair per row. The same schedule runs against every
+    output lane block of its column tile.
 
     Fields are stored at their packet width: the flags as uint8, col as
     int32 (a tile may be up to 2^30 wide) and value as int16, since no
@@ -110,7 +110,6 @@ class TileSchedule:
     vld: np.ndarray
     col: np.ndarray
     value: np.ndarray
-    stall_cycles: int = 0
 
     @property
     def cycles(self) -> int:
@@ -126,12 +125,7 @@ class TileSchedule:
 
     @classmethod
     def from_columns(cls, sor, eor, vld, col, value) -> "TileSchedule":
-        """Schedule from the five packet fields alone, as a stream carries them.
-
-        Idle slots cannot tell a pad from a stall, so a schedule built here
-        has no stall cycles and counts every idle slot as a pad. Values are
-        narrowed to int16; one outside that range is a ValueError.
-        """
+        """The five packet fields as a schedule; a value outside int16 is a ValueError."""
         sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
         value = np.asarray(value)
         check_value_field(value, 16)
@@ -180,9 +174,8 @@ class ScheduleStats:
 
     def check_identity(self) -> None:
         per_pe = self.valid + self.empty_row + self.stall_idle + self.pad_idle
-        if not (per_pe == self.cycles).all() or (self.pad_idle < 0).any():
-            raise AssertionError(f"slot census {per_pe.tolist()} != cycles {self.cycles} "
-                                 f"or negative pads {self.pad_idle.tolist()}")
+        if not (per_pe == self.cycles).all():
+            raise AssertionError(f"slot census {per_pe.tolist()} != cycles {self.cycles}")
 
 
 def tile_columns(x: SparseMatrixCSR, tile_width: int) -> Iterator[SparseMatrixCSR]:
@@ -298,10 +291,11 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     Both paths record only the denied requests. A slot's output cycle is its
     input slot plus its PE's denials so far, and each field then moves with
     one scatter into the flat output grid. A PE keeps its whole column, so
-    every PE gains the same cycles_out - cycles_in idle slots, which become
-    stall_cycles. A schedule with no denial (no slots, groups of one PE, no
-    clash) is returned as given; one whose columns all lie below groups is
-    returned before any bank work, since each bank then holds one address.
+    every PE gains the same cycles_out - cycles_in idle slots: the stalls
+    the census finds as the fewest idle slots in any column. A schedule with
+    no denial (no slots, groups of one PE, no clash) is returned as given;
+    one whose columns all lie below groups is returned before any bank work,
+    since each bank then holds one address.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError(f"schedule has {sched.pe_count} PEs, config {cfg.pe_count}")
@@ -333,8 +327,7 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
         out[rows.ravel()] = a.ravel()
         return out.reshape(cycles, k)
 
-    fields = (sched.sor, sched.eor, sched.vld, sched.col, sched.value)
-    return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
+    return TileSchedule(*map(place, (sched.sor, sched.eor, sched.vld, sched.col, sched.value)))
 
 
 def _stall_group(vld: np.ndarray, col: np.ndarray, g: int) -> list:

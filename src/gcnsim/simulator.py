@@ -141,16 +141,15 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
     clash and the sort is skipped; the other checks still run.
 
     The same walk counts each PE's valid slots, empty-row markers (sor=eor=1,
-    vld=0) and idle slots (no bit set); sched.stall_cycles of the idle slots
-    per PE are stalls, the rest pads.
+    vld=0) and idle slots (no bit set); the fewest idle slots in any PE are
+    every PE's stalls (the schedule module says why), the rest pads.
 
     The grid is walked in chunks of whole cycles, about _PASS_SLOTS slots
     each, so every temporary is chunk-sized. Findings are raised after the
     walk in the order markers, stray, range, bank, each naming what a check
     of the whole grid would: the first PE with a stray and its first stray
     cycle, the largest column, and the first clashing cycle. A census that
-    leaves a slot unclassified, or needs negative pads, raises AssertionError
-    after them.
+    leaves a slot unclassified raises AssertionError after them.
     """
     k, g = cfg.pe_count, cfg.groups
     per_bank = -(-dense_rows // g)  # addresses one bank holds
@@ -215,8 +214,8 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
         raise ShapeError(f"packet column {hi} outside dense tile rows {dense_rows}")
     if clash is not None:
         raise ArbitrationError(clash)
-    stats = ScheduleStats(n_valid, empty, np.full_like(idle, sched.stall_cycles),
-                          idle - sched.stall_cycles, sched.cycles)
+    stall = np.full_like(idle, idle.min())
+    stats = ScheduleStats(n_valid, empty, stall, idle - stall, sched.cycles)
     stats.check_identity()
     return stats
 

@@ -13,14 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcnsim import runtime, simulator
+from gcnsim import graphs, runtime, simulator
 from gcnsim.cli import EXIT_DATA, EXIT_INVALID, EXIT_OK, main
-from gcnsim.formats import export_bundle, ingest_bundle_dir, read_meta, write_weights
+from gcnsim.formats import (MAX_SPARSE_DIM, export_bundle, ingest_bundle_dir, read_meta,
+                            write_weights)
 from gcnsim.graphs import gen_powerlaw, random_weights
 from gcnsim.pcoo import StreamFormatError, deserialize_stream
 from gcnsim.report import read_report
 from gcnsim.schedule import config_for_tile
-from gcnsim.simulator import plan_step
+from gcnsim.matrix import ShapeError
+from gcnsim.simulator import ArbitrationError, check_arbitration, plan_step
 from test_formats import agrees, reader_and_spec
 
 
@@ -477,12 +479,13 @@ def test_overflowing_real_reference_writes_null(tmp_path, capsys):
 
 
 def test_out_of_memory_exits_4_in_one_line(workload, tmp_path, capsys):
-    # 10^12 nodes ask for 7.28 TiB, hidden 10^9 for 238 GiB of weights, and
-    # the largest legal sparse header for a 1 GiB row_ptr
+    # 10^8 nodes, within a reader's sparse header limit, ask for gigabytes,
+    # hidden 10^9 for 238 GiB of weights, and the largest legal sparse header
+    # for a 1 GiB row_ptr
     (tmp_path / "b").mkdir()
     (tmp_path / "b" / "edges.txt").write_text("")
     (tmp_path / "b" / "features.txt").write_text("sparse 134217728 134217728 4 0\n")
-    for argv in (["gen", "--nodes", "1000000000000", "--out", str(tmp_path / "g")],
+    for argv in (["gen", "--nodes", "100000000", "--out", str(tmp_path / "g")],
                  ["simulate", str(workload / "w"), "--hidden", "1000000000"],
                  ["preprocess", str(tmp_path / "b"), "--out", str(tmp_path / "p")]):
         with address_space_cap(1 << 28):
@@ -491,6 +494,21 @@ def test_out_of_memory_exits_4_in_one_line(workload, tmp_path, capsys):
         assert rc == EXIT_INVALID, err
         assert err.startswith(f"invalid: {argv[0]} ran out of memory")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_gen_refuses_a_bundle_no_reader_accepts(tmp_path, monkeypatch, capsys):
+    # a sparse header past MAX_SPARSE_DIM is malformed to every reader, so gen
+    # refuses such a size before it fits the degree law or allocates anything
+    def no_fit(*args):
+        raise AssertionError("gen fitted the degree law")
+
+    monkeypatch.setattr(graphs, "_fit_tilt", no_fit)
+    for flag, size in (("--nodes", 10 ** 12), ("--features", MAX_SPARSE_DIM + 1)):
+        out = tmp_path / flag.strip("-")
+        assert main(["gen", flag, str(size), "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: --nodes") and str(MAX_SPARSE_DIM) in err
+        assert err.count("\n") == 1 and not out.exists()
 
 
 def test_config_is_checked_before_the_bundle_is_read(tmp_path, capsys):
@@ -583,10 +601,17 @@ def address_space_cap(extra: int):
 
 def mutation_escapes(d: Path, seed: int, count: int) -> list[str]:
     """Run count seeded corruptions; each ends in a documented exit code with
-    no traceback (CLI inputs) or in StreamFormatError (streams), and the
-    reader gives an edges.txt or features.txt case the line-parser spec's
-    matrix or message, or it is returned as an escape."""
+    no traceback (CLI inputs), or a stream in StreamFormatError or, once it
+    decodes, in check_arbitration's pass or its ArbitrationError or
+    ShapeError against its meta.json row; and the reader gives an edges.txt
+    or features.txt case the line-parser spec's matrix or message, or it is
+    returned as an escape."""
     originals = mutation_inputs(d)
+    meta = read_meta(d / "p" / "meta.json")
+    row, = (s for s in meta["streams"] if s["file"] == "adjacency0000.pcoo")
+    c = meta["config"]
+    cfg = config_for_tile(c["pe_count"], c["tile_width"], c["lanes"], replicas=c["replicas"])
+    dense_rows = min(cfg.tile_width, MUTATION_NODES - row["tile_index"] * cfg.tile_width)
     targets = sorted(originals)
     rng = np.random.default_rng(seed)
     escapes = []
@@ -597,8 +622,9 @@ def mutation_escapes(d: Path, seed: int, count: int) -> list[str]:
         what = f"case {case}: {kind} {path.name}"
         if path.suffix == ".pcoo":
             try:
-                deserialize_stream(data)
-            except StreamFormatError:
+                _, sched = deserialize_stream(data)
+                check_arbitration(sched, cfg, MUTATION_NODES, dense_rows)
+            except (StreamFormatError, ArbitrationError, ShapeError):
                 pass
             except Exception as exc:  # any other class is an escape
                 escapes.append(f"{what}: {type(exc).__name__}: {exc}")

@@ -26,9 +26,11 @@ import pytest
 from gcnsim.cli import EXIT_OK, build_model, main
 from gcnsim.formats import export_bundle, read_meta
 from gcnsim.graphs import gen_powerlaw
+from gcnsim.pcoo import deserialize_stream
 from gcnsim.report import report_document
 from gcnsim.runtime import KIND_GCN, KIND_SAGE, run_model
 from gcnsim.schedule import config_for_tile
+from gcnsim.simulator import check_arbitration
 
 GOLDEN = Path(__file__).with_name("golden_census.json")
 
@@ -127,6 +129,24 @@ def test_census_matches_golden(case, workload, golden):
     want = golden[case]
     moved = sorted(k for k in set(got) | set(want) if got.get(k) != want.get(k))
     assert not moved, f"{case}: simulated numbers moved in {moved}"
+
+
+@pytest.mark.parametrize("config_name", CONFIGS)
+def test_streams_round_trip_their_census(config_name, workload, tmp_path):
+    # a stream holds the five packet columns only, so its census, stalls
+    # included, must come back from the bits as meta.json recorded it
+    bundle, d = workload
+    preprocess_census(d / "bundle", tmp_path, config_name)
+    cfg = arch(config_name)
+    operands = {"adjacency": bundle.adjacency, "features": bundle.features}
+    streams = read_meta(tmp_path / "meta.json")["streams"]
+    assert {s["kind"] for s in streams} == set(operands)
+    for row in streams:
+        x = operands[row["kind"]]
+        dense_rows = min(cfg.tile_width, x.cols - row["tile_index"] * cfg.tile_width)
+        _, sched = deserialize_stream((tmp_path / row["file"]).read_bytes())
+        got = check_arbitration(sched, cfg, x.rows, dense_rows).totals()
+        assert got == {k: row[k] for k in got}, row["file"]
 
 
 def dump(golden: dict) -> str:

@@ -113,6 +113,10 @@ def test_malformed_flag():
     assert packet_malformed(PcooPacket(0, 0, 0, 3, 0))
     assert packet_malformed(PcooPacket(1, 1, 0, 0, 2))
     assert not packet_malformed(PcooPacket(0, 0, 1, 3, -1))
+    # a row marker with no work: a row opens or closes on a slot that is not valid
+    assert packet_malformed(PcooPacket(1, 0, 0, 0, 0))
+    assert packet_malformed(PcooPacket(0, 1, 0, 0, 0))
+    assert not packet_malformed(PcooPacket(1, 0, 1, 0, 1))
 
 
 def test_make_header_rejects_fields_too_wide():
@@ -234,11 +238,11 @@ def test_deserialize_matches_decode_packet_per_cell():
                     kind = 0 if want.vld else 1 if want == EMPTY_ROW_PACKET else 2
                     kinds[kind, p] += 1
                     seen.add(kind)
+            # the fewest idle slots of any PE are stalls, the rest of them pads
             stats = census_spec(back)
-            assert back.stall_cycles == 0
-            assert np.array_equal(stats.stall_idle, np.zeros(k))
-            assert np.array_equal(np.stack([stats.valid, stats.empty_row, stats.pad_idle]),
-                                  kinds)
+            assert (stats.stall_idle == kinds[2].min()).all()
+            assert np.array_equal(np.stack([stats.valid, stats.empty_row,
+                                            stats.stall_idle + stats.pad_idle]), kinds)
     assert seen == {0, 1, 2}
 
 
@@ -288,6 +292,15 @@ def test_malformed_cells_are_named_and_never_written():
     data[HEADER_BYTES + 2 * 5 + 1] = 5  # value 5 in the idle cell at cycle 1, PE 2
     with pytest.raises(StreamFormatError, match=r"cell 5 \(cycle 1, PE 2\) is not valid"):
         deserialize_stream(bytes(data))
+    # one PE opens its row on a slot with no work, then closes it on its only
+    # nonzero: no schedule the program writes has such a cell
+    grid = [[PcooPacket(1, 0, 0, 0, 0)], [PcooPacket(0, 1, 1, 0, 1)]]
+    with pytest.raises(ValueError, match=r"cell 0 \(cycle 0, PE 0\) is not valid"):
+        serialize_stream(grid_schedule(grid, 1), make_header(8, 0, 1, 2))
+    prefix = serialize_stream(grid_schedule([[IDLE_PACKET]] * 2, 1),
+                              make_header(8, 0, 1, 2))[:HEADER_BYTES]
+    with pytest.raises(StreamFormatError, match=r"cell 0 \(cycle 0, PE 0\) is not valid"):
+        deserialize_stream(prefix + bytes(encode_packet(p, 8, 0) for p, in grid))
 
 
 def test_deserialize_errors():

@@ -17,6 +17,7 @@ from gcnsim.schedule import (
     packet_bits_for,
     stall_collisions,
 )
+from gcnsim.simulator import check_arbitration
 
 
 def naive_assign(raw, k):
@@ -65,10 +66,12 @@ def grants_legal(sched, cfg):
 
 
 # The stall pass as it was before it learned to skip clash-free cycles, kept
-# verbatim as the single-item spec of the grant rule: one loop iteration per
-# slot, no windows. schedule.stall_collisions must match it field for field.
-def _stall_spec(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
-    """Serialize bank conflicts within each replica group (post-stall schedule).
+# as the single-item spec of the grant rule: one loop iteration per slot, no
+# windows, and its own count of the stalls it adds. schedule.stall_collisions
+# must match it field for field, and the census must derive that count.
+def _stall_spec(sched: TileSchedule, cfg: ArchConfig) -> tuple[TileSchedule, int]:
+    """Serialize bank conflicts within each replica group (post-stall schedule
+    and its stall count).
 
     Per output cycle a valid packet is granted if its address was already
     granted this cycle (PEs may share a read) or its bank (col mod groups)
@@ -79,14 +82,15 @@ def _stall_spec(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     Arbitration reads one address list per PE (col where vld, else -1) and
     records each input slot's output cycle; each field then moves with one
     scatter. A PE keeps its whole column, so every PE gains the same
-    cycles_out - cycles_in idle slots, which become stall_cycles.
+    cycles_out - cycles_in idle slots, the stall count returned beside the
+    schedule: the spec's own count, which the census derives from the bits.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError(f"schedule has {sched.pe_count} PEs, config {cfg.pe_count}")
     k = cfg.pe_count
     n_in = sched.cycles
     if n_in == 0:
-        return sched
+        return sched, 0
     width, g = cfg.group_width, cfg.groups
     addrs = np.where(sched.vld == 1, sched.col, -1).T.tolist()
     at = [[] for _ in range(k)]  # output cycle of each input slot, per PE
@@ -120,7 +124,7 @@ def _stall_spec(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
         return out
 
     fields = (sched.sor, sched.eor, sched.vld, sched.col, sched.value)
-    return TileSchedule(*map(place, fields), sched.stall_cycles + cycles - n_in)
+    return TileSchedule(*map(place, fields)), cycles - n_in
 
 
 def census_spec(sched: TileSchedule) -> ScheduleStats:
@@ -128,9 +132,8 @@ def census_spec(sched: TileSchedule) -> ScheduleStats:
     simulator.check_arbitration counts while it checks a schedule.
 
     A slot is valid work (vld), an empty-row marker (sor = eor = 1, vld = 0)
-    or idle (no bit set); anything else is an AssertionError. sched.stall_cycles
-    of each PE's idle slots are stalls and the rest pads, which may not be
-    negative.
+    or idle (no bit set); anything else is an AssertionError. The fewest idle
+    slots of any PE are every PE's stalls, and the rest of its idle slots pads.
     """
     k = sched.pe_count
     valid, empty, idle = ([0] * k for _ in range(3))
@@ -145,11 +148,9 @@ def census_spec(sched: TileSchedule) -> ScheduleStats:
                 idle[p] += 1
             else:
                 raise AssertionError(f"slot {cyc}, PE {p} has bits {bits}")
-    pads = [n - sched.stall_cycles for n in idle]
-    if min(pads, default=0) < 0:
-        raise AssertionError(f"{sched.stall_cycles} stalls but idle slots {idle}")
+    stall = min(idle)
     return ScheduleStats(*(np.array(a, np.int64) for a in
-                           (valid, empty, [sched.stall_cycles] * k, pads)), sched.cycles)
+                           (valid, empty, [stall] * k, [n - stall for n in idle])), sched.cycles)
 
 
 def test_archconfig_invariants():
@@ -258,7 +259,7 @@ def test_stall_block_rule():
     assert out.vld[1].tolist() == [0, 1]
     # the injected idle slots carry no bits and count as one stall per PE
     assert (out.sor[out.vld == 0] == 0).all() and (out.eor[out.vld == 0] == 0).all()
-    assert out.stall_cycles == 1
+    assert _stall_spec(sched, cfg)[1] == 1
     stats = census_spec(out)
     assert stats.stall_idle.tolist() == [1, 1] and stats.pad_idle.tolist() == [0, 0]
     assert grants_legal(out, cfg)
@@ -308,7 +309,7 @@ def test_stall_preserves_order_and_legality():
             == post.cycles * k
         # every PE keeps its whole column, so each gains the same stall count
         assert (stats.stall_idle == post.cycles - pre.cycles).all()
-        assert post.stall_cycles == post.cycles - pre.cycles
+        assert (stats.stall_idle == _stall_spec(pre, cfg)[1]).all()
         assert np.array_equal(stats.pad_idle, census_spec(pre).pad_idle)
         # deleting the all-zero slots leaves each pre-stall column's packets
         for p in range(k):
@@ -388,7 +389,11 @@ def assert_same_schedule(got, want):
     for name in ("sor", "eor", "vld", "col", "value"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.stall_cycles == want.stall_cycles
+
+
+def idle_slots(sched) -> np.ndarray:
+    """Each PE's slots with no bit set."""
+    return ((sched.sor | sched.eor | sched.vld) == 0).sum(axis=0)
 
 
 def count_scalar_calls(monkeypatch) -> list:
@@ -410,9 +415,12 @@ def test_stall_collisions_matches_scalar_spec(monkeypatch):
     stalled = 0
     cases = list(random_stall_cases(rng, 2000))
     for sched, cfg in cases:
-        want = _stall_spec(sched, cfg)
-        assert_same_schedule(stall_collisions(sched, cfg), want)
-        stalled += want.stall_cycles > 0
+        want, stalls = _stall_spec(sched, cfg)
+        got = stall_collisions(sched, cfg)
+        assert_same_schedule(got, want)
+        # every PE column gains the spec's stall count of idle slots
+        assert np.array_equal(idle_slots(got), idle_slots(sched) + stalls)
+        stalled += stalls > 0
     # both paths ran: single clashing cycles and groups finished by the scalar loop
     assert calls.count("cycle") > 100 and calls.count("rest") > 100
     assert 200 < stalled < len(cases) - 200
@@ -434,12 +442,14 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
     # PE 1 loses that cycle, so at 4501 it still reads 4 against PE 0's next
     # 0, wins by rotation, and the two are level again: two clashing cycles.
     out = stall_collisions(late, late_cfg)
-    assert_same_schedule(out, _stall_spec(late, late_cfg))
-    assert out.stall_cycles == 1 and calls == ["cycle", "cycle"]
+    want, stalls = _stall_spec(late, late_cfg)
+    assert_same_schedule(out, want)
+    assert stalls == 1 and calls == ["cycle", "cycle"]
     calls.clear()
     out = stall_collisions(switching, switching_cfg)
-    assert_same_schedule(out, _stall_spec(switching, switching_cfg))
-    assert out.stall_cycles > 500
+    want, stalls = _stall_spec(switching, switching_cfg)
+    assert_same_schedule(out, want)
+    assert stalls > 500
     assert calls[0] == "cycle" and calls[-1] == "rest"  # windows first, then the scalar rest
     # first clash 3000 cycles into a 4096-cycle window, next one 4968 cycles
     # after it: the window that follows must still be capped at 4096 cycles
@@ -452,8 +462,9 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
     long_cfg = ArchConfig(pe_count=2, lanes=1, groups=2, replicas=1)
     calls.clear()
     out = stall_collisions(long_runs, long_cfg)
-    assert_same_schedule(out, _stall_spec(long_runs, long_cfg))
-    assert out.stall_cycles == 1 and calls == ["cycle", "cycle"]
+    want, stalls = _stall_spec(long_runs, long_cfg)
+    assert_same_schedule(out, want)
+    assert stalls == 1 and calls == ["cycle", "cycle"]
     # no denial: the schedule comes back as given
     clash_free = TileSchedule.from_columns(*(getattr(late, name)[:4000] for name in
                                              ("sor", "eor", "vld", "col", "value")))
@@ -479,7 +490,7 @@ def test_stall_collisions_skips_banks_that_hold_one_address(monkeypatch):
     for sched in (same_bank, random_grid(rng, 200, 8, 16, 0.9, 0.05),
                   random_grid(rng, 200, 8, 1, 0.5, 0.2)):
         assert stall_collisions(sched, cfg) is sched
-        assert_same_schedule(_stall_spec(sched, cfg), sched)
+        assert_same_schedule(_stall_spec(sched, cfg)[0], sched)
     assert groups == []
     # one group reads address 16 in one cycle: the bank pass runs, finds
     # no clash, and also returns the schedule as given
@@ -585,7 +596,8 @@ def test_schedule_packets_roundtrip():
     raw = rng.integers(1, 8, size=(10, 16))
     raw[rng.random(raw.shape) < 0.6] = 0
     tile = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
-    sched = build_sdmm_schedule(tile, ArchConfig(pe_count=4, lanes=4, groups=4))
+    cfg = ArchConfig(pe_count=4, lanes=4, groups=4)
+    sched = build_sdmm_schedule(tile, cfg)
     header = make_header(16, 4, 4, sched.cycles)
     _, back = deserialize_stream(serialize_stream(sched, header))
     for name in ("sor", "eor", "vld", "col", "value"):
@@ -594,9 +606,8 @@ def test_schedule_packets_roundtrip():
     rows_per_pe = [len(range(p, 10, 4)) for p in range(4)]
     assert back.sor.sum(axis=0).tolist() == rows_per_pe
     assert back.eor.sum(axis=0).tolist() == rows_per_pe
-    # a stream cannot tell a stall from a pad: every idle slot reads back as a pad
-    assert sched.stall_cycles > 0 and back.stall_cycles == 0
-    before, after = census_spec(sched), census_spec(back)
-    assert np.array_equal(after.pad_idle, before.pad_idle + before.stall_idle)
-    assert np.array_equal(after.valid, before.valid)
-    assert np.array_equal(after.empty_row, before.empty_row)
+    # the decoded stream's census is the written schedule's, stalls included,
+    # and its stalls are the spec's count for every PE
+    written = check_arbitration(sched, cfg, 10, 16).totals()
+    assert check_arbitration(back, cfg, 10, 16).totals() == written
+    assert written["stall_idle"] == 4 * _stall_spec(assign_rows(tile, 4), cfg)[1] > 0

@@ -41,7 +41,7 @@ from gcnsim.simulator import (
     run_tile,
     simulate_step,
 )
-from test_schedule import census_spec
+from test_schedule import _stall_spec, census_spec
 
 
 def make_sched(grid):
@@ -494,14 +494,18 @@ def test_arbitration_census_matches_slot_spec(monkeypatch, pass_slots):
         raw = rng.integers(1, 8, size=(int(rng.integers(0, 30)), cfg.tile_width))
         raw[rng.random(raw.shape) < 0.8] = 0
         m = len(raw)
-        sdmm = build_sdmm_schedule(SparseMatrixCSR.from_dense_raw(raw, 4, 0), cfg)
+        tile = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
+        sdmm = build_sdmm_schedule(tile, cfg)
         dmm = build_dmm_schedule(rng.integers(-8, 8, size=(m, 3)), k)
-        for sched, dense_rows in ((sdmm, cfg.tile_width), (dmm, 3)):
+        # the stalls each PE gains, as the stall spec counts them: none in a sweep
+        spec_stalls = _stall_spec(assign_rows(tile, k), cfg)[1]
+        for sched, dense_rows, stalls in ((sdmm, cfg.tile_width, spec_stalls), (dmm, 3, 0)):
             got, want = check_arbitration(sched, cfg, m, dense_rows), census_spec(sched)
             assert got.cycles == want.cycles
             for name in ("valid", "empty_row", "stall_idle", "pad_idle"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert (got.stall_idle == stalls).all()
             seen += [want.stall_idle.sum(), want.empty_row.sum(), want.pad_idle.sum()]
     assert (seen > 0).all()
 
@@ -512,19 +516,15 @@ def test_arbitration_census_rejects_unclassifiable_slots_last():
     # it is neither work, an empty-row marker nor idle
     opened = make_sched([[(1, 0, 0, 0, 0), (1, 1, 1, 1, 1)],
                          [(0, 1, 1, 0, 1), IDLE_PACKET]])
-    # more stalls than idle slots: the census would need negative pads
-    busy = make_sched([[(1, 1, 1, 0, 1), (1, 1, 1, 1, 1)]])
-    busy.stall_cycles = 1
-    for sched in (opened, busy):
-        with pytest.raises(AssertionError):
-            census_spec(sched)
-        with pytest.raises(AssertionError, match="^slot census"):
-            check_arbitration(sched, cfg, 2, 2)
+    with pytest.raises(AssertionError):
+        census_spec(opened)
+    with pytest.raises(AssertionError, match="^slot census"):
+        check_arbitration(opened, cfg, 2, 2)
     # the arbitration findings are raised first
     with pytest.raises(ArbitrationError, match="^PE 0: row markers disagree with its 2 rows"):
         check_arbitration(opened, cfg, 3, 2)
     with pytest.raises(ShapeError, match="^packet column 1 outside dense tile rows 1"):
-        check_arbitration(busy, cfg, 2, 1)
+        check_arbitration(opened, cfg, 2, 1)
 
 
 def test_arbitration_census_peak_is_chunk_sized():
