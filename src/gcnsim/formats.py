@@ -72,7 +72,7 @@ def _int_rows(data: bytes, width: int, pos: int = 0) -> list[np.ndarray] | None:
     '-' not leading digits or an int64 extreme, which fromstring may have
     clipped. The text is parsed about _READ_BYTES at a time, cut after a
     newline, into columns allocated once, so temporaries stay chunk-sized."""
-    cols = [np.empty(data.count(b"\n", pos), dtype=np.int64) for _ in range(width)]
+    cols = [np.empty(lines, dtype=np.int64) for lines in [data.count(b"\n", pos)] * width]
     at = 0
     while pos < len(data):
         end = data.find(b"\n", pos + _READ_BYTES) + 1 or len(data)

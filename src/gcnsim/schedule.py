@@ -15,14 +15,14 @@ pass adds the same idle slots to every PE column of a grid where one column
 had none, so the census (simulator.check_arbitration) finds the stalls as
 the fewest idle slots in any column.
 
-The stall pass rests on one observation: a bank's owner in a cycle is the
-first pending valid PE on it in the rotating scan order, so a cycle where
-every bank sees one address grants every pending PE. stall_collisions jumps
-over such cycles a numpy window at a time and runs only the clashing ones
-through the scalar grant rule; a replica group whose clash-free runs are too
-short for windows to pay finishes in the scalar loop. The one-slot-at-a-time
-pass it replaced is kept in tests/test_schedule.py as _stall_spec, and the
-two are compared there field for field.
+The stall pass keeps one state per replica group: the output cycle and each
+PE's delay, its refusals so far. PE p presents input slot cycle - delay[p],
+and a bank's owner in a cycle is the first valid PE on it in the rotating
+scan order, so a cycle where every bank sees one address grants every PE and
+changes nothing but the cycle. Numpy windows jump over such cycles and one
+grant loop runs the clashing ones, or the whole group where clashes come too
+often for windows to pay. The one-slot-at-a-time pass it replaced is kept in
+tests/test_schedule.py as _stall_spec, and the two are compared field for field.
 
 The packet value width belongs to each operand's stream, not to the array:
 packet_bits_for picks 0 (binary), 4 or 16 bits and rejects values that do
@@ -31,7 +31,7 @@ not fit, so build_sdmm_schedule needs no width from the config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -159,18 +159,11 @@ class ScheduleStats:
         if other.pe_count != self.pe_count:
             raise ValueError(f"cannot add a {other.pe_count}-PE census "
                              f"to a {self.pe_count}-PE one")
-        return ScheduleStats(self.valid + other.valid, self.empty_row + other.empty_row,
-                             self.stall_idle + other.stall_idle,
-                             self.pad_idle + other.pad_idle, self.cycles + other.cycles)
+        return ScheduleStats(*(getattr(self, f.name) + getattr(other, f.name)
+                               for f in fields(self)))
 
     def totals(self) -> dict:
-        return {
-            "valid": int(self.valid.sum()),
-            "empty_row": int(self.empty_row.sum()),
-            "stall_idle": int(self.stall_idle.sum()),
-            "pad_idle": int(self.pad_idle.sum()),
-            "cycles": self.cycles,
-        }
+        return {f.name: int(np.sum(getattr(self, f.name))) for f in fields(self)}
 
     def check_identity(self) -> None:
         per_pe = self.valid + self.empty_row + self.stall_idle + self.pad_idle
@@ -253,16 +246,16 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
                                        for a in (sor, eor, vld, col, value)))
 
 
-# The stall pass's windows: the first window and the floor after a clash,
-# the cap a clash-free window doubles up to, and the switch back to the
-# scalar loop. A window and its clashing cycle cost about as much host time
-# as the scalar loop spends on _WINDOW_SLOTS slots, so after _JUDGE_AFTER
-# windows a group whose mean clash-free run covers fewer slots (16 cycles of
-# an 8-PE group) finishes in the scalar loop.
+# The probe's cycles, the shortest stretch judged after it (long: a handover
+# is final), the first window and the floor after a clash, and the cap a
+# clash-free window doubles up to. The grant loop costs about 130 ns a slot
+# and a window with its clashing cycle 15-35 us, about _WINDOW_SLOTS slots'
+# worth: where clashes come closer than that the loop runs instead.
+_PROBE = 256
+_STRETCH = 1024
 _WINDOW_MIN = 64
 _WINDOW_MAX = 4096
-_JUDGE_AFTER = 4
-_WINDOW_SLOTS = 128
+_WINDOW_SLOTS = 256
 
 
 def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
@@ -274,28 +267,15 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     The scan order rotates by one PE per cycle so nobody is systematically
     favored. Groups that finish early are padded to the longest group.
 
-    A bank's owner in a cycle is the first pending valid PE on it in scan
-    order, so a cycle is clash-free exactly when, in every bank, all pending
-    valid PEs read one address, and then every pending PE is granted. Each
-    replica group therefore sorts the (bank, address) keys of a window of
-    upcoming cycles, read from its per-PE pointers, moves every pointer to
-    the first cycle where two neighbours share a bank but not an address,
-    and runs only that cycle through the scalar grant rule (_stall_scalar).
-    A window starts at _WINDOW_MIN cycles, doubles up to _WINDOW_MAX while
-    clash-free, and restarts at twice the last run, within those bounds,
-    after a clash. After _JUDGE_AFTER windows, a group whose mean clash-free
-    run spans fewer than _WINDOW_SLOTS slots finishes in the scalar loop from
-    its pointers. The one-slot-at-a-time pass is the spec:
-    tests/test_schedule.py keeps it as _stall_spec and compares the two.
-
-    Both paths record only the denied requests. A slot's output cycle is its
-    input slot plus its PE's denials so far, and each field then moves with
-    one scatter into the flat output grid. A PE keeps its whole column, so
-    every PE gains the same cycles_out - cycles_in idle slots: the stalls
-    the census finds as the fewest idle slots in any column. A schedule with
-    no denial (no slots, groups of one PE, no clash) is returned as given;
-    one whose columns all lie below groups is returned before any bank work,
-    since each bank then holds one address.
+    Each replica group runs in _stall_group (see the module docstring), which
+    records only the denied requests. A slot's output cycle is its input slot
+    plus its PE's denials so far, and each field then moves with one scatter
+    into the flat output grid. A PE keeps its whole column, so every PE gains
+    the same cycles_out - cycles_in idle slots: the stalls the census finds as
+    the fewest idle slots in any column. A schedule with no denial (no slots,
+    groups of one PE, no clash) is returned as given; one whose columns all lie
+    below groups is returned before any bank work, since each bank then holds
+    one address.
     """
     if sched.pe_count != cfg.pe_count:
         raise ValueError(f"schedule has {sched.pe_count} PEs, config {cfg.pe_count}")
@@ -304,17 +284,15 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     width = cfg.group_width
     if n_in == 0 or width == 1 or sched.col.max() < cfg.groups:
         return sched  # no slots, groups of one PE, or one address per bank
+    orders = [list(range(r, width)) + list(range(r)) for r in range(width)]  # per cycle % width
     denied = []  # (pe, input slot) of each refused request, per group
     for base in range(0, k, width):
         part = slice(base, base + width)
-        group = _stall_group(sched.vld[:, part], sched.col[:, part], cfg.groups)
-        if group:
-            found = np.array(group, dtype=np.int64)
-            found[:, 0] += base
-            denied.append(found)
-    if not denied:
-        return sched
+        group = _stall_group(sched.vld[:, part], sched.col[:, part], cfg.groups, orders)
+        denied.append(np.array(group, dtype=np.int64).reshape(-1, 2) + (base, 0))
     pe, slot = np.concatenate(denied).T
+    if not len(pe):
+        return sched
     rows = np.bincount(slot * k + pe, minlength=n_in * k).reshape(n_in, k)
     np.cumsum(rows, axis=0, out=rows)
     rows += np.arange(n_in)[:, None]  # output cycle of each input slot
@@ -330,92 +308,112 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     return TileSchedule(*map(place, (sched.sor, sched.eor, sched.vld, sched.col, sched.value)))
 
 
-def _stall_group(vld: np.ndarray, col: np.ndarray, g: int) -> list:
+def _clash_flags(window: np.ndarray) -> np.ndarray:
+    """Sorts each row in place; flags neighbours 1 to 2^31 apart: same bank, another address."""
+    window.sort(axis=1)
+    gaps = window[:, 1:] - window[:, :-1]
+    gaps -= 1
+    return gaps.view(np.uint64) < (1 << 31)
+
+
+def _stall_group(vld: np.ndarray, col: np.ndarray, g: int, orders: list) -> list:
     """Denied (PE in group, input slot) pairs of one replica group.
 
-    Each slot's key is bank << 32 | address when it is a valid request and
-    a bank of its own past the real ones otherwise, also for the rows past
-    the end. Sorted, a cycle's keys clash exactly where two neighbours
-    differ by 1 to 2^31: same bank, another address.
+    A slot's key is bank << 32 | address for a valid request, else a bank of
+    its PE's own. The probe sorts the first _PROBE rows' keys: if more than
+    one row per _WINDOW_SLOTS slots clashes, the grant loop runs the group
+    from cycle 0. Else windows read the full keys at pointers cycle - delay
+    and send each clashing cycle through the loop, until a stretch of at
+    least _STRETCH cycles clashes that often: then the loop takes (cycle, delays).
     """
-    n_in, width = vld.shape
-    lanes = np.arange(width)
-    limit = g << 32  # keys at or past it are not valid requests
-    private = (g + lanes.astype(np.int64)) << 32
-    keys = np.empty((n_in + min(n_in, _WINDOW_MAX), width), dtype=np.int64)
-    body = keys[:n_in]
-    np.bitwise_and(col, g - 1, out=body)  # the bank: g divides a power-of-two tile width
-    body <<= 32
-    body |= col
+    n, width = vld.shape
     valid = (vld == 1) & (col >= 0)
-    np.copyto(body, private, where=~valid)
-    keys[n_in:] = private
-    keys = keys.ravel()
-    steps = np.arange(0, _WINDOW_MAX * width, width)[:, None]
-    ptrs = np.zeros(width, dtype=np.int64)
-    denied: list = []
-    cyc = windows = skipped = 0
-    span = _WINDOW_MIN
-    while True:
+    lanes = np.arange(width, dtype=np.int64)
+    private = (g + lanes) << 32
+
+    def bank_keys(rows: int, pad: int) -> np.ndarray:  # the first rows slots' keys, pad rows more
+        keys = np.tile(private, (rows + pad, 1))
+        body = keys[:rows]
+        np.left_shift(col[:rows] & (g - 1), 32, out=body, dtype=np.int64)  # g divides T
+        body |= col[:rows]
+        np.copyto(body, private, where=~valid[:rows])
+        return keys
+
+    delay, denied = [0] * width, []
+    claim, held = [-1] * g, [0] * g  # each bank's last claiming cycle and its address
+    cyc = mark = clashes = 0  # the judged stretch: its first cycle, its clashing cycles
+    probe = _clash_flags(bank_keys(min(n, _PROBE), 0))
+    windows = probe.any(axis=1).sum() * _WINDOW_SLOTS <= len(probe) * width
+    if windows:  # past the end each PE presents its private key
+        flat = bank_keys(n, min(n, _WINDOW_MAX)).ravel()
+        steps = np.arange(0, _WINDOW_MAX * width, width)[:, None]
+        lag = np.zeros(width, dtype=np.int64)  # delay, as an array
+        span = _WINDOW_MIN
+    while windows:
+        ptrs = np.minimum(cyc - lag, n)
         lo = int(ptrs.min())
-        if lo == n_in:
+        if lo == n:
             return denied
-        if windows >= _JUDGE_AFTER and skipped * width < _WINDOW_SLOTS * windows:
-            reqs = np.where(valid[lo:], col[lo:], -1).T.tolist()
-            _stall_scalar(reqs, (ptrs - lo).tolist(), n_in - lo, cyc, g, denied, [lo] * width)
-            return denied
-        n = min(span, n_in - lo)
         here = ptrs * width + lanes
-        window = keys.take(here + steps[:n])
-        window.sort(axis=1)
-        gaps = window[:, 1:] - window[:, :-1]
-        gaps -= 1
-        clash = gaps.view(np.uint64).ravel() < (1 << 31)
+        rows = min(span, n - lo)
+        clash = _clash_flags(flat.take(here + steps[:rows]))
         first = int(clash.argmax())
-        windows += 1
-        if not clash[first]:
-            ptrs = np.minimum(ptrs + n, n_in)
-            cyc += n
-            skipped += n
+        if not clash.flat[first]:
+            cyc += rows
             span = min(2 * span, _WINDOW_MAX)
             continue
         run = first // (width - 1)
         cyc += run
-        skipped += run
-        reqs = [[a & 0xFFFFFFFF if a < limit else -1]
-                for a in keys.take(here + run * width).tolist()]
-        ptrs = np.minimum(ptrs + run, n_in)
-        step = [0] * width
-        cyc = _stall_scalar(reqs, step, 1, cyc, g, denied, ptrs.tolist(), cyc + 1)
-        ptrs = np.minimum(ptrs + step, n_in)
+        clashes += 1
+        if cyc - mark >= _STRETCH:
+            if clashes * _WINDOW_SLOTS > (cyc - mark) * width:
+                break
+            mark, clashes = cyc, 0
+        # the clashing cycle alone: each slot is entry 0 of its PE's list at delay cyc
+        reqs = [[a & 0xFFFFFFFF if a < g << 32 else -1]
+                for a in flat.take(here + run * width).tolist()]
+        refused: list = []
+        _grant(reqs, [cyc] * width, 1, cyc, cyc + 1, claim, held, orders, g - 1, refused)
+        for p, _ in refused:
+            denied.append((p, cyc - delay[p]))
+            delay[p] += 1
+        cyc += 1
+        lag = np.array(delay)
         span = min(max(_WINDOW_MIN, 2 * run), _WINDOW_MAX)
+    _grant(np.where(valid, col, -1).T.tolist(), delay, n, cyc, -1, claim, held, orders,
+           g - 1, denied)
+    return denied
 
 
-def _stall_scalar(reqs: list, ptrs: list, n: int, cyc: int, g: int, denied: list,
-                  slot0: list, stop: int = -1) -> int:
-    """The grant rule, one output cycle at a time, from cycle cyc.
-
-    PE p of the group requests reqs[p][ptrs[p]] next (-1: not a valid slot)
-    and is done at n. Runs until every PE is done, or up to cycle stop;
-    appends (p, slot0[p] + i) to denied for each refused request i, advances
-    ptrs in place, and returns the next cycle.
+def _grant(reqs: list, delay: list, n: int, cyc: int, stop: int, claim: list,
+           held: list, orders: list, mask: int, denied: list) -> int:
+    """The grant rule from cycle cyc to the group's end n + max(delay), or up
+    to cycle stop; returns the next cycle. PE p presents, in the scan order
+    orders[cyc % width], reqs[p][cyc - delay[p]] (-1: no valid request, as
+    past its n slots). A refusal goes on denied as (p, slot) and adds one to
+    delay[p]. claim[bank] is the cycle a bank was last claimed in and
+    held[bank] its address then.
     """
-    width = len(reqs)
-    pending = sum(i < n for i in ptrs)
-    while pending and cyc != stop:
-        owner: dict = {}  # bank -> the one address granted on it this cycle
-        for off in range(width):
-            lp = (cyc + off) % width
-            i = ptrs[lp]
-            if i == n:
-                continue
-            addr = reqs[lp][i]
-            if addr >= 0 and owner.setdefault(addr % g, addr) != addr:
-                denied.append((lp, slot0[lp] + i))
-                continue
-            ptrs[lp] = i + 1
-            if i + 1 == n:
-                pending -= 1
+    width = len(orders)
+    end = n + max(delay)
+    for p, r in enumerate(reqs):
+        r += [-1] * (end - delay[p] - len(r))
+    while cyc < end and cyc != stop:
+        for p in orders[cyc % width]:
+            a = reqs[p][cyc - delay[p]]
+            if a >= 0:
+                b = a & mask
+                if claim[b] != cyc:
+                    claim[b] = cyc
+                    held[b] = a
+                elif held[b] != a:
+                    denied.append((p, cyc - delay[p]))
+                    d = delay[p] + 1
+                    delay[p] = d
+                    if n + d > end:  # a new last PE: every list gets one more -1
+                        end = n + d
+                        for r in reqs:
+                            r.append(-1)
         cyc += 1
     return cyc
 

@@ -152,6 +152,8 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
     leaves a slot unclassified raises AssertionError after them.
     """
     k, g = cfg.pe_count, cfg.groups
+    if sched.pe_count != k:
+        raise ShapeError(f"schedule has {sched.pe_count} PEs, config {k}")
     per_bank = -(-dense_rows // g)  # addresses one bank holds
     step = max(1, _PASS_SLOTS // k)  # cycles per chunk
     opened = closed = np.zeros(k, np.int32)  # each PE's row markers so far

@@ -396,38 +396,55 @@ def idle_slots(sched) -> np.ndarray:
     return ((sched.sor | sched.eor | sched.vld) == 0).sum(axis=0)
 
 
-def count_scalar_calls(monkeypatch) -> list:
-    """Record each _stall_scalar call: one clashing "cycle" or the "rest" of a group."""
-    calls = []
-    scalar = schedule._stall_scalar
+class GrantCalls(list):
+    """Each grant loop run: one clashing "cycle" a window found, a "whole"
+    group from cycle 0, or the "rest" of one its windows handed over."""
+    handover = None  # (cycle, delays) of the last "rest"
 
-    def counted(reqs, ptrs, n, cyc, g, denied, slot0, stop=-1):
-        calls.append("rest" if stop == -1 else "cycle")
-        return scalar(reqs, ptrs, n, cyc, g, denied, slot0, stop)
 
-    monkeypatch.setattr(schedule, "_stall_scalar", counted)
+def count_grant_calls(monkeypatch) -> GrantCalls:
+    calls = GrantCalls()
+    grant = schedule._grant
+
+    def counted(reqs, delay, n, cyc, stop, *args):
+        if stop != -1:
+            calls.append("cycle")
+        elif cyc:
+            calls.append("rest")
+            calls.handover = (cyc, list(delay))
+        else:
+            calls.append("whole")
+        return grant(reqs, delay, n, cyc, stop, *args)
+
+    monkeypatch.setattr(schedule, "_grant", counted)
     return calls
 
 
 def test_stall_collisions_matches_scalar_spec(monkeypatch):
-    calls = count_scalar_calls(monkeypatch)
+    calls = count_grant_calls(monkeypatch)
     rng = np.random.default_rng(89)
     stalled = 0
     cases = list(random_stall_cases(rng, 2000))
+    tuned = schedule._PROBE, schedule._STRETCH
     for sched, cfg in cases:
         want, stalls = _stall_spec(sched, cfg)
-        got = stall_collisions(sched, cfg)
-        assert_same_schedule(got, want)
-        # every PE column gains the spec's stall count of idle slots
-        assert np.array_equal(idle_slots(got), idle_slots(sched) + stalls)
+        # as tuned, then a one-row probe and 16-cycle judged stretches, so
+        # that groups take every path: windows, the loop, and handovers
+        for probe, stretch in (tuned, (1, 16)):
+            monkeypatch.setattr(schedule, "_PROBE", probe)
+            monkeypatch.setattr(schedule, "_STRETCH", stretch)
+            got = stall_collisions(sched, cfg)
+            assert_same_schedule(got, want)
+            # every PE column gains the spec's stall count of idle slots
+            assert np.array_equal(idle_slots(got), idle_slots(sched) + stalls)
         stalled += stalls > 0
-    # both paths ran: single clashing cycles and groups finished by the scalar loop
-    assert calls.count("cycle") > 100 and calls.count("rest") > 100
+    # every path ran: clashing cycles in windows, whole groups and handovers
+    assert min(calls.count("cycle"), calls.count("whole"), calls.count("rest")) > 100
     assert 200 < stalled < len(cases) - 200
 
 
 def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
-    calls = count_scalar_calls(monkeypatch)
+    calls = count_grant_calls(monkeypatch)
     ones = np.ones((5000, 4), dtype=np.int64)
     col = np.zeros((5000, 4), dtype=np.int64)
     col[4500, 1] = 4  # once, PE 1 reads bank 0's address 4 while PE 0 reads 0
@@ -450,7 +467,7 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
     want, stalls = _stall_spec(switching, switching_cfg)
     assert_same_schedule(out, want)
     assert stalls > 500
-    assert calls[0] == "cycle" and calls[-1] == "rest"  # windows first, then the scalar rest
+    assert calls == ["whole"]  # the probe sees the clashes from cycle 100: all in the loop
     # first clash 3000 cycles into a 4096-cycle window, next one 4968 cycles
     # after it: the window that follows must still be capped at 4096 cycles
     ones = np.ones((16000, 2), dtype=np.int64)
@@ -475,13 +492,74 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
         assert stall_collisions(sched, cfg) is sched
 
 
+@pytest.mark.parametrize("probe_slots, path", [(0, "windows"), (10 ** 9, "loop")])
+def test_stall_denies_one_pe_for_255_cycles(monkeypatch, probe_slots, path):
+    # one 256-PE group: every PE reads address 0 of bank 0, but PE 255 first
+    # reads address 2 on that bank. Only at cycle 255 does it head the scan
+    # order and win; every PE then holding slot 255 loses that cycle.
+    # _WINDOW_SLOTS 0 keeps the group in windows, 10^9 sends it to the loop.
+    monkeypatch.setattr(schedule, "_WINDOW_SLOTS", probe_slots)
+    calls = count_grant_calls(monkeypatch)
+    ones = np.ones((300, 256), dtype=np.int64)
+    col = np.zeros((300, 256), dtype=np.int64)
+    col[0, 255] = 2
+    sched = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    cfg = ArchConfig(pe_count=256, lanes=1, groups=2)
+    want, stalls = _stall_spec(sched, cfg)
+    got = stall_collisions(sched, cfg)
+    assert_same_schedule(got, want)
+    assert stalls == 255 and not got.vld[:255, 255].any() and got.col[255, 255] == 2
+    assert calls == (["cycle"] * 256 if path == "windows" else ["whole"])
+
+
+def test_stall_windows_hand_cycle_and_delays_to_the_loop(monkeypatch):
+    # clash-free for 20000 cycles, then PEs 1 and 3 meet PEs 0 and 2's banks
+    # every 16th row. The windows resolve clashing cycles one at a time until
+    # a judged stretch of _STRETCH cycles holds too many, then hand their
+    # (cycle, delays) state to the loop: the stretch restarts after a long
+    # clash-free run, so the handover comes within two stretches of the change.
+    calls = count_grant_calls(monkeypatch)
+    ones = np.ones((24000, 4), dtype=np.int64)
+    col = np.tile(np.arange(4), (24000, 1))
+    col[20000::16, 1::2] = (4, 6)
+    sched = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    cfg = ArchConfig(pe_count=4, lanes=2, groups=4, replicas=1)
+    want, stalls = _stall_spec(sched, cfg)
+    assert_same_schedule(stall_collisions(sched, cfg), want)
+    assert stalls > 200
+    assert calls[-1] == "rest" and set(calls[:-1]) == {"cycle"} and len(calls) > 8
+    cyc, delays = calls.handover
+    assert 20000 + schedule._STRETCH <= cyc < 20000 + 2 * schedule._STRETCH and max(delays) > 0
+
+
+def test_stall_1024_banks_with_rare_clashes_stay_in_windows(monkeypatch):
+    # 8 PEs on 1024 banks read address 8 * slot + PE, one bank each, except
+    # at three slots where one PE reads its neighbour's bank 1024 further on.
+    # Each loser then lags its group by one slot on banks of its own.
+    calls = count_grant_calls(monkeypatch)
+    n = 3000
+    col = 8 * np.arange(n)[:, None] + np.arange(8)
+    for slot, pe in ((100, 1), (1500, 3), (2600, 5)):
+        col[slot, pe] = col[slot, pe - 1] + 1024
+    ones = np.ones((n, 8), dtype=np.int64)
+    sched = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    cfg = ArchConfig(pe_count=8, lanes=16, groups=1024)
+    want, stalls = _stall_spec(sched, cfg)
+    got = stall_collisions(sched, cfg)
+    assert_same_schedule(got, want)
+    assert stalls == 1 and calls == ["cycle"] * 3
+    losers = [100, 1500, 2600], [1, 3, 5]
+    assert not got.vld[losers].any()  # each loser's slot comes one cycle late
+    assert np.array_equal(got.col[np.add(losers[0], 1), losers[1]], col[losers])
+
+
 def test_stall_collisions_skips_banks_that_hold_one_address(monkeypatch):
     # with every column below groups each bank holds one address, so no
     # cycle can clash: the schedule comes back without a bank pass
     groups = []
     stall_group = schedule._stall_group
-    monkeypatch.setattr(schedule, "_stall_group",
-                        lambda vld, col, g: groups.append(g) or stall_group(vld, col, g))
+    monkeypatch.setattr(schedule, "_stall_group", lambda vld, col, g, orders:
+                        groups.append(g) or stall_group(vld, col, g, orders))
     rng = np.random.default_rng(73)
     cfg = ArchConfig(pe_count=8, lanes=4, groups=16, replicas=2)
     ones = np.ones((50, 8), dtype=np.int64)

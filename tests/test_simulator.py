@@ -324,6 +324,18 @@ def test_arbitration_checks_with_one_address_per_bank():
         check_arbitration(clash, cfg, 2, 5)
 
 
+def test_arbitration_rejects_another_pe_count():
+    # a 2-PE schedule against a 4-PE config is named before the walk,
+    # not left to a numpy broadcast error inside it
+    row = PcooPacket(1, 1, 1, 1, 1)
+    two = make_sched([[row, row]])
+    cfg = ArchConfig(pe_count=4, lanes=2, groups=4)
+    with pytest.raises(ShapeError, match="^schedule has 2 PEs, config 4$"):
+        check_arbitration(two, cfg, 2, 4)
+    with pytest.raises(ShapeError, match="^schedule has 4 PEs, config 2$"):
+        check_arbitration(make_sched([[row] * 4]), ArchConfig(pe_count=2, lanes=2, groups=4), 4, 4)
+
+
 def first_clash_cycle(sched, cfg):
     """Cycle-by-cycle spec of check_arbitration: first cycle where one
     replica group reads two addresses from one bank, or None."""
