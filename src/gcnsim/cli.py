@@ -17,7 +17,6 @@ import csv
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .formats import (MAX_SPARSE_DIM, FileFormatError, _write_lines, export_bundle,
@@ -60,7 +59,7 @@ EXIT_OVERFLOW = 5
 
 DEFAULTS = {
     "pe": 16, "replicas": 1, "tile": 512, "lanes": 16, "value_bits": None,
-    "load_bw": 64, "move_bw": 16, "seed": 0, "jobs": 1,
+    "load_bw": 64, "move_bw": 16, "seed": 0,
 }
 
 SWEEP_FIELDS = [
@@ -253,44 +252,43 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _sweep_row(point, doc) -> dict:
+    """One CSV row: a point's geometry and its report's headline numbers."""
+    sd, ph, v = doc["sdmm"], doc["phases"], doc["verify"]
+    return {
+        "pe": point["pe"], "replicas": point["replicas"],
+        "tile": point["tile"], "lanes": point["lanes"],
+        "total_cycles": ph["total_cycles"], "load_cycles": ph["load_cycles"],
+        "compute_cycles": ph["compute_cycles"], "move_cycles": ph["move_cycles"],
+        "sdmm_compute_cycles": sd["compute_cycles"], "sdmm_work": sd["work"],
+        "ideal_cycles": sd["ideal_cycles"], "efficiency": sd["efficiency"],
+        **{k: sd["slots"][k] for k in ("valid", "empty_row", "collision",
+                                       "imbalance")},
+        "exact_match": v["exact_match"], "max_abs_err": v["max_abs_err"],
+        "argmax_agreement": v["argmax_agreement"],
+    }
+
+
 def cmd_sweep(args) -> int:
     s = resolve_settings(args)
     out_path = _require_out(args)
-    if s["jobs"] < 1:
-        raise ValueError(f"--jobs must be >= 1, got {s['jobs']}")
     _check_model_shape(args)
     points = []
-    for pe, r, t in itertools.product(args.pe, args.replicas, args.tile):
+    # a grid flag left out sweeps the one value the config or defaults give
+    grid = (args.pe or [s["pe"]], args.replicas or [s["replicas"]], args.tile or [s["tile"]])
+    for pe, r, t in itertools.product(*grid):
         point = {**s, "pe": pe, "replicas": r, "tile": t}
         arch_from(point)  # surfaces invalid settings before the CSV exists
         points.append(point)
     simulate = _point_runner(args, s)
-
-    def run_point(point):
-        _, doc = simulate(point)
-        sd, ph, v = doc["sdmm"], doc["phases"], doc["verify"]
-        return {
-            "pe": point["pe"], "replicas": point["replicas"],
-            "tile": point["tile"], "lanes": point["lanes"],
-            "total_cycles": ph["total_cycles"], "load_cycles": ph["load_cycles"],
-            "compute_cycles": ph["compute_cycles"], "move_cycles": ph["move_cycles"],
-            "sdmm_compute_cycles": sd["compute_cycles"], "sdmm_work": sd["work"],
-            "ideal_cycles": sd["ideal_cycles"], "efficiency": sd["efficiency"],
-            **{k: sd["slots"][k] for k in ("valid", "empty_row", "collision",
-                                           "imbalance")},
-            "exact_match": v["exact_match"], "max_abs_err": v["max_abs_err"],
-            "argmax_agreement": v["argmax_agreement"],
-        }
-
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDS)
         writer.writeheader()
         fh.flush()
-        with ThreadPoolExecutor(max_workers=s["jobs"]) as pool:
-            for row in pool.map(run_point, points):
-                writer.writerow(row)
-                fh.flush()
+        for point in points:
+            writer.writerow(_sweep_row(point, simulate(point)[1]))
+            fh.flush()
     print(f"swept {len(points)} configs -> {out_path}")
     return EXIT_OK
 
@@ -324,7 +322,8 @@ def _array_parent() -> argparse.ArgumentParser:
     p.add_argument("--lanes", type=int, help="MAC lanes per PE")
     p.add_argument("--load-bw", dest="load_bw", type=int)
     p.add_argument("--move-bw", dest="move_bw", type=int)
-    p.add_argument("--jobs", type=int, help="sweep worker threads (>= 1)")
+    # kept so existing "--jobs 1" command lines parse; sweep points run in order
+    p.add_argument("--jobs", type=int, choices=(1,), help=argparse.SUPPRESS)
     return p
 
 
@@ -378,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulate a grid of configs, emit CSV")
     sw.add_argument("bundle")
     _model_flags(sw)
-    sw.add_argument("--pe", type=_int_list, default=[DEFAULTS["pe"]])
-    sw.add_argument("--replicas", type=_int_list, default=[DEFAULTS["replicas"]])
-    sw.add_argument("--tile", type=_int_list, default=[DEFAULTS["tile"]])
+    sw.add_argument("--pe", type=_int_list)
+    sw.add_argument("--replicas", type=_int_list)
+    sw.add_argument("--tile", type=_int_list)
     sw.set_defaults(func=cmd_sweep)
 
     rp = sub.add_parser("report", help="render saved report documents")

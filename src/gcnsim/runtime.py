@@ -9,10 +9,10 @@ backend replays the identical pipeline on the reference kernels, so the two
 paths must agree bit for bit; a separate real-arithmetic reference measures
 quantization error. Neither reference depends on the array config, so
 references() computes both once for any number of configs. A simulated run
-plans each left operand once, where the layer walk first needs it, for
-every product with it; one ArchConfig serves every product, since each
-sparse operand's packets take their value width from the operand itself
-(schedule.packet_bits_for).
+plans each left operand once, into one simulator.Plan, where the layer walk
+first needs it, for every product with it; one ArchConfig serves every
+product, since each sparse operand's packets take their value width from
+the operand itself (schedule.packet_bits_for).
 
 The layer walk owns each plan and holds only what it can still use: the
 adjacency's plan for the run, the current layer input's plan until its
@@ -40,8 +40,7 @@ from .matrix import (
     sdmm_reference,
 )
 from .schedule import ArchConfig
-from .simulator import (CycleReport, check_product, compile_plan, planned_operand,
-                        simulate_step)
+from .simulator import CycleReport, check_product, compile_plan, simulate_step
 
 KIND_GCN = "gcn"
 KIND_SAGE = "graphsage-mean"
@@ -142,19 +141,17 @@ def align_add(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 class _SimEngine:
     """Matrix products through the cycle simulator, reports collected. An
-    operand's handle carries its compiled plan for as long as the walk keeps
-    it, and of the operand only its planned_operand summary, so the walk's
-    del drops the matrix once it is planned."""
+    operand's handle is its Plan, which holds no reference to the matrix, so
+    the walk's del drops the matrix once it is planned."""
 
     def __init__(self, cfg: ArchConfig, report: RunReport):
         self.cfg, self.report = cfg, report
 
     def operand(self, x):
-        return planned_operand(x), compile_plan(x, self.cfg)
+        return compile_plan(x, self.cfg)
 
-    def matmul(self, label: str, op, w: DenseMatrix) -> DenseMatrix:
-        x, plan = op
-        y, rep = simulate_step(x, w, self.cfg, plan)
+    def matmul(self, label: str, plan, w: DenseMatrix) -> DenseMatrix:
+        y, rep = simulate_step(plan, w, self.cfg)
         self.report.add(label, rep)
         return y
 

@@ -16,7 +16,9 @@ A product is planned (plan_step, every command's one path from an operand to
 schedules: check_arbitration checks each once and counts its census in the
 same walk), compiled (compile_tile: a schedule's PE-major segments, all a plan
 keeps of it) and run (run_tile: all output columns of a tile at once, into one
-output array); a compiled plan serves every product with its left operand.
+output array). compile_plan returns one Plan, the operand's shape, scale and
+mode with its compiled entries; simulate_step takes it in place of the
+matrix, so a Plan serves every product with its left operand.
 The hardware walks the output C lanes at a time, replaying the schedule per
 lane block, so each lane block only adds its load cycles and census. A step's
 CycleReport sums those censuses, and report.py gives them their document names.
@@ -343,56 +345,51 @@ def check_operand(x) -> None:
                         f"got {type(x).__name__}")
 
 
-class PlannedOperand(NamedTuple):
-    """All a product reads of its left operand besides the operand's plan,
-    whose packets carry the entries: a holder of the plan can drop the matrix."""
+@dataclass(eq=False)
+class Plan:
+    """A left operand as its products read it: shape, scale and mode, and one
+    (first column, compiled tile, slot census) entry per column tile, whose
+    packets carry the operand's entries, so a holder can drop the matrix."""
 
     rows: int
     cols: int
     frac_bits: int
     mode: str
-
-
-def planned_operand(x) -> PlannedOperand:
-    """x's shape, scale and mode; a PlannedOperand is returned as it is."""
-    if isinstance(x, PlannedOperand):
-        return x
-    check_operand(x)
-    mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
-    return PlannedOperand(x.rows, x.cols, x.frac_bits, mode)
+    entries: list
 
 
 def check_product(x, w: DenseMatrix) -> None:
-    """Reject x @ w before planning; x may be a PlannedOperand."""
-    if planned_operand(x).cols != w.rows:
+    """Reject x @ w before planning; x may be a Plan."""
+    if not isinstance(x, Plan):
+        check_operand(x)
+    if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
 
 
-def compile_plan(x, cfg: ArchConfig) -> list[tuple[int, CompiledTile, ScheduleStats]]:
+def compile_plan(x, cfg: ArchConfig) -> Plan:
     """plan_step(x, cfg) with each schedule compiled for run_tile, and dropped
     before the next is built."""
-    plan = []
+    entries = []
     for c0, sched, stats in plan_step(x, cfg):
-        plan.append((c0, compile_tile(sched), stats))
+        entries.append((c0, compile_tile(sched), stats))
         del sched
-    return plan
+    mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
+    return Plan(x.rows, x.cols, x.frac_bits, mode, entries)
 
 
-def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None
-                  ) -> tuple[DenseMatrix, CycleReport]:
+def simulate_step(x, w: DenseMatrix, cfg: ArchConfig) -> tuple[DenseMatrix, CycleReport]:
     """One full matrix product on the array: load, compute, move.
 
-    plan is compile_plan(x, cfg), built here when not given; with a plan, x
-    may be planned_operand(x) instead of the matrix. Output accumulates
-    across column tiles in one OMMB array and is width-checked at the end.
+    x is the left operand or its compile_plan(x, cfg), which is built here
+    when not given. Output accumulates across column tiles in one OMMB array
+    and is width-checked at the end.
     """
     check_product(x, w)
-    plan = compile_plan(x, cfg) if plan is None else plan
-    x = planned_operand(x)
-    y = np.zeros((x.rows, w.cols), dtype=np.int64)
-    report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=x.mode)
+    plan = x if isinstance(x, Plan) else compile_plan(x, cfg)
+    y = np.zeros((plan.rows, w.cols), dtype=np.int64)
+    report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=plan.mode)
     lane_blocks = range(0, max(w.cols, 1), cfg.lanes)
-    for c0, tile, stats in plan:
+    for c0, tile, stats in plan.entries:
         w_tile = w.data[c0:c0 + cfg.tile_width]
         run_tile(tile, w_tile, y)
         for o0 in lane_blocks:
@@ -402,4 +399,4 @@ def simulate_step(x, w: DenseMatrix, cfg: ArchConfig, plan=None
     report.move_cycles += data_move(y, cfg)
     report.census.check_identity()
     check_fits(y, 32, "accumulator")
-    return DenseMatrix(y, 32, x.frac_bits + w.frac_bits), report
+    return DenseMatrix(y, 32, plan.frac_bits + w.frac_bits), report

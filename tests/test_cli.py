@@ -7,13 +7,14 @@ import json
 import re
 import resource
 import shutil
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gcnsim import graphs, runtime, simulator
+from gcnsim import cli, graphs, runtime, simulator
 from gcnsim.cli import EXIT_DATA, EXIT_INVALID, EXIT_OK, main
 from gcnsim.formats import (MAX_SPARSE_DIM, export_bundle, ingest_bundle_dir, read_meta,
                             write_weights)
@@ -195,16 +196,33 @@ def test_single_point_sweep_matches_simulate(workload, capsys):
     capsys.readouterr()
 
 
-def test_sweep_parallel_jobs_match_serial(workload, capsys):
-    base = ["sweep", str(workload / "w"), "--pe", "2,4", "--replicas", "1,2",
-            "--tile", "64", "--hidden", "8", "--classes", "3"]
-    a, b = workload / "serial.csv", workload / "parallel.csv"
-    assert main(base + ["--out", str(a)]) == EXIT_OK
-    assert main(base + ["--jobs", "3", "--out", str(b)]) == EXIT_OK
-    assert a.read_text() == b.read_text()
-    with open(a, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
+def test_sweep_runs_points_in_the_calling_thread(workload, monkeypatch, capsys):
+    # an in-process profiler sees every stage of every point
+    threads = []
+    run_model = cli.run_model
+    monkeypatch.setattr(cli, "run_model", lambda *args: threads.append(
+        threading.current_thread()) or run_model(*args))
+    assert main(["sweep", str(workload / "w"), "--pe", "2,4", "--replicas", "1,2",
+                 "--tile", "64", "--hidden", "8", "--classes", "3",
+                 "--out", str(workload / "inline.csv")]) == EXIT_OK
+    assert threads == 4 * [threading.main_thread()]
+    capsys.readouterr()
+
+
+def test_sweep_takes_its_grid_from_a_config_file(workload, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pe": 4, "replicas": 2, "tile": 64}))
+    base = ["sweep", str(workload / "w"), "--config", str(cfg), "--hidden", "8",
+            "--classes", "3", "--out", str(tmp_path / "s.csv")]
+
+    def grid():
+        with open(tmp_path / "s.csv", newline="") as fh:
+            return [(int(r["pe"]), int(r["replicas"]), int(r["tile"]))
+                    for r in csv.DictReader(fh)]
+    assert main(base) == EXIT_OK
+    assert grid() == [(4, 2, 64)]
+    assert main(base + ["--pe", "2,4"]) == EXIT_OK  # a flag wins over the file
+    assert grid() == [(2, 2, 64), (4, 2, 64)]
     capsys.readouterr()
 
 
@@ -276,13 +294,15 @@ def test_error_exit_categories(workload, tmp_path, capsys):
     assert main(["preprocess", str(workload / "w"), "--tile", "65536",
                  "--out", str(tmp_path / "y")]) == EXIT_INVALID
     assert main(["gen", "--nodes", "10"]) == EXIT_INVALID  # no --out
-    assert main(["sweep", str(workload / "w"), "--jobs", "0",
-                 "--out", str(tmp_path / "z.csv")]) == EXIT_INVALID
+    # sweep points run one at a time: --jobs takes 1 only, and is no setting
+    assert usage_error(["sweep", str(workload / "w"), "--jobs", "2",
+                        "--out", str(tmp_path / "z.csv")]) == 2
     assert not (tmp_path / "z.csv").exists()
     bad = tmp_path / "bad.json"
-    bad.write_text('{"pe": 4, "mystery": 1}')
-    assert main(["simulate", str(workload / "w"), "--config",
-                 str(bad)]) == EXIT_DATA
+    for doc in ('{"pe": 4, "mystery": 1}', '{"jobs": 1}'):
+        bad.write_text(doc)
+        assert main(["simulate", str(workload / "w"), "--config",
+                     str(bad)]) == EXIT_DATA
     for value in ('"4"', "true", "4.0", "[4]"):  # only plain integers are settings
         bad.write_text(f'{{"pe": {value}}}')
         assert main(["simulate", str(workload / "w"), "--config",
@@ -567,7 +587,7 @@ def mutation_inputs(d: Path) -> dict:
     write_weights(d / "b" / "weights.bin", random_weights([16, 8, 3], 1))
     (d / "config.json").write_text(json.dumps(
         {"pe": 4, "replicas": 2, "tile": 32, "lanes": 4, "load_bw": 8,
-         "move_bw": 4, "seed": 3, "jobs": 1, "value_bits": 4}))
+         "move_bw": 4, "seed": 3, "value_bits": 4}))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["simulate", str(d / "b"), "--config", str(d / "config.json"),
                      "--hidden", "8", "--classes", "3", "--out", str(d / "s")]) == EXIT_OK

@@ -40,7 +40,7 @@ from gcnsim.runtime import (
 from gcnsim import runtime, simulator
 from gcnsim.report import report_document
 from gcnsim.schedule import ScheduleStats, config_for_tile, tile_columns
-from gcnsim.simulator import MODE_DMM, MODE_SDMM, simulate_step
+from gcnsim.simulator import MODE_DMM, MODE_SDMM, compile_plan, simulate_step
 
 
 def csr_raw(grid, bits=4, frac=3):
@@ -269,14 +269,11 @@ def test_run_model_compiles_each_plan_entry_once(monkeypatch):
 def test_run_model_working_set_does_not_grow_with_depth(monkeypatch):
     # hidden 64 on 3072 nodes: six layers peak within 10% of two, since each
     # activation, its products and its plan go once the walk is past them
-    class Plan(list):  # a compiled plan a WeakSet can count while it lives
-        __hash__ = object.__hash__
-
     live, held = weakref.WeakSet(), []  # compiled plans alive after each product
     compile_plan = runtime.compile_plan
 
     def counted_compile(x, cfg):
-        plan = Plan(compile_plan(x, cfg))
+        plan = compile_plan(x, cfg)
         live.add(plan)
         return plan
 
@@ -316,14 +313,16 @@ def test_run_model_working_set_does_not_grow_with_depth(monkeypatch):
 
 
 def test_shape_mismatch_raises_before_planning(monkeypatch):
+    cfg = config_for_tile(2, 16, lanes=4)
+    operands = [csr_raw(np.ones((3, 4), np.int64)), dense_raw(np.ones((3, 4), np.int64))]
+    operands.append(compile_plan(operands[0], cfg))  # a Plan is checked as its operand
     built = []
     monkeypatch.setattr(simulator, "build_sdmm_schedule",
                         lambda *args: built.append(args))
     monkeypatch.setattr(simulator, "build_dmm_schedule",
                         lambda *args: built.append(args))
-    cfg = config_for_tile(2, 16, lanes=4)
     w = dense_raw(np.ones((5, 2), np.int64))
-    for x in (csr_raw(np.ones((3, 4), np.int64)), dense_raw(np.ones((3, 4), np.int64))):
+    for x in operands:
         with pytest.raises(ShapeError, match="inner dims differ: 4 vs 5"):
             simulate_step(x, w, cfg)
     model, a, x0 = random_model_inputs(np.random.default_rng(73), KIND_SAGE)

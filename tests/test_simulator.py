@@ -589,7 +589,7 @@ def test_compile_plan_peaks_at_its_schedule_and_compiled_tile():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(plan) == 1
+    assert len(plan.entries) == 1
     assert peak <= held + (4 << 20), (peak >> 10, held >> 10)
 
 
@@ -607,7 +607,7 @@ def test_compile_plan_holds_packet_values_at_16_bits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    (_, tile, _), = plan
+    (_, tile, _), = plan.entries
     assert tile.value.dtype == np.int16
     assert peak <= 24 * x.data.size, peak >> 10
 
