@@ -116,37 +116,33 @@ def _require_out(args) -> Path:
 # -- model assembly -----------------------------------------------------------
 
 
-def build_model(bundle, kind: str, adjacency_mode: str, hidden: int,
+def build_model(bundle, kind: str, adjacency_mode: str | None, hidden: int,
                 classes: int, layers: int, seed: int):
-    """Model and adjacency operand for one bundle.
+    """Model and adjacency operand for one bundle and its flags.
 
-    Weights come from the bundle when present (for GraphSAGE the container
-    holds self/neighbor blocks interleaved), otherwise a seeded random chain.
+    adjacency_mode None is the model's own: binary for GCN, mean for
+    GraphSAGE, which takes no other. Weights come from the bundle (a GCN
+    chain, or GraphSAGE self/neighbor blocks interleaved), else a seeded
+    random chain. ModelSpec checks their chain and pairs, and the run the
+    first against the features. The operand follows model.adjacency_mode.
     """
-    feat = bundle.features.cols
-    if kind == KIND_SAGE:
-        adjacency_mode = "mean"
+    if kind == KIND_SAGE and adjacency_mode not in (None, "mean"):
+        raise ValueError(f"--model {kind} aggregates with the mean adjacency, "
+                         f"not --adjacency {adjacency_mode}")
+    dims = [bundle.features.cols] + [hidden] * (layers - 1) + [classes]
+    ws = bundle.weights
     if kind == KIND_GCN:
-        ws = bundle.weights or random_weights(
-            [feat] + [hidden] * (layers - 1) + [classes], seed)
-        model = make_gcn(ws, adjacency_mode)
+        model = make_gcn(ws or random_weights(dims, seed), adjacency_mode or "binary")
+    elif ws:
+        if len(ws) % 2:
+            raise ValueError("GraphSAGE weight container must hold self/neighbor pairs")
+        model = make_graphsage(list(zip(ws[0::2], ws[1::2])))
     else:
-        if bundle.weights:
-            if len(bundle.weights) % 2:
-                raise ValueError("GraphSAGE weight container must hold "
-                                 "self/neighbor pairs")
-            pairs = [(bundle.weights[i], bundle.weights[i + 1])
-                     for i in range(0, len(bundle.weights), 2)]
-        else:
-            dims = [feat] + [hidden] * (layers - 1) + [classes]
-            pairs = list(zip(random_weights(dims, seed),
-                             random_weights(dims, seed + 1)))
-        model = make_graphsage(pairs)
-    if adjacency_mode == "mean":
-        a = mean_adjacency(bundle.adjacency)
-    else:
-        a = normalize_adjacency(bundle.adjacency, adjacency_mode)
-    return model, a
+        model = make_graphsage(list(zip(random_weights(dims, seed),
+                                        random_weights(dims, seed + 1))))
+    if model.adjacency_mode == "mean":
+        return model, mean_adjacency(bundle.adjacency)
+    return model, normalize_adjacency(bundle.adjacency, model.adjacency_mode)
 
 
 # -- commands -------------------------------------------------------------------
@@ -338,7 +334,8 @@ def _geometry_parent() -> argparse.ArgumentParser:
 def _model_flags(sp) -> None:
     sp.add_argument("--model", choices=(KIND_GCN, KIND_SAGE), default=KIND_GCN)
     sp.add_argument("--adjacency", choices=("binary", "sym_norm", "mean"),
-                    default="binary")
+                    help="default: binary for gcn, mean for graphsage-mean, "
+                         "which takes no other")
     sp.add_argument("--hidden", type=int, default=16)
     sp.add_argument("--classes", type=int, default=4)
     sp.add_argument("--layers", type=int, default=2)

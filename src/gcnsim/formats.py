@@ -282,6 +282,9 @@ def write_features(path, f: SparseMatrixCSR) -> None:
 
 
 def write_weights(path, weights: list[DenseMatrix]) -> None:
+    for i, w in enumerate(weights):  # checked before the file is opened
+        if w.data.size and not int_min(32) <= w.data.min() <= w.data.max() <= int_max(32):
+            raise ValueError(f"weight matrix {i} has entries outside the container's int32")
     with open(path, "wb") as fh:
         fh.write(_WHEADER.pack(WEIGHT_MAGIC, WEIGHT_VERSION, len(weights)))
         for w in weights:

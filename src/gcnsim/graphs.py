@@ -21,7 +21,8 @@ _DRAW_CHUNK = 1 << 20  # uniforms random_features draws at once
 
 @dataclass
 class GraphBundle:
-    """One workload: adjacency structure, node features, optional weights."""
+    """One workload: adjacency structure, node features, optional weights.
+    The weights' shapes are the model's to check (cli.build_model)."""
 
     adjacency: SparseMatrixCSR
     features: SparseMatrixCSR
@@ -42,11 +43,6 @@ class GraphBundle:
         if self.features.rows != self.adjacency.rows:
             raise ShapeError(f"{self.features.rows} feature rows for "
                              f"{self.adjacency.rows} nodes")
-        dim = self.features.cols
-        for i, w in enumerate(self.weights):
-            if w.rows != dim:
-                raise ShapeError(f"weight {i} expects {w.rows} inputs, got {dim}")
-            dim = w.cols
 
 
 def _degree_pmf(cap: int, exponent: float, tilt: float) -> np.ndarray:

@@ -7,18 +7,17 @@ single packet with sor=eor=1 and an all-zero payload; an all-zero packet is
 an idle (stall or pad) slot.
 
 With H=0 the stream carries no values at all: a valid packet stands for a
-stored 1, which is how binary adjacency matrices travel.
+stored 1, which is how binary adjacency matrices travel. The packet grid
+a stream holds, TileSchedule, lives here beside its codec.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .schedule import TileSchedule
 
 
 class StreamFormatError(ValueError):
@@ -125,6 +124,50 @@ def check_value_field(values: np.ndarray, value_bits: int) -> None:
             raise ValueError(f"value outside {value_bits}-bit range")
 
 
+@dataclass
+class TileSchedule:
+    """Rectangular cycles x K packet grid, one array per packet field.
+
+    A slot is valid work (vld), an empty-row marker (sor=eor=1, vld=0) or
+    idle (no bit set). The stalls are the fewest idle slots in any PE
+    column; the other idle slots pad short PE columns. There is no row map:
+    PE p owns rows p, p+K, p+2K, ... of the tile and emits them in that
+    order, one sor/eor pair per row. The same schedule runs against every
+    output lane block of its column tile.
+
+    Fields are stored at their packet width: the flags as uint8, col as
+    int32 (a tile may be up to 2^30 wide) and value as int16, since no
+    packet value field is wider than 16 bits.
+    """
+
+    sor: np.ndarray
+    eor: np.ndarray
+    vld: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+    @property
+    def cycles(self) -> int:
+        return self.sor.shape[0]
+
+    @property
+    def pe_count(self) -> int:
+        return self.sor.shape[1]
+
+    @classmethod
+    def empty(cls, pe_count: int) -> "TileSchedule":
+        return cls.from_columns(*[np.zeros((0, pe_count), dtype=np.uint8)] * 5)
+
+    @classmethod
+    def from_columns(cls, sor, eor, vld, col, value) -> "TileSchedule":
+        """The five packet fields as a schedule; a value outside int16 is a ValueError."""
+        sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
+        value = np.asarray(value)
+        check_value_field(value, 16)
+        return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
+                   value.astype(np.int16, copy=False))
+
+
 def _at_cell(cell: int, pe_count: int) -> str:
     return f"cell {cell} (cycle {cell // pe_count}, PE {cell % pe_count})"
 
@@ -194,8 +237,6 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     Row numbers need no decoding: PE p's row markers stand for rows p, p+K,
     p+2K, ... by the round-robin rule.
     """
-    from .schedule import TileSchedule  # schedule imports this module
-
     if len(data) < HEADER_BYTES:
         raise StreamFormatError("truncated header")
     magic, version, t, h, k, cycles = _HEADER_STRUCT.unpack_from(data)

@@ -7,13 +7,13 @@ rectangular grid, and a collision-stalling pass that serializes same-bank
 fetches within each replica group. One schedule serves every output lane
 block of its column tile: the lane blocks only repeat it for accounting.
 
-Schedules are stored columnar (one numpy array per packet field, shaped
-cycles x K) from row assignment through the .pcoo stream and back; no
-per-packet objects are built on any path. A schedule is its five packet
-columns alone: the row map is the round-robin rule itself, and the stall
-pass adds the same idle slots to every PE column of a grid where one column
-had none, so the census (simulator.check_arbitration) finds the stalls as
-the fewest idle slots in any column.
+Schedules are stored columnar (pcoo.TileSchedule: one numpy array per
+packet field, shaped cycles x K) from row assignment through the .pcoo
+stream and back; no per-packet objects are built on any path. A schedule
+is its five packet columns alone: the row map is the round-robin rule
+itself, and the stall pass adds the same idle slots to every PE column of a
+grid where one column had none, so the census (simulator.check_arbitration)
+finds the stalls as the fewest idle slots in any column.
 
 The stall pass keeps one state per replica group: the output cycle and each
 PE's delay, its refusals so far. PE p presents input slot cycle - delay[p],
@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .matrix import ShapeError, SparseMatrixCSR, int_max, int_min
-from .pcoo import check_value_field, log2_exact
+from .pcoo import TileSchedule, check_value_field, log2_exact
 
 
 @dataclass(frozen=True)
@@ -87,50 +87,6 @@ def config_for_tile(pe_count: int, tile_width: int, lanes: int = 16, **kw) -> Ar
     if tile_width % lanes:
         raise ValueError(f"tile width {tile_width} not a multiple of {lanes} lanes")
     return ArchConfig(pe_count, lanes=lanes, groups=tile_width // lanes, **kw)
-
-
-@dataclass
-class TileSchedule:
-    """Rectangular cycles x K packet grid, one array per packet field.
-
-    A slot is valid work (vld), an empty-row marker (sor=eor=1, vld=0) or
-    idle (no bit set). The stalls are the fewest idle slots in any PE
-    column; the other idle slots pad short PE columns. There is no row map:
-    PE p owns rows p, p+K, p+2K, ... of the tile and emits them in that
-    order, one sor/eor pair per row. The same schedule runs against every
-    output lane block of its column tile.
-
-    Fields are stored at their packet width: the flags as uint8, col as
-    int32 (a tile may be up to 2^30 wide) and value as int16, since no
-    packet value field is wider than 16 bits.
-    """
-
-    sor: np.ndarray
-    eor: np.ndarray
-    vld: np.ndarray
-    col: np.ndarray
-    value: np.ndarray
-
-    @property
-    def cycles(self) -> int:
-        return self.sor.shape[0]
-
-    @property
-    def pe_count(self) -> int:
-        return self.sor.shape[1]
-
-    @classmethod
-    def empty(cls, pe_count: int) -> "TileSchedule":
-        return cls.from_columns(*[np.zeros((0, pe_count), dtype=np.uint8)] * 5)
-
-    @classmethod
-    def from_columns(cls, sor, eor, vld, col, value) -> "TileSchedule":
-        """The five packet fields as a schedule; a value outside int16 is a ValueError."""
-        sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
-        value = np.asarray(value)
-        check_value_field(value, 16)
-        return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
-                   value.astype(np.int16, copy=False))
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,11 @@ from .matrix import (
 from .schedule import (
     ArchConfig,
     ScheduleStats,
-    TileSchedule,
     build_dmm_schedule,
     build_sdmm_schedule,
     tile_columns,
 )
-from .pcoo import PcooPacket
+from .pcoo import PcooPacket, TileSchedule
 
 MODE_SDMM = "sdmm"
 MODE_DMM = "dmm"

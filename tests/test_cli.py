@@ -284,6 +284,55 @@ def test_graphsage_simulation_via_cli(workload, capsys):
     assert "exact_match=True" in capsys.readouterr().out
 
 
+def test_graphsage_takes_interleaved_container_weights(tmp_path, capsys):
+    # F=8, H=4, C=3: self and neighbor blocks alternate, so no two in a row chain
+    b = gen_powerlaw(64, 3, 2.1, 5, 8, 0.3)
+    selfs, neighbors = random_weights([8, 4, 3], 1), random_weights([8, 4, 3], 2)
+    export_bundle(tmp_path / "b", graphs.GraphBundle(
+        b.adjacency, b.features, [w for pair in zip(selfs, neighbors) for w in pair]))
+    model, _ = cli.build_model(ingest_bundle_dir(tmp_path / "b"), "graphsage-mean",
+                               None, 16, 4, 2, 0)
+    assert [(np.array_equal(layer.weight_self.data, s.data),
+             np.array_equal(layer.weight.data, n.data))
+            for layer, s, n in zip(model.layers, selfs, neighbors)] == [(True, True)] * 2
+    assert main(["simulate", str(tmp_path / "b"), "--model", "graphsage-mean",
+                 "--pe", "4", "--tile", "64", "--out", str(tmp_path / "s")]) == EXIT_OK
+    assert "exact_match=True" in capsys.readouterr().out
+    assert (tmp_path / "s" / "logits.txt").read_text().startswith("# logits 64 3 ")
+
+
+def test_graphsage_adjacency_is_mean_or_refused(workload, tmp_path, capsys):
+    flags = ["--model", "graphsage-mean", "--pe", "4", "--tile", "64",
+             "--hidden", "8", "--classes", "3"]
+    for adjacency in ("binary", "sym_norm"):
+        for command, out in (("simulate", tmp_path / "s"), ("sweep", tmp_path / "s.csv")):
+            assert main([command, str(workload / "w"), *flags, "--adjacency", adjacency,
+                         "--out", str(out)]) == EXIT_INVALID
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert "--model graphsage-mean" in err and f"--adjacency {adjacency}" in err
+    for name, extra in (("mean", ["--adjacency", "mean"]), ("default", [])):
+        assert main(["simulate", str(workload / "w"), *flags, *extra,
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+        assert "exact_match=True" in capsys.readouterr().out
+    assert ((tmp_path / "mean" / "report.json").read_bytes()
+            == (tmp_path / "default" / "report.json").read_bytes())
+
+
+def test_weights_that_miss_the_features_exit_4_before_scheduling(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the bundle takes any container; the model finds 9 inputs on 8 features
+    b = gen_powerlaw(64, 2, 2.1, 3, 8, 0.3)
+    export_bundle(tmp_path / "b", graphs.GraphBundle(b.adjacency, b.features,
+                                                     random_weights([9, 4], 1)))
+    planned = []
+    monkeypatch.setattr(simulator, "plan_step", lambda *a: planned.append(a))
+    assert main(["simulate", str(tmp_path / "b"), "--pe", "4", "--tile", "64",
+                 "--out", str(tmp_path / "s")]) == EXIT_INVALID
+    assert "inner dims differ: 8 vs 9" in capsys.readouterr().err
+    assert planned == [] and not (tmp_path / "s").exists()
+
+
 def test_error_exit_categories(workload, tmp_path, capsys):
     assert main(["report", str(workload / "w" / "edges.txt")]) == EXIT_DATA
     assert main(["simulate", str(tmp_path / "nope")]) == EXIT_DATA

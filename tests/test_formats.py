@@ -115,6 +115,19 @@ def test_weight_container_round_trip(tmp_path):
         assert np.array_equal(a.data, b.data)
 
 
+def test_weight_container_holds_int32_and_refuses_wider(tmp_path):
+    lo, hi = -(1 << 31), (1 << 31) - 1
+    p = tmp_path / "w.bin"
+    edge = DenseMatrix(np.array([[lo, hi], [0, -1]]), 32, 0)
+    write_weights(p, [edge])
+    assert np.array_equal(read_weights(p)[0].data, edge.data)
+    for wide in (hi + 1, lo - 1):  # once wrapped: 2^31 read back as -2^31
+        with pytest.raises(ValueError, match="weight matrix 1 "):
+            write_weights(tmp_path / "wide.bin",
+                          [edge, DenseMatrix(np.array([[wide]]), 64, 0)])
+        assert not (tmp_path / "wide.bin").exists()
+
+
 def test_weight_container_rejects_garbage(tmp_path):
     p = tmp_path / "w.bin"
     p.write_bytes(b"XX")

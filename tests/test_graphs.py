@@ -155,8 +155,6 @@ def test_bundle_validation():
         GraphBundle(g.adjacency, random_features(32, 8, 0.5,
                                                  np.random.default_rng(0)))
     with pytest.raises(ShapeError):
-        GraphBundle(g.adjacency, g.features, random_weights([9, 4], seed=1))
-    with pytest.raises(ShapeError):
         nonsquare = SparseMatrixCSR.from_dense_raw(np.ones((2, 3), dtype=int), 4, 0)
         GraphBundle(nonsquare, g.features)
 

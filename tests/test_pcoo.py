@@ -1,5 +1,10 @@
 """Codec: frozen encodings, exhaustive round-trips, stream serialization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,7 @@ from gcnsim.pcoo import (
     packet_width,
     serialize_stream,
 )
+from gcnsim import schedule
 from gcnsim.schedule import TileSchedule
 from test_schedule import census_spec
 
@@ -327,3 +333,14 @@ def test_deserialize_errors():
     with pytest.raises(ValueError):
         serialize_stream(grid_schedule([[IDLE_PACKET, IDLE_PACKET]], 2),
                          make_header(8, 0, 1, 1))
+
+
+def test_codec_stands_without_the_scheduler():
+    # the packet grid lives beside its codec; schedule only re-exports it
+    import gcnsim
+    assert schedule.TileSchedule is TileSchedule and TileSchedule.__module__ == "gcnsim.pcoo"
+    src = str(Path(gcnsim.__file__).parents[1])
+    code = ("import sys, gcnsim.pcoo\n"
+            "assert 'gcnsim.schedule' not in sys.modules, sorted(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
