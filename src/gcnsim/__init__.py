@@ -3,13 +3,13 @@
 Submodules:
     matrix     exact fixed-point types and reference matrix kernels
     costmodel  analytic op/storage cost estimates
-    pcoo       packet-level sparse compression codec
+    pcoo       packet codec and its on-disk .pcoo stream container
     schedule   row assignment, tiling, and collision stalling
     simulator  cycle-level unified PE array
     report     counter aggregation and formatting
     runtime    quantized GCN / GraphSAGE layer execution
     graphs     synthetic graph generators
-    formats    on-disk stream and weight containers
+    formats    bundle files (edges, features, weights) and metadata
 """
 
 __version__ = "0.1.0"

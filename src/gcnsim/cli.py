@@ -186,8 +186,7 @@ def cmd_preprocess(args) -> int:
         for c0, sched, stats in plan_step(mat, cfg):
             i = c0 // cfg.tile_width
             name = f"{kind}{i:04d}.pcoo"
-            hdr = make_header(cfg.tile_width, bits, cfg.pe_count, sched.cycles)
-            (out / name).write_bytes(serialize_stream(sched, hdr))
+            (out / name).write_bytes(serialize_stream(sched, cfg.tile_width, bits))
             del sched  # written: the next tile is planned without it
             census += stats
             rows.append({"file": name, "kind": kind, "tile_index": i,
@@ -225,10 +224,9 @@ def _point_runner(args, settings):
     label = Path(args.bundle).resolve().name
 
     def simulate(point):
-        cfg = arch_from(point)
-        logits, run = run_model(model, a, bundle.features, cfg)
+        logits, run = run_model(model, a, bundle.features, arch_from(point))
         verify = verify_against_oracle(logits, run, refs)
-        return logits, report_document(run, cfg, label=label, verify=verify)
+        return logits, report_document(run, label=label, verify=verify)
     return simulate
 
 

@@ -16,9 +16,6 @@ import numpy as np
 
 from .matrix import SparseMatrixCSR
 
-COMBINE_FIRST = "combine-first"      # A @ (X @ W)
-AGGREGATE_FIRST = "aggregate-first"  # (A @ X) @ W
-
 MIBIT = 1 << 20
 
 
@@ -52,38 +49,31 @@ DATASETS = {
 }
 
 
-def cost_model(m: int, n_feat: int, hidden: int, classes: int,
-               nnz_x: int, nnz_a: int, order: str = COMBINE_FIRST,
-               adjacency: SparseMatrixCSR | None = None,
-               features: SparseMatrixCSR | None = None) -> CostReport:
-    """MACs and first-intermediate storage bits for a two-layer network.
-
-    Combination-first: layer 1 multiplies the sparse features into the
-    weights (nnz_x * hidden MACs) then aggregates (nnz_a * hidden); layer 2
-    is dense (m * hidden * classes) plus aggregation (nnz_a * classes). The
-    stored X@W intermediate is a dense m x hidden grid of 16-bit values.
-
-    Aggregation-first needs the actual adjacency and feature matrices; see
-    module docstring.
-    """
-    for name, v in (("m", m), ("n_feat", n_feat), ("hidden", hidden),
-                    ("classes", classes), ("nnz_x", nnz_x), ("nnz_a", nnz_a)):
+def _check_counts(**counts: int) -> None:
+    for name, v in counts.items():
         if v <= 0:
             raise ValueError(f"{name} must be positive, got {v}")
-    if order == COMBINE_FIRST:
-        ops = nnz_x * hidden + nnz_a * hidden + m * hidden * classes + nnz_a * classes
-        return CostReport(ops, m * hidden * 16)
-    if order == AGGREGATE_FIRST:
-        if adjacency is None or features is None:
-            raise ValueError("aggregation-first costing requires adjacency and features operands")
-        return _aggregate_first_cost(adjacency, features, hidden, classes)
-    raise ValueError(f"unknown order {order!r}")
 
 
-def dataset_cost(name: str, order: str = COMBINE_FIRST) -> CostReport:
+def combine_first_cost(m: int, hidden: int, classes: int, nnz_x: int,
+                       nnz_a: int) -> CostReport:
+    """MACs and first-intermediate storage bits for a two-layer network run
+    combination-first.
+
+    Layer 1 multiplies the sparse features into the weights (nnz_x * hidden
+    MACs) then aggregates (nnz_a * hidden); layer 2 is dense (m * hidden *
+    classes) plus aggregation (nnz_a * classes). The stored X@W intermediate
+    is a dense m x hidden grid of 16-bit values.
+    """
+    _check_counts(m=m, hidden=hidden, classes=classes, nnz_x=nnz_x, nnz_a=nnz_a)
+    ops = nnz_x * hidden + nnz_a * hidden + m * hidden * classes + nnz_a * classes
+    return CostReport(ops, m * hidden * 16)
+
+
+def dataset_cost(name: str) -> CostReport:
+    """Combination-first cost at a published dataset's shape."""
     d = DATASETS[name]
-    return cost_model(d.nodes, d.in_feats, d.hidden, d.classes,
-                      d.nnz_features, d.nnz_adjacency, order)
+    return combine_first_cost(d.nodes, d.hidden, d.classes, d.nnz_features, d.nnz_adjacency)
 
 
 def symbolic_product_cost(a: SparseMatrixCSR, x: SparseMatrixCSR) -> tuple[int, int]:
@@ -104,12 +94,15 @@ def symbolic_product_cost(a: SparseMatrixCSR, x: SparseMatrixCSR) -> tuple[int, 
     return macs, nnz_out
 
 
-def _aggregate_first_cost(a: SparseMatrixCSR, x: SparseMatrixCSR,
-                          hidden: int, classes: int) -> CostReport:
+def aggregate_first_cost(adjacency: SparseMatrixCSR, features: SparseMatrixCSR,
+                         hidden: int, classes: int) -> CostReport:
+    """MACs and first-intermediate storage bits for a two-layer network run
+    aggregation-first, counted on the actual operands (module docstring)."""
+    _check_counts(hidden=hidden, classes=classes)
     # layer 1: (A @ X) sparse-sparse, then the fill-in times the weights;
     # layer 2 input is dense m x hidden regardless of order
-    macs_ax, nnz_ax = symbolic_product_cost(a, x)
-    m = a.rows
+    macs_ax, nnz_ax = symbolic_product_cost(adjacency, features)
+    m = adjacency.rows
     ops = macs_ax + nnz_ax * hidden          # layer 1
-    ops += a.nnz * hidden + m * hidden * classes  # layer 2: A @ H1, then @ W2
+    ops += adjacency.nnz * hidden + m * hidden * classes  # layer 2: A @ H1, then @ W2
     return CostReport(ops, nnz_ax * 16)

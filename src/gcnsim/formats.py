@@ -282,13 +282,21 @@ def write_features(path, f: SparseMatrixCSR) -> None:
 
 
 def write_weights(path, weights: list[DenseMatrix]) -> None:
-    for i, w in enumerate(weights):  # checked before the file is opened
+    heads = []  # every matrix is checked and its header packed before the file opens
+    for i, w in enumerate(weights):
         if w.data.size and not int_min(32) <= w.data.min() <= w.data.max() <= int_max(32):
             raise ValueError(f"weight matrix {i} has entries outside the container's int32")
+        fields = (("rows", w.rows, 32), ("cols", w.cols, 32), ("bits", w.bits, 16),
+                  ("frac_bits", w.frac_bits, 16))
+        for name, value, width in fields:
+            if not 0 <= value < 1 << width:
+                raise ValueError(f"weight matrix {i}: {name} {value} does not fit "
+                                 f"its {width}-bit header field")
+        heads.append(_WMATRIX.pack(w.rows, w.cols, w.bits, w.frac_bits))
     with open(path, "wb") as fh:
         fh.write(_WHEADER.pack(WEIGHT_MAGIC, WEIGHT_VERSION, len(weights)))
-        for w in weights:
-            fh.write(_WMATRIX.pack(w.rows, w.cols, w.bits, w.frac_bits))
+        for head, w in zip(heads, weights):
+            fh.write(head)
             fh.write(w.data.astype("<i4").tobytes())
 
 
@@ -308,11 +316,15 @@ def read_weights(path) -> list[DenseMatrix]:
             raise FileFormatError(f"{path}: truncated header for matrix {i}")
         rows, cols, bits, frac = _WMATRIX.unpack_from(data, pos)
         pos += _WMATRIX.size
+        if not 1 <= bits <= 32:  # the container holds int32 entries
+            raise FileFormatError(f"{path}: matrix {i} declares {bits} bits, not 1 to 32")
         nbytes = rows * cols * 4
         if pos + nbytes > len(data):
             raise FileFormatError(f"{path}: truncated data for matrix {i}")
         raw = np.frombuffer(data, dtype="<i4", count=rows * cols, offset=pos)
         pos += nbytes
+        if raw.size and (raw.min() < int_min(bits) or raw.max() > int_max(bits)):
+            raise FileFormatError(f"{path}: matrix {i} has entries outside its {bits}-bit range")
         out.append(DenseMatrix(raw.reshape(rows, cols).astype(np.int64),
                                bits, frac))
     if pos != len(data):
@@ -330,28 +342,7 @@ def write_meta(path, doc: dict) -> None:
         fh.write("\n")
 
 
-def read_meta(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, a 5000-digit int
-        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("meta_version") != META_VERSION:
-        raise FileFormatError(f"{path}: not a metadata sidecar")
-    return doc
-
-
 # -- bundles --------------------------------------------------------------------
-
-
-def ingest_graph(edge_file, feature_file, weight_files=()) -> GraphBundle:
-    """Files to a validated GraphBundle; node count comes from the features."""
-    features = read_features(feature_file)
-    adjacency = read_edges(edge_file, features.rows)
-    weights = []
-    for wf in weight_files:
-        weights.extend(read_weights(wf))
-    return GraphBundle(adjacency, features, weights)
 
 
 def export_bundle(out_dir, bundle: GraphBundle) -> dict:
@@ -368,7 +359,10 @@ def export_bundle(out_dir, bundle: GraphBundle) -> dict:
 
 
 def ingest_bundle_dir(in_dir) -> GraphBundle:
-    """Inverse of export_bundle."""
+    """Inverse of export_bundle: the files to a validated GraphBundle, whose
+    node count comes from the features."""
     d = Path(in_dir)
-    wf = [d / WEIGHT_FILE] if (d / WEIGHT_FILE).exists() else []
-    return ingest_graph(d / EDGE_FILE, d / FEATURE_FILE, wf)
+    features = read_features(d / FEATURE_FILE)
+    adjacency = read_edges(d / EDGE_FILE, features.rows)
+    weights = read_weights(d / WEIGHT_FILE) if (d / WEIGHT_FILE).exists() else []
+    return GraphBundle(adjacency, features, weights)

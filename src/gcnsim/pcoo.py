@@ -191,16 +191,13 @@ def make_header(tile_width: int, value_bits: int, pe_count: int,
     return StreamHeader(tile_width, value_bits, pe_count, cycle_count)
 
 
-def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
-    """Header then a TileSchedule's packets cycle-major, each MSB-first in
-    ceil(width/8) bytes; the vectorized twin of encode_packet. A schedule
-    with a packet_malformed cell is refused."""
-    t, h = header.tile_width, header.value_bits
-    cycles, k = sched.sor.shape
-    if cycles != header.cycle_count:
-        raise ValueError(f"header says {header.cycle_count} cycles, got {cycles}")
-    if k != header.pe_count:
-        raise ValueError(f"header says {header.pe_count} PEs, schedule has {k}")
+def serialize_stream(sched: TileSchedule, tile_width: int, value_bits: int) -> bytes:
+    """make_header's header for the schedule at tile width T and value width
+    H, then its packets cycle-major, each MSB-first in ceil(width/8) bytes;
+    the vectorized twin of encode_packet. A schedule with a packet_malformed
+    cell is refused."""
+    header = make_header(tile_width, value_bits, sched.pe_count, sched.cycles)
+    t, h, k = tile_width, value_bits, sched.pe_count
     col, val, vld = sched.col.ravel(), sched.value.ravel(), sched.vld.ravel()
     if col.size and (col.min() < 0 or col.max() >= t):
         raise ValueError(f"column outside tile width {t}")
@@ -222,7 +219,7 @@ def serialize_stream(sched: TileSchedule, header: StreamHeader) -> bytes:
     # each cell is the last nbytes of its code's big-endian 8 bytes
     nbytes = (packet_width(t, h) + 7) // 8
     body = codes.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
-    prefix = _HEADER_STRUCT.pack(STREAM_MAGIC, header.version, t, h, k, cycles)
+    prefix = _HEADER_STRUCT.pack(STREAM_MAGIC, header.version, *header[:4])
     return prefix + body.tobytes()
 
 

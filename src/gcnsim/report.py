@@ -1,11 +1,12 @@
 """Run-report documents: JSON persistence, ideal-latency comparison, rendering.
 
 A document bundles the phase totals and per-PE slot census of one inference
-(or one standalone product) with the config that produced it. The ideal
-comparison covers the sparse compute phase only: ideal cycles assume every
-PE is busy every cycle, so efficiency = ideal / actual is the fraction of
-sparse compute time that did mandatory work (nonzeros and empty-row
-markers), the rest being collision stalls and imbalance pads.
+(or one standalone product) with the config that produced it, which the
+RunReport carries. The ideal comparison covers the sparse compute phase
+only: ideal cycles assume every PE is busy every cycle, so efficiency =
+ideal / actual is the fraction of sparse compute time that did mandatory
+work (nonzeros and empty-row markers), the rest being collision stalls and
+imbalance pads.
 
 This module alone names the slot census (schedule.ScheduleStats) in
 documents: its stall_idle and pad_idle are "collision" and "imbalance",
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 
 from .runtime import RunReport
-from .schedule import ArchConfig, ScheduleStats
+from .schedule import ScheduleStats
 from .simulator import MODE_SDMM
 
 REPORT_VERSION = 1
@@ -47,8 +48,9 @@ def _per_pe(census: ScheduleStats, valid_name: str) -> dict:
             "collision": census.stall_idle.tolist(), "imbalance": census.pad_idle.tolist()}
 
 
-def report_document(report: RunReport, cfg: ArchConfig, label: str = "run",
+def report_document(report: RunReport, label: str = "run",
                     verify: dict | None = None) -> dict:
+    cfg = report.cfg
     doc = {
         "version": REPORT_VERSION,
         "label": label,

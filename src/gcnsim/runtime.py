@@ -12,7 +12,8 @@ references() computes both once for any number of configs. A simulated run
 plans each left operand once, into one simulator.Plan, where the layer walk
 first needs it, for every product with it; one ArchConfig serves every
 product, since each sparse operand's packets take their value width from
-the operand itself (schedule.packet_bits_for).
+the operand itself (schedule.packet_bits_for). A layer applies relu unless
+it is the last. The run's RunReport holds that ArchConfig beside its steps.
 
 The layer walk owns each plan and holds only what it can still use: the
 adjacency's plan for the run, the current layer input's plan until its
@@ -48,15 +49,10 @@ KIND_SAGE = "graphsage-mean"
 
 @dataclass
 class LayerSpec:
-    """One layer's weights and post-ops; GraphSAGE layers add a self block."""
+    """One layer's weights; GraphSAGE layers add a self block."""
 
     weight: DenseMatrix
-    activation: str = "relu"
     weight_self: DenseMatrix | None = None
-
-    def __post_init__(self):
-        if self.activation not in ("relu", "none"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -84,23 +80,18 @@ class ModelSpec:
 
 
 def make_gcn(weights: list[DenseMatrix], adjacency_mode: str = "binary") -> ModelSpec:
-    """Relu between layers, none after the last."""
-    layers = [LayerSpec(w, "relu" if i < len(weights) - 1 else "none")
-              for i, w in enumerate(weights)]
-    return ModelSpec(KIND_GCN, layers, adjacency_mode)
+    return ModelSpec(KIND_GCN, [LayerSpec(w) for w in weights], adjacency_mode)
 
 
 def make_graphsage(weight_pairs: list[tuple[DenseMatrix, DenseMatrix]]) -> ModelSpec:
-    layers = [LayerSpec(wn, "relu" if i < len(weight_pairs) - 1 else "none",
-                        weight_self=ws)
-              for i, (ws, wn) in enumerate(weight_pairs)]
-    return ModelSpec(KIND_SAGE, layers, "mean")
+    return ModelSpec(KIND_SAGE, [LayerSpec(wn, ws) for ws, wn in weight_pairs], "mean")
 
 
 @dataclass
 class RunReport:
-    """Labeled per-step cycle reports for one inference."""
+    """Labeled per-step cycle reports for one inference on the array cfg."""
 
+    cfg: ArchConfig
     steps: list = field(default_factory=list)
 
     def add(self, label: str, rep: CycleReport) -> None:
@@ -144,14 +135,14 @@ class _SimEngine:
     operand's handle is its Plan, which holds no reference to the matrix, so
     the walk's del drops the matrix once it is planned."""
 
-    def __init__(self, cfg: ArchConfig, report: RunReport):
-        self.cfg, self.report = cfg, report
+    def __init__(self, report: RunReport):
+        self.report = report
 
     def operand(self, x):
-        return compile_plan(x, self.cfg)
+        return compile_plan(x, self.report.cfg)
 
     def matmul(self, label: str, plan, w: DenseMatrix) -> DenseMatrix:
-        y, rep = simulate_step(plan, w, self.cfg)
+        y, rep = simulate_step(plan, w)
         self.report.add(label, rep)
         return y
 
@@ -195,7 +186,7 @@ def _forward(model: ModelSpec, a: SparseMatrixCSR, x, engine) -> DenseMatrix:
         if sage:
             y = align_add(self_part, y)
             del self_part
-        if layer.activation == "relu":
+        if i < len(model.layers) - 1:
             y = relu(y)
         x = requantize16(y)           # parked in 16-bit edge-weight memory
         del y
@@ -204,9 +195,10 @@ def _forward(model: ModelSpec, a: SparseMatrixCSR, x, engine) -> DenseMatrix:
 
 def run_model(model: ModelSpec, a: SparseMatrixCSR, x0, cfg: ArchConfig
               ) -> tuple[DenseMatrix, RunReport]:
-    """Simulate a GCN or GraphSAGE model; the layer walk follows model.kind."""
-    report = RunReport()
-    logits = _forward(model, a, x0, _SimEngine(cfg, report))
+    """Simulate a GCN or GraphSAGE model on cfg; the layer walk follows
+    model.kind, and the returned RunReport holds cfg."""
+    report = RunReport(cfg)
+    logits = _forward(model, a, x0, _SimEngine(report))
     return logits, report
 
 
@@ -218,8 +210,10 @@ def run_oracle(model: ModelSpec, a: SparseMatrixCSR, x0) -> DenseMatrix:
 def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
     """Float64 pipeline with no quantization anywhere, for error reporting.
 
-    The adjacency is idealized: binary edges stay 1.0 and the mean mode uses
-    exact 1/degree, so the comparison charges all error to quantization.
+    Binary edges stay 1.0 and the mean mode uses exact 1/degree, so those
+    comparisons charge all error to quantization. A sym_norm adjacency is
+    already quantized (14-bit edge weights), and this pipeline multiplies
+    those weights, so its error leaves out the edge weights' rounding.
     Aggregation runs on a's CSR arrays, one bincount per output column. A
     deep model can overflow float64; its result then holds inf or nan, and
     the overflow raises no warning.
@@ -239,11 +233,11 @@ def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
     x = x0.to_dense() if isinstance(x0, SparseMatrixCSR) else x0
     x = dequantize(x) if isinstance(x, DenseMatrix) else x
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in model.layers:
+        for i, layer in enumerate(model.layers):
             y = aggregate(x @ dequantize(layer.weight))
             if model.kind == KIND_SAGE:
                 y = x @ dequantize(layer.weight_self) + y
-            if layer.activation == "relu":
+            if i < len(model.layers) - 1:
                 y = np.maximum(y, 0.0)
             x = y
     return x

@@ -17,8 +17,9 @@ schedules: check_arbitration checks each once and counts its census in the
 same walk), compiled (compile_tile: a schedule's PE-major segments, all a plan
 keeps of it) and run (run_tile: all output columns of a tile at once, into one
 output array). compile_plan returns one Plan, the operand's shape, scale and
-mode with its compiled entries; simulate_step takes it in place of the
-matrix, so a Plan serves every product with its left operand.
+mode with its compiled entries and the ArchConfig they were built for;
+simulate_step takes it in place of the matrix and runs on that config, so a
+Plan serves every product with its left operand and cannot meet another array.
 The hardware walks the output C lanes at a time, replaying the schedule per
 lane block, so each lane block only adds its load cycles and census. A step's
 CycleReport sums those censuses, and report.py gives them their document names.
@@ -346,21 +347,22 @@ def check_operand(x) -> None:
 
 @dataclass(eq=False)
 class Plan:
-    """A left operand as its products read it: shape, scale and mode, and one
-    (first column, compiled tile, slot census) entry per column tile, whose
-    packets carry the operand's entries, so a holder can drop the matrix."""
+    """A left operand as its products read it on the array cfg: shape, scale
+    and mode, and one (first column, compiled tile, slot census) entry per
+    column tile, whose packets carry the operand's entries, so a holder can
+    drop the matrix."""
 
     rows: int
     cols: int
     frac_bits: int
     mode: str
     entries: list
+    cfg: ArchConfig
 
 
 def check_product(x, w: DenseMatrix) -> None:
-    """Reject x @ w before planning; x may be a Plan."""
-    if not isinstance(x, Plan):
-        check_operand(x)
+    """Reject the left operand x of x @ w before planning."""
+    check_operand(x)
     if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: {x.cols} vs {w.rows}")
 
@@ -373,18 +375,19 @@ def compile_plan(x, cfg: ArchConfig) -> Plan:
         entries.append((c0, compile_tile(sched), stats))
         del sched
     mode = MODE_SDMM if isinstance(x, SparseMatrixCSR) else MODE_DMM
-    return Plan(x.rows, x.cols, x.frac_bits, mode, entries)
+    return Plan(x.rows, x.cols, x.frac_bits, mode, entries, cfg)
 
 
-def simulate_step(x, w: DenseMatrix, cfg: ArchConfig) -> tuple[DenseMatrix, CycleReport]:
-    """One full matrix product on the array: load, compute, move.
+def simulate_step(plan: Plan, w: DenseMatrix) -> tuple[DenseMatrix, CycleReport]:
+    """One full matrix product on the plan's array: load, compute, move.
 
-    x is the left operand or its compile_plan(x, cfg), which is built here
-    when not given. Output accumulates across column tiles in one OMMB array
-    and is width-checked at the end.
+    An inner-dimension mismatch raises ShapeError before any tile runs.
+    Output accumulates across column tiles in one OMMB array and is
+    width-checked at the end.
     """
-    check_product(x, w)
-    plan = x if isinstance(x, Plan) else compile_plan(x, cfg)
+    if plan.cols != w.rows:
+        raise ShapeError(f"inner dims differ: {plan.cols} vs {w.rows}")
+    cfg = plan.cfg
     y = np.zeros((plan.rows, w.cols), dtype=np.int64)
     report = CycleReport(ScheduleStats.zero(cfg.pe_count), mode=plan.mode)
     lane_blocks = range(0, max(w.cols, 1), cfg.lanes)

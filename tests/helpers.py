@@ -1,0 +1,17 @@
+"""Readers the tests need but no command does."""
+
+import json
+
+from gcnsim.formats import META_VERSION, FileFormatError
+
+
+def read_meta(path) -> dict:
+    """A metadata sidecar that formats.write_meta wrote."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, a 5000-digit int
+        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("meta_version") != META_VERSION:
+        raise FileFormatError(f"{path}: not a metadata sidecar")
+    return doc

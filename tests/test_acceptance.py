@@ -23,7 +23,7 @@ from gcnsim.report import report_document
 from gcnsim.runtime import make_gcn, references, run_model, verify_against_oracle
 from gcnsim.schedule import (ArchConfig, assign_rows, build_sdmm_schedule,
                              config_for_tile, stall_collisions, tile_columns)
-from gcnsim.simulator import simulate_step
+from gcnsim.simulator import compile_plan, simulate_step
 
 ACCEPTANCE_RESULTS: list = []
 
@@ -94,7 +94,7 @@ def test_criterion_01_oracle_equivalence():
         cfg, h = random_arch(rng)
         x = random_sparse(rng, m, n, density, h)
         w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
-        y, report = simulate_step(x, w, cfg)
+        y, report = simulate_step(compile_plan(x, cfg), w)
         ref = sdmm_reference(x, w)
         assert y.frac_bits == ref.frac_bits
         assert np.array_equal(y.data, ref.data), f"SDMM mismatch on trial {trial}"
@@ -106,7 +106,7 @@ def test_criterion_01_oracle_equivalence():
         cfg, _ = random_arch(rng)
         xd = DenseMatrix(rng.integers(-8, 8, (m, n)), 4, 0)
         w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
-        y, report = simulate_step(xd, w, cfg)
+        y, report = simulate_step(compile_plan(xd, cfg), w)
         ref = dmm_reference(xd, w)
         assert np.array_equal(y.data, ref.data), f"DMM mismatch on trial {trial}"
         census_identity(report)
@@ -198,7 +198,7 @@ def test_criterion_04_codec_round_trip():
         sched = build_sdmm_schedule(tile, cfg)
         header = make_header(cfg.tile_width, h, cfg.pe_count,
                              sched.cycles)
-        back_header, back = deserialize_stream(serialize_stream(sched, header))
+        back_header, back = deserialize_stream(serialize_stream(sched, cfg.tile_width, h))
         assert back_header == header
         for name in ("sor", "eor", "vld", "col", "value"):
             assert np.array_equal(getattr(back, name), getattr(sched, name)), \
@@ -218,7 +218,7 @@ def sdmm_cycles(model, a, x0, cfg):
     _, report = run_model(model, a, x0, cfg)
     for _, step in report.steps:
         census_identity(step)
-    return report_document(report, cfg)["sdmm"]["compute_cycles"]
+    return report_document(report)["sdmm"]["compute_cycles"]
 
 
 @criterion(5, "replication monotonically cuts SDMM cycles, >=15% at r=8")
@@ -253,7 +253,7 @@ def test_criterion_07_accounting_identity():
         n = int(rng.integers(2, 257))
         x = random_sparse(rng, m, n, 10.0 ** rng.uniform(-2, -1), h)
         w = DenseMatrix(rng.integers(-8, 8, (n, int(rng.integers(1, 33)))), 4, 0)
-        _, report = simulate_step(x, w, cfg)
+        _, report = simulate_step(compile_plan(x, cfg), w)
         census_identity(report)
     for _ in range(10):
         bundle = gen_powerlaw(128, 3, 2.5, seed=int(rng.integers(1 << 30)),
@@ -276,14 +276,14 @@ def test_criterion_08_dmm_degenerate():
             p = int(rng.integers(1, 33))
             x = DenseMatrix(rng.integers(-8, 8, (m, n)), 4, 0)
             w = DenseMatrix(rng.integers(-8, 8, (n, p)), 4, 0)
-            _, report = simulate_step(x, w, ArchConfig(k))
+            _, report = simulate_step(compile_plan(x, ArchConfig(k)), w)
             assert report.census.stall_idle.sum() == 0, f"K={k} m={m}: dense stalls"
             assert report.census.pad_idle.sum() == 0, f"K={k} m={m}: dense pads"
             census_identity(report)
     # contrast: a ragged row count must show up as imbalance, not vanish
     x = DenseMatrix(rng.integers(-8, 8, (9, 8)), 4, 0)
     w = DenseMatrix(rng.integers(-8, 8, (8, 4)), 4, 0)
-    _, report = simulate_step(x, w, ArchConfig(4))
+    _, report = simulate_step(compile_plan(x, ArchConfig(4)), w)
     assert report.census.pad_idle.sum() > 0
 
 

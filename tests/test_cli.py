@@ -16,14 +16,14 @@ import pytest
 
 from gcnsim import cli, graphs, runtime, simulator
 from gcnsim.cli import EXIT_DATA, EXIT_INVALID, EXIT_OK, main
-from gcnsim.formats import (MAX_SPARSE_DIM, export_bundle, ingest_bundle_dir, read_meta,
-                            write_weights)
+from gcnsim.formats import MAX_SPARSE_DIM, export_bundle, ingest_bundle_dir, write_weights
 from gcnsim.graphs import gen_powerlaw, random_weights
 from gcnsim.pcoo import StreamFormatError, deserialize_stream
 from gcnsim.report import read_report
 from gcnsim.schedule import config_for_tile
-from gcnsim.matrix import ShapeError
+from gcnsim.matrix import DenseMatrix, ShapeError
 from gcnsim.simulator import ArbitrationError, check_arbitration, plan_step
+from helpers import read_meta
 from test_formats import agrees, reader_and_spec
 
 
@@ -331,6 +331,21 @@ def test_weights_that_miss_the_features_exit_4_before_scheduling(tmp_path, monke
                  "--out", str(tmp_path / "s")]) == EXIT_INVALID
     assert "inner dims differ: 8 vs 9" in capsys.readouterr().err
     assert planned == [] and not (tmp_path / "s").exists()
+
+
+def test_weights_outside_their_declared_bits_exit_3(tmp_path, capsys):
+    # layer 1 is a 4-bit matrix holding 100, or declares a width the int32
+    # container cannot hold; the chain 8 -> 4 -> 3 fits the 8 features
+    b = gen_powerlaw(64, 2, 2.1, 3, 8, 0.3)
+    export_bundle(tmp_path / "b", b)
+    weights = tmp_path / "b" / "weights.bin"
+    for bad, message in ((DenseMatrix(np.full((4, 3), 100), 4, 0), "outside its 4-bit range"),
+                         (DenseMatrix(np.ones((4, 3), np.int64), 0, 0), "declares 0 bits"),
+                         (DenseMatrix(np.ones((4, 3), np.int64), 33, 0), "declares 33 bits")):
+        write_weights(weights, [DenseMatrix(np.ones((8, 4), np.int64), 4, 0), bad])
+        assert main(["simulate", str(tmp_path / "b"), "--pe", "4", "--tile", "64"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{weights}: matrix 1 " in err and message in err
 
 
 def test_error_exit_categories(workload, tmp_path, capsys):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gcnsim.costmodel import (
-    AGGREGATE_FIRST,
-    COMBINE_FIRST,
     DATASETS,
     CostReport,
-    cost_model,
+    aggregate_first_cost,
+    combine_first_cost,
     dataset_cost,
     symbolic_product_cost,
 )
@@ -31,7 +30,7 @@ def sparse_with_nnz(rng, rows, cols, nnz):
 
 
 def test_closed_form_hand_computed():
-    r = cost_model(m=2, n_feat=10, hidden=3, classes=2, nnz_x=4, nnz_a=5)
+    r = combine_first_cost(m=2, hidden=3, classes=2, nnz_x=4, nnz_a=5)
     assert r.ops == 4 * 3 + 5 * 3 + 2 * 3 * 2 + 5 * 2 == 49
     assert r.intermediate_bits == 2 * 3 * 16 == 96
     assert r.intermediate_mibit == 96 / 2**20
@@ -39,11 +38,12 @@ def test_closed_form_hand_computed():
 
 def test_rejects_nonpositive_counts():
     with pytest.raises(ValueError):
-        cost_model(2, 10, 0, 2, 4, 5)
+        combine_first_cost(2, 0, 2, 4, 5)
     with pytest.raises(ValueError):
-        cost_model(2, 10, 3, 2, 4, -1)
+        combine_first_cost(2, 3, 2, 4, -1)
+    eye = SparseMatrixCSR.from_dense_raw(np.eye(2, dtype=np.int64), 4, 0)
     with pytest.raises(ValueError):
-        cost_model(2, 10, 3, 2, 4, 5, order="sideways")
+        aggregate_first_cost(eye, eye, 3, 0)
 
 
 def test_published_table_within_tolerance():
@@ -79,11 +79,6 @@ def test_symbolic_product_matches_brute_force():
         assert nnz_out == int(np.count_nonzero(ad @ xd))
 
 
-def test_aggregate_first_requires_operands():
-    with pytest.raises(ValueError):
-        cost_model(2, 10, 3, 2, 4, 5, order=AGGREGATE_FIRST)
-
-
 def test_combine_first_beats_aggregate_first_on_dataset_shapes():
     # the ordering claim should hold at the published shapes and densities
     rng = np.random.default_rng(47)
@@ -95,10 +90,7 @@ def test_combine_first_beats_aggregate_first_on_dataset_shapes():
         a = SparseMatrixCSR.from_coo(d.nodes, d.nodes, r, c,
                                      np.ones(len(r), dtype=np.int64), 4, 0)
         x = sparse_with_nnz(rng, d.nodes, d.in_feats, d.nnz_features)
-        combine = cost_model(d.nodes, d.in_feats, d.hidden, d.classes,
-                             x.nnz, a.nnz, COMBINE_FIRST)
-        aggregate = cost_model(d.nodes, d.in_feats, d.hidden, d.classes,
-                               x.nnz, a.nnz, AGGREGATE_FIRST,
-                               adjacency=a, features=x)
+        combine = combine_first_cost(d.nodes, d.hidden, d.classes, x.nnz, a.nnz)
+        aggregate = aggregate_first_cost(a, x, d.hidden, d.classes)
         assert combine.ops < aggregate.ops, name
         assert isinstance(aggregate, CostReport)

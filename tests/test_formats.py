@@ -12,10 +12,8 @@ from gcnsim.formats import (
     FileFormatError,
     export_bundle,
     ingest_bundle_dir,
-    ingest_graph,
     read_edges,
     read_features,
-    read_meta,
     read_weights,
     write_edges,
     write_features,
@@ -24,6 +22,7 @@ from gcnsim.formats import (
 )
 from gcnsim.graphs import GraphBundle, gen_powerlaw, random_weights, symmetric_adjacency
 from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
+from helpers import read_meta
 from test_golden_census import make_bundle as make_golden_bundle
 
 
@@ -128,6 +127,16 @@ def test_weight_container_holds_int32_and_refuses_wider(tmp_path):
         assert not (tmp_path / "wide.bin").exists()
 
 
+def test_weight_headers_are_checked_before_the_file_opens(tmp_path):
+    p = tmp_path / "w.bin"
+    ok = DenseMatrix(np.ones((2, 2), np.int64), 4, 0)
+    for field, bad in (("bits", DenseMatrix(np.ones((2, 2), np.int64), 70000, 0)),
+                       ("frac_bits", DenseMatrix(np.ones((2, 2), np.int64), 4, 1 << 16))):
+        with pytest.raises(ValueError, match=f"weight matrix 1: {field} "):
+            write_weights(p, [ok, bad])
+        assert not p.exists()
+
+
 def test_weight_container_rejects_garbage(tmp_path):
     p = tmp_path / "w.bin"
     p.write_bytes(b"XX")
@@ -172,15 +181,16 @@ def test_bundle_export_ingest_identity(tmp_path):
                for a, b in zip(back.weights, bundle.weights))
 
 
-def test_ingest_graph_validates_against_features(tmp_path):
-    (tmp_path / "e.txt").write_text("0 1\n1 2\n")
-    (tmp_path / "f.txt").write_text("sparse 3 2 4 3\n0 0 4\n2 1 -3\n")
-    b = ingest_graph(tmp_path / "e.txt", tmp_path / "f.txt")
+def test_ingest_bundle_dir_validates_against_features(tmp_path):
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "features.txt").write_text("sparse 3 2 4 3\n0 0 4\n2 1 -3\n")
+    b = ingest_bundle_dir(tmp_path)
     assert b.nodes == 3
     assert b.adjacency.nnz == 4
-    (tmp_path / "e.txt").write_text("0 3\n")
+    assert b.weights == []
+    (tmp_path / "edges.txt").write_text("0 3\n")
     with pytest.raises(FileFormatError, match="out of range"):
-        ingest_graph(tmp_path / "e.txt", tmp_path / "f.txt")
+        ingest_bundle_dir(tmp_path)
 
 
 # -- the reader against the line parser it replaced, kept here as the spec -------------

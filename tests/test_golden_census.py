@@ -24,13 +24,14 @@ from pathlib import Path
 import pytest
 
 from gcnsim.cli import EXIT_OK, build_model, main
-from gcnsim.formats import export_bundle, read_meta
+from gcnsim.formats import export_bundle
 from gcnsim.graphs import gen_powerlaw
 from gcnsim.pcoo import deserialize_stream
 from gcnsim.report import report_document
 from gcnsim.runtime import KIND_GCN, KIND_SAGE, run_model
 from gcnsim.schedule import config_for_tile
 from gcnsim.simulator import check_arbitration
+from helpers import read_meta
 
 GOLDEN = Path(__file__).with_name("golden_census.json")
 
@@ -72,7 +73,7 @@ def model_census(bundle, model_name, config_name) -> dict:
     model, a = build_model(bundle, kind, adjacency, HIDDEN, CLASSES, LAYERS, BUNDLE[3])
     cfg = arch(config_name)
     logits, run = run_model(model, a, bundle.features, cfg)
-    doc = report_document(run, cfg)
+    doc = report_document(run)
     digest = hashlib.sha256(logits.data.astype("<i8").tobytes()).hexdigest()[:16]
     census = {"logits": f"{logits.rows}x{logits.cols} frac_bits={logits.frac_bits} "
                         f"sha256={digest}",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcnsim.graphs import gen_powerlaw, random_weights
-from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
+from gcnsim.matrix import DenseMatrix, SparseMatrixCSR, normalize_adjacency
 from gcnsim.report import (
     IDLE_BENCHMARK,
     REPORT_VERSION,
@@ -25,7 +25,7 @@ from gcnsim.runtime import (
     verify_against_oracle,
 )
 from gcnsim.schedule import ArchConfig, config_for_tile
-from gcnsim.simulator import simulate_step
+from gcnsim.simulator import compile_plan, simulate_step
 
 
 def banked_tile(nnz_per_row, pe_count, width=512, groups=32):
@@ -48,10 +48,10 @@ def banked_tile(nnz_per_row, pe_count, width=512, groups=32):
 def one_step_report(tile, pe_count):
     w = DenseMatrix(np.ones((tile.cols, 16), dtype=np.int64), 4, 3)
     cfg = ArchConfig(pe_count)
-    _, rep = simulate_step(tile, w, cfg)
-    run = RunReport()
+    _, rep = simulate_step(compile_plan(tile, cfg), w)
+    run = RunReport(cfg)
     run.add("step", rep)
-    return report_document(run, cfg)
+    return report_document(run)
 
 
 def test_ideal_cycles_rounds_up():
@@ -116,7 +116,7 @@ def test_document_totals_and_verify_block():
     cfg = config_for_tile(2, 16)
     logits, run = run_model(model, adj, x0, cfg)
     verify = verify_against_oracle(logits, run, references(model, adj, x0))
-    doc = report_document(run, cfg, label="tiny", verify=verify)
+    doc = report_document(run, label="tiny", verify=verify)
     assert doc["label"] == "tiny"
     assert doc["phases"]["total_cycles"] == run.total_cycles()
     assert doc["phases"]["compute_cycles"] == sum(r.compute_cycles for _, r in run.steps)
@@ -124,6 +124,23 @@ def test_document_totals_and_verify_block():
     assert doc["verify"]["exact_match"] is True
     assert doc["config"]["tile_width"] == 16
     assert doc["sdmm"]["compute_cycles"] > 0
+
+
+def test_each_configs_document_names_its_own_array():
+    # a sweep's documents: the config block is the run's own, so pe_count is
+    # the length of every per-PE list and tile_width the steps' tiling
+    bundle = gen_powerlaw(96, 3, 2.1, seed=29, n_features=40)
+    model = make_gcn(random_weights([40, 8, 4], seed=3))
+    a = normalize_adjacency(bundle.adjacency, "binary")
+    for pe, tile, replicas in ((2, 16, 1), (4, 32, 2), (8, 64, 1), (16, 128, 4)):
+        cfg = config_for_tile(pe, tile, replicas=replicas)
+        _, run = run_model(model, a, bundle.features, cfg)
+        doc = report_document(run)
+        assert doc["config"]["pe_count"] == pe and doc["config"]["tile_width"] == tile
+        assert doc["config"]["replicas"] == replicas
+        lists = [*doc["sdmm"]["per_pe"].values(), doc["sdmm"]["idle_fraction"]]
+        lists += [v for step in doc["steps"] for v in step["per_pe"].values()]
+        assert {len(v) for v in lists} == {pe}
 
 
 def test_sdmm_block_sums_the_sparse_steps():
@@ -135,7 +152,7 @@ def test_sdmm_block_sums_the_sparse_steps():
                                     random_weights(dims, seed=2))))
     cfg = config_for_tile(4, 16, lanes=4)
     _, run = run_model(model, mean_adjacency(bundle.adjacency), bundle.features, cfg)
-    doc = report_document(run, cfg)
+    doc = report_document(run)
     steps, sd = doc["steps"], doc["sdmm"]
     assert [s["label"] for s in steps if s["mode"] == "dmm"] == \
         ["layer1.self", "layer1.neigh_combine"]
@@ -158,10 +175,10 @@ def test_dmm_only_run_has_no_sparse_block_numbers():
     x = DenseMatrix(np.ones((4, 8), dtype=np.int64), 16, 0)
     w = DenseMatrix(np.ones((8, 16), dtype=np.int64), 4, 0)
     cfg = config_for_tile(2, 16)
-    _, rep = simulate_step(x, w, cfg)
-    run = RunReport()
+    _, rep = simulate_step(compile_plan(x, cfg), w)
+    run = RunReport(cfg)
     run.add("dense", rep)
-    doc = report_document(run, cfg)
+    doc = report_document(run)
     assert doc["sdmm"]["efficiency"] is None
     assert doc["sdmm"]["work"] == 0
 
@@ -206,7 +223,7 @@ def test_render_mentions_the_numbers_people_look_for():
     cfg = config_for_tile(2, 16)
     logits, run = run_model(model, adj, x0, cfg)
     verify = verify_against_oracle(logits, run, references(model, adj, x0))
-    text = render_report(report_document(run, cfg, verify=verify))
+    text = render_report(report_document(run, verify=verify))
     assert "exact_match=True" in text
 
 

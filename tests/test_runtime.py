@@ -40,7 +40,7 @@ from gcnsim.runtime import (
 from gcnsim import runtime, simulator
 from gcnsim.report import report_document
 from gcnsim.schedule import ScheduleStats, config_for_tile, tile_columns
-from gcnsim.simulator import MODE_DMM, MODE_SDMM, compile_plan, simulate_step
+from gcnsim.simulator import MODE_DMM, MODE_SDMM, check_product, compile_plan, simulate_step
 
 
 def csr_raw(grid, bits=4, frac=3):
@@ -182,7 +182,7 @@ def test_run_model_dispatches_and_reports():
     assert np.array_equal(logits.data, oracle.data)
     assert report.total_cycles() == sum(r.total_cycles for _, r in report.steps)
     sdmm = sum(r.compute_cycles for _, r in report.steps if r.mode == MODE_SDMM)
-    assert report_document(report, cfg)["sdmm"]["compute_cycles"] == sdmm
+    assert report_document(report)["sdmm"]["compute_cycles"] == sdmm
     for _, r in report.steps:
         assert r.census.pe_count == cfg.pe_count
         r.census.check_identity()
@@ -192,13 +192,13 @@ class FreshPlanEngine:
     """run_model's engine without plan reuse: every step plans anew."""
 
     def __init__(self, cfg):
-        self.cfg, self.report = cfg, RunReport()
+        self.cfg, self.report = cfg, RunReport(cfg)
 
     def operand(self, x):
         return x
 
     def matmul(self, label, x, w):
-        y, rep = simulate_step(x, w, self.cfg)
+        y, rep = simulate_step(compile_plan(x, self.cfg), w)
         self.report.add(label, rep)
         return y
 
@@ -213,7 +213,7 @@ def test_reused_plans_match_a_fresh_plan_per_step():
         expect = _forward(model, a, x0, engine)
         assert logits.frac_bits == expect.frac_bits
         assert np.array_equal(logits.data, expect.data)
-        assert report_document(report, cfg) == report_document(engine.report, cfg)
+        assert report_document(report) == report_document(engine.report)
         assert [r.tiles for _, r in report.steps] == \
             [r.tiles for _, r in engine.report.steps]
 
@@ -315,16 +315,20 @@ def test_run_model_working_set_does_not_grow_with_depth(monkeypatch):
 def test_shape_mismatch_raises_before_planning(monkeypatch):
     cfg = config_for_tile(2, 16, lanes=4)
     operands = [csr_raw(np.ones((3, 4), np.int64)), dense_raw(np.ones((3, 4), np.int64))]
-    operands.append(compile_plan(operands[0], cfg))  # a Plan is checked as its operand
-    built = []
+    plans = [compile_plan(x, cfg) for x in operands]
+    built, ran = [], []
     monkeypatch.setattr(simulator, "build_sdmm_schedule",
                         lambda *args: built.append(args))
     monkeypatch.setattr(simulator, "build_dmm_schedule",
                         lambda *args: built.append(args))
+    monkeypatch.setattr(simulator, "run_tile", lambda *args: ran.append(args))
     w = dense_raw(np.ones((5, 2), np.int64))
-    for x in operands:
+    for x in operands:  # the layer walk's check, before planning
         with pytest.raises(ShapeError, match="inner dims differ: 4 vs 5"):
-            simulate_step(x, w, cfg)
+            check_product(x, w)
+    for plan in plans:  # simulate_step's, before any tile runs
+        with pytest.raises(ShapeError, match="inner dims differ: 4 vs 5"):
+            simulate_step(plan, w)
     model, a, x0 = random_model_inputs(np.random.default_rng(73), KIND_SAGE)
     wide = csr_raw(np.ones((x0.rows, x0.cols + 1), np.int64))
     with pytest.raises(ShapeError, match="inner dims differ"):
@@ -336,7 +340,7 @@ def test_shape_mismatch_raises_before_planning(monkeypatch):
     # so does an x0 of no operand type
     with pytest.raises(TypeError, match="left operand must be"):
         run_model(model, a, x0.to_dense().data, cfg)
-    assert built == []
+    assert built == [] and ran == []
 
 
 def test_summed_step_censuses_keep_accounting_identity():
@@ -401,8 +405,6 @@ def test_model_spec_rejects_bad_shapes_and_kinds():
         ModelSpec("transformer", [LayerSpec(w)])
     with pytest.raises(ValueError):
         ModelSpec(KIND_GCN, [])
-    with pytest.raises(ValueError):
-        LayerSpec(w, activation="gelu")
     with pytest.raises(ShapeError):
         make_gcn([w, dense_raw([[1, 2], [3, 4], [5, 6]])])
     with pytest.raises(ValueError):
@@ -469,11 +471,11 @@ def test_real_reference_matches_dense_float_product():
         else:
             a_real = (dense != 0).astype(float)
         x = dequantize(bundle.features.to_dense())
-        for layer in model.layers:
+        for i, layer in enumerate(model.layers):
             y = a_real @ (x @ dequantize(layer.weight))
             if model.kind == KIND_SAGE:
                 y = x @ dequantize(layer.weight_self) + y
-            x = np.maximum(y, 0.0) if layer.activation == "relu" else y
+            x = np.maximum(y, 0.0) if i < len(model.layers) - 1 else y
         for x0 in (bundle.features, bundle.features.to_dense()):
             got = real_reference(model, a, x0)
             assert got.shape == x.shape

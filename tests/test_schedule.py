@@ -676,8 +676,8 @@ def test_schedule_packets_roundtrip():
     tile = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
     cfg = ArchConfig(pe_count=4, lanes=4, groups=4)
     sched = build_sdmm_schedule(tile, cfg)
-    header = make_header(16, 4, 4, sched.cycles)
-    _, back = deserialize_stream(serialize_stream(sched, header))
+    header, back = deserialize_stream(serialize_stream(sched, 16, 4))
+    assert header == make_header(16, 4, 4, sched.cycles)
     for name in ("sor", "eor", "vld", "col", "value"):
         assert np.array_equal(getattr(back, name), getattr(sched, name)), name
     # each PE's row markers count its round-robin rows of the 10-row tile

@@ -620,7 +620,7 @@ def test_simulate_step_spec_point():
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(64, 16)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=16, groups=2)
-    y, report = simulate_step(x, w, cfg)
+    y, report = simulate_step(compile_plan(x, cfg), w)
     assert np.array_equal(y.data, sdmm_reference(x, w).data)
     assert y.frac_bits == 6
     report.census.check_identity()
@@ -635,7 +635,7 @@ def test_simulate_step_needs_no_value_width():
     cfg = ArchConfig(pe_count=2, lanes=2, groups=4)
     for x in (SparseMatrixCSR.from_dense_raw(raw, 4, 0),
               SparseMatrixCSR.from_dense_raw((raw != 0).astype(np.int64), 4, 0)):
-        y, _ = simulate_step(x, w, cfg)
+        y, _ = simulate_step(compile_plan(x, cfg), w)
         assert np.array_equal(y.data, sdmm_reference(x, w).data)
 
 
@@ -654,7 +654,7 @@ def test_simulate_step_random_configs():
         raw[rng.random(raw.shape) < 0.8] = 0
         x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
         w = DenseMatrix(rng.integers(-8, 8, size=(n, c)), 4, 3)
-        y, report = simulate_step(x, w, cfg)
+        y, report = simulate_step(compile_plan(x, cfg), w)
         assert np.array_equal(y.data, sdmm_reference(x, w).data)
         report.census.check_identity()
 
@@ -664,12 +664,12 @@ def test_simulate_step_dmm():
     x = DenseMatrix(rng.integers(-8, 8, size=(32, 16)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(16, 16)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=16, groups=2)
-    y, report = simulate_step(x, w, cfg)
+    y, report = simulate_step(compile_plan(x, cfg), w)
     assert np.array_equal(y.data, dmm_reference(x, w).data)
     assert report.mode == MODE_DMM
     # identity left operand passes W through, widened
     ident = DenseMatrix(np.eye(16, dtype=np.int64), 4, 0)
-    y2, _ = simulate_step(ident, w, cfg)
+    y2, _ = simulate_step(compile_plan(ident, cfg), w)
     assert np.array_equal(y2.data, w.data)
 
 
@@ -680,7 +680,7 @@ def test_simulate_step_phase_arithmetic():
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(40, 10)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=4, groups=4, load_bw=8, move_bw=4)
-    y, report = simulate_step(x, w, cfg)
+    y, report = simulate_step(compile_plan(x, cfg), w)
     # load: per pair ceil(rows*cols*r/load_bw); tiles are 16/16/8 rows wide
     # and output tiles 4/4/2 lanes
     expect_load = 0
@@ -700,13 +700,39 @@ def test_simulate_step_phase_arithmetic():
     assert report.compute_cycles == 3 * per_block
 
 
+def test_one_operand_under_two_configs_reports_each_configs_cycles():
+    # a plan runs on the array it was compiled for: each of the two plans of
+    # one operand reports its own config's tiles, census and phase cycles
+    rng = np.random.default_rng(149)
+    raw = rng.integers(-8, 8, size=(96, 256))
+    raw[rng.random(raw.shape) < 0.9] = 0
+    x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
+    w = DenseMatrix(rng.integers(-8, 8, size=(256, 12)), 4, 3)
+    totals = []
+    for cfg in (config_for_tile(4, 64, 8, load_bw=16), config_for_tile(8, 128, 4, replicas=2)):
+        y, report = simulate_step(compile_plan(x, cfg), w)
+        assert np.array_equal(y.data, sdmm_reference(x, w).data)
+        lane_blocks = -(-12 // cfg.lanes)
+        cycles = [stats.cycles for _, _, stats in plan_step(x, cfg)]
+        assert [(t["col_offset"], t["cycles"]) for t in report.tiles] == \
+            list(zip(range(0, 256, cfg.tile_width), cycles))
+        assert report.census.pe_count == cfg.pe_count
+        assert report.compute_cycles == lane_blocks * sum(cycles)
+        assert report.load_cycles == sum(
+            load_tile(w.data[c0:c0 + cfg.tile_width, o0:o0 + cfg.lanes], cfg)
+            for c0 in range(0, 256, cfg.tile_width) for o0 in range(0, 12, cfg.lanes))
+        assert report.move_cycles == data_move(y, cfg)
+        totals.append(report.total_cycles)
+    assert totals[0] != totals[1]
+
+
 def test_simulate_step_dmm_many_tiles_ragged_lanes():
     # 3 column tiles (8, 8, 5 wide) by 3 lane blocks (4, 4, 2 lanes)
     rng = np.random.default_rng(139)
     cfg = ArchConfig(pe_count=4, lanes=4, groups=2, load_bw=8)
     x = DenseMatrix(rng.integers(-8, 8, size=(11, 21)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(21, 10)), 4, 3)
-    y, report = simulate_step(x, w, cfg)
+    y, report = simulate_step(compile_plan(x, cfg), w)
     assert np.array_equal(y.data, dmm_reference(x, w).data)
     assert [(t["col_offset"], t["lane_blocks"]) for t in report.tiles] == \
         [(c0, 3) for c0 in (0, 8, 16)]
@@ -727,7 +753,7 @@ def test_simulate_step_dmm_degenerate_counts():
     rng = np.random.default_rng(127)
     x = DenseMatrix(rng.integers(-8, 8, size=(12, 8)), 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(8, 4)), 4, 3)
-    _, report = simulate_step(x, w, cfg)
+    _, report = simulate_step(compile_plan(x, cfg), w)
     assert int(report.census.stall_idle.sum()) == 0
     assert int(report.census.pad_idle.sum()) == 0
 
@@ -739,8 +765,8 @@ def test_simulate_step_determinism():
     x = SparseMatrixCSR.from_dense_raw(raw, 4, 3)
     w = DenseMatrix(rng.integers(-8, 8, size=(20, 6)), 4, 3)
     cfg = ArchConfig(pe_count=4, lanes=2, groups=4)
-    y1, r1 = simulate_step(x, w, cfg)
-    y2, r2 = simulate_step(x, w, cfg)
+    y1, r1 = simulate_step(compile_plan(x, cfg), w)
+    y2, r2 = simulate_step(compile_plan(x, cfg), w)
     assert np.array_equal(y1.data, y2.data)
     assert (r1.mode, r1.load_cycles, r1.compute_cycles, r1.move_cycles) == \
         (r2.mode, r2.load_cycles, r2.compute_cycles, r2.move_cycles)
@@ -757,7 +783,7 @@ def test_replica_monotonicity():
     cycles = []
     for r in (1, 2, 4, 8):
         cfg = ArchConfig(pe_count=8, lanes=8, groups=4, replicas=r)
-        _, report = simulate_step(x, w, cfg)
+        _, report = simulate_step(compile_plan(x, cfg), w)
         cycles.append(report.compute_cycles)
     assert cycles == sorted(cycles, reverse=True), cycles
 
@@ -765,15 +791,14 @@ def test_replica_monotonicity():
 def test_simulate_step_input_validation():
     cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
     x = DenseMatrix.zeros(2, 4, 4, 0)
-    w = DenseMatrix.zeros(4, 2, 4, 0)
     # the operand's type picks the mode; anything else is not an operand
     with pytest.raises(TypeError):
-        simulate_step(x.data, w, cfg)
+        compile_plan(x.data, cfg)
     with pytest.raises(ShapeError):
-        simulate_step(x, DenseMatrix.zeros(5, 2, 4, 0), cfg)
+        simulate_step(compile_plan(x, cfg), DenseMatrix.zeros(5, 2, 4, 0))
     with pytest.raises(ShapeError):
-        simulate_step(SparseMatrixCSR.from_dense_raw(x.data, 4, 0),
-                      DenseMatrix.zeros(5, 2, 4, 0), cfg)
+        simulate_step(compile_plan(SparseMatrixCSR.from_dense_raw(x.data, 4, 0), cfg),
+                      DenseMatrix.zeros(5, 2, 4, 0))
 
 
 def test_schedule_stats_add_up():
@@ -809,7 +834,7 @@ def test_simulate_step_peak_memory_is_linear():
         w = DenseMatrix(rng.integers(-8, 8, size=(x.cols, 64)), 4, 0)
         tracemalloc.start()
         try:
-            y, _ = simulate_step(x, w, cfg)
+            y, _ = simulate_step(compile_plan(x, cfg), w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
