@@ -1,7 +1,7 @@
 """On-disk formats: edge lists, feature files, weight containers, metadata.
 
 An edge or sparse feature file has one reader: a tokenizer turns the text
-into int64 columns and one set of array checks runs on them, in the order a
+into integer columns and one set of array checks runs on them, in the order a
 line-by-line reading meets the faults. Plain-form text (the writers') is
 tokenized as arrays, any other text by a line loop that only splits and
 converts; an error names the first bad line as `path:line:`. The writers
@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .graphs import GraphBundle, symmetric_adjacency
-from .matrix import DenseMatrix, SparseMatrixCSR, int_max, int_min, quantize
+from .matrix import DenseMatrix, SparseMatrixCSR, int_max, int_min, quantize, value_dtype
 
 WEIGHT_MAGIC = b"GCNW"
 WEIGHT_VERSION = 1
@@ -37,7 +38,7 @@ MAX_SPARSE_DIM = 1 << 27   # rows or cols of a sparse header; row_ptr <= 1 GiB
 _INT64 = np.iinfo(np.int64)
 _PLAIN = b"0123456789- \t\n"   # the only bytes the writers emit
 _WRITE_LINES = 1 << 12           # lines of text a writer builds at once
-_READ_BYTES = 1 << 20            # text a reader parses at once
+_READ_BYTES = 1 << 18            # text a reader parses at once
 _SHOWN = 10 ** np.arange(20, dtype=np.uint64)  # a digit at place p shows from 10^p up,
 _SHOWN[0] = 0                                  # the units digit always
 
@@ -65,14 +66,17 @@ def _data_lines(path, data: bytes):
             yield lineno, line
 
 
-def _int_rows(data: bytes, width: int, pos: int = 0) -> list[np.ndarray] | None:
-    """The width int64 columns of the plain-form text data[pos:], one entry a
-    line, unchecked; else None, for the line loop: other bytes ('#', '+', CR,
-    non-ASCII...), a line of another token count (blank or unended too), a
-    '-' not leading digits or an int64 extreme, which fromstring may have
-    clipped. The text is parsed about _READ_BYTES at a time, cut after a
-    newline, into columns allocated once, so temporaries stay chunk-sized."""
-    cols = [np.empty(lines, dtype=np.int64) for lines in [data.count(b"\n", pos)] * width]
+def _int_rows(data: bytes, dtypes: tuple, pos: int = 0) -> list[np.ndarray] | None:
+    """The columns of the plain-form text data[pos:], one entry a line and
+    one column per dtype, unchecked; else None, for the line loop: other
+    bytes ('#', '+', CR, non-ASCII...), a line of another token count (blank
+    or unended too), a '-' not leading digits or an int64 extreme, which
+    fromstring may have clipped. The text is parsed about _READ_BYTES at a
+    time, cut after a newline, into columns allocated once, so temporaries
+    stay chunk-sized; a column becomes int64 when a token does not fit its dtype."""
+    width = len(dtypes)
+    lines = data.count(b"\n", pos)
+    cols = [np.empty(lines, dtype=dt) for dt in dtypes]
     at = 0
     while pos < len(data):
         end = data.find(b"\n", pos + _READ_BYTES) + 1 or len(data)
@@ -90,14 +94,19 @@ def _int_rows(data: bytes, width: int, pos: int = 0) -> list[np.ndarray] | None:
         if (len(starts) != width * len(ends) or (starts[width::width] < ends[:-1]).any()
                 or (starts[width - 1::width] > ends).any() or (after_minus < ord("0")).any()):
             return None
-        try:
-            t = np.fromstring(chunk, dtype=np.int64, sep=" ")
-        except ValueError:  # a '-' inside a token
-            return None
+        with warnings.catch_warnings():  # numpy 1 warns where numpy 2.4 raises
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                t = np.fromstring(chunk, dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):  # a '-' inside a token
+                return None
         if len(t) != len(starts) or ((t == _INT64.min) | (t == _INT64.max)).any():
             return None
-        for col, part in zip(cols, t.reshape(-1, width).T):
-            col[at:at + len(part)] = part
+        for i, part in enumerate(t.reshape(-1, width).T):
+            info = np.iinfo(cols[i].dtype)
+            if part.size and (part.min() < info.min or part.max() > info.max):
+                cols[i] = cols[i].astype(np.int64)
+            cols[i][at:at + len(part)] = part
         at, pos = at + len(ends), end
     return cols
 
@@ -144,7 +153,7 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
     both directions' keys.
     """
     data = Path(path).read_bytes()
-    uv, bad = _int_rows(data, 2), None
+    uv, bad = _int_rows(data, (np.int32, np.int32)), None
     if uv is None:
         uv, bad = _line_columns(_data_lines(path, data), 2, "u v", "node id")
     u, v = uv
@@ -157,13 +166,14 @@ def read_edges(path, nodes: int) -> SparseMatrixCSR:
 
 
 def _int_lines(columns: list[np.ndarray]) -> bytes:
-    """One line per entry of the equal-length int64 columns: each entry in
-    decimal, a space between entries, a newline after the last.
+    """One line per entry of the equal-length signed integer columns: each
+    entry in decimal, a space between entries, a newline after the last.
 
     The text is a uint8 matrix with one row per byte position and one column
     per line. Each input column takes a sign byte, as many digit rows as its
     largest magnitude has digits (divided out by 10 from the uint64
-    magnitude, so int64 min works) and a separator row. A sign or leading
+    magnitude, so int64 min works; a signed column of any width casts to
+    uint64 by sign extension) and a separator row. A sign or leading
     zero that does not show is a 0 byte, which the final translate deletes.
     """
     parts = []
@@ -190,7 +200,7 @@ def _int_lines(columns: list[np.ndarray]) -> bytes:
 
 
 def _write_lines(path, head: str, *columns: np.ndarray) -> None:
-    """A text file: head, then _int_lines of the int64 columns, written a
+    """A text file: head, then _int_lines of the integer columns, written a
     chunk of lines at a time so memory stays bounded."""
     with open(path, "wb") as fh:
         fh.write(head.encode())
@@ -217,10 +227,10 @@ def read_features(path) -> SparseMatrixCSR:
     data = Path(path).read_bytes()
     cut = data.find(b"\n") + 1 or len(data)
     head, bad = data[:cut], None
+    # a plain first line is the header, read without splitting the body into lines
     plain = head.strip() and not head.translate(None, _PLAIN + b"sparse")  # one line, no CR
-    cols = _int_rows(data, 3, cut) if plain else None  # the body is parsed in place
     lines = _data_lines(path, data)
-    lineno, header = next(lines, (0, "")) if cols is None else (1, head.decode().strip())
+    lineno, header = (1, head.decode().strip()) if plain else next(lines, (0, ""))
     if not header:
         raise FileFormatError(f"{path}: empty feature file")
     if header.split()[0] != "sparse":
@@ -236,7 +246,11 @@ def read_features(path) -> SparseMatrixCSR:
         _fail(path, lineno, f"sparse header needs sizes >= 0, 0 <= frac < bits <= 64: {header!r}")
     if max(n, m) > MAX_SPARSE_DIM:
         _fail(path, lineno, f"sparse header sizes must be <= {MAX_SPARSE_DIM}: {header!r}")
+    # the body is parsed in place, into the matrix's stored dtypes
+    cols = _int_rows(data, (np.int64, np.int32, value_dtype(bits)), cut) if plain else None
     if cols is None:
+        if plain:
+            next(lines)  # the header line
         cols, bad = _line_columns(lines, 3, "row col value", "triplet")
     r, c, v = cols
     _fail_first(path, data, 1, (r < 0) | (r >= n) | (c < 0) | (c >= m),
@@ -282,12 +296,20 @@ def write_features(path, f: SparseMatrixCSR) -> None:
 
 
 def write_weights(path, weights: list[DenseMatrix]) -> None:
+    """The weight container; a matrix read_weights would refuse (bits outside
+    1 to 32, an entry outside its declared width) is a ValueError naming it,
+    raised before the file opens."""
     heads = []  # every matrix is checked and its header packed before the file opens
     for i, w in enumerate(weights):
-        if w.data.size and not int_min(32) <= w.data.min() <= w.data.max() <= int_max(32):
+        lo, hi = (int(w.data.min()), int(w.data.max())) if w.data.size else (0, 0)
+        if not int_min(32) <= lo <= hi <= int_max(32):
             raise ValueError(f"weight matrix {i} has entries outside the container's int32")
-        fields = (("rows", w.rows, 32), ("cols", w.cols, 32), ("bits", w.bits, 16),
-                  ("frac_bits", w.frac_bits, 16))
+        if not 1 <= w.bits <= 32:
+            raise ValueError(f"weight matrix {i}: bits {w.bits} not 1 to 32, "
+                             f"the widths of the container's int32 entries")
+        if not int_min(w.bits) <= lo <= hi <= int_max(w.bits):
+            raise ValueError(f"weight matrix {i} has entries outside its {w.bits}-bit range")
+        fields = (("rows", w.rows, 32), ("cols", w.cols, 32), ("frac_bits", w.frac_bits, 16))
         for name, value, width in fields:
             if not 0 <= value < 1 << width:
                 raise ValueError(f"weight matrix {i}: {name} {value} does not fit "

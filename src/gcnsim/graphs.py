@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrix import DenseMatrix, ShapeError, SparseMatrixCSR
+from .matrix import DenseMatrix, ShapeError, SparseMatrixCSR, value_dtype
 
 _PAIRING_TRIES = 10
 _EDGE_YIELD = 0.9  # accept a pairing that keeps this fraction after simplification
-_DRAW_CHUNK = 1 << 20  # uniforms random_features draws at once
+_DRAW_CHUNK = 1 << 18  # uniforms random_features draws at once (2 MiB)
 
 
 @dataclass
@@ -114,21 +114,28 @@ def symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> SparseMatrixCSR
     """Binary n x n adjacency holding each edge (u, v) in both directions.
 
     Repeated edges collapse; self loops are kept. The row-major keys u * n + v
-    of both directions are sorted in place and the first of each run is kept:
-    that is CSR order, so a search of the keys gives the row pointers, and
-    the keys become the columns in place.
+    of both directions are computed in int64 into one array, sorted in place
+    and the first of each run is kept: that is CSR order, so a search of the
+    keys gives the row pointers and their remainders mod n the int32 columns.
     """
-    key = np.concatenate((u * n + v, v * n + u))
+    e = len(u)
+    key = np.empty(2 * e, dtype=np.int64)
+    np.multiply(u, n, out=key[:e], dtype=np.int64)  # int64 products of int32 ids too
+    key[:e] += v
+    np.multiply(v, n, out=key[e:], dtype=np.int64)
+    key[e:] += u
     key.sort()
     key = key[np.diff(key, prepend=-1) != 0]
     row_ptr = np.searchsorted(key, np.arange(n + 1) * n)
-    key %= n
-    return SparseMatrixCSR(n, n, row_ptr, key, np.ones(len(key), dtype=np.int64), 4, 0)
+    col = np.remainder(key, max(n, 1), out=np.empty(len(key), np.int32))
+    del key
+    return SparseMatrixCSR(n, n, row_ptr, col, np.ones(len(col), value_dtype(4)), 4, 0)
 
 
 def random_features(n: int, n_features: int, density: float, rng
                     ) -> SparseMatrixCSR:
-    """Sparse SINT4 feature matrix with nonzero entries at the given density.
+    """Sparse SINT4 feature matrix with nonzero entries at the given density,
+    built at its stored widths (int32 columns, int8 values).
 
     The n * n_features uniforms that pick the nonzero positions are drawn at
     most _DRAW_CHUNK at a time; the stream is sequential, so the matrix and
@@ -140,9 +147,9 @@ def random_features(n: int, n_features: int, density: float, rng
     flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [
         np.flatnonzero(rng.random(min(_DRAW_CHUNK, size - s0)) < density) + s0
         for s0 in range(0, size, _DRAW_CHUNK)])
-    vals = rng.choice(np.concatenate([np.arange(-8, 0), np.arange(1, 8)]),
-                      size=len(flat))
-    col = flat % n_features
+    vals = rng.choice(np.concatenate([np.arange(-8, 0), np.arange(1, 8)]).astype(value_dtype(4)),
+                      size=len(flat))  # the draw does not depend on the dtype
+    col = np.remainder(flat, n_features, out=np.empty(len(flat), np.int32))
     flat //= n_features
     return SparseMatrixCSR.from_coo(n, n_features, flat, col, vals, 4, 3)
 

@@ -1,8 +1,12 @@
 """Exact fixed-point matrix types and reference kernels.
 
 Everything here is plain integer arithmetic on raw fixed-point values
-(int64 storage, declared width checked explicitly), so results are
-bit-reproducible and usable as the oracle for the cycle simulator.
+(declared width checked explicitly), so results are bit-reproducible and
+usable as the oracle for the cycle simulator. Dense grids and every product
+are int64. A sparse operand is stored at its packet widths: int32 columns
+and values in the narrowest signed dtype that holds its declared width
+(value_dtype), so a binary adjacency or 4-bit features cost 5 bytes a
+nonzero; arithmetic on them is written so no cast or promotion wraps.
 """
 
 from __future__ import annotations
@@ -26,6 +30,20 @@ def int_min(bits: int) -> int:
 
 def int_max(bits: int) -> int:
     return (1 << (bits - 1)) - 1
+
+
+_VALUE_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+_INT32 = np.iinfo(np.int32)
+
+
+def value_dtype(bits: int, lo: int = 0, hi: int = 0) -> np.dtype:
+    """Narrowest of int8/int16/int32/int64 holding every bits-bit value and
+    lo..hi: a sparse matrix's value dtype (int64 for any width past 64)."""
+    for dt in _VALUE_DTYPES:
+        info = np.iinfo(dt)
+        if min(bits, 64) <= info.bits and info.min <= lo and hi <= info.max:
+            return dt
+    raise OverflowTrap(f"sparse entries {lo}..{hi} outside int64")
 
 
 def check_fits(arr: np.ndarray, bits: int, what: str = "value") -> None:
@@ -73,18 +91,30 @@ class SparseMatrixCSR:
     """Compressed sparse rows of raw fixed-point values (zeros never stored)."""
 
     rows: int
-    cols: int
+    cols: int           # at most 2**31 - 1
     row_ptr: np.ndarray  # int64, length rows+1
-    col_idx: np.ndarray  # int64, per nonzero
-    values: np.ndarray   # int64 raw, per nonzero
+    col_idx: np.ndarray  # int32, per nonzero
+    values: np.ndarray   # raw, per nonzero: value_dtype(bits), wider only for a value past bits
     bits: int
     frac_bits: int
     sat_count: int = 0
 
     def __post_init__(self):
+        """Arrays already at their stored dtypes are kept as given, with no
+        scan or copy; any other is range-checked first, so no cast wraps."""
+        if self.cols > _INT32.max:
+            raise ShapeError(f"{self.cols} columns do not fit int32 column indices")
         self.row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
-        self.col_idx = np.asarray(self.col_idx, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.int64)
+        col = np.asarray(self.col_idx)
+        if col.dtype != np.int32 and col.size and not (
+                _INT32.min <= col.min() and col.max() <= _INT32.max):
+            raise ShapeError("column index out of range")
+        self.col_idx = col.astype(np.int32, copy=False)
+        v = np.asarray(self.values)
+        dtype = value_dtype(self.bits)
+        if v.dtype != dtype and v.size:
+            dtype = value_dtype(self.bits, int(v.min()), int(v.max()))
+        self.values = v.astype(dtype, copy=False)
 
     @property
     def nnz(self) -> int:
@@ -118,13 +148,15 @@ class SparseMatrixCSR:
 
     @classmethod
     def from_dense_raw(cls, raw: np.ndarray, bits: int, frac_bits: int) -> "SparseMatrixCSR":
+        """The nonzeros of a dense raw grid, gathered straight into their stored dtypes."""
         raw = np.asarray(raw, dtype=np.int64)
         rows, cols = raw.shape
-        mask = raw != 0
-        counts = mask.sum(axis=1)
-        row_ptr = np.concatenate([[0], np.cumsum(counts)])
-        rr, cc = np.nonzero(mask)
-        return cls(rows, cols, row_ptr, cc.astype(np.int64), raw[rr, cc], bits, frac_bits)
+        row_ptr = np.concatenate([[0], np.cumsum(np.count_nonzero(raw, axis=1))])
+        flat = np.flatnonzero(raw)
+        lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
+        values = np.take(raw, flat, out=np.empty(len(flat), value_dtype(bits, lo, hi)))
+        col = np.remainder(flat, max(cols, 1), out=np.empty(len(flat), np.int32))
+        return cls(rows, cols, row_ptr, col, values, bits, frac_bits)
 
     @classmethod
     def from_coo(cls, rows: int, cols: int, r: np.ndarray, c: np.ndarray,
@@ -135,13 +167,14 @@ class SparseMatrixCSR:
         triplets, so it needs rows * cols to fit well inside int64. Triplets
         whose positions already strictly increase (a file in CSR order) are
         taken as they are, without the sort, and with no zero value they are
-        not copied either: the matrix then holds c and v as given.
+        not copied either: the matrix then holds c and v as given, when they
+        are int32 columns and values of value_dtype(bits). Duplicates are
+        summed in int64, so a sum past v's dtype stays exact.
         """
         if rows * cols > 2**62:
             raise ValueError(f"{rows} x {cols} positions do not fit a 62-bit sort key")
         r = np.asarray(r, dtype=np.int64)
-        c = np.asarray(c, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        c, v = (a if a.dtype.kind == "i" else a.astype(np.int64) for a in map(np.asarray, (c, v)))
         key = r * cols + c
         order = None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
         del key  # freed, like the order below, before the arrays that set the peak
@@ -151,7 +184,7 @@ class SparseMatrixCSR:
             dup = np.concatenate([[False], (r[1:] == r[:-1]) & (c[1:] == c[:-1])])
             if dup.any():
                 first = np.flatnonzero(~dup)  # each sorted group's first entry
-                v = np.add.reduceat(v, first)
+                v = np.add.reduceat(v, first, dtype=np.int64)
                 r, c = r[first], c[first]
         keep = v != 0
         if not keep.all():
@@ -212,13 +245,14 @@ def sdmm_reference(x: SparseMatrixCSR, w: DenseMatrix) -> DenseMatrix:
         raise ShapeError(f"inner dims differ: X is {x.rows}x{x.cols}, W is {w.rows}x{w.cols}")
     out = np.empty((x.rows, w.cols), dtype=np.int64)
     rows = np.repeat(np.arange(x.rows), x.row_nnz())
+    cols = x.col_idx.astype(np.intp)  # once: every gather would convert int32 indices anew
     wt = np.ascontiguousarray(w.data.T)
     step = max(1, _REFERENCE_CELLS // max(x.rows, 1))  # output columns per block
     for j0 in range(0, w.cols, step):
         w_cols = wt[j0:j0 + step]
         block = np.zeros((len(w_cols), x.rows), dtype=np.int64)  # one row per column
         for j, w_col in enumerate(w_cols):
-            np.add.at(block[j], rows, w_col[x.col_idx] * x.values)
+            np.add.at(block[j], rows, w_col[cols] * x.values)  # int64 products
         out[:, j0:j0 + step] = block.T
         del block  # before the next block's
     check_fits(out, 32, "accumulator")
@@ -303,7 +337,7 @@ def normalize_adjacency(a: SparseMatrixCSR, mode: str = "binary",
         raise ShapeError("adjacency must be square")
     if mode == "binary":
         return SparseMatrixCSR(a.rows, a.cols, a.row_ptr.copy(), a.col_idx.copy(),
-                               np.ones(a.nnz, dtype=np.int64), 4, 0)
+                               np.ones(a.nnz, value_dtype(4)), 4, 0)
     if mode != "sym_norm":
         raise ValueError(f"unknown adjacency mode {mode!r}")
     n = a.rows
@@ -311,10 +345,10 @@ def normalize_adjacency(a: SparseMatrixCSR, mode: str = "binary",
     cc = a.col_idx
     off = rr != cc
     r_all = np.concatenate([rr[off], np.arange(n)])
-    c_all = np.concatenate([cc[off], np.arange(n)])
+    c_all = np.concatenate([cc[off], np.arange(n, dtype=np.int32)])
     deg = np.bincount(r_all, minlength=n).astype(np.float64)
     scaled = np.round(1.0 / np.sqrt(deg[r_all] * deg[c_all]) * (1 << frac_bits))
-    raw = np.clip(scaled, int_min(bits), int_max(bits)).astype(np.int64)
+    raw = np.clip(scaled, int_min(bits), int_max(bits)).astype(value_dtype(bits))
     # (A + I) has no repeated position, so from_coo only sorts and drops zeros
     out = SparseMatrixCSR.from_coo(n, n, r_all, c_all, raw, bits, frac_bits)
     out.sat_count = int((raw != scaled).sum())

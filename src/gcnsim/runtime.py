@@ -39,6 +39,7 @@ from .matrix import (
     relu,
     requantize16,
     sdmm_reference,
+    value_dtype,
 )
 from .schedule import ArchConfig
 from .simulator import CycleReport, check_product, compile_plan, simulate_step
@@ -95,6 +96,10 @@ class RunReport:
     steps: list = field(default_factory=list)
 
     def add(self, label: str, rep: CycleReport) -> None:
+        """Append a step; one simulated on another PE count is a ValueError."""
+        if rep.census.pe_count != self.cfg.pe_count:
+            raise ValueError(f"step {label!r} ran on {rep.census.pe_count} PEs, "
+                             f"the run's array has {self.cfg.pe_count}")
         self.steps.append((label, rep))
 
     def total_cycles(self) -> int:
@@ -105,13 +110,15 @@ def mean_adjacency(a: SparseMatrixCSR, frac_bits: int = 14) -> SparseMatrixCSR:
     """Row-normalized adjacency (each stored row scaled by 1/degree).
 
     Structure is preserved except for weights that round to zero; isolated
-    rows simply stay empty. Linear in nnz.
+    rows simply stay empty. Linear in nnz; a weight is at most 2**frac_bits,
+    so the values are built in the dtype that holds it.
     """
     if a.rows != a.cols:
         raise ShapeError("adjacency must be square")
     deg = a.row_nnz().astype(np.float64)
     rr = np.repeat(np.arange(a.rows), a.row_nnz())
-    raw = np.round((1.0 / deg[rr]) * (1 << frac_bits)).astype(np.int64)
+    raw = np.round((1.0 / deg[rr]) * (1 << frac_bits))
+    raw = raw.astype(value_dtype(16, 0, 1 << frac_bits))
     keep = raw != 0
     counts = np.bincount(rr[keep], minlength=a.rows)
     row_ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -214,9 +221,12 @@ def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
     comparisons charge all error to quantization. A sym_norm adjacency is
     already quantized (14-bit edge weights), and this pipeline multiplies
     those weights, so its error leaves out the edge weights' rounding.
-    Aggregation runs on a's CSR arrays, one bincount per output column. A
-    deep model can overflow float64; its result then holds inf or nan, and
-    the overflow raises no warning.
+    Aggregation runs on a's CSR arrays, one bincount per output column.
+    One float64 grid is held per live matrix: sparse features are scattered
+    straight into one, a layer's input is freed once its products are taken,
+    and the self product and relu work in place. A deep model can overflow
+    float64; its result then holds inf or nan, and the overflow raises no
+    warning.
     """
     rows = np.repeat(np.arange(a.rows), a.row_nnz())
     if model.adjacency_mode == "mean":
@@ -224,22 +234,33 @@ def real_reference(model: ModelSpec, a: SparseMatrixCSR, x0) -> np.ndarray:
     else:
         weight = a.values * 2.0 ** -a.frac_bits if a.frac_bits else np.ones(a.nnz)
 
+    cols = a.col_idx.astype(np.intp)  # converted once, not by every column's gather
+
     def aggregate(y: np.ndarray) -> np.ndarray:
         out = np.empty((a.rows, y.shape[1]))
         for j, column in enumerate(y.T):
-            out[:, j] = np.bincount(rows, column[a.col_idx] * weight, a.rows)
+            out[:, j] = np.bincount(rows, column[cols] * weight, a.rows)
         return out
 
-    x = x0.to_dense() if isinstance(x0, SparseMatrixCSR) else x0
-    x = dequantize(x) if isinstance(x, DenseMatrix) else x
+    if isinstance(x0, SparseMatrixCSR):
+        x = np.zeros((x0.rows, x0.cols))
+        x[np.repeat(np.arange(x0.rows), x0.row_nnz()), x0.col_idx] = x0.values
+        x *= 2.0 ** -x0.frac_bits  # dequantize's scaling, exact
+    else:
+        x = dequantize(x0) if isinstance(x0, DenseMatrix) else x0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(model.layers):
-            y = aggregate(x @ dequantize(layer.weight))
+            xw = x @ dequantize(layer.weight)
             if model.kind == KIND_SAGE:
-                y = x @ dequantize(layer.weight_self) + y
+                self_part = x @ dequantize(layer.weight_self)
+            del x  # read by both products, so freed before the aggregation
+            x = aggregate(xw)
+            del xw
+            if model.kind == KIND_SAGE:
+                x += self_part  # float addition commutes: x @ Ws + y, bit for bit
+                del self_part
             if i < len(model.layers) - 1:
-                y = np.maximum(y, 0.0)
-            x = y
+                np.maximum(x, 0.0, out=x)
     return x
 
 

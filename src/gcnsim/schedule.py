@@ -136,15 +136,16 @@ def tile_columns(x: SparseMatrixCSR, tile_width: int) -> Iterator[SparseMatrixCS
     operand spans many tiles. The pass is a stable sort of the tile ids,
     held as int16 when they fit, which numpy sorts by radix. That order is
     the one per-nonzero array kept across tiles: a tile's nonzeros keep their
-    row-major order, so their rows come from a search of x.row_ptr.
+    row-major order, so their rows come from a search of x.row_ptr. A tile
+    keeps x's column and value dtypes; its int32 rebase cannot wrap, since
+    t * T < cols < 2**31.
     """
     ntiles = max(1, -(-x.cols // tile_width))
     if ntiles == 1:
         yield x
         return
-    tile_of = x.col_idx // tile_width
-    if ntiles <= 1 << 15:
-        tile_of = tile_of.astype(np.int16)
+    tile_of = np.floor_divide(x.col_idx, tile_width, out=np.empty(
+        x.nnz, np.int16 if ntiles <= 1 << 15 else np.int32))
     order = np.argsort(tile_of, kind="stable")  # keeps (row, col) order inside a tile
     bounds = np.concatenate([[0], np.cumsum(np.bincount(tile_of, minlength=ntiles))])
     del tile_of

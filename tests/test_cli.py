@@ -7,6 +7,7 @@ import json
 import re
 import resource
 import shutil
+import struct
 import threading
 import tracemalloc
 from pathlib import Path
@@ -333,6 +334,17 @@ def test_weights_that_miss_the_features_exit_4_before_scheduling(tmp_path, monke
     assert planned == [] and not (tmp_path / "s").exists()
 
 
+def pack_weights(path, mats) -> None:
+    """A weight container packed field by field (magic, version, count, then
+    rows, cols, bits, frac_bits and int32 entries per matrix), for matrices
+    that write_weights refuses to write."""
+    data = struct.pack("<4sHH", b"GCNW", 1, len(mats))
+    for m in mats:
+        data += struct.pack("<IIHH", m.rows, m.cols, m.bits, m.frac_bits)
+        data += m.data.astype("<i4").tobytes()
+    path.write_bytes(data)
+
+
 def test_weights_outside_their_declared_bits_exit_3(tmp_path, capsys):
     # layer 1 is a 4-bit matrix holding 100, or declares a width the int32
     # container cannot hold; the chain 8 -> 4 -> 3 fits the 8 features
@@ -342,7 +354,7 @@ def test_weights_outside_their_declared_bits_exit_3(tmp_path, capsys):
     for bad, message in ((DenseMatrix(np.full((4, 3), 100), 4, 0), "outside its 4-bit range"),
                          (DenseMatrix(np.ones((4, 3), np.int64), 0, 0), "declares 0 bits"),
                          (DenseMatrix(np.ones((4, 3), np.int64), 33, 0), "declares 33 bits")):
-        write_weights(weights, [DenseMatrix(np.ones((8, 4), np.int64), 4, 0), bad])
+        pack_weights(weights, [DenseMatrix(np.ones((8, 4), np.int64), 4, 0), bad])
         assert main(["simulate", str(tmp_path / "b"), "--pe", "4", "--tile", "64"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{weights}: matrix 1 " in err and message in err

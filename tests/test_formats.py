@@ -137,6 +137,23 @@ def test_weight_headers_are_checked_before_the_file_opens(tmp_path):
         assert not p.exists()
 
 
+def test_write_weights_refuses_what_read_weights_refuses(tmp_path):
+    # bits outside 1..32 and entries outside the declared width, named before
+    # the file opens
+    p = tmp_path / "w.bin"
+    ok = DenseMatrix(np.ones((2, 2), np.int64), 4, 0)
+    for bad, message in ((DenseMatrix(np.ones((2, 2), np.int64), 0, 0), "bits 0 not 1 to 32"),
+                         (DenseMatrix(np.ones((2, 2), np.int64), 33, 0), "bits 33 not 1 to 32"),
+                         (DenseMatrix(np.full((2, 2), 100), 4, 0), "outside its 4-bit range"),
+                         (DenseMatrix(np.full((2, 2), -9), 4, 0), "outside its 4-bit range")):
+        with pytest.raises(ValueError, match=f"weight matrix 1.*{message}"):
+            write_weights(p, [ok, bad])
+        assert not p.exists()
+    edge = DenseMatrix(np.array([[-8, 7]]), 4, 0)  # the range's ends are written and read
+    write_weights(p, [edge])
+    assert np.array_equal(read_weights(p)[0].data, edge.data)
+
+
 def test_weight_container_rejects_garbage(tmp_path):
     p = tmp_path / "w.bin"
     p.write_bytes(b"XX")
@@ -348,6 +365,9 @@ FEATURE_TEXTS = {
     "position-outside": ("sparse 3 4 4 3\n0 0 1\n3 0 1\n", True),
     "negative-position": ("sparse 3 4 4 3\n0 -1 1\n", True),
     "value-over-width": ("sparse 3 4 4 3\n0 0 1\n1 1 8\n", True),
+    # past the int8 column a 4-bit value is parsed into, or the int32 column index
+    "value-past-its-dtype": ("sparse 3 4 4 3\n0 0 1\n1 1 300\n", True),
+    "column-past-int32": ("sparse 3 4 4 3\n0 0 1\n1 4294967297 1\n", True),
     "repeated-position": ("sparse 3 4 4 3\n1 1 2\n0 0 7\n1 1 2\n", True),
     "frac-not-below-bits": ("sparse 3 4 4 4\n0 0 1\n", True),
     "rows-over-bound": (f"sparse {MAX_SPARSE_DIM + 1} 4 4 3\n0 0 1\n", True),
@@ -383,6 +403,7 @@ EDGE_TEXTS = {
     "lines-of-3-and-1": ("0 1 2\n3\n", False),
     "bare-minus": ("0 -\n", False),
     "out-of-range": ("0 1\n0 16\n", True),
+    "past-int32": ("0 1\n4294967297 2\n", True),  # parsed into int32 columns
     "negative": ("0 1\n-1 2\n", True),
     "non-integer": ("0 1\n1 x\n", False),
     # two faults: the first bad line the old line-by-line checks met is named

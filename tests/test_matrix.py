@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gcnsim.formats import export_bundle, ingest_bundle_dir, read_edges, read_features
+from gcnsim.graphs import gen_powerlaw, random_features, symmetric_adjacency
 from gcnsim.matrix import (
     DenseMatrix,
     OverflowTrap,
@@ -19,8 +21,10 @@ from gcnsim.matrix import (
     relu,
     requantize16,
     sdmm_reference,
+    value_dtype,
 )
-from gcnsim.schedule import tile_columns
+from gcnsim.runtime import mean_adjacency
+from gcnsim.schedule import packet_bits_for, tile_columns
 
 
 def brute_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -150,9 +154,13 @@ def test_csr_from_coo_sorts_like_a_row_then_column_lexsort():
 
 
 def test_csr_from_coo_rejects_sizes_past_the_sort_key():
-    wide = 1 << 61  # two rows of 2^61 columns: the largest key is 2^62 - 1
-    x = SparseMatrixCSR.from_coo(2, wide, [1, 0, 1], [wide - 1, 5, 0], [1, 2, 3], 4, 0)
-    assert x.row_ptr.tolist() == [0, 1, 3] and x.col_idx.tolist() == [5, 0, wide - 1]
+    # the widest matrix int32 columns index sorts exactly
+    widest = 2**31 - 1
+    x = SparseMatrixCSR.from_coo(2, widest, [1, 0, 1], [widest - 1, 5, 0], [1, 2, 3], 4, 0)
+    assert x.row_ptr.tolist() == [0, 1, 3] and x.col_idx.tolist() == [5, 0, widest - 1]
+    wide = 1 << 61  # two rows of 2^61 columns fit the sort key, but not int32 columns
+    with pytest.raises(ShapeError, match="do not fit int32"):
+        SparseMatrixCSR.from_coo(2, wide, [1, 0, 1], [wide - 1, 5, 0], [1, 2, 3], 4, 0)
     with pytest.raises(ValueError, match="62-bit sort key"):
         SparseMatrixCSR.from_coo(3, wide, [0], [0], [1], 4, 0)
 
@@ -508,3 +516,88 @@ def test_normalize_adjacency_sym_norm():
         normalize_adjacency(a, "laplacian")
     with pytest.raises(ShapeError):
         normalize_adjacency(SparseMatrixCSR.from_dense_raw(raw[:2], 4, 0), "binary")
+
+
+# -- storage widths ---------------------------------------------------------------
+
+
+def test_value_dtype_is_the_narrowest_that_holds_the_width():
+    assert [value_dtype(b) for b in (1, 4, 8, 9, 16, 17, 32, 33, 64, 70)] == [
+        np.int8, np.int8, np.int8, np.int16, np.int16, np.int32, np.int32,
+        np.int64, np.int64, np.int64]
+    assert value_dtype(4, -129, 0) == np.int16 and value_dtype(16, 0, 1 << 15) == np.int32
+    with pytest.raises(OverflowTrap):
+        value_dtype(16, 0, 1 << 63)
+
+
+def test_every_producer_stores_int32_columns_and_declared_width_values(tmp_path):
+    # binary adjacency and 4-bit features take int8 values, mean and sym_norm int16
+    bundle = gen_powerlaw(600, 4, 2.1, seed=3, n_features=40, feature_density=0.2)
+    a, f = bundle.adjacency, bundle.features
+    paths = export_bundle(tmp_path, bundle)
+    rng = np.random.default_rng(4)
+    produced = {
+        "symmetric_adjacency": (symmetric_adjacency(5, np.array([0, 1, 4]), np.array([1, 3, 4])),
+                                np.int8),
+        "random_features": (random_features(50, 7, 0.3, rng), np.int8),
+        "from_coo": (SparseMatrixCSR.from_coo(3, 4, [2, 0], [1, 3], [5, -7], 4, 0), np.int8),
+        "from_dense_raw": (SparseMatrixCSR.from_dense_raw(np.array([[0, 300], [-2, 0]]), 16, 0),
+                           np.int16),
+        "binary": (normalize_adjacency(a, "binary"), np.int8),
+        "sym_norm": (normalize_adjacency(a, "sym_norm"), np.int16),
+        "mean": (mean_adjacency(a), np.int16),
+        "read_edges": (read_edges(paths["edges"], a.rows), np.int8),
+        "read_features": (read_features(paths["features"]), np.int8),
+        "gen adjacency": (a, np.int8),
+        "gen features": (f, np.int8),
+    }
+    produced.update({f"tile {t}": (tile, np.int8)
+                     for t, tile in enumerate(tile_columns(f, 16))})
+    for name, (x, values) in produced.items():
+        assert x.row_ptr.dtype == np.int64, name
+        assert x.col_idx.dtype == np.int32, name
+        assert x.values.dtype == values, name
+        x.validate()
+    assert np.array_equal(produced["read_edges"][0].col_idx, a.col_idx)
+    assert np.array_equal(produced["read_features"][0].values, f.values)
+
+
+def test_csr_in_stored_dtypes_is_held_as_given():
+    # a producer that builds at the stored widths pays no scan or copy
+    c, v = np.array([1, 3], np.int32), np.array([5, -7], np.int8)
+    x = SparseMatrixCSR.from_coo(3, 4, np.array([0, 2]), c, v, 4, 0)
+    assert x.col_idx is c and x.values is v
+    y = SparseMatrixCSR(1, 4, np.array([0, 2]), c, v, 4, 0)
+    assert y.col_idx is c and y.values is v and next(tile_columns(y, 4)) is y
+
+
+def test_a_value_past_its_width_is_kept_exactly_never_wrapped():
+    x = SparseMatrixCSR.from_dense_raw(np.array([[0, -32769]]), 16, 0)
+    assert x.values.dtype == np.int32 and x.values.tolist() == [-32769]
+    y = SparseMatrixCSR(1, 2, [0, 1], [1], [-32769], 16, 0)
+    assert y.values.dtype == np.int32 and y.values.tolist() == [-32769]
+    for m in (x, y):
+        with pytest.raises(OverflowTrap, match="-32769"):
+            m.validate()
+        with pytest.raises(ValueError, match="exceed the 16-bit packet field"):
+            packet_bits_for(m)
+    # a column index int32 cannot hold is refused, not wrapped into range
+    with pytest.raises(ShapeError, match="column index out of range"):
+        SparseMatrixCSR(1, 10, [0, 1], [(1 << 32) + 3], [1], 4, 0)
+
+
+def test_duplicates_summing_past_their_dtype_are_exact():
+    v = np.array([100, 100, -100, -100, -100, 7], np.int8)
+    x = SparseMatrixCSR.from_coo(2, 2, [0, 0, 1, 1, 1, 0], [1, 1, 0, 0, 0, 0], v, 16, 0)
+    assert x.values.dtype == np.int16
+    assert x.to_dense().data.tolist() == [[7, 200], [-300, 0]]
+    x.validate()
+
+
+def test_bundle_sparse_arrays_cost_at_most_5_bytes_a_nonzero(tmp_path):
+    # int32 columns and int8 values; int64 columns and values cost 16
+    bundle = gen_powerlaw(4096, 4, 2.1, seed=0, n_features=32, feature_density=0.1)
+    export_bundle(tmp_path, bundle)
+    for b in (bundle, ingest_bundle_dir(tmp_path)):
+        for m in (b.adjacency, b.features):
+            assert m.col_idx.nbytes + m.values.nbytes <= 5 * m.nnz

@@ -482,6 +482,29 @@ def test_real_reference_matches_dense_float_product():
             assert np.abs(got - x).max() <= 1e-12
 
 
+def test_real_reference_reads_sparse_and_dense_features_alike():
+    # sparse features are scattered straight into float64: bit for bit the
+    # grid dequantize gives, for the GCN and the GraphSAGE walk
+    bundle = gen_powerlaw(80, 3, 2.1, seed=2, n_features=7, feature_density=0.4)
+    ws = random_weights([7, 5, 3], seed=6)
+    for model, a in ((make_gcn(ws, "sym_norm"), normalize_adjacency(bundle.adjacency, "sym_norm")),
+                     (make_graphsage(list(zip(ws, random_weights([7, 5, 3], seed=8)))),
+                      mean_adjacency(bundle.adjacency))):
+        got = real_reference(model, a, bundle.features)
+        assert np.array_equal(got, real_reference(model, a, bundle.features.to_dense()))
+
+
+def test_run_report_refuses_a_step_from_another_array():
+    x = csr_raw([[1, 0], [0, 1], [1, 1]])
+    plan = compile_plan(x, config_for_tile(4, 16))
+    _, rep = simulate_step(plan, dense_raw([[1, 1], [1, -1]]))
+    run = RunReport(config_for_tile(8, 16))
+    with pytest.raises(ValueError, match="'layer0.combine' ran on 4 PEs, the run's array has 8"):
+        run.add("layer0.combine", rep)
+    assert run.steps == []
+    RunReport(plan.cfg).add("layer0.combine", rep)
+
+
 def test_sparse_paths_peak_linear_in_nonzeros_at_200k_nodes():
     # an n x n float grid here would need 320 GB; the budget is linear in
     # nnz + nodes x features, with >= 2x headroom over the measured peaks
