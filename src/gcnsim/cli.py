@@ -26,8 +26,8 @@ from .matrix import OverflowTrap, ShapeError, normalize_adjacency
 from .pcoo import (
     PACKET_VALUE_WIDTHS,
     StreamFormatError,
-    check_value_field,
     make_header,
+    packet_bits_for,
     serialize_stream,
 )
 from .report import (
@@ -47,7 +47,7 @@ from .runtime import (
     run_model,
     verify_against_oracle,
 )
-from .schedule import ScheduleStats, config_for_tile, packet_bits_for
+from .schedule import ScheduleStats, config_for_tile
 # not called here: the benchmark tracer (perfbench/tracer.py SITES) binds both in cli
 from .schedule import build_sdmm_schedule, tile_columns  # noqa: F401
 from .simulator import plan_step
@@ -175,11 +175,8 @@ def cmd_preprocess(args) -> int:
     # every stream header field but the cycle count is known: check it now
     make_header(cfg.tile_width, 0 if h is None else h, cfg.pe_count, 0)
     bundle = ingest_bundle_dir(args.bundle)
-    if h is not None:
-        check_value_field(bundle.features.values, h)
     operands = [("adjacency", bundle.adjacency, packet_bits_for(bundle.adjacency)),
-                ("features", bundle.features,
-                 packet_bits_for(bundle.features) if h is None else h)]
+                ("features", bundle.features, packet_bits_for(bundle.features, h))]
     out.mkdir(parents=True, exist_ok=True)
     rows, census = [], ScheduleStats.zero(cfg.pe_count)
     for kind, mat, bits in operands:

@@ -381,8 +381,8 @@ def export_bundle(out_dir, bundle: GraphBundle) -> dict:
 
 
 def ingest_bundle_dir(in_dir) -> GraphBundle:
-    """Inverse of export_bundle: the files to a validated GraphBundle, whose
-    node count comes from the features."""
+    """Inverse of export_bundle: the files, each proved by its reader, to a
+    GraphBundle whose node count comes from the features."""
     d = Path(in_dir)
     features = read_features(d / FEATURE_FILE)
     adjacency = read_edges(d / EDGE_FILE, features.rows)

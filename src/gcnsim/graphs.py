@@ -22,27 +22,24 @@ _DRAW_CHUNK = 1 << 18  # uniforms random_features draws at once (2 MiB)
 @dataclass
 class GraphBundle:
     """One workload: adjacency structure, node features, optional weights.
-    The weights' shapes are the model's to check (cli.build_model)."""
+    It checks what only the pair knows (a square adjacency, one feature row
+    per node); each matrix is its producer's to prove, and the weights'
+    shapes are the model's to check (cli.build_model)."""
 
     adjacency: SparseMatrixCSR
     features: SparseMatrixCSR
     weights: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.validate()
+        if self.adjacency.rows != self.adjacency.cols:
+            raise ShapeError("adjacency must be square")
+        if self.features.rows != self.adjacency.rows:
+            raise ShapeError(f"{self.features.rows} feature rows for "
+                             f"{self.adjacency.rows} nodes")
 
     @property
     def nodes(self) -> int:
         return self.adjacency.rows
-
-    def validate(self) -> None:
-        if self.adjacency.rows != self.adjacency.cols:
-            raise ShapeError("adjacency must be square")
-        self.adjacency.validate()
-        self.features.validate()
-        if self.features.rows != self.adjacency.rows:
-            raise ShapeError(f"{self.features.rows} feature rows for "
-                             f"{self.adjacency.rows} nodes")
 
 
 def _degree_pmf(cap: int, exponent: float, tilt: float) -> np.ndarray:
@@ -90,12 +87,12 @@ def _degree_counts(n: int, pmf: np.ndarray, rng) -> np.ndarray:
     return np.diff(marks)
 
 
-def _pair_stubs(degrees: np.ndarray, rng) -> np.ndarray:
+def _pair_stubs(degrees: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Shuffled stubs paired in order, self loops and repeats dropped.
 
-    Returns the distinct (lo, hi) edges, lo < hi, sorted as pairs: a sort of
-    the keys lo * n + hi and a mask of the first of each run of equal keys
-    (numpy's hash-based unique is far slower on these keys).
+    Returns the lo and hi columns of the distinct edges, lo < hi, sorted as
+    pairs: a sort of the keys lo * n + hi and a mask of the first of each
+    run of equal keys (numpy's hash-based unique is far slower on these keys).
     """
     n = len(degrees)
     stubs = np.repeat(np.arange(n), degrees)
@@ -107,7 +104,7 @@ def _pair_stubs(degrees: np.ndarray, rng) -> np.ndarray:
     lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
     key = np.sort(lo * n + hi)
     key = key[np.diff(key, prepend=-1) != 0]
-    return np.stack([key // n, key % n], axis=1)
+    return key // n, key % n
 
 
 def symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> SparseMatrixCSR:
@@ -181,13 +178,13 @@ def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,
         degrees = np.repeat(support, _degree_counts(n, pmf, rng))
         rng.shuffle(degrees)
         cand = _pair_stubs(degrees, rng)
-        if len(cand) >= _EDGE_YIELD * target:
+        if len(cand[0]) >= _EDGE_YIELD * target:
             edges = cand
             break
     if edges is None:
         raise ValueError(f"could not realize avg degree {avg_degree} on {n} "
                          f"nodes after {_PAIRING_TRIES} pairings")
-    adjacency = symmetric_adjacency(n, *edges.T)
+    adjacency = symmetric_adjacency(n, *edges)
     del edges, cand  # the pairing's arrays, freed before the features are drawn
     features = random_features(n, n_features, feature_density, rng)
     return GraphBundle(adjacency, features)

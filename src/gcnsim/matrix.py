@@ -78,13 +78,6 @@ class DenseMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, bits: int = 32, frac_bits: int = 0) -> "DenseMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), bits, frac_bits)
-
-    def validate(self) -> None:
-        check_fits(self.data, self.bits, "dense entry")
-
 
 @dataclass
 class SparseMatrixCSR:
@@ -191,12 +184,6 @@ class SparseMatrixCSR:
             r, c, v = r[keep], c[keep], v[keep]
         row_ptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rows))])
         return cls(rows, cols, row_ptr, c, v, bits, frac_bits)
-
-    def to_dense(self) -> DenseMatrix:
-        raw = np.zeros((self.rows, self.cols), dtype=np.int64)
-        rr = np.repeat(np.arange(self.rows), self.row_nnz())
-        raw[rr, self.col_idx] = self.values
-        return DenseMatrix(raw, self.bits, self.frac_bits)
 
 
 def quantize(values: np.ndarray, bits: int, frac_bits: int,

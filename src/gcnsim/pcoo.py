@@ -124,6 +124,23 @@ def check_value_field(values: np.ndarray, value_bits: int) -> None:
             raise ValueError(f"value outside {value_bits}-bit range")
 
 
+def packet_bits_for(x, value_bits: int | None = None) -> int:
+    """Value field width of sparse operand x's packets. A pinned value_bits
+    is returned once x's values fit it (check_value_field); else the
+    narrowest supported field: 0 when binary, else 4 or 16 by x's declared
+    width, which its stored values must fit."""
+    if value_bits is not None:
+        check_value_field(x.values, value_bits)
+        return value_bits
+    if x.nnz == 0 or (x.values == 1).all():
+        return 0
+    bits = 4 if x.bits <= 4 else 16
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    if x.values.min() < lo or x.values.max() > hi:
+        raise ValueError(f"operand values exceed the {bits}-bit packet field")
+    return bits
+
+
 @dataclass
 class TileSchedule:
     """Rectangular cycles x K packet grid, one array per packet field.
@@ -137,7 +154,9 @@ class TileSchedule:
 
     Fields are stored at their packet width: the flags as uint8, col as
     int32 (a tile may be up to 2^30 wide) and value as int16, since no
-    packet value field is wider than 16 bits.
+    packet value field is wider than 16 bits. Fields already at these
+    dtypes are kept as given, with no scan or copy; any other value is
+    range-checked first (a ValueError outside int16), so no cast wraps.
     """
 
     sor: np.ndarray
@@ -145,6 +164,15 @@ class TileSchedule:
     vld: np.ndarray
     col: np.ndarray
     value: np.ndarray
+
+    def __post_init__(self):
+        self.sor, self.eor, self.vld = (np.asarray(a, dtype=np.uint8)
+                                        for a in (self.sor, self.eor, self.vld))
+        self.col = np.asarray(self.col, dtype=np.int32)
+        value = np.asarray(self.value)
+        if value.dtype != np.int16:
+            check_value_field(value, 16)
+        self.value = value.astype(np.int16, copy=False)
 
     @property
     def cycles(self) -> int:
@@ -156,16 +184,7 @@ class TileSchedule:
 
     @classmethod
     def empty(cls, pe_count: int) -> "TileSchedule":
-        return cls.from_columns(*[np.zeros((0, pe_count), dtype=np.uint8)] * 5)
-
-    @classmethod
-    def from_columns(cls, sor, eor, vld, col, value) -> "TileSchedule":
-        """The five packet fields as a schedule; a value outside int16 is a ValueError."""
-        sor, eor, vld = (np.asarray(a, dtype=np.uint8) for a in (sor, eor, vld))
-        value = np.asarray(value)
-        check_value_field(value, 16)
-        return cls(sor, eor, vld, np.asarray(col, dtype=np.int32),
-                   value.astype(np.int16, copy=False))
+        return cls(*[np.zeros((0, pe_count), dtype=np.uint8)] * 5)
 
 
 def _at_cell(cell: int, pe_count: int) -> str:
@@ -273,12 +292,12 @@ def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:
     del body
     vld = flags & 1
     if h == 0:
-        value = vld
+        value = vld.astype(np.int16)  # a valid packet stands for a stored 1
     else:
         value = codes.astype(np.uint16).view(np.int16).reshape(shape)  # low 16 bits
         value <<= 16 - h
         value >>= 16 - h  # the low h bits, sign-extended
     col = (codes >> h).astype(np.int32).reshape(shape)
     col &= t - 1
-    sched = TileSchedule.from_columns(flags >> 2, (flags >> 1) & 1, vld, col, value)
+    sched = TileSchedule(flags >> 2, (flags >> 1) & 1, vld, col, value)
     return header, sched

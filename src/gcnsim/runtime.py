@@ -12,7 +12,7 @@ references() computes both once for any number of configs. A simulated run
 plans each left operand once, into one simulator.Plan, where the layer walk
 first needs it, for every product with it; one ArchConfig serves every
 product, since each sparse operand's packets take their value width from
-the operand itself (schedule.packet_bits_for). A layer applies relu unless
+the operand itself (pcoo.packet_bits_for). A layer applies relu unless
 it is the last. The run's RunReport holds that ArchConfig beside its steps.
 
 The layer walk owns each plan and holds only what it can still use: the

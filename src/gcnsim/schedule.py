@@ -25,8 +25,8 @@ often for windows to pay. The one-slot-at-a-time pass it replaced is kept in
 tests/test_schedule.py as _stall_spec, and the two are compared field for field.
 
 The packet value width belongs to each operand's stream, not to the array:
-packet_bits_for picks 0 (binary), 4 or 16 bits and rejects values that do
-not fit, so build_sdmm_schedule needs no width from the config.
+pcoo.packet_bits_for picks 0 (binary), 4 or 16 bits and rejects values
+that do not fit, so build_sdmm_schedule needs no width from the config.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .matrix import ShapeError, SparseMatrixCSR, int_max, int_min
-from .pcoo import TileSchedule, check_value_field, log2_exact
+from .matrix import ShapeError, SparseMatrixCSR
+from .pcoo import TileSchedule, check_value_field, log2_exact, packet_bits_for
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class ArchConfig:
     `replicas` times (replica i serves the contiguous PE block i) and striped
     across `groups` banks by row index mod groups. Tile width is lanes*groups
     and must be a power of two for the packet column field. There is no
-    value width here: each operand's packets pick theirs (packet_bits_for).
+    value width here: each operand's packets pick theirs (pcoo.packet_bits_for).
     """
 
     pe_count: int
@@ -199,8 +199,7 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
         vld[at] = 1
         col[at] = tile.col_idx
         value[at] = tile.values
-    return TileSchedule.from_columns(*(a.reshape(cycles, pe_count)
-                                       for a in (sor, eor, vld, col, value)))
+    return TileSchedule(*(a.reshape(cycles, pe_count) for a in (sor, eor, vld, col, value)))
 
 
 # The probe's cycles, the shortest stretch judged after it (long: a handover
@@ -241,11 +240,11 @@ def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:
     width = cfg.group_width
     if n_in == 0 or width == 1 or sched.col.max() < cfg.groups:
         return sched  # no slots, groups of one PE, or one address per bank
-    orders = [list(range(r, width)) + list(range(r)) for r in range(width)]  # per cycle % width
+    ids = list(range(width)) * 2  # cycle c scans ids[c % width:][:width]
     denied = []  # (pe, input slot) of each refused request, per group
     for base in range(0, k, width):
         part = slice(base, base + width)
-        group = _stall_group(sched.vld[:, part], sched.col[:, part], cfg.groups, orders)
+        group = _stall_group(sched.vld[:, part], sched.col[:, part], cfg.groups, ids)
         denied.append(np.array(group, dtype=np.int64).reshape(-1, 2) + (base, 0))
     pe, slot = np.concatenate(denied).T
     if not len(pe):
@@ -273,7 +272,7 @@ def _clash_flags(window: np.ndarray) -> np.ndarray:
     return gaps.view(np.uint64) < (1 << 31)
 
 
-def _stall_group(vld: np.ndarray, col: np.ndarray, g: int, orders: list) -> list:
+def _stall_group(vld: np.ndarray, col: np.ndarray, g: int, ids: list) -> list:
     """Denied (PE in group, input slot) pairs of one replica group.
 
     A slot's key is bank << 32 | address for a valid request, else a bank of
@@ -330,33 +329,35 @@ def _stall_group(vld: np.ndarray, col: np.ndarray, g: int, orders: list) -> list
         reqs = [[a & 0xFFFFFFFF if a < g << 32 else -1]
                 for a in flat.take(here + run * width).tolist()]
         refused: list = []
-        _grant(reqs, [cyc] * width, 1, cyc, cyc + 1, claim, held, orders, g - 1, refused)
+        _grant(reqs, [cyc] * width, 1, cyc, cyc + 1, claim, held, ids, g - 1, refused)
         for p, _ in refused:
             denied.append((p, cyc - delay[p]))
             delay[p] += 1
         cyc += 1
         lag = np.array(delay)
         span = min(max(_WINDOW_MIN, 2 * run), _WINDOW_MAX)
-    _grant(np.where(valid, col, -1).T.tolist(), delay, n, cyc, -1, claim, held, orders,
+    _grant(np.where(valid, col, -1).T.tolist(), delay, n, cyc, -1, claim, held, ids,
            g - 1, denied)
     return denied
 
 
 def _grant(reqs: list, delay: list, n: int, cyc: int, stop: int, claim: list,
-           held: list, orders: list, mask: int, denied: list) -> int:
+           held: list, ids: list, mask: int, denied: list) -> int:
     """The grant rule from cycle cyc to the group's end n + max(delay), or up
     to cycle stop; returns the next cycle. PE p presents, in the scan order
-    orders[cyc % width], reqs[p][cyc - delay[p]] (-1: no valid request, as
-    past its n slots). A refusal goes on denied as (p, slot) and adds one to
-    delay[p]. claim[bank] is the cycle a bank was last claimed in and
-    held[bank] its address then.
+    ids[cyc % width:][:width] (ids is the group's PEs listed twice),
+    reqs[p][cyc - delay[p]] (-1: no valid request, as past its n slots). A
+    refusal goes on denied as (p, slot) and adds one to delay[p].
+    claim[bank] is the cycle a bank was last claimed in and held[bank] its
+    address then.
     """
-    width = len(orders)
+    width = len(ids) // 2
     end = n + max(delay)
     for p, r in enumerate(reqs):
         r += [-1] * (end - delay[p] - len(r))
     while cyc < end and cyc != stop:
-        for p in orders[cyc % width]:
+        rot = cyc % width
+        for p in ids[rot:rot + width]:
             a = reqs[p][cyc - delay[p]]
             if a >= 0:
                 b = a & mask
@@ -406,19 +407,7 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
         value[full, :, :rem] = x_block[full * pe_count:].T
         for f in (sor, eor, vld, col):
             f[full, :, rem:] = 0
-    return TileSchedule.from_columns(*(f.reshape(-1, pe_count)
-                                       for f in (sor, eor, vld, col, value)))
-
-
-def packet_bits_for(x: SparseMatrixCSR) -> int:
-    """Narrowest supported value field for this operand: 0 when binary, else
-    4 or 16 by its declared width; stored values must fit that field."""
-    if x.nnz == 0 or (x.values == 1).all():
-        return 0
-    bits = 4 if x.bits <= 4 else 16
-    if x.values.min() < int_min(bits) or x.values.max() > int_max(bits):
-        raise ValueError(f"operand values exceed the {bits}-bit packet field")
-    return bits
+    return TileSchedule(*(f.reshape(-1, pe_count) for f in (sor, eor, vld, col, value)))
 
 
 def build_sdmm_schedule(tile: SparseMatrixCSR, cfg: ArchConfig) -> TileSchedule:

@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
+
 from gcnsim.formats import META_VERSION, FileFormatError
+from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
 
 
 def read_meta(path) -> dict:
@@ -15,3 +18,10 @@ def read_meta(path) -> dict:
     if not isinstance(doc, dict) or doc.get("meta_version") != META_VERSION:
         raise FileFormatError(f"{path}: not a metadata sidecar")
     return doc
+
+
+def to_dense(x: SparseMatrixCSR) -> DenseMatrix:
+    """The rows x cols grid a sparse matrix stands for, at the same scale."""
+    raw = np.zeros((x.rows, x.cols), dtype=np.int64)
+    raw[np.repeat(np.arange(x.rows), x.row_nnz()), x.col_idx] = x.values
+    return DenseMatrix(raw, x.bits, x.frac_bits)

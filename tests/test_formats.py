@@ -22,7 +22,7 @@ from gcnsim.formats import (
 )
 from gcnsim.graphs import GraphBundle, gen_powerlaw, random_weights, symmetric_adjacency
 from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
-from helpers import read_meta
+from helpers import read_meta, to_dense
 from test_golden_census import make_bundle as make_golden_bundle
 
 
@@ -31,14 +31,14 @@ def test_two_node_single_edge_symmetrizes(tmp_path):
     p.write_text("0 1\n")
     a = read_edges(p, 2)
     assert a.nnz == 2
-    assert a.to_dense().data.tolist() == [[0, 1], [1, 0]]
+    assert to_dense(a).data.tolist() == [[0, 1], [1, 0]]
 
 
 def test_edges_dedupe_comments_and_self_loops(tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("# a comment\n0 1\n1 0\n0 1\n\n2 2\n")
     a = read_edges(p, 3)
-    assert a.to_dense().data.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    assert to_dense(a).data.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     empty = tmp_path / "none.txt"
     empty.write_text("# nothing\n")
     assert read_edges(empty, 4).nnz == 0
@@ -63,7 +63,7 @@ def test_dense_feature_grid_quantizes(tmp_path):
     f = read_features(p)
     assert f.rows == 2 and f.cols == 2
     assert f.bits == 4 and f.frac_bits == 3
-    assert f.to_dense().data.tolist() == [[4, 0], [-8, 2]]
+    assert to_dense(f).data.tolist() == [[4, 0], [-8, 2]]
     p.write_text("0.5 0.0\n1.0\n")
     with pytest.raises(FileFormatError, match=r"f\.txt:2.*expected 2 columns"):
         read_features(p)

@@ -23,8 +23,10 @@ from gcnsim.matrix import (
     sdmm_reference,
     value_dtype,
 )
+from gcnsim.pcoo import packet_bits_for
 from gcnsim.runtime import mean_adjacency
-from gcnsim.schedule import packet_bits_for, tile_columns
+from gcnsim.schedule import tile_columns
+from helpers import to_dense
 
 
 def brute_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -111,7 +113,7 @@ def test_csr_roundtrip_and_validate():
         x, raw = random_csr(rng, rows, cols, float(rng.uniform(0, 0.6)))
         x.validate()
         assert x.nnz == int((raw != 0).sum())
-        assert np.array_equal(x.to_dense().data, raw)
+        assert np.array_equal(to_dense(x).data, raw)
 
 
 def test_csr_from_coo_sums_duplicates():
@@ -121,7 +123,7 @@ def test_csr_from_coo_sums_duplicates():
     x = SparseMatrixCSR.from_coo(2, 3, r, c, v, 16, 0)
     x.validate()
     # (1,2) cancels out entirely, (0,0) sums to 3
-    assert np.array_equal(x.to_dense().data, [[3, 0, 0], [5, 0, 0]])
+    assert np.array_equal(to_dense(x).data, [[3, 0, 0], [5, 0, 0]])
 
 
 def test_csr_from_coo_sums_duplicates_exactly_above_2_53():
@@ -196,13 +198,13 @@ def test_col_slice_matches_dense():
         for c0, tile in zip(starts, tiles):
             tile.validate()
             assert tile.rows == x.rows
-            assert np.array_equal(tile.to_dense().data, raw[:, c0:c0 + t])
+            assert np.array_equal(to_dense(tile).data, raw[:, c0:c0 + t])
         assert sum(tile.nnz for tile in tiles) == x.nnz
     # ragged last tile
     x, raw = random_csr(rng, 7, 20, 0.5)
     tiles = list(tile_columns(x, 8))
     assert [tile.cols for tile in tiles] == [8, 8, 4]
-    assert np.array_equal(tiles[2].to_dense().data, raw[:, 16:])
+    assert np.array_equal(to_dense(tiles[2]).data, raw[:, 16:])
     # an operand no wider than one tile is that tile
     (single,) = tile_columns(x, 32)
     assert single is x
@@ -261,7 +263,7 @@ def test_sdmm_reference_matches_row_loop():
 
 def test_dmm_trivial_cases():
     w = DenseMatrix(np.arange(6).reshape(3, 2) - 2, 4, 0)
-    zero = DenseMatrix.zeros(2, 3, 4, 0)
+    zero = DenseMatrix(np.zeros((2, 3), np.int64), 4, 0)
     assert not dmm_reference(zero, w).data.any()
     ident = DenseMatrix(np.eye(3, dtype=np.int64), 4, 0)
     assert np.array_equal(dmm_reference(ident, w).data, w.data)
@@ -359,7 +361,7 @@ def test_requantize16_scale_choice():
     assert q.data.tolist() == [[16384, 4096]]
     assert q.sat_count == 0
     # all-zero input keeps the finest scale
-    assert requantize16(DenseMatrix.zeros(2, 2, 32, 5)).frac_bits == 15
+    assert requantize16(DenseMatrix(np.zeros((2, 2), np.int64), 32, 5)).frac_bits == 15
     # magnitudes beyond 32767 cannot fit at any non-negative scale: the
     # scale pins at 0 and the excess saturates silently into sat_count
     y = DenseMatrix(np.array([[1 << 20, 5]]), 32, 0)
@@ -474,7 +476,7 @@ def test_sdmm_reference_peaks_at_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= y.data.nbytes + 48 * x.nnz, (peak >> 10, x.nnz)
-    assert np.array_equal(y.data, x.to_dense().data @ w.data)
+    assert np.array_equal(y.data, to_dense(x).data @ w.data)
 
 
 def test_normalize_adjacency_binary():
@@ -482,14 +484,14 @@ def test_normalize_adjacency_binary():
     a = SparseMatrixCSR.from_dense_raw(raw, 16, 2)
     b = normalize_adjacency(a, "binary")
     assert b.bits == 4 and b.frac_bits == 0
-    assert np.array_equal(b.to_dense().data, (raw != 0).astype(int))
+    assert np.array_equal(to_dense(b).data, (raw != 0).astype(int))
 
 
 def test_normalize_adjacency_self_loop_only():
     a = SparseMatrixCSR.from_dense_raw(np.array([[1]]), 4, 0)
     s = normalize_adjacency(a, "sym_norm", bits=16, frac_bits=14)
     assert s.nnz == 1
-    assert dequantize(s.to_dense())[0, 0] == 1.0
+    assert dequantize(to_dense(s))[0, 0] == 1.0
 
 
 def test_normalize_adjacency_sym_norm():
@@ -504,7 +506,7 @@ def test_normalize_adjacency_sym_norm():
     deg = dense.sum(axis=1)
     d = np.diag(1.0 / np.sqrt(deg))
     expect = d @ dense @ d
-    assert np.abs(dequantize(s.to_dense()) - expect).max() <= 2.0 ** -15
+    assert np.abs(dequantize(to_dense(s)) - expect).max() <= 2.0 ** -15
     # at 4 bits the isolated node's self loop (1.0 -> raw 8) saturates to 7,
     # exactly as quantizing the dense grid would
     low = normalize_adjacency(a, "sym_norm", bits=4, frac_bits=3)
@@ -562,6 +564,21 @@ def test_every_producer_stores_int32_columns_and_declared_width_values(tmp_path)
     assert np.array_equal(produced["read_features"][0].values, f.values)
 
 
+def test_generated_ingested_tiled_and_normalised_matrices_validate(tmp_path):
+    # GraphBundle leaves each matrix to its producer: validate() is the oracle
+    for seed in (0, 1, 7919):
+        bundle = gen_powerlaw(700, 4, 2.1, seed=seed, n_features=40, feature_density=0.2)
+        export_bundle(tmp_path / str(seed), bundle)
+        back = ingest_bundle_dir(tmp_path / str(seed))
+        a = bundle.adjacency
+        mats = [a, bundle.features, back.adjacency, back.features, mean_adjacency(a),
+                normalize_adjacency(a, "binary"), normalize_adjacency(a, "sym_norm")]
+        mats += [*tile_columns(a, 128), *tile_columns(bundle.features, 16)]
+        for x in mats:
+            x.validate()
+        assert np.array_equal(back.adjacency.col_idx, a.col_idx)
+
+
 def test_csr_in_stored_dtypes_is_held_as_given():
     # a producer that builds at the stored widths pays no scan or copy
     c, v = np.array([1, 3], np.int32), np.array([5, -7], np.int8)
@@ -590,7 +607,7 @@ def test_duplicates_summing_past_their_dtype_are_exact():
     v = np.array([100, 100, -100, -100, -100, 7], np.int8)
     x = SparseMatrixCSR.from_coo(2, 2, [0, 0, 1, 1, 1, 0], [1, 1, 0, 0, 0, 0], v, 16, 0)
     assert x.values.dtype == np.int16
-    assert x.to_dense().data.tolist() == [[7, 200], [-300, 0]]
+    assert to_dense(x).data.tolist() == [[7, 200], [-300, 0]]
     x.validate()
 
 

@@ -19,6 +19,7 @@ from gcnsim.pcoo import (
     encode_packet,
     log2_exact,
     make_header,
+    packet_bits_for,
     packet_malformed,
     packet_width,
     serialize_stream,
@@ -33,7 +34,7 @@ FIELDS = ("sor", "eor", "vld", "col", "value")
 def grid_schedule(grid, k):
     """Columnar schedule from a cycles x K grid of packets."""
     arr = np.array(grid, dtype=np.int64).reshape(len(grid), k, 5)
-    return TileSchedule.from_columns(*np.moveaxis(arr, 2, 0))
+    return TileSchedule(*np.moveaxis(arr, 2, 0))
 
 
 def assert_same_packets(got, want):
@@ -331,8 +332,24 @@ def test_codec_stands_without_the_scheduler():
     # the packet grid lives beside its codec; schedule only re-exports it
     import gcnsim
     assert schedule.TileSchedule is TileSchedule and TileSchedule.__module__ == "gcnsim.pcoo"
+    assert schedule.packet_bits_for is packet_bits_for
     src = str(Path(gcnsim.__file__).parents[1])
     code = ("import sys, gcnsim.pcoo\n"
             "assert 'gcnsim.schedule' not in sys.modules, sorted(sys.modules)")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_tile_schedule_keeps_typed_fields_and_checks_the_rest():
+    # fields at their packet dtypes are held as given, with no copy
+    typed = [np.ones((3, 2), np.uint8) for _ in range(3)]
+    typed += [np.arange(6, dtype=np.int32).reshape(3, 2), np.full((3, 2), -7, np.int16)]
+    sched = TileSchedule(*typed)
+    for name, given in zip(FIELDS, typed):
+        assert np.shares_memory(getattr(sched, name), given), name
+    # int64 lists are cast to the packet dtypes once their values fit int16
+    sched = TileSchedule([[1, 0]], [[1, 0]], [[1, 0]], [[3, 0]], [[-32768, 0]])
+    assert [getattr(sched, name).dtype for name in FIELDS] == [np.uint8] * 3 + [np.int32, np.int16]
+    assert sched.col.tolist() == [[3, 0]] and sched.value.tolist() == [[-32768, 0]]
+    with pytest.raises(ValueError, match="outside 16-bit range"):
+        TileSchedule([[1]], [[1]], [[1]], [[0]], [[40000]])

@@ -41,6 +41,7 @@ from gcnsim import runtime, simulator
 from gcnsim.report import report_document
 from gcnsim.schedule import ScheduleStats, config_for_tile, tile_columns
 from gcnsim.simulator import MODE_DMM, MODE_SDMM, check_product, compile_plan, simulate_step
+from helpers import to_dense
 
 
 def csr_raw(grid, bits=4, frac=3):
@@ -117,7 +118,7 @@ def test_identity_adjacency_reduces_to_dense_chain():
     cfg = config_for_tile(pe_count=2, tile_width=16)
     logits, _ = run_model(make_gcn([w0, w1]), eye, x0, cfg)
 
-    x = x0.to_dense()
+    x = to_dense(x0)
     for i, w in enumerate([w0, w1]):
         prod = x.data @ w.data
         xw = requantize16(DenseMatrix(prod, 32, x.frac_bits + w.frac_bits))
@@ -148,8 +149,8 @@ def test_single_node_graphsage_self_loop():
     model = make_graphsage([(ws, wn)])
     logits, _ = run_model(model, a, x0, config_for_tile(2, 16))
 
-    self_part = DenseMatrix(x0.to_dense().data @ ws.data, 32, 6)
-    xn16 = requantize16(DenseMatrix(x0.to_dense().data @ wn.data, 32, 6))
+    self_part = DenseMatrix(to_dense(x0).data @ ws.data, 32, 6)
+    xn16 = requantize16(DenseMatrix(to_dense(x0).data @ wn.data, 32, 6))
     neigh = DenseMatrix((1 << 14) * xn16.data, 32, 14 + xn16.frac_bits)
     expect = requantize16(align_add(self_part, neigh))
     assert logits.frac_bits == expect.frac_bits
@@ -339,7 +340,7 @@ def test_shape_mismatch_raises_before_planning(monkeypatch):
         run_model(model, narrow, x0, cfg)
     # so does an x0 of no operand type
     with pytest.raises(TypeError, match="left operand must be"):
-        run_model(model, a, x0.to_dense().data, cfg)
+        run_model(model, a, to_dense(x0).data, cfg)
     assert built == [] and ran == []
 
 
@@ -366,7 +367,7 @@ def test_aggregation_order_is_exact_in_integers():
         x = csr_raw(rng.integers(-8, 8, (n, f)))
         w = dense_raw(rng.integers(-8, 8, (f, c)))
         left = sdmm_reference(a, sdmm_reference(x, w))
-        ax = sdmm_reference(a, x.to_dense())
+        ax = sdmm_reference(a, to_dense(x))
         right = dmm_reference(DenseMatrix(ax.data, 32, ax.frac_bits), w)
         assert left.frac_bits == right.frac_bits
         assert np.array_equal(left.data, right.data)
@@ -463,20 +464,20 @@ def test_real_reference_matches_dense_float_product():
              (make_graphsage(list(zip(ws, random_weights([6, 5, 3], seed=5)))),
               mean_adjacency(adj))]
     for model, a in cases:
-        dense = a.to_dense().data
+        dense = to_dense(a).data
         if model.adjacency_mode == "mean":
             a_real = (dense != 0) / np.maximum(a.row_nnz(), 1)[:, None]
         elif a.frac_bits:
-            a_real = dequantize(a.to_dense())
+            a_real = dequantize(to_dense(a))
         else:
             a_real = (dense != 0).astype(float)
-        x = dequantize(bundle.features.to_dense())
+        x = dequantize(to_dense(bundle.features))
         for i, layer in enumerate(model.layers):
             y = a_real @ (x @ dequantize(layer.weight))
             if model.kind == KIND_SAGE:
                 y = x @ dequantize(layer.weight_self) + y
             x = np.maximum(y, 0.0) if i < len(model.layers) - 1 else y
-        for x0 in (bundle.features, bundle.features.to_dense()):
+        for x0 in (bundle.features, to_dense(bundle.features)):
             got = real_reference(model, a, x0)
             assert got.shape == x.shape
             assert np.abs(got - x).max() <= 1e-12
@@ -491,7 +492,7 @@ def test_real_reference_reads_sparse_and_dense_features_alike():
                      (make_graphsage(list(zip(ws, random_weights([7, 5, 3], seed=8)))),
                       mean_adjacency(bundle.adjacency))):
         got = real_reference(model, a, bundle.features)
-        assert np.array_equal(got, real_reference(model, a, bundle.features.to_dense()))
+        assert np.array_equal(got, real_reference(model, a, to_dense(bundle.features)))
 
 
 def test_run_report_refuses_a_step_from_another_array():

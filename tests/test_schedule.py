@@ -1,9 +1,12 @@
 """Scheduler: assignment, stalling, DMM sweeps, slot census."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gcnsim import schedule
+from gcnsim.graphs import gen_powerlaw
 from gcnsim.matrix import ShapeError, SparseMatrixCSR
 from gcnsim.pcoo import deserialize_stream, make_header, serialize_stream
 from gcnsim.schedule import (
@@ -237,7 +240,7 @@ def test_assign_rows_matches_naive():
 
 def make_sched(grid):
     """Schedule from a cycles x K grid of (sor, eor, vld, col, value) tuples."""
-    return TileSchedule.from_columns(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
+    return TileSchedule(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
 
 
 def test_stall_share_rule():
@@ -352,7 +355,7 @@ def random_grid(rng, cycles, k, tile_width, p_valid, p_marker):
     eor = (vld & (rng.random((cycles, k)) < 0.3)) | marker
     col = np.where(vld, rng.integers(0, tile_width, (cycles, k)), 0)
     value = np.where(vld, rng.integers(-8, 8, (cycles, k)), 0)
-    return TileSchedule.from_columns(sor, eor, vld, col, value)
+    return TileSchedule(sor, eor, vld, col, value)
 
 
 def random_stall_cases(rng, count):
@@ -449,11 +452,11 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
     col = np.zeros((5000, 4), dtype=np.int64)
     col[4500, 1] = 4  # once, PE 1 reads bank 0's address 4 while PE 0 reads 0
     col[:, 3] = np.arange(5000) % 4  # PE 3 meets PE 2's address 0 in bank 0 only
-    late = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    late = TileSchedule(ones, ones, ones, col, ones)
     late_cfg = ArchConfig(pe_count=4, lanes=1, groups=4, replicas=2)
     col = np.tile(np.arange(4), (700, 1))
     col[100:, 1::2] = (4, 6)  # from cycle 100, PEs 1 and 3 meet PEs 0 and 2's banks
-    switching = TileSchedule.from_columns(ones[:700], ones[:700], ones[:700], col, ones[:700])
+    switching = TileSchedule(ones[:700], ones[:700], ones[:700], col, ones[:700])
     switching_cfg = ArchConfig(pe_count=4, lanes=2, groups=4, replicas=1)
     # no clash before cycle 4500, past the largest window: the windows reach it.
     # PE 1 loses that cycle, so at 4501 it still reads 4 against PE 0's next
@@ -475,7 +478,7 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
     col[7032, 1] = 2  # PE 1 loses cycle 7032 to PE 0's 0 in bank 0 ...
     col[7033, 0] = 2  # ... shares address 2 with PE 0 at 7033 and then lags one slot
     col[12000, 1] = 2  # clashes with PE 0's 0 again at cycle 12001
-    long_runs = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    long_runs = TileSchedule(ones, ones, ones, col, ones)
     long_cfg = ArchConfig(pe_count=2, lanes=1, groups=2, replicas=1)
     calls.clear()
     out = stall_collisions(long_runs, long_cfg)
@@ -483,7 +486,7 @@ def test_stall_collisions_paths_on_crafted_tiles(monkeypatch):
     assert_same_schedule(out, want)
     assert stalls == 1 and calls == ["cycle", "cycle"]
     # no denial: the schedule comes back as given
-    clash_free = TileSchedule.from_columns(*(getattr(late, name)[:4000] for name in
+    clash_free = TileSchedule(*(getattr(late, name)[:4000] for name in
                                              ("sor", "eor", "vld", "col", "value")))
     for sched, cfg in ((late, ArchConfig(pe_count=4, lanes=1, groups=4, replicas=4)),
                        (clash_free, late_cfg),
@@ -503,7 +506,7 @@ def test_stall_denies_one_pe_for_255_cycles(monkeypatch, probe_slots, path):
     ones = np.ones((300, 256), dtype=np.int64)
     col = np.zeros((300, 256), dtype=np.int64)
     col[0, 255] = 2
-    sched = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    sched = TileSchedule(ones, ones, ones, col, ones)
     cfg = ArchConfig(pe_count=256, lanes=1, groups=2)
     want, stalls = _stall_spec(sched, cfg)
     got = stall_collisions(sched, cfg)
@@ -522,7 +525,7 @@ def test_stall_windows_hand_cycle_and_delays_to_the_loop(monkeypatch):
     ones = np.ones((24000, 4), dtype=np.int64)
     col = np.tile(np.arange(4), (24000, 1))
     col[20000::16, 1::2] = (4, 6)
-    sched = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    sched = TileSchedule(ones, ones, ones, col, ones)
     cfg = ArchConfig(pe_count=4, lanes=2, groups=4, replicas=1)
     want, stalls = _stall_spec(sched, cfg)
     assert_same_schedule(stall_collisions(sched, cfg), want)
@@ -542,7 +545,7 @@ def test_stall_1024_banks_with_rare_clashes_stay_in_windows(monkeypatch):
     for slot, pe in ((100, 1), (1500, 3), (2600, 5)):
         col[slot, pe] = col[slot, pe - 1] + 1024
     ones = np.ones((n, 8), dtype=np.int64)
-    sched = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    sched = TileSchedule(ones, ones, ones, col, ones)
     cfg = ArchConfig(pe_count=8, lanes=16, groups=1024)
     want, stalls = _stall_spec(sched, cfg)
     got = stall_collisions(sched, cfg)
@@ -563,7 +566,7 @@ def test_stall_collisions_skips_banks_that_hold_one_address(monkeypatch):
     rng = np.random.default_rng(73)
     cfg = ArchConfig(pe_count=8, lanes=4, groups=16, replicas=2)
     ones = np.ones((50, 8), dtype=np.int64)
-    same_bank = TileSchedule.from_columns(ones, ones, ones, np.repeat(np.arange(50) % 16, 8)
+    same_bank = TileSchedule(ones, ones, ones, np.repeat(np.arange(50) % 16, 8)
                                           .reshape(50, 8), ones)  # all PEs, one address
     for sched in (same_bank, random_grid(rng, 200, 8, 16, 0.9, 0.05),
                   random_grid(rng, 200, 8, 1, 0.5, 0.2)):
@@ -574,7 +577,7 @@ def test_stall_collisions_skips_banks_that_hold_one_address(monkeypatch):
     # no clash, and also returns the schedule as given
     col = np.zeros((50, 8), dtype=np.int64)
     col[7, :4] = 16
-    edge = TileSchedule.from_columns(ones, ones, ones, col, ones)
+    edge = TileSchedule(ones, ones, ones, col, ones)
     assert stall_collisions(edge, cfg) is edge and groups == [16, 16]
 
 
@@ -617,13 +620,13 @@ def test_packet_values_are_int16_and_checked_before_narrowing():
     # a value int16 cannot hold is refused, never wrapped
     for bad in (-32769, 32768):
         with pytest.raises(ValueError, match="outside 16-bit range"):
-            TileSchedule.from_columns([[1]], [[1]], [[1]], [[0]], [[bad]])
+            TileSchedule([[1]], [[1]], [[1]], [[0]], [[bad]])
         with pytest.raises(ValueError, match="outside 16-bit range"):
             assign_rows(SparseMatrixCSR(1, 1, [0, 1], [0], [bad], 32, 0), 2)
         with pytest.raises(ValueError, match="outside 16-bit range"):
             build_dmm_schedule(np.array([[bad]]), 2)
     ends = np.array([[-32768, 32767]])
-    for sched in (TileSchedule.from_columns([[1, 0]], [[1, 0]], [[1, 0]], [[0, 0]], [[-32768, 0]]),
+    for sched in (TileSchedule([[1, 0]], [[1, 0]], [[1, 0]], [[0, 0]], [[-32768, 0]]),
                   assign_rows(SparseMatrixCSR.from_dense_raw(ends, 16, 0), 2),
                   build_dmm_schedule(ends, 2)):
         assert sched.value.dtype == np.int16
@@ -661,6 +664,13 @@ def test_packet_bits_for_picks_narrowest_field():
                      lambda: build_sdmm_schedule(raw(grid, bits), cfg)):
             with pytest.raises(ValueError, match=f"exceed the {width}-bit packet field"):
                 call()
+    # a pinned width is returned once the values fit it
+    x = raw([[1, 0], [0, -2]])
+    assert packet_bits_for(x, 4) == 4 and packet_bits_for(x, 16) == 16
+    with pytest.raises(ValueError, match="value not representable in 0 bits"):
+        packet_bits_for(x, 0)
+    with pytest.raises(ValueError, match="value outside 4-bit range"):
+        packet_bits_for(raw([[300, 1]], 16), 4)
 
 
 def test_build_sdmm_schedule_rejects_fat_tile():
@@ -689,3 +699,18 @@ def test_schedule_packets_roundtrip():
     written = check_arbitration(sched, cfg, 10, 16).totals()
     assert check_arbitration(back, cfg, 10, 16).totals() == written
     assert written["stall_idle"] == 4 * _stall_spec(assign_rows(tile, 4), cfg)[1] > 0
+
+
+def test_stall_pass_memory_grows_with_its_width_not_the_square():
+    # each cycle's scan order is a slice of one doubled PE list: 1024 PEs
+    # trace about 2 MiB, where a list per rotation took 34 MiB
+    cfg = config_for_tile(1024, 512)
+    sched = assign_rows(gen_powerlaw(512, 4, seed=0).adjacency, cfg.pe_count)
+    tracemalloc.start()
+    try:
+        out = stall_collisions(sched, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.cycles > sched.cycles  # it stalled: the grant loop ran
+    assert peak < 4 << 20, peak

@@ -46,7 +46,7 @@ from test_schedule import _stall_spec, census_spec
 
 def make_sched(grid):
     """Schedule from a cycles x K grid of packets."""
-    return TileSchedule.from_columns(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
+    return TileSchedule(*np.moveaxis(np.array(grid, dtype=np.int64), 2, 0))
 
 
 def naive_run_tile(sched, w, partials):
@@ -144,8 +144,8 @@ def test_load_tile_empty_and_too_big():
 
 def test_data_move_cycles():
     cfg = ArchConfig(pe_count=4, move_bw=16)
-    assert data_move(DenseMatrix.zeros(2708, 16, 32, 0), cfg) == 2708
-    assert data_move(DenseMatrix.zeros(0, 16, 32, 0), cfg) == 0
+    assert data_move(np.zeros((2708, 16), np.int64), cfg) == 2708
+    assert data_move(np.zeros((0, 16), np.int64), cfg) == 0
 
 
 def test_run_tile_all_idle():
@@ -361,7 +361,7 @@ def test_arbitration_check_matches_cycle_spec():
         vld = rng.random((cycles, k)) < 0.5
         # every slot is a one-slot row, valid or empty: each PE owns `cycles` rows
         marks = np.ones((cycles, k))
-        sched = TileSchedule.from_columns(marks, marks, vld,
+        sched = TileSchedule(marks, marks, vld,
                                           rng.integers(0, rows, (cycles, k)), marks)
         expect = first_clash_cycle(sched, cfg)
         if expect is None:
@@ -413,7 +413,7 @@ def test_chunked_arbitration_check_reports_the_whole_grid(monkeypatch):
             sor[c, p] = eor[c, p] = 0
         owned = sor.sum(axis=0)
         rows = int(owned[1]) * 2 + int(owned[0] > owned[1])
-        sched = TileSchedule.from_columns(sor, eor, marks, col, marks)
+        sched = TileSchedule(sor, eor, marks, col, marks)
         verdict = check_outcome(sched, cfg, rows, 8)
         with monkeypatch.context() as m:
             m.setattr(simulator, "_PASS_SLOTS", 1 << 40)  # the whole grid in one chunk
@@ -468,7 +468,7 @@ def random_marked_schedule(rng, k, rows_per_pe, dense_rows):
     col = rng.integers(0, dense_rows, (cycles, k))
     odd = rng.random((cycles, k)) < 0.01
     col[odd] = rng.choice([-1, dense_rows, dense_rows + 3], odd.sum())
-    return TileSchedule.from_columns(*bits, col, np.ones((cycles, k)))
+    return TileSchedule(*bits, col, np.ones((cycles, k)))
 
 
 @pytest.mark.parametrize("pass_slots", [1, 3, 8])
@@ -721,7 +721,7 @@ def test_one_operand_under_two_configs_reports_each_configs_cycles():
         assert report.load_cycles == sum(
             load_tile(w.data[c0:c0 + cfg.tile_width, o0:o0 + cfg.lanes], cfg)
             for c0 in range(0, 256, cfg.tile_width) for o0 in range(0, 12, cfg.lanes))
-        assert report.move_cycles == data_move(y, cfg)
+        assert report.move_cycles == data_move(y.data, cfg)
         totals.append(report.total_cycles)
     assert totals[0] != totals[1]
 
@@ -790,15 +790,15 @@ def test_replica_monotonicity():
 
 def test_simulate_step_input_validation():
     cfg = ArchConfig(pe_count=2, lanes=2, groups=2)
-    x = DenseMatrix.zeros(2, 4, 4, 0)
+    x = DenseMatrix(np.zeros((2, 4), np.int64), 4, 0)
+    w = DenseMatrix(np.zeros((5, 2), np.int64), 4, 0)
     # the operand's type picks the mode; anything else is not an operand
     with pytest.raises(TypeError):
         compile_plan(x.data, cfg)
     with pytest.raises(ShapeError):
-        simulate_step(compile_plan(x, cfg), DenseMatrix.zeros(5, 2, 4, 0))
+        simulate_step(compile_plan(x, cfg), w)
     with pytest.raises(ShapeError):
-        simulate_step(compile_plan(SparseMatrixCSR.from_dense_raw(x.data, 4, 0), cfg),
-                      DenseMatrix.zeros(5, 2, 4, 0))
+        simulate_step(compile_plan(SparseMatrixCSR.from_dense_raw(x.data, 4, 0), cfg), w)
 
 
 def test_schedule_stats_add_up():
