@@ -57,6 +57,8 @@ EXIT_DATA = 3
 EXIT_INVALID = 4
 EXIT_OVERFLOW = 5
 
+MAX_GEN_ENTRIES = 1 << 30  # stubs or expected feature nonzeros gen builds (CHANGES.md)
+
 DEFAULTS = {
     "pe": 16, "replicas": 1, "tile": 512, "lanes": 16, "value_bits": None,
     "load_bw": 64, "move_bw": 16, "seed": 0,
@@ -154,6 +156,11 @@ def cmd_gen(args) -> int:
     if max(args.nodes, args.features) > MAX_SPARSE_DIM:  # before any work on a bundle
         raise ValueError(f"--nodes {args.nodes} and --features {args.features} must be "
                          f"<= {MAX_SPARSE_DIM}, the largest sparse header a reader accepts")
+    for product, size in (("--nodes x --degree stubs", args.nodes * args.degree),
+                          ("--nodes x --features x --density expected feature nonzeros",
+                           args.nodes * args.features * args.density)):
+        if size > MAX_GEN_ENTRIES:
+            raise ValueError(f"{product} are {size:.0f}, over gen's cap of {MAX_GEN_ENTRIES}")
     out.mkdir(parents=True, exist_ok=True)
     bundle = gen_powerlaw(args.nodes, args.degree, args.exponent, s["seed"],
                           args.features, args.density)

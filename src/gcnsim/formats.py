@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import GraphBundle, symmetric_adjacency
-from .matrix import DenseMatrix, SparseMatrixCSR, int_max, int_min, quantize, value_dtype
+from .matrix import DenseMatrix, SparseMatrixCSR, csr_order, int_max, int_min, quantize, value_dtype
 
 WEIGHT_MAGIC = b"GCNW"
 WEIGHT_VERSION = 1
@@ -199,20 +199,27 @@ def _int_lines(columns: list[np.ndarray]) -> bytes:
     return text.T.tobytes().translate(None, b"\0")
 
 
-def _write_lines(path, head: str, *columns: np.ndarray) -> None:
-    """A text file: head, then _int_lines of the integer columns, written a
-    chunk of lines at a time so memory stays bounded."""
+def _write_lines(path, head: str, *columns: np.ndarray, row_ptr=None, where=None) -> None:
+    """A text file: head, then _int_lines of the integer columns, a chunk of
+    lines at a time so memory stays bounded; with row_ptr, each line first
+    gives its entry's row, and with where, only lines where(*line) go out."""
     with open(path, "wb") as fh:
         fh.write(head.encode())
         for s0 in range(0, len(columns[0]), _WRITE_LINES):
-            fh.write(_int_lines([c[s0:s0 + _WRITE_LINES] for c in columns]))
+            chunk = [c[s0:s0 + _WRITE_LINES] for c in columns]
+            if row_ptr is not None:  # from the pointers of the rows the chunk spans
+                s1 = s0 + len(chunk[0])
+                r0, r1 = np.searchsorted(row_ptr, [s0, s1 - 1], "right")  # past each end's row
+                chunk.insert(0, np.repeat(np.arange(r0 - 1, r1, dtype=np.int32),  # below 2^27
+                                          np.diff(np.clip(row_ptr[r0 - 1:r1 + 1], s0, s1))))
+            chunk = [c[where(*chunk)] for c in chunk] if where else chunk
+            if len(chunk[0]):
+                fh.write(_int_lines(chunk))
 
 
 def write_edges(path, a: SparseMatrixCSR) -> None:
     """One line per undirected edge (u <= v); assumes a symmetric matrix."""
-    rr = np.repeat(np.arange(a.rows), a.row_nnz())
-    keep = rr <= a.col_idx
-    _write_lines(path, "", rr[keep], a.col_idx[keep])
+    _write_lines(path, "", a.col_idx, row_ptr=a.row_ptr, where=np.less_equal)
 
 
 # -- features -----------------------------------------------------------------
@@ -247,7 +254,7 @@ def read_features(path) -> SparseMatrixCSR:
     if max(n, m) > MAX_SPARSE_DIM:
         _fail(path, lineno, f"sparse header sizes must be <= {MAX_SPARSE_DIM}: {header!r}")
     # the body is parsed in place, into the matrix's stored dtypes
-    cols = _int_rows(data, (np.int64, np.int32, value_dtype(bits)), cut) if plain else None
+    cols = _int_rows(data, (np.int32, np.int32, value_dtype(bits)), cut) if plain else None
     if cols is None:
         if plain:
             next(lines)  # the header line
@@ -259,11 +266,12 @@ def read_features(path) -> SparseMatrixCSR:
         _fail(path, *bad)
     _fail_first(path, data, 1, (v < int_min(bits)) | (v > int_max(bits)),
                 lambda i, line: f"value outside the {bits}-bit range in {line!r}")
-    if (np.diff(r * m + c) <= 0).any():  # not CSR order: look for a repeated position
+    if not csr_order(r, c):  # look for a repeated position
         order = np.lexsort((c, r))
         repeat = np.zeros(len(r), dtype=bool)
         repeat[order[1:]] = (np.diff(r[order]) == 0) & (np.diff(c[order]) == 0)
         _fail_first(path, data, 1, repeat, lambda i, line: f"repeated position in {line!r}")
+    del data, lines  # not held through the matrix's build
     return SparseMatrixCSR.from_coo(n, m, r, c, v, bits, frac)
 
 
@@ -287,9 +295,8 @@ def _read_dense(path, lines) -> SparseMatrixCSR:
 
 def write_features(path, f: SparseMatrixCSR) -> None:
     """Sparse triplet form; raw values, so the round trip is exact."""
-    rr = np.repeat(np.arange(f.rows), f.row_nnz())
     _write_lines(path, f"sparse {f.rows} {f.cols} {f.bits} {f.frac_bits}\n",
-                 rr, f.col_idx, f.values)
+                 f.col_idx, f.values, row_ptr=f.row_ptr)
 
 
 # -- weights ------------------------------------------------------------------

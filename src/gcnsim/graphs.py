@@ -16,7 +16,7 @@ from .matrix import DenseMatrix, ShapeError, SparseMatrixCSR, value_dtype
 
 _PAIRING_TRIES = 10
 _EDGE_YIELD = 0.9  # accept a pairing that keeps this fraction after simplification
-_DRAW_CHUNK = 1 << 18  # uniforms random_features draws at once (2 MiB)
+_DRAW_CHUNK = 1 << 16  # uniforms random_features draws, or keys _distinct moves, at once
 
 
 @dataclass
@@ -87,68 +87,90 @@ def _degree_counts(n: int, pmf: np.ndarray, rng) -> np.ndarray:
     return np.diff(marks)
 
 
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """Sort key in place, move each run's first entry to its front: a view of those."""
+    key.sort()
+    first = np.concatenate([[True], key[1:] != key[:-1]])
+    at = 0
+    for s0 in range(0, len(key), _DRAW_CHUNK):  # a write never passes the chunk it reads
+        kept = key[s0:s0 + _DRAW_CHUNK][first[s0:s0 + _DRAW_CHUNK]]
+        key[at:at + len(kept)] = kept
+        at += len(kept)
+    return key[:at]
+
+
 def _pair_stubs(degrees: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """Shuffled stubs paired in order, self loops and repeats dropped.
 
-    Returns the lo and hi columns of the distinct edges, lo < hi, sorted as
-    pairs: a sort of the keys lo * n + hi and a mask of the first of each
-    run of equal keys (numpy's hash-based unique is far slower on these keys).
+    Returns the int32 lo and hi columns of the distinct edges, lo < hi,
+    sorted as pairs. It holds the int32 stubs (shuffled as int64 ones would
+    be) and the pairs' int64 keys lo * n + hi, sorted and cut to the first of
+    each run in place (numpy's hash-based unique is far slower on them).
     """
     n = len(degrees)
-    stubs = np.repeat(np.arange(n), degrees)
+    stubs = np.repeat(np.arange(n, dtype=np.int32), degrees)
     rng.shuffle(stubs)
-    if len(stubs) % 2:
-        stubs = stubs[:-1]
-    u, v = stubs[0::2], stubs[1::2]
+    u, v = stubs[0:len(stubs) - 1:2], stubs[1::2]  # an odd last stub drops
     keep = u != v
-    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
-    key = np.sort(lo * n + hi)
-    key = key[np.diff(key, prepend=-1) != 0]
-    return key // n, key % n
+    key = np.multiply(np.minimum(u, v), n, dtype=np.int64)
+    key += np.maximum(u, v)
+    key = _distinct(key[keep])
+    return (np.floor_divide(key, n, out=np.empty(len(key), np.int32)),
+            np.remainder(key, n, out=np.empty(len(key), np.int32)))
 
 
 def symmetric_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> SparseMatrixCSR:
     """Binary n x n adjacency holding each edge (u, v) in both directions.
 
-    Repeated edges collapse; self loops are kept. The row-major keys u * n + v
-    of both directions are computed in int64 into one array, sorted in place
-    and the first of each run is kept: that is CSR order, so a search of the
-    keys gives the row pointers and their remainders mod n the int32 columns.
+    Repeated edges collapse; self loops are kept. It holds the inputs, its
+    outputs (allocated first) and the int64 row-major keys u * n + v of both
+    directions, sorted and cut to the first of each run in place: CSR order,
+    so a search of the keys gives the row pointers, their remainders mod n
+    the int32 columns (copied off if repeats fell).
     """
     e = len(u)
+    row_ptr = np.arange(n + 1) * n  # each row's first key, then where the search finds it
+    col = np.empty(2 * e, dtype=np.int32)
     key = np.empty(2 * e, dtype=np.int64)
     np.multiply(u, n, out=key[:e], dtype=np.int64)  # int64 products of int32 ids too
     key[:e] += v
     np.multiply(v, n, out=key[e:], dtype=np.int64)
     key[e:] += u
-    key.sort()
-    key = key[np.diff(key, prepend=-1) != 0]
-    row_ptr = np.searchsorted(key, np.arange(n + 1) * n)
-    col = np.remainder(key, max(n, 1), out=np.empty(len(key), np.int32))
+    key = _distinct(key)
+    row_ptr[:] = np.searchsorted(key, row_ptr)
+    col = np.remainder(key, max(n, 1), out=col[:len(key)])
     del key
+    col = col.copy() if len(col) < 2 * e else col
     return SparseMatrixCSR(n, n, row_ptr, col, np.ones(len(col), value_dtype(4)), 4, 0)
 
 
 def random_features(n: int, n_features: int, density: float, rng
                     ) -> SparseMatrixCSR:
     """Sparse SINT4 feature matrix with nonzero entries at the given density,
-    built at its stored widths (int32 columns, int8 values).
+    built straight into CSR at its stored widths (int32 columns, int8 values).
 
-    The n * n_features uniforms that pick the nonzero positions are drawn at
-    most _DRAW_CHUNK at a time; the stream is sequential, so the matrix and
-    the generator's final state are those of one draw of them all.
+    The n * n_features uniforms that pick the nonzero positions, then the
+    values, are drawn _DRAW_CHUNK at a time, which holds its arrays and one
+    chunk: the stream is sequential, so the result is that of one draw each.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density {density} not in (0, 1]")
     size = n * n_features
-    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.flatnonzero(rng.random(min(_DRAW_CHUNK, size - s0)) < density) + s0
-        for s0 in range(0, size, _DRAW_CHUNK)])
-    vals = rng.choice(np.concatenate([np.arange(-8, 0), np.arange(1, 8)]).astype(value_dtype(4)),
-                      size=len(flat))  # the draw does not depend on the dtype
-    col = np.remainder(flat, n_features, out=np.empty(len(flat), np.int32))
-    flat //= n_features
-    return SparseMatrixCSR.from_coo(n, n_features, flat, col, vals, 4, 3)
+    row_ptr = np.zeros(n + 1, dtype=np.int64)  # each row's count, then their running sum
+    cols = [np.zeros(0, dtype=np.int32)]
+    for s0 in range(0, size, _DRAW_CHUNK):
+        hit = np.flatnonzero(rng.random(min(_DRAW_CHUNK, size - s0)) < density)
+        hit += s0
+        cols.append(np.remainder(hit, n_features, out=np.empty(len(hit), np.int32)))
+        counts = np.bincount(hit // n_features - s0 // n_features)
+        row_ptr[1 + s0 // n_features:][:len(counts)] += counts
+    np.cumsum(row_ptr, out=row_ptr)
+    cols = np.concatenate(cols)  # and the chunks freed
+    nonzero = np.concatenate([np.arange(-8, 0), np.arange(1, 8)]).astype(value_dtype(4))
+    vals = np.empty(len(cols), value_dtype(4))
+    for s0 in range(0, len(cols), _DRAW_CHUNK):  # the draw does not depend on the dtype
+        vals[s0:s0 + _DRAW_CHUNK] = rng.choice(nonzero, size=min(_DRAW_CHUNK, len(cols) - s0))
+    return SparseMatrixCSR(n, n_features, row_ptr, cols, vals, 4, 3)
 
 
 def gen_powerlaw(n: int, avg_degree: float, exponent: float = 2.1,

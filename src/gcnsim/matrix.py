@@ -56,6 +56,11 @@ def check_fits(arr: np.ndarray, bits: int, what: str = "value") -> None:
         raise OverflowTrap(f"{what} {val} at {tuple(int(p) for p in pos)} outside {bits}-bit range")
 
 
+def csr_order(r: np.ndarray, c: np.ndarray) -> bool:
+    """Whether positions (r, c) strictly increase row-major, by neighbours."""
+    return bool(((r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] > c[:-1]))).all())
+
+
 @dataclass
 class DenseMatrix:
     """Row-major dense grid of raw fixed-point values sharing one scale."""
@@ -116,29 +121,6 @@ class SparseMatrixCSR:
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.row_ptr)
 
-    def validate(self) -> None:
-        if len(self.row_ptr) != self.rows + 1 or self.row_ptr[0] != 0:
-            raise ShapeError("row_ptr must have length rows+1 and start at 0")
-        if (np.diff(self.row_ptr) < 0).any():
-            raise ShapeError("row_ptr must be non-decreasing")
-        if self.row_ptr[-1] != len(self.col_idx) or len(self.col_idx) != len(self.values):
-            raise ShapeError("row_ptr[-1], col_idx, values lengths disagree")
-        if self.nnz:
-            if self.col_idx.min() < 0 or self.col_idx.max() >= self.cols:
-                raise ShapeError("column index out of range")
-            # strictly increasing within each row: check all adjacent pairs,
-            # exempting pairs that straddle a row boundary
-            if self.nnz > 1:
-                diffs = np.diff(self.col_idx)
-                boundary = np.zeros(self.nnz - 1, dtype=bool)
-                ends = self.row_ptr[1:-1]
-                boundary[ends[(ends > 0) & (ends < self.nnz)] - 1] = True
-                if (diffs[~boundary] <= 0).any():
-                    raise ShapeError("columns not strictly increasing within a row")
-            if (self.values == 0).any():
-                raise ShapeError("stored zero value")
-        check_fits(self.values.reshape(1, -1), self.bits, "sparse entry")
-
     @classmethod
     def from_dense_raw(cls, raw: np.ndarray, bits: int, frac_bits: int) -> "SparseMatrixCSR":
         """The nonzeros of a dense raw grid, gathered straight into their stored dtypes."""
@@ -156,22 +138,19 @@ class SparseMatrixCSR:
                  v: np.ndarray, bits: int, frac_bits: int) -> "SparseMatrixCSR":
         """Build from unordered triplets; duplicate positions are summed.
 
-        One stable sort of the row-major position r * cols + c orders the
-        triplets, so it needs rows * cols to fit well inside int64. Triplets
-        whose positions already strictly increase (a file in CSR order) are
-        taken as they are, without the sort, and with no zero value they are
-        not copied either: the matrix then holds c and v as given, when they
-        are int32 columns and values of value_dtype(bits). Duplicates are
-        summed in int64, so a sum past v's dtype stays exact.
+        Triplets in CSR order (csr_order, as a file's) are taken as they
+        are, with no sort or key, and with no zero value the matrix holds c
+        and v as given when they are int32 columns and values of
+        value_dtype(bits), and r only as row pointers. Any other order is one
+        stable sort of the int64 positions r * cols + c, so rows * cols must
+        fit well inside int64. Duplicates are summed in int64, exactly.
         """
         if rows * cols > 2**62:
             raise ValueError(f"{rows} x {cols} positions do not fit a 62-bit sort key")
-        r = np.asarray(r, dtype=np.int64)
-        c, v = (a if a.dtype.kind == "i" else a.astype(np.int64) for a in map(np.asarray, (c, v)))
-        key = r * cols + c
-        order = None if (key[1:] > key[:-1]).all() else np.argsort(key, kind="stable")
-        del key  # freed, like the order below, before the arrays that set the peak
-        if order is not None:  # strictly increasing positions repeat none
+        r, c, v = (a if a.dtype.kind == "i" else a.astype(np.int64)
+                   for a in map(np.asarray, (r, c, v)))
+        if not csr_order(r, c):  # strictly increasing positions repeat none
+            order = np.argsort(np.multiply(r, cols, dtype=np.int64) + c, kind="stable")
             r, c, v = r[order], c[order], v[order]
             del order
             dup = np.concatenate([[False], (r[1:] == r[:-1]) & (c[1:] == c[:-1])])
@@ -182,7 +161,8 @@ class SparseMatrixCSR:
         keep = v != 0
         if not keep.all():
             r, c, v = r[keep], c[keep], v[keep]
-        row_ptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rows))])
+        row_ptr = np.searchsorted(r, np.arange(rows + 1, dtype=np.result_type(
+            r, np.min_scalar_type(-rows))))  # r is sorted; no int64 copy of it
         return cls(rows, cols, row_ptr, c, v, bits, frac_bits)
 
 

@@ -13,6 +13,7 @@ a stream holds, TileSchedule, lives here beside its codec.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,6 +44,9 @@ _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 _MAX_PACKET_BITS = 63  # codes are packed and unpacked in int64 arrays
 PACKET_VALUE_WIDTHS = (0, 4, 16)
+_PACKET_DTYPES = (("sor", np.uint8), ("eor", np.uint8), ("vld", np.uint8), ("col", np.int32),
+                  ("value", np.int16))
+_STREAM_CELLS = 1 << 16  # cells serialize_stream checks or encodes at once
 
 
 class StreamHeader(NamedTuple):
@@ -155,8 +159,8 @@ class TileSchedule:
     Fields are stored at their packet width: the flags as uint8, col as
     int32 (a tile may be up to 2^30 wide) and value as int16, since no
     packet value field is wider than 16 bits. Fields already at these
-    dtypes are kept as given, with no scan or copy; any other value is
-    range-checked first (a ValueError outside int16), so no cast wraps.
+    dtypes are kept as given, with no scan or copy; any other field is
+    range-checked first (a ValueError naming it), so no cast wraps.
     """
 
     sor: np.ndarray
@@ -166,13 +170,11 @@ class TileSchedule:
     value: np.ndarray
 
     def __post_init__(self):
-        self.sor, self.eor, self.vld = (np.asarray(a, dtype=np.uint8)
-                                        for a in (self.sor, self.eor, self.vld))
-        self.col = np.asarray(self.col, dtype=np.int32)
-        value = np.asarray(self.value)
-        if value.dtype != np.int16:
-            check_value_field(value, 16)
-        self.value = value.astype(np.int16, copy=False)
+        for name, dtype in _PACKET_DTYPES:
+            a, info = np.asarray(getattr(self, name)), np.iinfo(dtype)
+            if a.dtype != dtype and a.size and (a.min() < info.min or a.max() > info.max):
+                raise ValueError(f"{name} outside {info.bits}-bit range")
+            setattr(self, name, a.astype(dtype, copy=False))
 
     @property
     def cycles(self) -> int:
@@ -214,32 +216,31 @@ def serialize_stream(sched: TileSchedule, tile_width: int, value_bits: int) -> b
     """make_header's header for the schedule at tile width T and value width
     H, then its packets cycle-major, each MSB-first in ceil(width/8) bytes;
     the vectorized twin of encode_packet. A schedule with a packet_malformed
-    cell is refused."""
+    cell is refused. Each chunk of cycles is checked and encoded onto a
+    BytesIO, whose getvalue hands over its bytes: it holds the schedule, the
+    stream and one chunk's int64 codes.
+    """
     header = make_header(tile_width, value_bits, sched.pe_count, sched.cycles)
     t, h, k = tile_width, value_bits, sched.pe_count
-    col, val, vld = sched.col.ravel(), sched.value.ravel(), sched.vld.ravel()
+    sor, eor, vld, col, val = (getattr(sched, name).ravel() for name, _ in _PACKET_DTYPES)
     if col.size and (col.min() < 0 or col.max() >= t):
         raise ValueError(f"column outside tile width {t}")
-    lone = sched.sor.ravel() != sched.eor.ravel()
-    stray = np.flatnonzero((vld == 0) & ((col != 0) | (val != 0) | lone))  # packet_malformed
-    if stray.size:
-        raise ValueError(f"{_at_cell(int(stray[0]), k)} {_STRAY}")
-    # every other slot now holds value 0, which fits any field
-    check_value_field(val if h else val[vld == 1], h)
-    codes = sched.sor.astype(np.int64).ravel()
-    for bit in (sched.eor.ravel(), vld):
-        codes <<= 1
-        codes += bit
-    codes *= t
-    codes += col
-    if h:
-        codes <<= h
-        codes |= val.astype(np.uint16) & ((1 << h) - 1)  # two's-complement low h bits
-    # each cell is the last nbytes of its code's big-endian 8 bytes
     nbytes = (packet_width(t, h) + 7) // 8
-    body = codes.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:]
-    prefix = _HEADER_STRUCT.pack(STREAM_MAGIC, header.version, *header[:4])
-    return prefix + body.tobytes()
+    out = io.BytesIO(_HEADER_STRUCT.pack(STREAM_MAGIC, header.version, *header[:4]))
+    out.seek(HEADER_BYTES)
+    step = max(1, _STREAM_CELLS // k) * k
+    for part in (slice(s0, s0 + step) for s0 in range(0, col.size, step)):
+        lone = sor[part] != eor[part]
+        stray = np.flatnonzero((vld[part] == 0) & ((col[part] != 0) | (val[part] != 0) | lone))
+        if stray.size:  # packet_malformed
+            raise ValueError(f"{_at_cell(part.start + int(stray[0]), k)} {_STRAY}")
+        codes = (sor[part] * np.int64(4) + eor[part] * 2 + vld[part]) * t + col[part] << h
+        codes |= val[part].astype(np.uint16) & ((1 << h) - 1)  # two's-complement low h bits
+        # each cell is the last nbytes of its code's big-endian 8 bytes
+        out.write(codes.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:].tobytes())
+    # every other slot holds value 0, which fits any field
+    check_value_field(val if h else val[vld == 1], h)
+    return out.getvalue()
 
 
 def deserialize_stream(data: bytes) -> tuple[StreamHeader, TileSchedule]:

@@ -133,28 +133,30 @@ def tile_columns(x: SparseMatrixCSR, tile_width: int) -> Iterator[SparseMatrixCS
     Tile t holds columns [t*T, min((t+1)*T, cols)) rebased to start at 0;
     the last tile is ragged, and an operand with no columns is one empty
     tile. One pass for all tiles keeps preprocessing linear in nnz when the
-    operand spans many tiles. The pass is a stable sort of the tile ids,
-    held as int16 when they fit, which numpy sorts by radix. That order is
-    the one per-nonzero array kept across tiles: a tile's nonzeros keep their
-    row-major order, so their rows come from a search of x.row_ptr. A tile
-    keeps x's column and value dtypes; its int32 rebase cannot wrap, since
-    t * T < cols < 2**31.
+    operand spans many tiles. It sorts one key a nonzero, its tile above its
+    index, in int32 when ntiles << ceil(log2 nnz) fits: distinct keys sort
+    stably, and masked to the index they are the one per-nonzero array kept
+    across tiles. A tile's nonzeros keep their row-major order, so searching
+    them for x.row_ptr gives its row_ptr. It keeps x's dtypes; the int32
+    rebase cannot wrap, since t * T < cols < 2**31.
     """
     ntiles = max(1, -(-x.cols // tile_width))
     if ntiles == 1:
         yield x
         return
-    tile_of = np.floor_divide(x.col_idx, tile_width, out=np.empty(
-        x.nnz, np.int16 if ntiles <= 1 << 15 else np.int32))
-    order = np.argsort(tile_of, kind="stable")  # keeps (row, col) order inside a tile
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(tile_of, minlength=ntiles))])
-    del tile_of
+    shift = max(x.nnz - 1, 1).bit_length()  # bits of a nonzero's index
+    dtype = np.int32 if ntiles << shift <= np.iinfo(np.int32).max else np.int64
+    order = np.floor_divide(x.col_idx, tile_width, dtype=dtype)
+    order <<= shift
+    order |= np.arange(x.nnz, dtype=dtype)
+    order.sort()
+    bounds = np.searchsorted(order, np.arange(ntiles + 1, dtype=dtype) << shift)
+    order &= (1 << shift) - 1
     for t in range(ntiles):
         idx = order[bounds[t]:bounds[t + 1]]
-        row_nnz = np.bincount(np.searchsorted(x.row_ptr, idx, "right") - 1, minlength=x.rows)
         yield SparseMatrixCSR(x.rows, min(tile_width, x.cols - t * tile_width),
-                              np.concatenate([[0], np.cumsum(row_nnz)]),
-                              x.col_idx[idx] - t * tile_width, x.values[idx], x.bits, x.frac_bits)
+                              np.searchsorted(idx, x.row_ptr), x.col_idx[idx] - t * tile_width,
+                              x.values[idx], x.bits, x.frac_bits)
 
 
 def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
@@ -168,8 +170,10 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     PE p's rows are p, p+K, ..., so with the rows laid out ceil(m/K) x K a
     column-wise cumsum of each row's packet count (at least 1) gives every
     row's first slot. A packet's cell in the flat grid is slot * K + PE, and
-    each field is written with one 1-D scatter: sor at each row's first
-    cell, eor at its last, the nonzeros at consecutive slots between.
+    each field is written with 1-D scatters: sor at each row's first cell,
+    eor at its last, the nonzeros at consecutive slots between, one block of
+    K-row repetitions (about _ROW_CELLS rows and nonzeros) at a time after a
+    pass of blocks sizes the grid: it holds the tile, the grid and a block.
     """
     if pe_count < 1:
         raise ValueError("pe_count must be >= 1")
@@ -177,28 +181,31 @@ def assign_rows(tile: SparseMatrixCSR, pe_count: int) -> TileSchedule:
     if m == 0:
         return TileSchedule.empty(pe_count)
     check_value_field(tile.values, 16)  # before the int16 scatter narrows them
-    row_nnz = tile.row_nnz()
-    reps = -(-m // pe_count)
-    packets = np.zeros(reps * pe_count, dtype=np.int64)
-    np.maximum(row_nnz, 1, out=packets[:m])
-    ends = np.cumsum(packets.reshape(reps, pe_count), axis=0)
-    cycles = int(ends[-1].max())
-    # flat cell of each row's first packet: its slot in its PE column, times K, plus the PE
-    first = ends.ravel()[:m] - packets[:m]
-    first *= pe_count
-    first += np.arange(m) % pe_count
+    step = max(1, min(_ROW_CELLS * m // (m + tile.nnz), m + pe_count - 1) // pe_count) * pe_count
+    blocks = [tile.row_ptr[r0:r0 + step + 1] for r0 in range(0, m, step)]
 
+    def packets(ptr: np.ndarray) -> np.ndarray:  # a block's counts, K a line, 0 past m
+        p = np.zeros(step, dtype=np.int64)
+        np.maximum(np.diff(ptr), 1, out=p[:len(ptr) - 1])
+        return p.reshape(-1, pe_count)
+    cycles = int(sum(packets(ptr).sum(axis=0) for ptr in blocks).max())
     sor, eor, vld, col, value = (np.zeros(cycles * pe_count, dtype) for dtype in
                                  (np.uint8, np.uint8, np.uint8, np.int32, np.int16))
-    sor[first] = 1
-    eor[first + (packets[:m] - 1) * pe_count] = 1  # a row's last packet, or its marker
-    if tile.nnz:
+    filled = np.zeros(pe_count, dtype=np.int64)  # slots each PE column holds so far
+    for ptr in blocks:
+        p = packets(ptr)
+        ends = np.cumsum(p, axis=0) + filled
+        filled = ends[-1]
+        # flat cell of each row's first packet: its slot in its PE column, times K, plus the PE
+        first = ((ends - p) * pe_count + np.arange(pe_count)).ravel()[:len(ptr) - 1]
+        sor[first] = 1
+        eor[first + (p.ravel()[:len(first)] - 1) * pe_count] = 1  # last packet, or the marker
         # nonzero j of row i sits j - row_ptr[i] slots after the row's first
-        at = np.arange(0, tile.nnz * pe_count, pe_count)
-        at += np.repeat(first - tile.row_ptr[:-1] * pe_count, row_nnz)
+        at = np.arange(ptr[0] * pe_count, ptr[-1] * pe_count, pe_count)
+        at += np.repeat(first - ptr[:-1] * pe_count, np.diff(ptr))
         vld[at] = 1
-        col[at] = tile.col_idx
-        value[at] = tile.values
+        col[at] = tile.col_idx[ptr[0]:ptr[-1]]
+        value[at] = tile.values[ptr[0]:ptr[-1]]
     return TileSchedule(*(a.reshape(cycles, pe_count) for a in (sor, eor, vld, col, value)))
 
 
@@ -212,6 +219,7 @@ _STRETCH = 1024
 _WINDOW_MIN = 64
 _WINDOW_MAX = 4096
 _WINDOW_SLOTS = 256
+_ROW_CELLS = 1 << 16  # rows plus nonzeros assign_rows places at once
 
 
 def stall_collisions(sched: TileSchedule, cfg: ArchConfig) -> TileSchedule:

@@ -9,7 +9,6 @@ import resource
 import shutil
 import struct
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from gcnsim.report import read_report
 from gcnsim.schedule import config_for_tile
 from gcnsim.matrix import DenseMatrix, ShapeError
 from gcnsim.simulator import ArbitrationError, check_arbitration, plan_step
-from helpers import read_meta
+from helpers import read_meta, traced_peak
 from test_formats import agrees, reader_and_spec
 
 
@@ -113,13 +112,9 @@ def test_preprocess_holds_one_tile_schedule_at_a_time(tmp_path, monkeypatch, cap
     for tile in (4096, 512):
         cfg = config_for_tile(8, tile, replicas=2)
         flags = ["--pe", "8", "--replicas", "2", "--tile", str(tile)]
-        tracemalloc.start()
-        try:
-            assert main(["preprocess", str(bundle), *flags,
-                         "--out", str(tmp_path / f"t{tile}")]) == EXIT_OK
-            peaks[tile] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peaks[tile] = traced_peak(main, ["preprocess", str(bundle), *flags,
+                                               "--out", str(tmp_path / f"t{tile}")])
+        assert code == EXIT_OK
         biggest[tile] = max(sum(getattr(sched, name).nbytes for name in
                                 ("sor", "eor", "vld", "col", "value"))
                             for _, sched, _ in plan_step(ingest_bundle_dir(bundle).adjacency, cfg))
@@ -605,6 +600,22 @@ def test_gen_refuses_a_bundle_no_reader_accepts(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith("invalid: --nodes") and str(MAX_SPARSE_DIM) in err
         assert err.count("\n") == 1 and not out.exists()
+
+
+def test_gen_refuses_requests_past_its_entry_cap_before_allocating(tmp_path, capsys):
+    # node and feature counts a reader accepts, but more stubs or expected
+    # feature nonzeros than gen builds: the request alone is refused, so the
+    # refusal traces next to nothing and needs no address-space cap
+    cases = ((("--nodes", str(1 << 26), "--degree", "20"), "--nodes x --degree stubs"),
+             (("--nodes", str(1 << 26), "--features", "4096", "--density", "0.5"),
+              "--nodes x --features x --density expected feature nonzeros"))
+    for flags, product in cases:
+        out = tmp_path / "out"
+        code, peak = traced_peak(main, ["gen", *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID, err
+        assert err.startswith(f"invalid: {product} are ") and str(cli.MAX_GEN_ENTRIES) in err
+        assert peak < 1 << 20 and not out.exists(), peak
 
 
 def test_config_is_checked_before_the_bundle_is_read(tmp_path, capsys):

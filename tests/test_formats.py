@@ -1,7 +1,6 @@
 """File formats: parsing, line-numbered errors, byte-exact round trips."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from gcnsim.formats import (
 )
 from gcnsim.graphs import GraphBundle, gen_powerlaw, random_weights, symmetric_adjacency
 from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
-from helpers import read_meta, to_dense
+from helpers import read_meta, to_dense, traced_peak
 from test_golden_census import make_bundle as make_golden_bundle
 
 
@@ -574,18 +573,13 @@ def test_writers_match_the_per_line_spec(tmp_path):
 
 def test_writers_memory_is_bounded(tmp_path):
     # building a whole file as one string took about 84 traced bytes per
-    # edge nonzero and 140 per feature nonzero; in chunks of lines the
-    # writers hold the index arrays plus one chunk's text
+    # edge nonzero and 140 per feature nonzero, and a row index per nonzero
+    # 20 and 15; a chunk of lines at a time, rows taken from the row pointers,
+    # the writers hold one chunk's arrays and text (0.4-0.7 MB here), at any size
     bundle = gen_powerlaw(16384, 4, 2.1, seed=0, n_features=32, feature_density=0.1)
     for write, m in ((write_edges, bundle.adjacency), (write_features, bundle.features)):
-        tracemalloc.start()
-        try:
-            write(tmp_path / "out.txt", m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        budget = 24 * m.nnz + (1 << 20)
-        assert peak <= budget, (write.__name__, peak, budget)
+        _, peak = traced_peak(write, tmp_path / "out.txt", m)
+        assert peak <= 1 << 20, (write.__name__, peak)
 
 
 # -- ingest memory -----------------------------------------------------------------------
@@ -593,16 +587,11 @@ def test_writers_memory_is_bounded(tmp_path):
 
 def test_ingest_memory_is_linear_in_file_bytes(tmp_path):
     # the line parser held each line as a tuple and then Python int lists,
-    # about 22 traced bytes per file byte; the array path needs about 11-13
+    # about 22 traced bytes per file byte; the array path needs about 6.8
     bundle = gen_powerlaw(16384, 4, 2.1, seed=1, n_features=32, feature_density=0.1)
     paths = export_bundle(tmp_path, bundle)
     for path, read in ((paths["features"], lambda: read_features(paths["features"])),
                        (paths["edges"], lambda: read_edges(paths["edges"], 16384))):
-        tracemalloc.start()
-        try:
-            read()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        budget = 16 * path.stat().st_size + (64 << 10)
+        _, peak = traced_peak(read)
+        budget = 9 * path.stat().st_size + (64 << 10)
         assert peak <= budget, (path.name, peak, budget)

@@ -1,7 +1,5 @@
 """Generator statistics, determinism, and bundle validation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from gcnsim.graphs import (
     random_weights,
 )
 from gcnsim.matrix import DenseMatrix, ShapeError, SparseMatrixCSR
-from helpers import to_dense
+from helpers import to_dense, traced_peak
 
 
 def test_fixed_seed_reproduces_the_graph():
@@ -82,7 +80,7 @@ def test_pair_stubs_matches_the_set_spec():
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = np.stack(graphs._pair_stubs(degrees, got_rng), axis=1)  # (lo, hi) columns
         want = np.array(sorted(_pair_stubs_spec(degrees, want_rng)),
-                        dtype=np.int64).reshape(-1, 2)
+                        dtype=np.int32).reshape(-1, 2)  # node ids held as int32
         assert got.dtype == want.dtype and np.array_equal(got, want), seed
         # the same draws: both generators end in the same state
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -102,16 +100,12 @@ def test_generator_rejects_bad_requests():
 
 def test_gen_powerlaw_memory_per_stored_entry():
     # traced peak over the stored entries (adjacency and feature nonzeros) at
-    # the preprocess benchmark's size: 28.2 bytes an entry, 45.4 when the
-    # pairing's arrays lived on and the keys were sorted and divided into copies
-    tracemalloc.start()
-    try:
-        b = gen_powerlaw(131072, 4, 2.1, seed=0, n_features=32, feature_density=0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the preprocess benchmark's size: 13.6 bytes an entry; 19.6 with int64
+    # stubs and feature positions, 45.4 when the pairing's arrays lived on and
+    # the keys were sorted and divided into copies
+    b, peak = traced_peak(gen_powerlaw, 131072, 4, 2.1, 0, 32, 0.1)
     per_entry = peak / (b.adjacency.nnz + b.features.nnz)
-    assert per_entry <= 35.0, f"{per_entry:.1f} bytes per stored entry"
+    assert per_entry <= 17.0, f"{per_entry:.1f} bytes per stored entry"
 
 
 def test_random_features_density_and_range():

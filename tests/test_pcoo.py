@@ -24,8 +24,10 @@ from gcnsim.pcoo import (
     packet_width,
     serialize_stream,
 )
-from gcnsim import schedule
+from gcnsim import pcoo, schedule
+from gcnsim.graphs import random_features
 from gcnsim.schedule import TileSchedule
+from helpers import traced_peak
 from test_schedule import census_spec
 
 FIELDS = ("sor", "eor", "vld", "col", "value")
@@ -353,3 +355,30 @@ def test_tile_schedule_keeps_typed_fields_and_checks_the_rest():
     assert sched.col.tolist() == [[3, 0]] and sched.value.tolist() == [[-32768, 0]]
     with pytest.raises(ValueError, match="outside 16-bit range"):
         TileSchedule([[1]], [[1]], [[1]], [[0]], [[40000]])
+
+
+def test_tile_schedule_refuses_flags_and_columns_a_cast_would_wrap():
+    # cast unchecked, these would hold sor 1, vld 0 and col 3
+    fields = [np.array([[257]]), np.array([[1]]), np.array([[256]]),
+              np.array([[2**32 + 3]]), np.array([[5]])]
+    for i, name, width in ((0, "sor", 8), (2, "vld", 8), (3, "col", 32)):
+        bad = [f if j in (i, 4) else np.ones_like(f) for j, f in enumerate(fields)]
+        with pytest.raises(ValueError, match=f"^{name} outside {width}-bit range$"):
+            TileSchedule(*bad)
+    with pytest.raises(ValueError, match="^sor outside 8-bit range$"):
+        TileSchedule(*fields)  # the first field out of range is named
+    for name, low in (("eor", -1), ("col", -2**31 - 1)):
+        bad = [np.array([[low if n == name else 1]]) for n in FIELDS]
+        with pytest.raises(ValueError, match=f"^{name} outside"):
+            TileSchedule(*bad)
+
+
+def test_serialize_stream_peaks_at_its_stream_plus_one_chunk():
+    # the preprocess benchmark's feature tile (131,072 rows of 32 columns at
+    # density 0.1 on 16 PEs): a 1.2 MiB stream encoded a chunk of cycles at a
+    # time holds about 19 bytes a chunk cell more; whole-grid int64 codes, their
+    # big-endian copy and the stream's copy held 8.1 MiB more
+    sched = schedule.assign_rows(random_features(131072, 32, 0.1, np.random.default_rng(0)), 16)
+    data, peak = traced_peak(serialize_stream, sched, 16384, 4)
+    assert peak <= len(data) + 32 * pcoo._STREAM_CELLS, (peak >> 10, len(data) >> 10)
+    assert data == serialize_stream(sched, 16384, 4)

@@ -1,6 +1,5 @@
 """Multi-layer runtime: hand traces, sim/oracle agreement, error vs real math."""
 
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -41,7 +40,7 @@ from gcnsim import runtime, simulator
 from gcnsim.report import report_document
 from gcnsim.schedule import ScheduleStats, config_for_tile, tile_columns
 from gcnsim.simulator import MODE_DMM, MODE_SDMM, check_product, compile_plan, simulate_step
-from helpers import to_dense
+from helpers import to_dense, traced_peak
 
 
 def csr_raw(grid, bits=4, frac=3):
@@ -300,12 +299,7 @@ def test_run_model_working_set_does_not_grow_with_depth(monkeypatch):
                 pairs = zip(random_weights(dims, seed=1), random_weights(dims, seed=2))
                 model, a = make_graphsage(list(pairs)), sage_a
             held.clear()
-            tracemalloc.start()
-            try:
-                run_model(model, a, bundle.features, cfg)
-                peaks[layers] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peaks[layers] = traced_peak(run_model, model, a, bundle.features, cfg)
             # a's plan for the run; each layer input's until its last product
             # (combine), so the aggregate runs with a's alone
             per_layer = [2, 1] if kind == KIND_GCN else [2, 2, 1]
@@ -514,21 +508,13 @@ def test_sparse_paths_peak_linear_in_nonzeros_at_200k_nodes():
     bundle = gen_powerlaw(n, 4, 2.1, seed=5, n_features=feats, feature_density=0.1)
     ws = random_weights([feats, 16, 4], seed=1)
 
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            result = fn()
-            return result, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    a, sym_peak = peak(lambda: normalize_adjacency(bundle.adjacency, "sym_norm"))
+    a, sym_peak = traced_peak(normalize_adjacency, bundle.adjacency, "sym_norm")
     budget = 64 * (a.nnz + n * feats)
     assert sym_peak <= budget, f"sym_norm peak {sym_peak} B over {budget} B"
-    _, gcn_peak = peak(lambda: real_reference(make_gcn(ws, "sym_norm"), a,
-                                              bundle.features))
+    _, gcn_peak = traced_peak(lambda: real_reference(make_gcn(ws, "sym_norm"), a,
+                                                     bundle.features))
     assert gcn_peak <= budget, f"real_reference peak {gcn_peak} B over {budget} B"
     sage = make_graphsage(list(zip(ws, random_weights([feats, 16, 4], seed=2))))
     mean = mean_adjacency(bundle.adjacency)
-    _, sage_peak = peak(lambda: real_reference(sage, mean, bundle.features))
+    _, sage_peak = traced_peak(real_reference, sage, mean, bundle.features)
     assert sage_peak <= budget, f"real_reference peak {sage_peak} B over {budget} B"

@@ -1,12 +1,10 @@
 """Scheduler: assignment, stalling, DMM sweeps, slot census."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from gcnsim import schedule
-from gcnsim.graphs import gen_powerlaw
+from gcnsim.graphs import gen_powerlaw, random_features
 from gcnsim.matrix import ShapeError, SparseMatrixCSR
 from gcnsim.pcoo import deserialize_stream, make_header, serialize_stream
 from gcnsim.schedule import (
@@ -21,6 +19,7 @@ from gcnsim.schedule import (
     stall_collisions,
 )
 from gcnsim.simulator import check_arbitration
+from helpers import traced_peak
 
 
 def naive_assign(raw, k):
@@ -197,6 +196,18 @@ def test_assign_rows_all_empty():
     assert sched.cycles == 1
     assert census_spec(sched).empty_row.tolist() == [1, 1, 1, 1]
     assert (sched.sor == 1).all() and (sched.eor == 1).all() and (sched.vld == 0).all()
+
+
+def test_assign_rows_peaks_at_its_grid_plus_one_row_block():
+    # the preprocess benchmark's feature tile (131,072 rows of 32 columns at
+    # density 0.1 on 16 PEs): a 3.7 MiB grid, placed a block of rows at a
+    # time, holds about 22 bytes a block cell more; the tile's per-row and
+    # per-nonzero int64 arrays held 11.4 MiB more
+    tile = random_features(131072, 32, 0.1, np.random.default_rng(0))
+    sched, peak = traced_peak(assign_rows, tile, 16)
+    grid = sum(getattr(sched, name).nbytes for name in ("sor", "eor", "vld", "col", "value"))
+    assert peak <= grid + 32 * schedule._ROW_CELLS, (peak >> 10, grid >> 10)
+    assert sched.vld.sum() == tile.nnz and sched.sor.sum() == tile.rows
 
 
 def test_assign_rows_matches_naive():
@@ -706,11 +717,6 @@ def test_stall_pass_memory_grows_with_its_width_not_the_square():
     # trace about 2 MiB, where a list per rotation took 34 MiB
     cfg = config_for_tile(1024, 512)
     sched = assign_rows(gen_powerlaw(512, 4, seed=0).adjacency, cfg.pe_count)
-    tracemalloc.start()
-    try:
-        out = stall_collisions(sched, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(stall_collisions, sched, cfg)
     assert out.cycles > sched.cycles  # it stalled: the grant loop ran
     assert peak < 4 << 20, peak

@@ -1,7 +1,5 @@
 """Simulator: PE semantics, memory model, phases, oracle equivalence."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -41,6 +39,7 @@ from gcnsim.simulator import (
     run_tile,
     simulate_step,
 )
+from helpers import traced_peak
 from test_schedule import _stall_spec, census_spec
 
 
@@ -546,12 +545,7 @@ def test_arbitration_census_peak_is_chunk_sized():
     x = np.random.default_rng(197).integers(-8, 8, size=(8192, 64))
     cfg = config_for_tile(16, 512, replicas=2)
     sched = build_dmm_schedule(x, cfg.pe_count)
-    tracemalloc.start()
-    try:
-        stats = check_arbitration(sched, cfg, 8192, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stats, peak = traced_peak(check_arbitration, sched, cfg, 8192, 64)
     assert stats.totals()["valid"] == 8192 * 64
     assert peak <= 3 << 20, peak >> 10
 
@@ -583,12 +577,7 @@ def test_compile_plan_peaks_at_its_schedule_and_compiled_tile():
     held = sum(a.nbytes for a in (sched.sor, sched.eor, sched.vld, sched.col, sched.value))
     held += sum(a.nbytes for a in compile_tile(sched))
     del sched
-    tracemalloc.start()
-    try:
-        plan = compile_plan(x, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    plan, peak = traced_peak(compile_plan, x, cfg)
     assert len(plan.entries) == 1
     assert peak <= held + (4 << 20), (peak >> 10, held >> 10)
 
@@ -601,12 +590,7 @@ def test_compile_plan_holds_packet_values_at_16_bits():
     # in each, peaked at 15.4 MiB
     x = DenseMatrix(np.random.default_rng(181).integers(-8, 8, size=(8192, 64)), 16, 8)
     cfg = config_for_tile(16, 512, replicas=2)
-    tracemalloc.start()
-    try:
-        plan = compile_plan(x, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    plan, peak = traced_peak(compile_plan, x, cfg)
     (_, tile, _), = plan.entries
     assert tile.value.dtype == np.int16
     assert peak <= 24 * x.data.size, peak >> 10
@@ -832,12 +816,7 @@ def test_simulate_step_peak_memory_is_linear():
     for x, slots, reference in ((xd, xd.rows * xd.cols, dmm_reference),
                                 (xs, xs.nnz, sdmm_reference)):
         w = DenseMatrix(rng.integers(-8, 8, size=(x.cols, 64)), 4, 0)
-        tracemalloc.start()
-        try:
-            y, _ = simulate_step(compile_plan(x, cfg), w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (y, _), peak = traced_peak(lambda: simulate_step(compile_plan(x, cfg), w))
         budget = 2 * (90 * slots + 28 * x.rows * w.cols)
         assert peak <= budget, (type(x).__name__, peak >> 20, budget >> 20)
         # the sparse rows straddle the executor's slot chunks
