@@ -38,6 +38,7 @@ MAX_SPARSE_DIM = 1 << 27   # rows or cols of a sparse header; row_ptr <= 1 GiB
 _INT64 = np.iinfo(np.int64)
 _PLAIN = b"0123456789- \t\n"   # the only bytes the writers emit
 _WRITE_LINES = 1 << 12           # lines of text a writer builds at once
+_WRITE_ENTRIES = 1 << 14         # entries a writer takes its lines from at once
 _READ_BYTES = 1 << 18            # text a reader parses at once
 _SHOWN = 10 ** np.arange(20, dtype=np.uint64)  # a digit at place p shows from 10^p up,
 _SHOWN[0] = 0                                  # the units digit always
@@ -199,27 +200,30 @@ def _int_lines(columns: list[np.ndarray]) -> bytes:
     return text.T.tobytes().translate(None, b"\0")
 
 
-def _write_lines(path, head: str, *columns: np.ndarray, row_ptr=None, where=None) -> None:
-    """A text file: head, then _int_lines of the integer columns, a chunk of
-    lines at a time so memory stays bounded; with row_ptr, each line first
-    gives its entry's row, and with where, only lines where(*line) go out."""
+def _write_lines(path, head: str, *columns: np.ndarray, row_ptr=None, upper=False) -> None:
+    """A text file: head, then _int_lines of the integer columns. Entries are
+    taken _WRITE_ENTRIES at a time and written _WRITE_LINES lines at a time,
+    so memory stays bounded; with row_ptr, each line first gives its entry's
+    row, and with upper, only lines whose row is at most its column go out."""
     with open(path, "wb") as fh:
         fh.write(head.encode())
-        for s0 in range(0, len(columns[0]), _WRITE_LINES):
-            chunk = [c[s0:s0 + _WRITE_LINES] for c in columns]
-            if row_ptr is not None:  # from the pointers of the rows the chunk spans
-                s1 = s0 + len(chunk[0])
+        for s0 in range(0, len(columns[0]), _WRITE_ENTRIES):
+            block = [c[s0:s0 + _WRITE_ENTRIES] for c in columns]
+            if row_ptr is not None:  # from the pointers of the rows the block spans
+                s1 = s0 + len(block[0])
                 r0, r1 = np.searchsorted(row_ptr, [s0, s1 - 1], "right")  # past each end's row
-                chunk.insert(0, np.repeat(np.arange(r0 - 1, r1, dtype=np.int32),  # below 2^27
+                block.insert(0, np.repeat(np.arange(r0 - 1, r1, dtype=np.int32),  # below 2^27
                                           np.diff(np.clip(row_ptr[r0 - 1:r1 + 1], s0, s1))))
-            chunk = [c[where(*chunk)] for c in chunk] if where else chunk
-            if len(chunk[0]):
-                fh.write(_int_lines(chunk))
+            if upper:
+                keep = block[0] <= block[1]
+                block = [c[keep] for c in block]
+            for l0 in range(0, len(block[0]), _WRITE_LINES):
+                fh.write(_int_lines([c[l0:l0 + _WRITE_LINES] for c in block]))
 
 
 def write_edges(path, a: SparseMatrixCSR) -> None:
     """One line per undirected edge (u <= v); assumes a symmetric matrix."""
-    _write_lines(path, "", a.col_idx, row_ptr=a.row_ptr, where=np.less_equal)
+    _write_lines(path, "", a.col_idx, row_ptr=a.row_ptr, upper=True)
 
 
 # -- features -----------------------------------------------------------------

@@ -121,6 +121,29 @@ class SparseMatrixCSR:
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.row_ptr)
 
+    def validate(self) -> None:
+        if len(self.row_ptr) != self.rows + 1 or self.row_ptr[0] != 0:
+            raise ShapeError("row_ptr must have length rows+1 and start at 0")
+        if (np.diff(self.row_ptr) < 0).any():
+            raise ShapeError("row_ptr must be non-decreasing")
+        if self.row_ptr[-1] != len(self.col_idx) or len(self.col_idx) != len(self.values):
+            raise ShapeError("row_ptr[-1], col_idx, values lengths disagree")
+        if self.nnz:
+            if self.col_idx.min() < 0 or self.col_idx.max() >= self.cols:
+                raise ShapeError("column index out of range")
+            # strictly increasing within each row: check all adjacent pairs,
+            # exempting pairs that straddle a row boundary
+            if self.nnz > 1:
+                diffs = np.diff(self.col_idx)
+                boundary = np.zeros(self.nnz - 1, dtype=bool)
+                ends = self.row_ptr[1:-1]
+                boundary[ends[(ends > 0) & (ends < self.nnz)] - 1] = True
+                if (diffs[~boundary] <= 0).any():
+                    raise ShapeError("columns not strictly increasing within a row")
+            if (self.values == 0).any():
+                raise ShapeError("stored zero value")
+        check_fits(self.values.reshape(1, -1), self.bits, "sparse entry")
+
     @classmethod
     def from_dense_raw(cls, raw: np.ndarray, bits: int, frac_bits: int) -> "SparseMatrixCSR":
         """The nonzeros of a dense raw grid, gathered straight into their stored dtypes."""
@@ -158,11 +181,13 @@ class SparseMatrixCSR:
                 first = np.flatnonzero(~dup)  # each sorted group's first entry
                 v = np.add.reduceat(v, first, dtype=np.int64)
                 r, c = r[first], c[first]
+        if len(r) and (r[0] < 0 or r[-1] >= rows):  # r is sorted
+            raise ShapeError(f"row index outside [0, {rows})")
         keep = v != 0
         if not keep.all():
             r, c, v = r[keep], c[keep], v[keep]
         row_ptr = np.searchsorted(r, np.arange(rows + 1, dtype=np.result_type(
-            r, np.min_scalar_type(-rows))))  # r is sorted; no int64 copy of it
+            r, np.min_scalar_type(-rows - 1))))  # r is sorted; no int64 copy of it
         return cls(rows, cols, row_ptr, c, v, bits, frac_bits)
 
 

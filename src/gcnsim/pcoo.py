@@ -234,7 +234,10 @@ def serialize_stream(sched: TileSchedule, tile_width: int, value_bits: int) -> b
         stray = np.flatnonzero((vld[part] == 0) & ((col[part] != 0) | (val[part] != 0) | lone))
         if stray.size:  # packet_malformed
             raise ValueError(f"{_at_cell(part.start + int(stray[0]), k)} {_STRAY}")
-        codes = (sor[part] * np.int64(4) + eor[part] * 2 + vld[part]) * t + col[part] << h
+        # int64 from the first product on: numpy 1 would keep uint8 * 4 in uint8
+        codes = (np.multiply(sor[part], 4, dtype=np.int64) + eor[part] * 2 + vld[part]) * t
+        codes += col[part]
+        codes <<= h
         codes |= val[part].astype(np.uint16) & ((1 << h) - 1)  # two's-complement low h bits
         # each cell is the last nbytes of its code's big-endian 8 bytes
         out.write(codes.astype(">i8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes:].tobytes())

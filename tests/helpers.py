@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 
 from gcnsim.formats import META_VERSION, FileFormatError
-from gcnsim.matrix import DenseMatrix, ShapeError, SparseMatrixCSR, check_fits
+from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
 
 
 def read_meta(path) -> dict:
@@ -26,33 +26,6 @@ def to_dense(x: SparseMatrixCSR) -> DenseMatrix:
     raw = np.zeros((x.rows, x.cols), dtype=np.int64)
     raw[np.repeat(np.arange(x.rows), x.row_nnz()), x.col_idx] = x.values
     return DenseMatrix(raw, x.bits, x.frac_bits)
-
-
-def validate(x: SparseMatrixCSR) -> None:
-    """The full check of a hand-built sparse matrix: CSR shape, in-range and
-    strictly increasing columns within each row, no stored zero, values
-    within the declared width."""
-    if len(x.row_ptr) != x.rows + 1 or x.row_ptr[0] != 0:
-        raise ShapeError("row_ptr must have length rows+1 and start at 0")
-    if (np.diff(x.row_ptr) < 0).any():
-        raise ShapeError("row_ptr must be non-decreasing")
-    if x.row_ptr[-1] != len(x.col_idx) or len(x.col_idx) != len(x.values):
-        raise ShapeError("row_ptr[-1], col_idx, values lengths disagree")
-    if x.nnz:
-        if x.col_idx.min() < 0 or x.col_idx.max() >= x.cols:
-            raise ShapeError("column index out of range")
-        # strictly increasing within each row: check all adjacent pairs,
-        # exempting pairs that straddle a row boundary
-        if x.nnz > 1:
-            diffs = np.diff(x.col_idx)
-            boundary = np.zeros(x.nnz - 1, dtype=bool)
-            ends = x.row_ptr[1:-1]
-            boundary[ends[(ends > 0) & (ends < x.nnz)] - 1] = True
-            if (diffs[~boundary] <= 0).any():
-                raise ShapeError("columns not strictly increasing within a row")
-        if (x.values == 0).any():
-            raise ShapeError("stored zero value")
-    check_fits(x.values.reshape(1, -1), x.bits, "sparse entry")
 
 
 def traced_peak(fn, *args):

@@ -551,12 +551,12 @@ def test_writers_match_the_per_line_spec(tmp_path):
     f = bundles[1].features  # an all-negative value column
     bundles.append(GraphBundle(bundles[1].adjacency, SparseMatrixCSR(
         f.rows, f.cols, f.row_ptr, f.col_idx, -np.abs(f.values), 4, 3)))
-    # both files end exactly on a chunk boundary
-    bundles.append(GraphBundle(identity(2 * formats._WRITE_LINES),
-                               column(np.full(2 * formats._WRITE_LINES, 7), 4)))
-    # several of the writers' chunks of lines
-    bundles.append(gen_powerlaw(3000, 4, 2.1, seed=23, n_features=16, feature_density=0.3))
-    assert bundles[-1].adjacency.nnz > 2 * formats._WRITE_LINES
+    # both files end exactly on a chunk of lines, then on a block of entries
+    for n in (2 * formats._WRITE_LINES, formats._WRITE_ENTRIES):
+        bundles.append(GraphBundle(identity(n), column(np.full(n, 7), 4)))
+    # several of the writers' blocks of entries, each several chunks of lines
+    bundles.append(gen_powerlaw(9000, 4, 2.1, seed=23, n_features=16, feature_density=0.3))
+    assert min(bundles[-1].adjacency.nnz, bundles[-1].features.nnz) > 2 * formats._WRITE_ENTRIES
     for i, bundle in enumerate(bundles):
         paths = export_bundle(tmp_path / f"b{i}", bundle)
         write_edges_by_lines(tmp_path / "spec_edges.txt", bundle.adjacency)

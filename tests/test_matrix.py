@@ -24,7 +24,7 @@ from gcnsim.matrix import (
 from gcnsim.pcoo import packet_bits_for
 from gcnsim.runtime import mean_adjacency
 from gcnsim.schedule import tile_columns
-from helpers import to_dense, traced_peak, validate
+from helpers import to_dense, traced_peak
 
 
 def brute_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -109,7 +109,7 @@ def test_csr_roundtrip_and_validate():
         rows = int(rng.integers(1, 40))
         cols = int(rng.integers(1, 40))
         x, raw = random_csr(rng, rows, cols, float(rng.uniform(0, 0.6)))
-        validate(x)
+        x.validate()
         assert x.nnz == int((raw != 0).sum())
         assert np.array_equal(to_dense(x).data, raw)
 
@@ -119,7 +119,7 @@ def test_csr_from_coo_sums_duplicates():
     c = [2, 0, 2, 0, 0]
     v = [3, 1, -3, 5, 2]
     x = SparseMatrixCSR.from_coo(2, 3, r, c, v, 16, 0)
-    validate(x)
+    x.validate()
     # (1,2) cancels out entirely, (0,0) sums to 3
     assert np.array_equal(to_dense(x).data, [[3, 0, 0], [5, 0, 0]])
 
@@ -153,6 +153,13 @@ def test_csr_from_coo_sorts_like_a_row_then_column_lexsort():
         assert x.sat_count == 0
 
 
+def test_csr_from_coo_refuses_rows_outside_the_matrix():
+    # in CSR order and out of it: a row search would skip such an entry
+    for r in ([-1, 0], [0, 2], [2, 0], [0, -1]):
+        with pytest.raises(ShapeError, match=r"row index outside \[0, 2\)"):
+            SparseMatrixCSR.from_coo(2, 3, r, [0, 1], [1, 1], 4, 0)
+
+
 def test_csr_from_coo_rejects_sizes_past_the_sort_key():
     # the widest matrix int32 columns index sorts exactly
     widest = 2**31 - 1
@@ -168,19 +175,19 @@ def test_csr_from_coo_rejects_sizes_past_the_sort_key():
 def test_csr_validate_rejects():
     bad = SparseMatrixCSR(2, 3, [0, 1, 2], [2, 5], [1, 1], 4, 0)
     with pytest.raises(ShapeError):
-        validate(bad)
+        bad.validate()
     bad = SparseMatrixCSR(2, 3, [0, 2, 3], [2, 1, 0], [1, 1, 1], 4, 0)
     with pytest.raises(ShapeError):
-        validate(bad)  # columns not increasing in row 0
+        bad.validate()  # columns not increasing in row 0
     bad = SparseMatrixCSR(1, 3, [0, 1], [1], [0], 4, 0)
     with pytest.raises(ShapeError):
-        validate(bad)  # stored zero
+        bad.validate()  # stored zero
     bad = SparseMatrixCSR(1, 3, [0, 1], [1], [9], 4, 0)
     with pytest.raises(OverflowTrap):
-        validate(bad)
+        bad.validate()
     # boundary pair may legally decrease across rows
     ok = SparseMatrixCSR(2, 3, [0, 2, 3], [0, 2, 1], [1, 1, 1], 4, 0)
-    validate(ok)
+    ok.validate()
 
 
 def test_col_slice_matches_dense():
@@ -194,7 +201,7 @@ def test_col_slice_matches_dense():
         starts = range(0, cols, t)
         assert [tile.cols for tile in tiles] == [min(t, cols - c0) for c0 in starts]
         for c0, tile in zip(starts, tiles):
-            validate(tile)
+            tile.validate()
             assert tile.rows == x.rows
             assert np.array_equal(to_dense(tile).data, raw[:, c0:c0 + t])
         assert sum(tile.nnz for tile in tiles) == x.nnz
@@ -208,7 +215,7 @@ def test_col_slice_matches_dense():
     assert single is x
     # an operand with no columns is one empty tile
     (empty,) = tile_columns(SparseMatrixCSR(5, 0, np.zeros(6), [], [], 4, 0), 8)
-    validate(empty)
+    empty.validate()
     assert (empty.rows, empty.cols, empty.nnz) == (5, 0, 0)
 
 
@@ -489,7 +496,7 @@ def test_normalize_adjacency_sym_norm():
     raw[1, 2] = raw[2, 1] = 1
     a = SparseMatrixCSR.from_dense_raw(raw, 4, 0)
     s = normalize_adjacency(a, "sym_norm", bits=16, frac_bits=14)
-    validate(s)
+    s.validate()
     dense = (raw != 0).astype(float) + np.eye(4)
     deg = dense.sum(axis=1)
     d = np.diag(1.0 / np.sqrt(deg))
@@ -547,7 +554,7 @@ def test_every_producer_stores_int32_columns_and_declared_width_values(tmp_path)
         assert x.row_ptr.dtype == np.int64, name
         assert x.col_idx.dtype == np.int32, name
         assert x.values.dtype == values, name
-        validate(x)
+        x.validate()
     assert np.array_equal(produced["read_edges"][0].col_idx, a.col_idx)
     assert np.array_equal(produced["read_features"][0].values, f.values)
 
@@ -563,7 +570,7 @@ def test_generated_ingested_tiled_and_normalised_matrices_validate(tmp_path):
                 normalize_adjacency(a, "binary"), normalize_adjacency(a, "sym_norm")]
         mats += [*tile_columns(a, 128), *tile_columns(bundle.features, 16)]
         for x in mats:
-            validate(x)
+            x.validate()
         assert np.array_equal(back.adjacency.col_idx, a.col_idx)
 
 
@@ -583,7 +590,7 @@ def test_a_value_past_its_width_is_kept_exactly_never_wrapped():
     assert y.values.dtype == np.int32 and y.values.tolist() == [-32769]
     for m in (x, y):
         with pytest.raises(OverflowTrap, match="-32769"):
-            validate(m)
+            m.validate()
         with pytest.raises(ValueError, match="exceed the 16-bit packet field"):
             packet_bits_for(m)
     # a column index int32 cannot hold is refused, not wrapped into range
@@ -596,7 +603,7 @@ def test_duplicates_summing_past_their_dtype_are_exact():
     x = SparseMatrixCSR.from_coo(2, 2, [0, 0, 1, 1, 1, 0], [1, 1, 0, 0, 0, 0], v, 16, 0)
     assert x.values.dtype == np.int16
     assert to_dense(x).data.tolist() == [[7, 200], [-300, 0]]
-    validate(x)
+    x.validate()
 
 
 def test_bundle_sparse_arrays_cost_at_most_5_bytes_a_nonzero(tmp_path):

@@ -222,6 +222,19 @@ def test_serialize_matches_encode_packet_per_cell():
     assert kinds == {"negative", "idle", "empty", "valid"}
 
 
+def test_serialize_widest_codes_keep_every_bit():
+    # at the widest tiles a 16-bit code spans 33 and 34 bits: every flag,
+    # the top column bit and both value extremes survive the encode
+    for t in (16384, 32768):
+        grid = [[PcooPacket(1, 1, 1, t - 1, -32768), PcooPacket(1, 0, 1, t // 2, 32767)],
+                [PcooPacket(0, 1, 1, 1, -1), EMPTY_ROW_PACKET]]
+        sched = grid_schedule(grid, 2)
+        data = serialize_stream(sched, t, 16)
+        cells = [encode_packet(p, t, 16).to_bytes(5, "big") for row in grid for p in row]
+        assert data[HEADER_BYTES:] == b"".join(cells), t
+        assert_same_packets(deserialize_stream(data)[1], sched)
+
+
 def test_deserialize_matches_decode_packet_per_cell():
     # the vectorized decoder against the single-packet spec, cell by cell
     # and its slot census against the per-cell kinds (valid, empty-row, idle)
