@@ -58,6 +58,7 @@ EXIT_INVALID = 4
 EXIT_OVERFLOW = 5
 
 MAX_GEN_ENTRIES = 1 << 30  # stubs or expected feature nonzeros gen builds (CHANGES.md)
+MAX_DENSE_ENTRIES = 1 << 28  # entries of one dense grid simulate or sweep builds (CHANGES.md)
 
 DEFAULTS = {
     "pe": 16, "replicas": 1, "tile": 512, "lanes": 16, "value_bits": None,
@@ -133,6 +134,7 @@ def build_model(bundle, kind: str, adjacency_mode: str | None, hidden: int,
                          f"not --adjacency {adjacency_mode}")
     dims = [bundle.features.cols] + [hidden] * (layers - 1) + [classes]
     ws = bundle.weights
+    _check_dense_size(bundle, dims)
     if kind == KIND_GCN:
         model = make_gcn(ws or random_weights(dims, seed), adjacency_mode or "binary")
     elif ws:
@@ -145,6 +147,21 @@ def build_model(bundle, kind: str, adjacency_mode: str | None, hidden: int,
     if model.adjacency_mode == "mean":
         return model, mean_adjacency(bundle.adjacency)
     return model, normalize_adjacency(bundle.adjacency, model.adjacency_mode)
+
+
+def _check_dense_size(bundle, dims: list) -> None:
+    """Refuse, before it is allocated, a dense grid the request fixes above
+    MAX_DENSE_ENTRIES: an activation (nodes x widest layer) or, without
+    bundle weights, a random weight block (one layer's width x the next's)."""
+    ws = bundle.weights
+    widest = max([bundle.features.cols] + [w.cols for w in ws]) if ws else max(dims)
+    sizes = [("nodes x widest layer", bundle.features.rows * widest)]
+    if not ws:
+        sizes.append(("widest weight block", max(a * b for a, b in zip(dims, dims[1:]))))
+    for product, size in sizes:
+        if size > MAX_DENSE_ENTRIES:
+            raise ValueError(f"{product} is {size} entries, over the dense cap of "
+                             f"{MAX_DENSE_ENTRIES}")
 
 
 # -- commands -------------------------------------------------------------------

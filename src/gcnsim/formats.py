@@ -358,8 +358,7 @@ def read_weights(path) -> list[DenseMatrix]:
         pos += nbytes
         if raw.size and (raw.min() < int_min(bits) or raw.max() > int_max(bits)):
             raise FileFormatError(f"{path}: matrix {i} has entries outside its {bits}-bit range")
-        out.append(DenseMatrix(raw.reshape(rows, cols).astype(np.int64),
-                               bits, frac))
+        out.append(DenseMatrix(raw.reshape(rows, cols).astype(value_dtype(bits)), bits, frac))
     if pos != len(data):
         raise FileFormatError(f"{path}: {len(data) - pos} trailing bytes")
     return out

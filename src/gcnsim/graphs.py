@@ -227,5 +227,5 @@ def random_weights(dims: list[int], seed: int = 0) -> list[DenseMatrix]:
     if len(dims) < 2:
         raise ValueError("need at least input and output dimensions")
     rng = np.random.default_rng(seed)
-    return [DenseMatrix(rng.integers(-8, 8, (dims[i], dims[i + 1])), 4, 3)
+    return [DenseMatrix(rng.integers(-8, 8, (dims[i], dims[i + 1])).astype(value_dtype(4)), 4, 3)
             for i in range(len(dims) - 1)]

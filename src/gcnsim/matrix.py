@@ -2,11 +2,11 @@
 
 Everything here is plain integer arithmetic on raw fixed-point values
 (declared width checked explicitly), so results are bit-reproducible and
-usable as the oracle for the cycle simulator. Dense grids and every product
-are int64. A sparse operand is stored at its packet widths: int32 columns
-and values in the narrowest signed dtype that holds its declared width
-(value_dtype), so a binary adjacency or 4-bit features cost 5 bytes a
-nonzero; arithmetic on them is written so no cast or promotion wraps.
+usable as the oracle for the cycle simulator. Values are stored in the
+narrowest signed dtype that holds their declared width (value_dtype): int16
+activations, int32 products, int8 4-bit weights, and sparse values beside
+int32 columns. Arithmetic promotes explicitly to int64 (dtype= or astype)
+in chunk-sized temporaries and checks before it narrows, so nothing wraps.
 """
 
 from __future__ import annotations
@@ -38,22 +38,32 @@ _INT32 = np.iinfo(np.int32)
 
 def value_dtype(bits: int, lo: int = 0, hi: int = 0) -> np.dtype:
     """Narrowest of int8/int16/int32/int64 holding every bits-bit value and
-    lo..hi: a sparse matrix's value dtype (int64 for any width past 64)."""
+    lo..hi: a matrix's storage dtype (int64 for any width past 64)."""
     for dt in _VALUE_DTYPES:
         info = np.iinfo(dt)
         if min(bits, 64) <= info.bits and info.min <= lo and hi <= info.max:
             return dt
-    raise OverflowTrap(f"sparse entries {lo}..{hi} outside int64")
+    raise OverflowTrap(f"entries {lo}..{hi} outside int64")
 
 
-def check_fits(arr: np.ndarray, bits: int, what: str = "value") -> None:
-    """Raise OverflowTrap (with the offending position) if any entry is out of range."""
+def _at_width(v, bits: int) -> np.ndarray:
+    """v at value_dtype(bits), range-checked first unless already there, so it never wraps."""
+    v = np.asarray(v)
+    dtype = value_dtype(bits)
+    if v.dtype != dtype and v.size:
+        dtype = value_dtype(bits, int(v.min()), int(v.max()))
+    return v.astype(dtype, copy=False)
+
+
+def check_fits(arr: np.ndarray, bits: int, what: str = "value", at=(0, 0)) -> None:
+    """Raise OverflowTrap (with the offending position, plus at) if any entry is out of range."""
     lo, hi = int_min(bits), int_max(bits)
     bad = (arr < lo) | (arr > hi)
     if bad.any():
         pos = np.argwhere(bad)[0]
         val = arr[tuple(pos)]
-        raise OverflowTrap(f"{what} {val} at {tuple(int(p) for p in pos)} outside {bits}-bit range")
+        where = tuple(int(p) + o for p, o in zip(pos, at))
+        raise OverflowTrap(f"{what} {val} at {where} outside {bits}-bit range")
 
 
 def csr_order(r: np.ndarray, c: np.ndarray) -> bool:
@@ -65,13 +75,13 @@ def csr_order(r: np.ndarray, c: np.ndarray) -> bool:
 class DenseMatrix:
     """Row-major dense grid of raw fixed-point values sharing one scale."""
 
-    data: np.ndarray  # int64, shape (rows, cols)
+    data: np.ndarray  # (rows, cols): value_dtype(bits), wider only for a value past bits
     bits: int
     frac_bits: int
     sat_count: int = 0  # entries saturated during quantization
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.int64)
+        self.data = _at_width(self.data, self.bits)
         if self.data.ndim != 2:
             raise ShapeError(f"dense data must be 2-D, got {self.data.ndim}-D")
 
@@ -108,11 +118,7 @@ class SparseMatrixCSR:
                 _INT32.min <= col.min() and col.max() <= _INT32.max):
             raise ShapeError("column index out of range")
         self.col_idx = col.astype(np.int32, copy=False)
-        v = np.asarray(self.values)
-        dtype = value_dtype(self.bits)
-        if v.dtype != dtype and v.size:
-            dtype = value_dtype(self.bits, int(v.min()), int(v.max()))
-        self.values = v.astype(dtype, copy=False)
+        self.values = _at_width(self.values, self.bits)
 
     @property
     def nnz(self) -> int:
@@ -219,8 +225,14 @@ def dequantize(m: DenseMatrix) -> np.ndarray:
     return m.data.astype(np.float64) * 2.0 ** -m.frac_bits
 
 
-# output entries per sdmm_reference block
-_REFERENCE_CELLS = 1 << 16
+# entries per block of a product or rescale
+_BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(shape: tuple) -> list:
+    """Slices of whole rows, about _BLOCK_CELLS entries each, of a rows x cols grid."""
+    step = max(1, _BLOCK_CELLS // max(shape[1], 1))
+    return [slice(r0, r0 + step) for r0 in range(0, shape[0], step)]
 
 
 def sdmm_reference(x: SparseMatrixCSR, w: DenseMatrix) -> DenseMatrix:
@@ -228,35 +240,38 @@ def sdmm_reference(x: SparseMatrixCSR, w: DenseMatrix) -> DenseMatrix:
 
     Y[i,k] = sum_j X[i,j] * W[j,k] over stored nonzeros only, exact in
     integers; each result entry must fit a 32-bit accumulator. Each output
-    column is one np.add.at scatter of the stored entries' products into
-    their CSR rows, a contiguous row of a block of about _REFERENCE_CELLS
-    entries that is then copied into the row-major result, so temporaries
-    stay linear in nnz plus one block.
+    column is one np.add.at scatter of the stored entries' int64 products into
+    their CSR rows, a contiguous row of a block of about _BLOCK_CELLS entries
+    that is checked and copied into the int32 result, so temporaries stay
+    linear in nnz plus one block; an overflow names the first in its block.
     """
     if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: X is {x.rows}x{x.cols}, W is {w.rows}x{w.cols}")
-    out = np.empty((x.rows, w.cols), dtype=np.int64)
+    out = np.empty((x.rows, w.cols), dtype=np.int32)
     rows = np.repeat(np.arange(x.rows), x.row_nnz())
     cols = x.col_idx.astype(np.intp)  # once: every gather would convert int32 indices anew
-    wt = np.ascontiguousarray(w.data.T)
-    step = max(1, _REFERENCE_CELLS // max(x.rows, 1))  # output columns per block
+    wt = np.ascontiguousarray(w.data.T)  # at w's width
+    step = max(1, _BLOCK_CELLS // max(x.rows, 1))  # output columns per block
     for j0 in range(0, w.cols, step):
         w_cols = wt[j0:j0 + step]
         block = np.zeros((len(w_cols), x.rows), dtype=np.int64)  # one row per column
         for j, w_col in enumerate(w_cols):
-            np.add.at(block[j], rows, w_col[cols] * x.values)  # int64 products
+            np.add.at(block[j], rows, np.multiply(w_col[cols], x.values, dtype=np.int64))
+        check_fits(block.T, 32, "accumulator", (0, j0))
         out[:, j0:j0 + step] = block.T
         del block  # before the next block's
-    check_fits(out, 32, "accumulator")
     return DenseMatrix(out, 32, x.frac_bits + w.frac_bits)
 
 
 def dmm_reference(x: DenseMatrix, w: DenseMatrix) -> DenseMatrix:
-    """Dense-dense product under the same accumulator rules as sdmm_reference."""
+    """Dense-dense product under sdmm_reference's rules, int64 a block of rows at a time."""
     if x.cols != w.rows:
         raise ShapeError(f"inner dims differ: X is {x.rows}x{x.cols}, W is {w.rows}x{w.cols}")
-    out = x.data @ w.data
-    check_fits(out, 32, "accumulator")
+    out = np.empty((x.rows, w.cols), np.int32)
+    for rs in row_blocks((x.rows, max(x.cols, w.cols))):
+        part = np.matmul(x.data[rs], w.data, dtype=np.int64)
+        check_fits(part, 32, "accumulator", (rs.start, 0))
+        out[rs] = part
     return DenseMatrix(out, 32, x.frac_bits + w.frac_bits)
 
 
@@ -264,23 +279,20 @@ def relu(y: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(np.maximum(y.data, 0), y.bits, y.frac_bits)
 
 
-# entries per requantize16 step
-_REQUANTIZE_CELLS = 1 << 16
-
-
 def _rescale(v, s: int):
-    """v * 2**-s rounded half to even, exactly, for an int or an int64 array
-    (always a new one). s <= 0 is a left shift; s > 0 takes
+    """v * 2**-s rounded half to even, exactly, for an int or an int64 array,
+    which it rescales in place. s <= 0 is a left shift; s > 0 takes
     floor((v + 2**(s-1) - 1 + bit s of v) / 2**s), with one temporary of v's size."""
     if s <= 0:
-        return v << -s
+        v <<= -s
+        return v
     odd = v >> s
     odd &= 1
-    out = v + ((1 << s - 1) - 1)
-    out += odd
+    v += (1 << s - 1) - 1
+    v += odd
     del odd
-    out >>= s
-    return out
+    v >>= s
+    return v
 
 
 def requantize16(y: DenseMatrix) -> DenseMatrix:
@@ -290,10 +302,10 @@ def requantize16(y: DenseMatrix) -> DenseMatrix:
     clamped to [0, 15], backed off one step if the maximum itself would not be
     representable (exact powers of two). Entries are rescaled by a shift,
     rounded half to even and saturated (counted in sat_count), a block of
-    rows at a time, so the only full-size array is the result. It is all
-    integer arithmetic: for |y| < 2**53 it equals quantize(dequantize(y), 16,
-    frac) bit for bit, and every caller passes a result that check_fits(32)
-    has passed.
+    rows at a time promoted to int64, so the only full-size array is the
+    int16 result. It is all integer arithmetic: for |y| < 2**53 it equals
+    quantize(dequantize(y), 16, frac) bit for bit, and every caller passes a
+    result that check_fits(32) has passed.
     """
     data = y.data
     peak = max(int(data.max(initial=0)), -int(data.min(initial=0)))  # 0 when empty
@@ -307,13 +319,12 @@ def requantize16(y: DenseMatrix) -> DenseMatrix:
     # past 2**62 every |y| < 2**53 rounds to 0 alike, and the shift stays in int64
     shift = min(y.frac_bits - frac, 62)
     lo, hi = int_min(16), int_max(16)
-    out = np.empty_like(data)
+    out = np.empty(data.shape, value_dtype(16))
     sat = 0
-    step = max(1, _REQUANTIZE_CELLS // max(y.cols, 1))
-    for r0 in range(0, y.rows, step):
-        part = _rescale(data[r0:r0 + step], shift)
+    for rs in row_blocks(data.shape):
+        part = _rescale(data[rs].astype(np.int64), shift)
         sat += int(np.count_nonzero(part > hi)) + int(np.count_nonzero(part < lo))
-        np.clip(part, lo, hi, out=out[r0:r0 + step])
+        np.clip(part, lo, hi, out=out[rs])
     return DenseMatrix(out, 16, frac, sat)
 
 

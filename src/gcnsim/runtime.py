@@ -38,6 +38,7 @@ from .matrix import (
     dmm_reference,
     relu,
     requantize16,
+    row_blocks,
     sdmm_reference,
     value_dtype,
 )
@@ -127,13 +128,16 @@ def mean_adjacency(a: SparseMatrixCSR, frac_bits: int = 14) -> SparseMatrixCSR:
 
 
 def align_add(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Exact fixed-point add: the coarser operand is up-shifted, never rounded."""
+    """Exact fixed-point add (the coarser operand up-shifted), int64 a block of rows at a time."""
     if a.data.shape != b.data.shape:
         raise ShapeError("cannot add differently shaped matrices")
     f = max(a.frac_bits, b.frac_bits)
-    out = a.data << (f - a.frac_bits)
-    out += b.data << (f - b.frac_bits)
-    check_fits(out, 32, "sum")
+    out = np.empty(a.data.shape, np.int32)
+    for rs in row_blocks(out.shape):
+        part = np.left_shift(a.data[rs], f - a.frac_bits, dtype=np.int64)
+        part += np.left_shift(b.data[rs], f - b.frac_bits, dtype=np.int64)
+        check_fits(part, 32, "sum", (rs.start, 0))
+        out[rs] = part
     return DenseMatrix(out, 32, f)
 
 

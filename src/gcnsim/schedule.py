@@ -395,7 +395,7 @@ def build_dmm_schedule(x_block: np.ndarray, pe_count: int) -> TileSchedule:
     written once, in its final dtype, with no grid-sized temporary; an entry
     outside int16, the packet value width, is a ValueError.
     """
-    x_block = np.asarray(x_block, dtype=np.int64)
+    x_block = np.asarray(x_block)
     check_value_field(x_block, 16)
     m, t = x_block.shape
     if t < 1:

@@ -53,6 +53,7 @@ from .matrix import (
     check_fits,
     int_max,
     int_min,
+    value_dtype,
 )
 from .schedule import (
     ArchConfig,
@@ -69,8 +70,8 @@ MODE_DMM = "dmm"
 # slots per step of a walk over a grid: whole cycles in check_arbitration,
 # blocks of PEs in compile_tile
 _PASS_SLOTS = 1 << 16
-# products per run_tile chunk (valid slots x lanes): 1 MiB of int64
-_CHUNK_CELLS = 1 << 17
+# products per run_tile chunk (valid slots x lanes): 512 KiB of int64
+_CHUNK_CELLS = 1 << 16
 
 
 class ArbitrationError(RuntimeError):
@@ -225,11 +226,11 @@ def check_arbitration(sched: TileSchedule, cfg: ArchConfig, rows: int,
 
 
 class CompiledTile(NamedTuple):
-    """A checked schedule's valid slots, PE-major, as run_tile consumes them.
-    col and value keep the schedule's dtypes: int32 and the int16 packet value."""
+    """A checked schedule's valid slots, PE-major, as run_tile consumes them:
+    int16 packet values, and columns in int16 when they fit (T <= 2**15)."""
 
     starts: np.ndarray  # first slot of each output row's segment
-    rows: np.ndarray    # that segment's output row
+    rows: np.ndarray    # that segment's output row, int32
     col: np.ndarray     # dense row of each valid slot
     value: np.ndarray   # multiplicand of each valid slot
 
@@ -245,7 +246,8 @@ def compile_tile(sched: TileSchedule) -> CompiledTile:
     width = max(1, _PASS_SLOTS // max(sched.cycles, 1))  # PEs per block
     blocks = [slice(p0, p0 + width) for p0 in range(0, k, width)]
     n_valid = sum(np.count_nonzero(sched.vld[:, pes] == 1) for pes in blocks)
-    col, value = np.empty(n_valid, sched.col.dtype), np.empty(n_valid, sched.value.dtype)
+    col_dtype = value_dtype(16, 0, int(sched.col.max(initial=0)))
+    col, value = np.empty(n_valid, col_dtype), np.empty(n_valid, sched.value.dtype)
     starts, rows = [], []
     s0 = 0
     for pes in blocks:
@@ -262,10 +264,14 @@ def compile_tile(sched: TileSchedule) -> CompiledTile:
 def _compile_pes(sched: TileSchedule, pes: slice) -> CompiledTile:
     """compile_tile of the PE columns pes alone, its starts counted from 0."""
     valid = sched.vld[:, pes].T == 1  # PE-major (PEs x cycles)
-    seg = np.cumsum(sched.sor[:, pes].T, axis=1, dtype=np.int32)[valid] - 1  # index among the PE's rows
     k = sched.pe_count
-    row = np.repeat(np.arange(k)[pes], valid.sum(axis=1)) + k * seg
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    row = np.cumsum(sched.sor[:, pes].T, axis=1, dtype=np.int32)[valid]  # 1 + index among rows
+    row -= 1
+    row *= k
+    row += np.repeat(np.arange(k, dtype=np.int32)[pes], valid.sum(axis=1))  # int32, in place
+    first = np.ones(len(row), bool)  # a segment starts where the row changes
+    np.not_equal(row[1:], row[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     return CompiledTile(starts, row[starts], sched.col[:, pes].T[valid],
                         sched.value[:, pes].T[valid])
 
@@ -277,13 +283,13 @@ def run_tile(tile: CompiledTile, w: np.ndarray, out: np.ndarray) -> None:
     that memory stays linear in slots plus m x lanes (a cut row is added twice)."""
     if out.ndim != 2 or out.shape[1] != w.shape[1]:
         raise ShapeError("partials block does not match dense tile lanes")
-    wt = np.ascontiguousarray(np.asarray(w, dtype=np.int64).T)
+    wt = np.ascontiguousarray(np.asarray(w).T)  # at w's width
     step = max(1, _CHUNK_CELLS // max(w.shape[1], 1))
     for s0 in range(0, len(tile.col), step):
         i0 = np.searchsorted(tile.starts, s0, "right") - 1  # the row s0 lies in
         i1 = np.searchsorted(tile.starts, s0 + step)
-        prod = wt.take(tile.col[s0:s0 + step], axis=1)
-        prod *= tile.value[s0:s0 + step]  # int64 products of the int16 values
+        prod = np.multiply(wt.take(tile.col[s0:s0 + step], axis=1),
+                           tile.value[s0:s0 + step], dtype=np.int64)
         cuts = np.maximum(tile.starts[i0:i1], s0) - s0
         out[tile.rows[i0:i1]] += np.add.reduceat(prod, cuts, axis=1).T
 
@@ -381,8 +387,8 @@ def simulate_step(plan: Plan, w: DenseMatrix) -> tuple[DenseMatrix, CycleReport]
     """One full matrix product on the plan's array: load, compute, move.
 
     An inner-dimension mismatch raises ShapeError before any tile runs.
-    Output accumulates across column tiles in one OMMB array and is
-    width-checked at the end.
+    Output accumulates across column tiles in one int64 OMMB array and is
+    width-checked at the end, then narrowed to int32 once.
     """
     if plan.cols != w.rows:
         raise ShapeError(f"inner dims differ: {plan.cols} vs {w.rows}")
@@ -399,4 +405,4 @@ def simulate_step(plan: Plan, w: DenseMatrix) -> tuple[DenseMatrix, CycleReport]
         report.tiles.append({"col_offset": c0, "lane_blocks": len(lane_blocks), **stats.totals()})
     report.move_cycles += data_move(y, cfg)
     check_fits(y, 32, "accumulator")
-    return DenseMatrix(y, 32, plan.frac_bits + w.frac_bits), report
+    return DenseMatrix(y.astype(np.int32), 32, plan.frac_bits + w.frac_bits), report

@@ -571,13 +571,14 @@ def test_overflowing_real_reference_writes_null(tmp_path, capsys):
 
 def test_out_of_memory_exits_4_in_one_line(workload, tmp_path, capsys):
     # 10^8 nodes, within a reader's sparse header limit, ask for gigabytes,
-    # hidden 10^9 for 238 GiB of weights, and the largest legal sparse header
-    # for a 1 GiB row_ptr
+    # hidden 16,000 in three layers for a 1.9 GiB weight block (below the
+    # dense cap, which refuses larger ones first), and the largest legal
+    # sparse header for a 1 GiB row_ptr
     (tmp_path / "b").mkdir()
     (tmp_path / "b" / "edges.txt").write_text("")
     (tmp_path / "b" / "features.txt").write_text("sparse 134217728 134217728 4 0\n")
     for argv in (["gen", "--nodes", "100000000", "--out", str(tmp_path / "g")],
-                 ["simulate", str(workload / "w"), "--hidden", "1000000000"],
+                 ["simulate", str(workload / "w"), "--hidden", "16000", "--layers", "3"],
                  ["preprocess", str(tmp_path / "b"), "--out", str(tmp_path / "p")]):
         with address_space_cap(1 << 28):
             rc = main(argv)
@@ -616,6 +617,37 @@ def test_gen_refuses_requests_past_its_entry_cap_before_allocating(tmp_path, cap
         assert code == EXIT_INVALID, err
         assert err.startswith(f"invalid: {product} are ") and str(cli.MAX_GEN_ENTRIES) in err
         assert peak < 1 << 20 and not out.exists(), peak
+
+
+def test_dense_sizes_past_the_cap_are_refused_before_allocating(workload, monkeypatch,
+                                                              capsys):
+    # the 300-node bundle with layer widths the flags fix: an activation
+    # (nodes x widest layer) or a random weight block past MAX_DENSE_ENTRIES is
+    # refused before any weight, adjacency operand or reference is built, so
+    # the refusal traces next to nothing and needs no address-space cap
+    def built(*args):
+        raise AssertionError("allocated before the size check")
+
+    for name in ("random_weights", "mean_adjacency", "normalize_adjacency", "references"):
+        monkeypatch.setattr(cli, name, built)
+    cap = cli.MAX_DENSE_ENTRIES
+    cases = ((["simulate", "--hidden", str(1 << 40)], f"nodes x widest layer is {300 << 40}"),
+             (["sweep", "--classes", str(1 << 20)], f"nodes x widest layer is {300 << 20}"),
+             (["simulate", "--hidden", str(1 << 15), "--layers", "3"],
+              f"widest weight block is {1 << 30}"))
+    for argv, message in cases:
+        out = workload / f"capped-{argv[0]}"
+        code, peak = traced_peak(main, [argv[0], str(workload / "w"), *argv[1:],
+                                        "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID, err
+        assert err == f"invalid: {message} entries, over the dense cap of {cap}\n"
+        assert peak < 1 << 20 and not out.exists(), peak
+    # the cap itself is allowed
+    bundle = ingest_bundle_dir(workload / "w")
+    cli._check_dense_size(bundle, [32, cap // 300, 4])
+    with pytest.raises(ValueError, match="nodes x widest layer"):
+        cli._check_dense_size(bundle, [32, cap // 300 + 1, 4])
 
 
 def test_config_is_checked_before_the_bundle_is_read(tmp_path, capsys):

@@ -20,7 +20,7 @@ from gcnsim.formats import (
     write_weights,
 )
 from gcnsim.graphs import GraphBundle, gen_powerlaw, random_weights, symmetric_adjacency
-from gcnsim.matrix import DenseMatrix, SparseMatrixCSR
+from gcnsim.matrix import DenseMatrix, SparseMatrixCSR, value_dtype
 from helpers import read_meta, to_dense, traced_peak
 from test_golden_census import make_bundle as make_golden_bundle
 
@@ -151,6 +151,22 @@ def test_write_weights_refuses_what_read_weights_refuses(tmp_path):
     edge = DenseMatrix(np.array([[-8, 7]]), 4, 0)  # the range's ends are written and read
     write_weights(p, [edge])
     assert np.array_equal(read_weights(p)[0].data, edge.data)
+
+
+def test_read_weights_holds_each_matrix_at_its_width(tmp_path):
+    p = tmp_path / "w.bin"
+    ws = [DenseMatrix(np.full((2, 3), v), bits, 0)
+          for v, bits in ((-8, 4), (7, 4), (-32768, 16), (2**31 - 1, 32), (-(2**31), 32))]
+    write_weights(p, ws)
+    for w, back in zip(ws, read_weights(p)):
+        assert back.data.dtype == value_dtype(w.bits) and np.array_equal(back.data, w.data)
+    # read straight at its width from the container's int32 entries: a 4-bit
+    # 512 x 512 matrix is 1 MiB of file and 256 KiB read; an int64 copy on the
+    # way would add 2 MiB
+    write_weights(p, [DenseMatrix(np.random.default_rng(5).integers(-8, 8, (512, 512)), 4, 3)])
+    (back,), peak = traced_peak(read_weights, p)
+    assert back.data.dtype == np.int8
+    assert peak <= p.stat().st_size + 2 * back.data.nbytes, peak >> 10
 
 
 def test_weight_container_rejects_garbage(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcnsim.formats import export_bundle, ingest_bundle_dir, read_edges, read_features
-from gcnsim.graphs import gen_powerlaw, random_features, symmetric_adjacency
+from gcnsim.graphs import gen_powerlaw, random_features, random_weights, symmetric_adjacency
 from gcnsim.matrix import (
     DenseMatrix,
     OverflowTrap,
@@ -236,7 +236,7 @@ def sdmm_row_loop(x, w):
     for i in range(x.rows):
         s, e = x.row_ptr[i], x.row_ptr[i + 1]
         if e > s:
-            out[i] = x.values[s:e] @ w.data[x.col_idx[s:e]]
+            out[i] = x.values[s:e].astype(np.int64) @ w.data[x.col_idx[s:e]].astype(np.int64)
     check_fits(out, 32, "accumulator")
     return out
 
@@ -339,6 +339,24 @@ def test_accumulator_overflow_traps():
     # two bits lower fits (1<<30 is in range, 1<<31 is not)
     ok = dmm_reference(DenseMatrix(np.array([[1 << 18]]), 32, 0), w)
     assert ok.data[0, 0] == 1 << 30
+
+
+def test_dense_storage_follows_the_declared_width():
+    # a grid is stored at value_dtype(bits) and widens only as far as an
+    # out-of-range value needs, so nothing wraps before check_fits sees it
+    for bits, dtype in ((4, np.int8), (16, np.int16), (32, np.int32), (40, np.int64)):
+        assert DenseMatrix(np.ones((2, 2), np.int64), bits, 0).data.dtype == dtype
+    assert DenseMatrix(np.array([[-32769]]), 16, 0).data.dtype == np.int32
+    wide = DenseMatrix(np.array([[2**31]]), 32, 0)
+    assert wide.data.dtype == np.int64 and wide.data[0, 0] == 2**31
+    with pytest.raises(OverflowTrap, match="^accumulator 2147483648 at"):
+        check_fits(wide.data, 32, "accumulator")
+    kept = np.zeros((3, 2), np.int16)  # already at its width: no copy
+    assert DenseMatrix(kept, 16, 0).data is kept
+    y = DenseMatrix(np.array([[1 << 20, -3], [5, 0]]), 32, 4)
+    assert requantize16(y).data.dtype == np.int16
+    assert relu(y).data.dtype == np.int32
+    assert random_weights([5, 3, 2], seed=1)[0].data.dtype == np.int8
 
 
 def test_relu_scalar_oracle():
@@ -471,7 +489,7 @@ def test_sdmm_reference_peaks_at_its_output():
     w = DenseMatrix(rng.integers(-8, 8, size=(64, 64)), 4, 0)
     y, peak = traced_peak(sdmm_reference, x, w)
     assert peak <= y.data.nbytes + 48 * x.nnz, (peak >> 10, x.nnz)
-    assert np.array_equal(y.data, to_dense(x).data @ w.data)
+    assert np.array_equal(y.data, to_dense(x).data.astype(np.int64) @ w.data.astype(np.int64))
 
 
 def test_normalize_adjacency_binary():

@@ -14,6 +14,8 @@ from gcnsim.matrix import (
     SparseMatrixCSR,
     dequantize,
     dmm_reference,
+    int_max,
+    int_min,
     normalize_adjacency,
     relu,
     requantize16,
@@ -41,6 +43,7 @@ from gcnsim.report import report_document
 from gcnsim.schedule import ScheduleStats, config_for_tile, tile_columns
 from gcnsim.simulator import MODE_DMM, MODE_SDMM, check_product, compile_plan, simulate_step
 from helpers import to_dense, traced_peak
+from test_matrix import _requantize16_spec
 
 
 def csr_raw(grid, bits=4, frac=3):
@@ -119,7 +122,7 @@ def test_identity_adjacency_reduces_to_dense_chain():
 
     x = to_dense(x0)
     for i, w in enumerate([w0, w1]):
-        prod = x.data @ w.data
+        prod = x.data.astype(np.int64) @ w.data.astype(np.int64)
         xw = requantize16(DenseMatrix(prod, 32, x.frac_bits + w.frac_bits))
         y = relu(DenseMatrix(xw.data, 32, xw.frac_bits)) if i == 0 \
             else DenseMatrix(xw.data, 32, xw.frac_bits)
@@ -148,9 +151,10 @@ def test_single_node_graphsage_self_loop():
     model = make_graphsage([(ws, wn)])
     logits, _ = run_model(model, a, x0, config_for_tile(2, 16))
 
-    self_part = DenseMatrix(to_dense(x0).data @ ws.data, 32, 6)
-    xn16 = requantize16(DenseMatrix(to_dense(x0).data @ wn.data, 32, 6))
-    neigh = DenseMatrix((1 << 14) * xn16.data, 32, 14 + xn16.frac_bits)
+    x = to_dense(x0).data.astype(np.int64)
+    self_part = DenseMatrix(x @ ws.data.astype(np.int64), 32, 6)
+    xn16 = requantize16(DenseMatrix(x @ wn.data.astype(np.int64), 32, 6))
+    neigh = DenseMatrix((1 << 14) * xn16.data.astype(np.int64), 32, 14 + xn16.frac_bits)
     expect = requantize16(align_add(self_part, neigh))
     assert logits.frac_bits == expect.frac_bits
     assert np.array_equal(logits.data, expect.data)
@@ -432,6 +436,54 @@ def test_align_add_shifts_exactly():
     big = DenseMatrix(np.array([[(1 << 31) - 1]]), 32, 0)
     with pytest.raises(OverflowTrap):
         align_add(big, DenseMatrix(np.array([[1]]), 32, 0))
+
+
+def test_extreme_values_never_wrap():
+    # int16 activations at both ends, 4- and 16-bit weights at theirs, and
+    # products within 2**15 of +-2**31: each kernel, and the simulator in both
+    # modes, equals an int64 spec whatever numpy's casting rules (numpy 1
+    # casts by value), and each result is int32 or int16 as declared
+    lo, hi = int_min(16), int_max(16)
+    x16 = np.array([[lo, lo + 1], [hi, lo], [lo, 0], [hi, hi]], np.int64)
+    w16 = np.array([[lo, hi], [lo, lo]], np.int64)
+    spec = x16 @ w16  # int64 throughout
+    assert spec.max() == 2**31 - 32768 and spec.min() == -(2**31) + 65536
+    cfg = config_for_tile(2, 16)
+    for w_raw, bits in ((w16, 16), (np.array([[-8, 7], [-8, -8]], np.int64), 4)):
+        w = DenseMatrix(w_raw, bits, 0)
+        want = x16 @ w_raw
+        for x, reference in ((csr_raw(x16, bits=16, frac=0), sdmm_reference),
+                             (DenseMatrix(x16, 16, 0), dmm_reference)):
+            for y in (reference(x, w), simulate_step(compile_plan(x, cfg), w)[0]):
+                assert y.data.dtype == np.int32 and np.array_equal(y.data, want), bits
+    big = DenseMatrix(spec, 32, 20)
+    q = requantize16(big)
+    assert q.data.dtype == np.int16 and np.array_equal(q.data, _requantize16_spec(big).data)
+    assert relu(big).data.dtype == np.int32
+    assert relu(big).data.tolist() == np.maximum(spec, 0).tolist()
+    a = DenseMatrix(np.array([[2**30 - 1, -(2**30), -7]]), 32, 0)
+    b = DenseMatrix(np.array([[1, 0, -(2**31) + 14]]), 32, 1)
+    s = align_add(a, b)
+    assert s.data.dtype == np.int32
+    assert s.data.tolist() == [[2**31 - 1, -(2**31), -(2**31)]]
+    with pytest.raises(OverflowTrap, match=r"^sum 2147483648 at \(0, 0\)"):
+        align_add(DenseMatrix(np.array([[2**30]]), 32, 0), DenseMatrix(np.array([[0]]), 32, 1))
+
+
+def test_blocked_overflow_names_its_entry():
+    # the kernels check a block at a time; the position is the whole grid's
+    wide = 1 << 17  # two blocks of rows, or of output columns, of 2**16 entries
+    x = DenseMatrix(np.array([[0], [1]]), 32, 0)
+    w = np.ones((1, wide), np.int64)
+    w[0, 70000] = 2**31
+    with pytest.raises(OverflowTrap, match=r"^accumulator 2147483648 at \(0, 70000\)"):
+        sdmm_reference(csr_raw([[1]], bits=32, frac=0), DenseMatrix(w, 33, 0))
+    with pytest.raises(OverflowTrap, match=r"^accumulator 2147483648 at \(1, 70000\)"):
+        dmm_reference(x, DenseMatrix(w, 33, 0))
+    a = np.zeros((2, wide), np.int64)
+    a[1, 5] = 2**31 - 1
+    with pytest.raises(OverflowTrap, match=r"^sum 2147483648 at \(1, 5\)"):
+        align_add(DenseMatrix(a, 32, 0), DenseMatrix(np.ones((2, wide), np.int64), 32, 0))
 
 
 def test_real_reference_zero_error_without_requantize_effects():

@@ -596,6 +596,19 @@ def test_compile_plan_holds_packet_values_at_16_bits():
     assert peak <= 24 * x.data.size, peak >> 10
 
 
+def test_compiled_tile_columns_are_int16_while_they_fit():
+    # every column of a T = 2**15 tile fits int16; T = 2**16 needs int32
+    for t, dtype in ((1 << 15, np.int16), (1 << 16, np.int32)):
+        tile = compile_tile(build_dmm_schedule(np.ones((2, t), np.int64), 2))
+        assert tile.col.dtype == dtype and int(tile.col.max()) == t - 1
+    # so the 524,288-slot DMM entry compiles to 4 bytes a slot (int16 column
+    # and value), with its row segments under a quarter byte more
+    x = DenseMatrix(np.random.default_rng(181).integers(-8, 8, size=(8192, 64)), 16, 8)
+    (_, tile, _), = compile_plan(x, config_for_tile(16, 512, replicas=2)).entries
+    assert tile.col.nbytes + tile.value.nbytes == 4 * x.data.size
+    assert sum(a.nbytes for a in tile) <= 4.25 * x.data.size
+
+
 def test_simulate_step_spec_point():
     # 64x64 at ~1% density times 64x16, K=4, T=32 (16 lanes x 2 groups)
     rng = np.random.default_rng(103)
